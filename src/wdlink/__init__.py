@@ -5,9 +5,9 @@ from .bandplan import (BandPlan, detected_indices, inter_band_gap_hz,
                        make_default_plans, subcarrier_center, subcarrier_centers)
 from .bitload import (BitLoadMap, CapacityReport, FecProfile, ber_mqam,
                       capacity, load_bits, min_snr_db_for, threshold_table)
-from .channel import (ChannelConfig, MaskPoint, apply_carrier, apply_mask,
-                      dband_downconvert, default_masks, fspl_db,
-                      link_snr_budget, load_mask_csv, mask_gain_db)
+from .channel import (MaskPoint, apply_carrier, apply_mask, dband_downconvert,
+                      default_masks, fspl_db, link_snr_budget, load_mask_csv,
+                      mask_gain_db)
 from .noise import (LaserSpec, PhaseTrace, add_awgn, beat_phase,
                     default_lasers, estimate_psd, gen_phase_noise,
                     laser_pair_phases, read_psd_csv, write_psd_csv)

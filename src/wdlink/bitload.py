@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .bandplan import BandPlan, detected_indices, subcarrier_center
 from .ofdm_rx import SubcarrierMetrics
@@ -35,8 +34,11 @@ class FecProfile:
             raise ValueError("ber_threshold must be in (0, 0.5)")
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def _q(x):
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def ber_mqam(snr_db, order_bits: int):

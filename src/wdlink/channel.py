@@ -27,24 +27,6 @@ class MaskPoint:
     gain_db: float
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Per-band channel settings consumed by the scenario runner."""
-
-    band_mask: tuple
-    residual_phase: PhaseTrace | None = None
-    target_snr_db: float = 12.0        # math.inf -> noiseless
-    distance_m: float = 0.12
-    antenna_gain_dbi: float = 20.0
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if math.isnan(self.target_snr_db):
-            raise ValueError("target_snr_db must be a number or +inf")
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
-
-
 def _mask_arrays(mask) -> tuple:
     pts = tuple(mask)
     if len(pts) < 2:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .waveform import ComplexWaveform
 
@@ -134,18 +133,21 @@ def estimate_psd(x, rbw_hz: float):
         raise ValueError(
             f"rbw_hz {rbw_hz:g} finer than the record allows (need {nperseg} samples, have {len(data)})"
         )
-    freqs, psd = sp_signal.welch(
-        data,
-        fs=fs,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        scaling="density",
-        return_onesided=onesided,
-    )
+    # periodic Hann window, 50% overlap (Welch 1967)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    hop = nperseg - nperseg // 2
+    n_seg = (len(data) - nperseg // 2) // hop
+    fft = np.fft.rfft if onesided else np.fft.fft
+    acc = np.zeros(nperseg // 2 + 1 if onesided else nperseg)
+    for start in range(0, n_seg * hop, hop):
+        spec = fft(data[start:start + nperseg] * win)
+        acc += spec.real ** 2 + spec.imag ** 2
+    psd = acc / (n_seg * fs * np.sum(win ** 2))
     if onesided:
-        return freqs, psd
+        # fold the negative frequencies onto the interior bins
+        psd[1:-1 if nperseg % 2 == 0 else None] *= 2.0
+        return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+    freqs = np.fft.fftfreq(nperseg, 1.0 / fs)
     return np.fft.fftshift(freqs) + anchor, np.fft.fftshift(psd)
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .bandplan import BandPlan, subcarrier_center
 from .ofdm_tx import FrameRef, TxConfig, demap_qam, synth_time
@@ -49,6 +48,27 @@ def training_template(ref: FrameRef, os_eff: int) -> np.ndarray:
     return synth_time(ref.training_grid, os_eff, cp_scaled // ref.oversample)
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least ``n``: an
+    FFT at a length with large prime factors runs several times slower."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _correlate_valid(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
+    """sum_k x[n + k] conj(tpl[k]) for every full overlap n, by FFT."""
+    nfft = _fast_len(len(x) + len(tpl) - 1)
+    num = np.fft.ifft(np.fft.fft(x, nfft) * np.conj(np.fft.fft(tpl, nfft)))
+    return num[:len(x) - len(tpl) + 1]
+
+
 def synchronize(w: ComplexWaveform, ref: FrameRef, threshold: float = 0.5) -> int:
     """Start-of-frame offset via normalized cross-correlation against the
     training burst.  Raises SyncError when the best peak stays below
@@ -58,7 +78,7 @@ def synchronize(w: ComplexWaveform, ref: FrameRef, threshold: float = 0.5) -> in
     x = w.samples
     if len(x) < len(tpl):
         raise SyncError("waveform shorter than the training burst")
-    num = _signal.correlate(x, tpl, mode="valid", method="fft")
+    num = _correlate_valid(x, tpl)
     cs = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
     window = cs[len(tpl):] - cs[: len(x) - len(tpl) + 1]
     denom = np.sqrt(np.maximum(window, 0.0)) * math.sqrt(float(np.sum(np.abs(tpl) ** 2)))

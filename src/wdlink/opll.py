@@ -32,7 +32,6 @@ class LoopConfig:
     kp: float
     ki: float
     actuator_bw_hz: float = 50e3
-    if_hz: float = 25e6
     sim_rate_hz: float = 50e6
     duration_s: float = 20e-3
     initial_freq_error_hz: float = 0.0
@@ -44,10 +43,6 @@ class LoopConfig:
             raise ValueError("actuator_bw_hz must be positive")
         if self.kp < 0 or self.ki < 0:
             raise ValueError("gains must be non-negative")
-        if not 0 < self.if_hz < self.sim_rate_hz:
-            raise ValueError("if_hz must sit below the simulation rate")
-        if self.if_hz >= 50e6:
-            raise ValueError("if_hz must stay below 50 MHz")
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,6 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     cycles accumulated rather than lost.  ``fm_inject=(amp_hz, freq_hz)``
     adds a deterministic sinusoidal frequency modulation on the slave, used
     to probe the realized suppression against the linear model.
-
-    The IF stage is treated as ideal (it only relocates the beat for the
-    detector), so ``cfg.if_hz`` does not enter the dynamics.
     """
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
     if n < 10:

@@ -66,43 +66,58 @@ def _residual_tail(lock_result, duration_s: float) -> PhaseTrace:
                       sample_rate_hz=tr.sample_rate_hz)
 
 
+def _psd(path, x, rbw_hz: float) -> None:
+    f, p = estimate_psd(x, rbw_hz)
+    write_psd_csv(path, f, p)
+
+
+def _lock_stage(scn: Scenario, band: BandScenario, seed: int, band_dir: Path,
+                rbw_hz: float) -> tuple:
+    """Lock the band's slave laser; writes lock.csv and psd_error.csv.
+    Returns the lock result and its summary record."""
+    lock = simulate_lock(scn.lasers[band.master], scn.lasers[band.slave],
+                         scn.loop_config_for(band), seed)
+    stride = max(1, len(lock.phase_error.phases) // LOCK_CSV_MAX_ROWS)
+    write_lock_csv(band_dir / "lock.csv", lock, stride=stride)
+    _psd(band_dir / "psd_error.csv", lock.phase_error, rbw_hz)
+    return lock, {"locked": bool(lock.locked),
+                  "cycle_slips": int(lock.cycle_slips),
+                  "residual_phase_var_rad2": float(residual_phase_variance(lock))}
+
+
+def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float,
+              clip_db: float) -> tuple:
+    """Synthesize and clip the band's frame; writes tx.iq and psd_tx.csv.
+    Returns (clipped waveform, frame reference, PAPR before and after)."""
+    wave, ref = build_frame(band.plan, band.tx)
+    clipped = clip(wave, clip_db)
+    write_iq(band_dir / "tx.iq", clipped)
+    _psd(band_dir / "psd_tx.csv", clipped, rbw_hz)
+    return clipped, ref, {"papr_raw_db": float(papr_db(wave)),
+                          "papr_clipped_db": float(papr_db(clipped))}
+
+
 def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
              rbw_hz: float) -> dict:
     """Run one band end to end, writing its artifacts; returns the chain
     record (also stored as chain.json) with a ``failure`` field of None,
     "lock", or "sync"."""
     band_dir.mkdir(parents=True, exist_ok=True)
-    master = scn.lasers[band.master]
-    slave = scn.lasers[band.slave]
-    loop_cfg = scn.loop_config_for(band)
-    lock = simulate_lock(master, slave, loop_cfg, seeds[f"lock_{band.name}"])
-    stride = max(1, len(lock.phase_error.phases) // LOCK_CSV_MAX_ROWS)
-    write_lock_csv(band_dir / "lock.csv", lock, stride=stride)
-    f_err, p_err = estimate_psd(lock.phase_error, LOCK_PSD_RBW_HZ)
-    write_psd_csv(band_dir / "psd_error.csv", f_err, p_err)
-
+    lock, lock_info = _lock_stage(scn, band, seeds[f"lock_{band.name}"],
+                                  band_dir, LOCK_PSD_RBW_HZ)
     record = {
         "band": band.name,
         "failure": None,
-        "lock": {
-            "locked": bool(lock.locked),
-            "cycle_slips": int(lock.cycle_slips),
-            "residual_phase_var_rad2": float(residual_phase_variance(lock)),
-            "target_offset_hz": loop_cfg.target_offset_hz,
-        },
+        "lock": {**lock_info, "target_offset_hz": lock.config.target_offset_hz},
     }
     if not lock.locked:
         record["failure"] = "lock"
         _write_json(band_dir / "chain.json", record)
         return record
 
-    tx_wave, ref = build_frame(band.plan, band.tx)
-    record["papr_raw_db"] = float(papr_db(tx_wave))
-    tx_clipped = clip(tx_wave, band.tx.clip_ratio_db)
-    record["papr_clipped_db"] = float(papr_db(tx_clipped))
-    write_iq(band_dir / "tx.iq", tx_clipped)
-    f_tx, p_tx = estimate_psd(tx_clipped, rbw_hz)
-    write_psd_csv(band_dir / "psd_tx.csv", f_tx, p_tx)
+    tx_clipped, ref, papr = _tx_stage(band, band_dir, rbw_hz,
+                                      band.tx.clip_ratio_db)
+    record.update(papr)
 
     w = apply_carrier(tx_clipped, _residual_tail(lock, tx_clipped.duration_s))
     w = apply_mask(w, band.mask)
@@ -119,8 +134,7 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
     w = add_awgn(w, band.target_snr_db, seeds[f"noise_{band.name}"],
                  occupied_bw_hz=occupied)
     write_iq(band_dir / "rx.iq", w)
-    f_rx, p_rx = estimate_psd(w, rbw_hz)
-    write_psd_csv(band_dir / "psd_rx.csv", f_rx, p_rx)
+    _psd(band_dir / "psd_rx.csv", w, rbw_hz)
 
     try:
         offset = synchronize(w, ref)
@@ -231,30 +245,18 @@ def lock_sim(scn: Scenario, out_dir, seed_override=None, rbw_hz=None,
     for band in scn.bands:
         bdir = out / f"band_{band.name}"
         bdir.mkdir(parents=True, exist_ok=True)
-        master = scn.lasers[band.master]
-        slave = scn.lasers[band.slave]
-        loop_cfg = scn.loop_config_for(band)
         seed = seeds[f"lock_{band.name}"]
         if free_running:
+            loop_cfg = scn.loop_config_for(band)
             n = int(round(loop_cfg.duration_s * loop_cfg.sim_rate_hz))
-            beat = free_running_beat(master, slave, n, loop_cfg.sim_rate_hz, seed)
-            f_b, p_b = estimate_psd(beat, rbw)
-            write_psd_csv(bdir / "psd_beat.csv", f_b, p_b)
+            beat = free_running_beat(scn.lasers[band.master], scn.lasers[band.slave],
+                                     n, loop_cfg.sim_rate_hz, seed)
+            _psd(bdir / "psd_beat.csv", beat, rbw)
             info[band.name] = {"mode": "free-running"}
             continue
-        lock = simulate_lock(master, slave, loop_cfg, seed)
-        stride = max(1, len(lock.phase_error.phases) // LOCK_CSV_MAX_ROWS)
-        write_lock_csv(bdir / "lock.csv", lock, stride=stride)
-        f_e, p_e = estimate_psd(lock.phase_error, rbw)
-        write_psd_csv(bdir / "psd_error.csv", f_e, p_e)
-        f_b, p_b = estimate_psd(lock.locked_beat, rbw)
-        write_psd_csv(bdir / "psd_beat.csv", f_b, p_b)
-        info[band.name] = {
-            "mode": "locked",
-            "locked": bool(lock.locked),
-            "cycle_slips": int(lock.cycle_slips),
-            "residual_phase_var_rad2": float(residual_phase_variance(lock)),
-        }
+        lock, lock_info = _lock_stage(scn, band, seed, bdir, rbw)
+        _psd(bdir / "psd_beat.csv", lock.locked_beat, rbw)
+        info[band.name] = {"mode": "locked", **lock_info}
     _write_json(out / "lock.json", {"bands": info})
     return info
 
@@ -268,15 +270,10 @@ def tx_only(scn: Scenario, out_dir, clip_db=None, rbw_hz=None) -> dict:
     for band in scn.bands:
         bdir = out / f"band_{band.name}"
         bdir.mkdir(parents=True, exist_ok=True)
-        wave, _ = build_frame(band.plan, band.tx)
         ratio = clip_db if clip_db is not None else band.tx.clip_ratio_db
-        clipped = clip(wave, ratio)
-        write_iq(bdir / "tx.iq", clipped)
-        f_tx, p_tx = estimate_psd(clipped, rbw)
-        write_psd_csv(bdir / "psd_tx.csv", f_tx, p_tx)
+        clipped, _, papr = _tx_stage(band, bdir, rbw, ratio)
         info[band.name] = {
-            "papr_raw_db": float(papr_db(wave)),
-            "papr_clipped_db": float(papr_db(clipped)),
+            **papr,
             "clip_ratio_db": float(ratio),
             "n_samples": len(clipped),
             "sample_rate_hz": clipped.sample_rate_hz,

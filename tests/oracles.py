@@ -1,14 +1,16 @@
 """Independent reference implementations used to pin golden values.
 
 Everything here is written directly from first principles (recurrences,
-closed-form expressions, scipy's general-purpose LTI tools) so the package
-under test never validates itself against its own arithmetic.
+closed-form expressions, scipy's general-purpose signal and special-function
+tools) so the package under test never validates itself against its own
+arithmetic.  scipy is a test-only dependency.
 """
 
 import math
 
 import numpy as np
 import scipy.signal
+import scipy.special
 
 
 def lfsr_bits(n_bits, order=17, taps=(17, 14), seed_state=0x1FFFF):
@@ -61,3 +63,46 @@ def lorentzian_fwhm_from_field_psd(freqs, psd, f_lo, f_hi):
 def wiener_phase_psd(linewidth_hz, f_hz):
     """One-sided phase-noise density of a Wiener phase with the given FWHM."""
     return linewidth_hz / (math.pi * f_hz ** 2)
+
+
+def welch_psd(x, fs, nperseg, onesided):
+    """scipy's Welch estimate with the package's settings: periodic Hann
+    window, 50% overlap, no detrending, density scaling."""
+    return scipy.signal.welch(x, fs=fs, window="hann", nperseg=nperseg,
+                              noverlap=nperseg // 2, detrend=False,
+                              scaling="density", return_onesided=onesided)
+
+
+def correlate_valid(x, tpl):
+    """Direct-sum cross-correlation over the full-overlap lags."""
+    return scipy.signal.correlate(x, tpl, mode="valid", method="direct")
+
+
+def smallest_5_smooth_at_least(n):
+    """Linear search for the first m >= n with no prime factor above 5."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def ber_mqam_ref(snr_db, order_bits):
+    """Gray-coded AWGN bit error probability from scipy's erfc: BPSK exact,
+    rectangular 8QAM per bit, square-family nearest-neighbour otherwise."""
+    g = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+
+    def q(x):
+        return 0.5 * scipy.special.erfc(x / math.sqrt(2.0))
+
+    if order_bits == 1:
+        return q(np.sqrt(2.0 * g))
+    if order_bits == 3:
+        x = np.sqrt(g / 3.0)
+        return (2.5 * q(x) + q(3.0 * x) - 0.5 * q(5.0 * x)) / 3.0
+    m = 2.0 ** order_bits
+    return (4.0 / order_bits) * (1.0 - 1.0 / math.sqrt(m)) * q(np.sqrt(3.0 * g / (m - 1.0)))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import ber_mqam_ref
 from wdlink.bandplan import detected_indices
 from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, CapacityReport,
                             FecProfile, ber_mqam, capacity, load_bits,
@@ -31,6 +32,15 @@ def test_bpsk_ber_reference_point():
 
 def test_qam16_ber_near_fec_threshold():
     assert ber_mqam(12.5, 4) == pytest.approx(2.2e-2, rel=0.1)
+
+
+def test_ber_matches_scipy_erfc():
+    snr = np.linspace(-10.0, 30.0, 81)
+    for b in SUPPORTED_ORDER_BITS:
+        np.testing.assert_allclose(ber_mqam(snr, b), ber_mqam_ref(snr, b), rtol=1e-12)
+        scalar = ber_mqam(12.5, b)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(float(ber_mqam_ref(12.5, b)), rel=1e-12)
 
 
 def test_ber_decreases_with_snr():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wdlink.bandplan import detected_indices, subcarrier_center, subcarrier_centers
-from wdlink.channel import (ChannelConfig, MaskPoint, apply_carrier, apply_mask,
+from wdlink.channel import (MaskPoint, apply_carrier, apply_mask,
                             dband_downconvert, default_masks, fspl_db,
                             link_snr_budget, load_mask_csv, mask_gain_db)
 from wdlink.noise import PhaseTrace, default_lasers
@@ -288,12 +288,3 @@ def test_link_budget_scaling():
     assert link_snr_budget(92.5e9, 0.12, gains_dbi=(20.0, 30.0)) == pytest.approx(base + 10.0)
     assert link_snr_budget(92.5e9, 0.12, tx_power_dbm=3.0) == pytest.approx(base + 3.0)
 
-
-def test_channel_config_validation():
-    mask = default_masks()[0]
-    with pytest.raises(ValueError):
-        ChannelConfig(band_mask=mask, target_snr_db=float("nan"))
-    with pytest.raises(ValueError):
-        ChannelConfig(band_mask=mask, distance_m=0.0)
-    cfg = ChannelConfig(band_mask=mask, target_snr_db=math.inf)
-    assert math.isinf(cfg.target_snr_db)

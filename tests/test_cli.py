@@ -1,12 +1,16 @@
 """End-to-end checks of the ``sim`` command line and its artifacts."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wdlink
 from wdlink.cli import main
 
 
@@ -210,6 +214,17 @@ def test_unsupported_schema_version_rejected(tmp_path, scenario_file, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "$.schema_version" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(wdlink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, wdlink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_installed_entry_point(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import lorentzian_fwhm_from_field_psd, wiener_phase_psd
+from oracles import lorentzian_fwhm_from_field_psd, welch_psd, wiener_phase_psd
 from wdlink.noise import (
     LaserSpec,
     PhaseTrace,
@@ -131,6 +131,28 @@ def test_psd_tone_location_and_power():
     df = freqs[1] - freqs[0]
     captured = np.sum(psd[peak - 1 : peak + 2]) * df
     assert captured >= 0.99 * np.mean(np.abs(w.samples) ** 2)
+
+
+@pytest.mark.parametrize("nperseg", [2048, 1001])
+def test_psd_matches_scipy_welch_one_sided(nperseg):
+    rng = np.random.default_rng(5)
+    fs = 1e6
+    tr = PhaseTrace(rng.normal(size=50_003), fs)
+    freqs, psd = estimate_psd(tr, fs / nperseg)
+    f_ref, p_ref = welch_psd(tr.phases, fs, nperseg, onesided=True)
+    np.testing.assert_allclose(freqs, f_ref, rtol=1e-12)
+    np.testing.assert_allclose(psd, p_ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nperseg", [512, 333])
+def test_psd_matches_scipy_welch_two_sided(nperseg):
+    rng = np.random.default_rng(6)
+    fs, anchor = 8e6, 92.5e9
+    x = rng.normal(size=20_001) + 1j * rng.normal(size=20_001)
+    freqs, psd = estimate_psd(ComplexWaveform(x, fs, anchor_hz=anchor), fs / nperseg)
+    f_ref, p_ref = welch_psd(x, fs, nperseg, onesided=False)
+    np.testing.assert_allclose(freqs, np.fft.fftshift(f_ref) + anchor, rtol=1e-12)
+    np.testing.assert_allclose(psd, np.fft.fftshift(p_ref), rtol=1e-12)
 
 
 def test_psd_rbw_bounds():

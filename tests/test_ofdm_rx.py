@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import correlate_valid, smallest_5_smooth_at_least
 from wdlink.bandplan import detected_indices
 from wdlink.channel import apply_carrier
 from wdlink.noise import add_awgn, default_lasers
-from wdlink.ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
+from wdlink.ofdm_rx import (SyncError, _correlate_valid, _fast_len,
+                            band_average_snr_db, count_bit_errors,
                             demodulate, equalize, evm_snr,
                             export_constellation, read_metrics_csv,
                             synchronize, write_constellation_csv,
@@ -62,6 +64,22 @@ def test_sync_finds_exact_offset_clean(loopback):
     _, wav, ref = loopback
     padded = wav.with_samples(np.concatenate([np.zeros(100, complex), wav.samples]))
     assert synchronize(padded, ref) == 100
+
+
+@pytest.mark.parametrize("n_x, n_tpl", [(3001, 257), (640, 640), (1, 1)])
+def test_sync_correlation_matches_direct_sum(n_x, n_tpl):
+    rng = np.random.default_rng(n_x)
+    x = rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x)
+    tpl = rng.standard_normal(n_tpl) + 1j * rng.standard_normal(n_tpl)
+    got = _correlate_valid(x, tpl)
+    ref = correlate_valid(x, tpl)
+    assert got.shape == ref.shape == (n_x - n_tpl + 1,)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_fast_len_is_the_smallest_5_smooth_length():
+    for n in [*range(1, 3000), 35_185, 1_000_007, 3_196_960, 3_198_061]:
+        assert _fast_len(n) == smallest_5_smooth_at_least(n), n
 
 
 def test_sync_within_one_sample_under_noise(w_plan):

@@ -1,0 +1,47 @@
+"""Waveform container and the float32 I/Q file format."""
+
+import numpy as np
+import pytest
+
+from wdlink.waveform import ComplexWaveform, read_iq, write_iq
+
+
+@pytest.fixture()
+def wave():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(1001) + 1j * rng.standard_normal(1001)
+    return ComplexWaveform(x, sample_rate_hz=35e9, anchor_hz=92.5e9 + 0.1)
+
+
+def test_iq_round_trip(tmp_path, wave):
+    path = tmp_path / "w.iq"
+    write_iq(path, wave)
+    assert path.stat().st_size == 8 * len(wave)
+    back = read_iq(path)
+    assert back.sample_rate_hz == wave.sample_rate_hz
+    assert back.anchor_hz == wave.anchor_hz
+    expect = (wave.samples.real.astype(np.float32)
+              + 1j * wave.samples.imag.astype(np.float32))
+    np.testing.assert_array_equal(back.samples, expect)
+    # a read-back waveform is already float32-exact, so it rewrites byte for byte
+    write_iq(tmp_path / "again.iq", back)
+    assert (tmp_path / "again.iq").read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.iq.hdr").read_text() == (tmp_path / "w.iq.hdr").read_text()
+
+
+def test_read_iq_rejects_short_file(tmp_path, wave):
+    path = tmp_path / "w.iq"
+    write_iq(path, wave)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="float32 values"):
+        read_iq(path)
+
+
+def test_read_iq_rejects_incomplete_header(tmp_path, wave):
+    path = tmp_path / "w.iq"
+    write_iq(path, wave)
+    hdr = tmp_path / "w.iq.hdr"
+    hdr.write_text("".join(line for line in hdr.read_text().splitlines(True)
+                           if not line.startswith("anchor_hz")))
+    with pytest.raises(ValueError, match="anchor_hz"):
+        read_iq(path)
