@@ -16,6 +16,8 @@ import numpy as np
 
 from .waveform import ComplexWaveform
 
+PSD_BLOCK_BYTES = 4 << 20   # bytes of spectra per Welch transform batch in estimate_psd
+
 
 @dataclass(frozen=True)
 class LaserSpec:
@@ -139,9 +141,14 @@ def estimate_psd(x, rbw_hz: float):
     n_seg = (len(data) - nperseg // 2) // hop
     fft = np.fft.rfft if onesided else np.fft.fft
     acc = np.zeros(nperseg // 2 + 1 if onesided else nperseg)
-    for start in range(0, n_seg * hop, hop):
-        spec = fft(data[start:start + nperseg] * win)
-        acc += spec.real ** 2 + spec.imag ** 2
+    segs = np.lib.stride_tricks.sliding_window_view(data, nperseg)[::hop][:n_seg]
+    # transform a few MB of segments per call, but add the periodograms one
+    # by one in segment order so the sum rounds as a per-segment loop would
+    per_block = max(1, PSD_BLOCK_BYTES // (16 * nperseg))
+    for first in range(0, n_seg, per_block):
+        spec = fft(segs[first:first + per_block] * win, axis=1)
+        for row in spec.real ** 2 + spec.imag ** 2:
+            acc += row
     psd = acc / (n_seg * fs * np.sum(win ** 2))
     if onesided:
         # fold the negative frequencies onto the interior bins

@@ -48,6 +48,12 @@ def gen_prbs(n_bits: int, order: int = 17, seed_state: int = 0x1FFFF) -> np.ndar
     The first ``order`` output bits are the seed register read LSB first;
     afterwards b[n] = b[n - order] xor b[n - k] with (order, k) the feedback
     taps.  A nonzero seed gives period 2**order - 1.
+
+    Over GF(2) the feedback polynomial squares to itself in x**2, so the
+    same sequence also obeys b[n] = b[n - 2**j*order] xor b[n - 2**j*k] once
+    n >= 2**j*order (Golomb, *Shift Register Sequences*).  The lags double
+    as soon as they are valid, and each step fills a span as long as the
+    smaller lag, so a long sequence takes only a few dozen slice xors.
     """
     if n_bits <= 0:
         raise ValueError("n_bits must be positive")
@@ -56,16 +62,17 @@ def gen_prbs(n_bits: int, order: int = 17, seed_state: int = 0x1FFFF) -> np.ndar
     seed_state &= (1 << order) - 1
     if seed_state == 0:
         raise ValueError("seed_state must be nonzero")
-    taps = PRBS_TAPS[order]
-    k = taps[1]
+    lag_a, lag_b = PRBS_TAPS[order]
     out = np.empty(max(n_bits, order), dtype=np.uint8)
     for j in range(order):
         out[j] = (seed_state >> j) & 1
     n = order
     total = len(out)
     while n < total:
-        span = min(k, total - n)
-        out[n:n + span] = out[n - order:n - order + span] ^ out[n - k:n - k + span]
+        if n >= 2 * lag_a:
+            lag_a, lag_b = 2 * lag_a, 2 * lag_b
+        span = min(lag_b, total - n)
+        out[n:n + span] = out[n - lag_a:n - lag_a + span] ^ out[n - lag_b:n - lag_b + span]
         n += span
     return out[:n_bits]
 

@@ -7,6 +7,14 @@ controller, and a one-pole actuator model for the piezo frequency tuning.
 The time-stepped loop runs well above the closed-loop bandwidth so the same
 configuration can be checked against the linearized transfer function.
 
+The recursion is solved in two regimes.  While the detector saturates
+(|theta| > 2*pi, the acquisition transient) it is stepped sample by sample.
+Between saturations the loop is a linear 3-state system, advanced in numpy
+a block of samples at a time by FFT convolution with its impulse response
+plus the free response from the block's start state; each block is cut at
+its first saturated sample.  The two regimes give the sample-by-sample
+recursion's result up to rounding (see ``_lock_loop``).
+
 Controller units: kp in Hz of actuation per radian, ki in Hz per (radian
 second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
 """
@@ -24,6 +32,12 @@ from .waveform import ComplexWaveform
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
 LOCK_FREQ_TOL_HZ = 1.0e3
+
+# hybrid solver (see _lock_loop)
+BLOCK = 1 << 16          # linear block length; a settled loop's blocks fill the FFT
+QUIET = 64               # unsaturated samples before leaving the scalar stepper
+DECAY_TOL = 1e-17        # relative size below which a power of A counts as settled
+KICK_GROWTH_MAX = 1e3    # largest A^m[0, 0] a block may rely on
 
 
 @dataclass(frozen=True)
@@ -47,12 +61,24 @@ class LoopConfig:
 
 @dataclass(frozen=True)
 class LockResult:
+    """``phase_error`` is the detector's view, clipped at +-2*pi; ``theta``
+    is the unclipped phase error it came from."""
+
     locked: bool
     phase_error: PhaseTrace
     freq_error: np.ndarray
-    locked_beat: ComplexWaveform
+    theta: np.ndarray
     cycle_slips: int
     config: LoopConfig
+
+    @property
+    def locked_beat(self) -> ComplexWaveform:
+        """The locked beat note exp(j*theta) at the target offset."""
+        return ComplexWaveform(
+            samples=np.exp(1j * self.theta),
+            sample_rate_hz=self.config.sim_rate_hz,
+            anchor_hz=self.config.target_offset_hz,
+        )
 
 
 def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float) -> tuple:
@@ -119,6 +145,135 @@ def unity_gain_hz(cfg: LoopConfig) -> float:
     return math.sqrt(lo * hi)
 
 
+def _loop_matrix(cfg: LoopConfig) -> np.ndarray:
+    """One unsaturated step as s[k+1] = A s[k] + e_theta u[k] on the state
+    s = (theta, integrator, actuator), where u[k] is the plant's open-loop
+    phase advance 2*pi*dt*(df0 + fm[k]) plus the beat-noise increment."""
+    dt = 1.0 / cfg.sim_rate_hz
+    alpha = TWO_PI * cfg.actuator_bw_hz * dt
+    c = TWO_PI * dt
+    g = alpha * (cfg.kp + cfg.ki * dt)
+    return np.array([[1.0 - c * g, -c * alpha * cfg.ki, -c * (1.0 - alpha)],
+                     [dt, 1.0, 0.0],
+                     [g, alpha * cfg.ki, 1.0 - alpha]])
+
+
+def _power_rows(a_mat: np.ndarray, cap: int) -> tuple:
+    """Theta and actuator rows of A^0 ... A^K, as an array of shape
+    (K + 1, 2, 3), and whether the loop settled within K samples.
+
+    The number of powers doubles each round.  It stops once every entry of
+    both rows has stayed below DECAY_TOL of its peak over the last quarter
+    of the powers (the loop has settled, and the later powers are dropped),
+    once K reaches ``cap``, or just before the theta response to a unit
+    theta kick, A^m[0, 0], exceeds KICK_GROWTH_MAX (an unstable loop, whose
+    powers would swamp the FFT's rounding and then overflow).
+    """
+    p = np.empty((cap + 1, 3, 3))
+    p[0] = np.eye(3)
+    p[1] = a_mat
+    m = 1
+    while m < cap:
+        top = min(2 * m, cap)
+        p[m + 1:top + 1] = p[1:top - m + 1] @ p[m]
+        grown = np.flatnonzero(~(np.abs(p[m + 1:top + 1, 0, 0]) <= KICK_GROWTH_MAX))
+        if len(grown):
+            return p[:m + 1 + grown[0], 0::2], False
+        m = top
+        rows = np.abs(p[:m + 1, 0::2])
+        live = np.flatnonzero(np.any(rows > DECAY_TOL * rows.max(axis=0), axis=(1, 2)))
+        if live[-1] < m - m // 4:
+            return p[:live[-1] + 2, 0::2], True
+    return p[:, 0::2], False
+
+
+def _block_plan(cfg: LoopConfig, n: int) -> tuple:
+    """Linear-stretch solver for an n-sample record: (block length, FFT
+    length, rfft of the theta and actuator impulse responses A^m e_theta
+    as a (2, nfft//2 + 1) array, and the theta and actuator rows of
+    A^1 ... A^K as a (2, 3, K) array)."""
+    rows, settled = _power_rows(_loop_matrix(cfg), min(BLOCK, n))
+    n_pow = len(rows) - 1
+    # A block of m samples needs an FFT of m + n_pow - 1 points.  An
+    # unsettled loop needs every power its blocks use, so its blocks stop at
+    # n_pow; a settled loop's blocks fill the FFT.
+    nfft = 1 << (min(BLOCK, n) + n_pow - 2).bit_length()
+    block = nfft - n_pow + 1 if settled else n_pow
+    kernel = np.fft.rfft(rows[:n_pow, :, 0].T, nfft)
+    free = rows[1:].transpose(1, 2, 0).copy()
+    return block, nfft, kernel, free
+
+
+def _lock_loop(cfg: LoopConfig, incr: np.ndarray, fm=None) -> tuple:
+    """Run the loop over the beat-noise increments ``incr`` (and the slave
+    FM ``fm`` in Hz, or None); returns the unclipped phase error and the
+    actuator output, one value per sample.
+
+    While the detector saturates, the recursion is stepped one sample at a
+    time.  Once QUIET consecutive samples are unsaturated the loop is
+    linear, and it advances a block at a time: the FFT convolution of the
+    block's input with the impulse response, plus the free response from
+    the block's start state.  A block is cut at its first |theta| > 2*pi,
+    and the scalar stepper takes over again from there.  The result differs
+    from the scalar recursion alone only by rounding.
+    """
+    n = len(incr)
+    dt = 1.0 / cfg.sim_rate_hz
+    alpha = TWO_PI * cfg.actuator_bw_hz * dt
+    kp, ki = cfg.kp, cfg.ki
+    df0 = cfg.initial_freq_error_hz
+    two_pi_dt = TWO_PI * dt
+    block, nfft, kernel, free = _block_plan(cfg, n)
+    u = incr + two_pi_dt * df0
+    if fm is not None:
+        u += two_pi_dt * fm
+
+    theta_rec = np.empty(n)
+    act_rec = np.empty(n)
+    # memoryviews index as Python floats, several times faster per sample
+    # than numpy scalars
+    incr_v, theta_v, act_v = memoryview(incr), memoryview(theta_rec), memoryview(act_rec)
+    fm_v = memoryview(fm) if fm is not None else None
+    theta = integ = act = 0.0
+    k = 0
+    while k < n:
+        quiet = 0
+        while k < n and quiet < QUIET:
+            e = theta
+            if e > TWO_PI:
+                e = TWO_PI
+            elif e < -TWO_PI:
+                e = -TWO_PI
+            integ += e * dt
+            act += alpha * (kp * e + ki * integ - act)
+            dfreq = df0 - act
+            if fm_v is not None:
+                dfreq += fm_v[k]
+            theta += two_pi_dt * dfreq + incr_v[k]
+            theta_v[k] = theta
+            act_v[k] = act
+            k += 1
+            quiet = quiet + 1 if -TWO_PI <= theta <= TWO_PI else 0
+
+        while k < n:
+            m = min(block, n - k)
+            out = np.fft.irfft(np.fft.rfft(u[k:k + m], nfft) * kernel, nfft)[:, :m]
+            j = min(m, free.shape[2])
+            for col, s0 in enumerate((theta, integ, act)):
+                out[:, :j] += s0 * free[:, col, :j]
+            th = out[0]
+            cut = np.flatnonzero(np.abs(th) > TWO_PI)
+            end = int(cut[0]) + 1 if len(cut) else m
+            theta_rec[k:k + end] = th[:end]
+            act_rec[k:k + end] = out[1, :end]
+            integ += dt * (theta + float(np.sum(th[:end - 1])))
+            theta, act = float(th[end - 1]), float(out[1, end - 1])
+            k += end
+            if len(cut):
+                break
+    return theta_rec, act_rec
+
+
 def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: int,
                   fm_inject=None) -> LockResult:
     """Time-stepped lock acquisition and tracking.
@@ -128,6 +283,10 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     cycles accumulated rather than lost.  ``fm_inject=(amp_hz, freq_hz)``
     adds a deterministic sinusoidal frequency modulation on the slave, used
     to probe the realized suppression against the linear model.
+
+    The saturated stretches are stepped sample by sample and the linear
+    ones in FFT blocks (see ``_lock_loop``); the result equals the plain
+    sample-by-sample recursion up to rounding.
     """
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
     if n < 10:
@@ -139,60 +298,27 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
         )
 
     m_tr, s_tr = laser_pair_phases(master, slave, n, cfg.sim_rate_hz, seed)
-    beat_noise = s_tr.phases - m_tr.phases
-    incr = np.diff(beat_noise, prepend=0.0).tolist()
-
-    dt = 1.0 / cfg.sim_rate_hz
-    alpha = TWO_PI * cfg.actuator_bw_hz * dt
-    kp, ki = cfg.kp, cfg.ki
-    df0 = cfg.initial_freq_error_hz
-    two_pi_dt = TWO_PI * dt
-
+    incr = np.diff(s_tr.phases - m_tr.phases, prepend=0.0)
+    del m_tr, s_tr
+    fm = None
     if fm_inject is not None:
         fm_amp, fm_freq = fm_inject
-        fm = (fm_amp * np.cos(TWO_PI * fm_freq * dt * np.arange(n))).tolist()
-    else:
-        fm = None
+        dt = 1.0 / cfg.sim_rate_hz
+        fm = fm_amp * np.cos(TWO_PI * fm_freq * dt * np.arange(n))
+    theta_arr, act = _lock_loop(cfg, incr, fm)
 
-    theta_rec = [0.0] * n
-    act_rec = [0.0] * n
-    theta = 0.0
-    integ = 0.0
-    act = 0.0
-    for k in range(n):
-        e = theta
-        if e > TWO_PI:
-            e = TWO_PI
-        elif e < -TWO_PI:
-            e = -TWO_PI
-        integ += e * dt
-        act += alpha * (kp * e + ki * integ - act)
-        dfreq = df0 - act
-        if fm is not None:
-            dfreq += fm[k]
-        theta += two_pi_dt * dfreq + incr[k]
-        theta_rec[k] = theta
-        act_rec[k] = act
-
-    theta_arr = np.asarray(theta_rec)
-    freq_error = df0 - np.asarray(act_rec)
+    freq_error = cfg.initial_freq_error_hz - act
     diverged = not np.all(np.isfinite(theta_arr)) or np.max(np.abs(theta_arr)) > DIVERGENCE_RAD
     tail = freq_error[int(0.9 * n):]
     locked = (not diverged) and abs(float(np.mean(tail))) < LOCK_FREQ_TOL_HZ
     peak = float(np.max(np.abs(theta_arr))) if np.all(np.isfinite(theta_arr)) else float("inf")
     cycle_slips = int(peak // TWO_PI) if math.isfinite(peak) else -1
 
-    phase_error = PhaseTrace(np.clip(theta_arr, -TWO_PI, TWO_PI), cfg.sim_rate_hz)
-    locked_beat = ComplexWaveform(
-        samples=np.exp(1j * theta_arr),
-        sample_rate_hz=cfg.sim_rate_hz,
-        anchor_hz=cfg.target_offset_hz,
-    )
     return LockResult(
         locked=locked,
-        phase_error=phase_error,
+        phase_error=PhaseTrace(np.clip(theta_arr, -TWO_PI, TWO_PI), cfg.sim_rate_hz),
         freq_error=freq_error,
-        locked_beat=locked_beat,
+        theta=theta_arr,
         cycle_slips=cycle_slips,
         config=cfg,
     )

@@ -48,6 +48,44 @@ def closed_loop_phase_step(kp, ki, actuator_bw_hz, freq_step_hz, t):
     return theta
 
 
+def lock_loop_scalar(incr, fm, df0, kp, ki, actuator_bw_hz, sim_rate_hz):
+    """The lock loop stepped one sample at a time in plain Python floats.
+
+    ``incr`` is the per-sample beat-phase noise increment and ``fm`` the
+    injected slave frequency modulation in Hz (or None).  Returns the
+    unclipped phase error theta and the frequency error df0 - actuator.
+    """
+    n = len(incr)
+    incr = np.asarray(incr, dtype=float).tolist()
+    if fm is not None:
+        fm = np.asarray(fm, dtype=float).tolist()
+    dt = 1.0 / sim_rate_hz
+    alpha = 2.0 * math.pi * actuator_bw_hz * dt
+    two_pi = 2.0 * math.pi
+    two_pi_dt = two_pi * dt
+
+    theta_rec = [0.0] * n
+    act_rec = [0.0] * n
+    theta = 0.0
+    integ = 0.0
+    act = 0.0
+    for k in range(n):
+        e = theta
+        if e > two_pi:
+            e = two_pi
+        elif e < -two_pi:
+            e = -two_pi
+        integ += e * dt
+        act += alpha * (kp * e + ki * integ - act)
+        dfreq = df0 - act
+        if fm is not None:
+            dfreq += fm[k]
+        theta += two_pi_dt * dfreq + incr[k]
+        theta_rec[k] = theta
+        act_rec[k] = act
+    return np.asarray(theta_rec), df0 - np.asarray(act_rec)
+
+
 def lorentzian_fwhm_from_field_psd(freqs, psd, f_lo, f_hi):
     """Fit the linewidth from the far wing of a unit-power field PSD.
 
@@ -71,6 +109,26 @@ def welch_psd(x, fs, nperseg, onesided):
     return scipy.signal.welch(x, fs=fs, window="hann", nperseg=nperseg,
                               noverlap=nperseg // 2, detrend=False,
                               scaling="density", return_onesided=onesided)
+
+
+def welch_psd_per_segment(x, fs, nperseg, onesided):
+    """The package's Welch estimate (periodic Hann window, hop
+    nperseg - nperseg//2, density scaling) with one transform per segment,
+    added in segment order.  Two-sided results are fftshifted, with
+    frequencies relative to the anchor."""
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    hop = nperseg - nperseg // 2
+    n_seg = (len(x) - nperseg // 2) // hop
+    fft = np.fft.rfft if onesided else np.fft.fft
+    acc = np.zeros(nperseg // 2 + 1 if onesided else nperseg)
+    for start in range(0, n_seg * hop, hop):
+        spec = fft(x[start:start + nperseg] * win)
+        acc += spec.real ** 2 + spec.imag ** 2
+    psd = acc / (n_seg * fs * np.sum(win ** 2))
+    if onesided:
+        psd[1:-1 if nperseg % 2 == 0 else None] *= 2.0
+        return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
+    return np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs)), np.fft.fftshift(psd)
 
 
 def correlate_valid(x, tpl):

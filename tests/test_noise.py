@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import lorentzian_fwhm_from_field_psd, welch_psd, wiener_phase_psd
+from oracles import (lorentzian_fwhm_from_field_psd, welch_psd, welch_psd_per_segment,
+                     wiener_phase_psd)
 from wdlink.noise import (
     LaserSpec,
     PhaseTrace,
@@ -153,6 +154,28 @@ def test_psd_matches_scipy_welch_two_sided(nperseg):
     f_ref, p_ref = welch_psd(x, fs, nperseg, onesided=False)
     np.testing.assert_allclose(freqs, np.fft.fftshift(f_ref) + anchor, rtol=1e-12)
     np.testing.assert_allclose(psd, np.fft.fftshift(p_ref), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n,nperseg,complex_input", [
+    (400_000, 700, True),      # 1141 segments, 374 per transform batch
+    (1_000_000, 50_000, False),  # 39 segments, 5 per batch
+    (70_000, 350, False),      # one partial batch
+])
+def test_psd_bit_exact_against_per_segment_loop(n, nperseg, complex_input):
+    """Batched transforms sum exactly as one transform per segment would,
+    including a last batch shorter than the rest."""
+    rng = np.random.default_rng(7)
+    fs, anchor = 1e6, 92.5e9
+    if complex_input:
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        freqs, psd = estimate_psd(ComplexWaveform(x, fs, anchor_hz=anchor), fs / nperseg)
+        freqs = freqs - anchor
+    else:
+        x = np.cumsum(rng.normal(size=n))
+        freqs, psd = estimate_psd(PhaseTrace(x, fs), fs / nperseg)
+    f_ref, p_ref = welch_psd_per_segment(x, fs, nperseg, onesided=not complex_input)
+    assert np.array_equal(psd, p_ref)
+    assert np.allclose(freqs, f_ref, rtol=0, atol=1e-3)
 
 
 def test_psd_rbw_bounds():

@@ -8,6 +8,7 @@ import pytest
 from oracles import lfsr_bits
 from wdlink.ofdm_tx import (
     CONSTELLATIONS,
+    PRBS_TAPS,
     SUPPORTED_ORDERS,
     TxConfig,
     build_frame,
@@ -55,6 +56,16 @@ def test_prbs_golden_vector():
 def test_prbs_matches_oracle_deep():
     n = 4096
     assert np.array_equal(gen_prbs(n), lfsr_bits(n))
+
+
+@pytest.mark.parametrize("order", sorted(PRBS_TAPS))
+def test_prbs_lag_doubling_matches_oracle(order):
+    """Doubled lags reproduce the bit-by-bit register at every length,
+    including those just around the register length."""
+    seed = 0x1FFFF & ((1 << order) - 1)
+    ref = lfsr_bits(100_003, order=order, taps=PRBS_TAPS[order], seed_state=seed)
+    for n in (1, order - 1, order, order + 1, 1000, 4097, 100_003):
+        assert np.array_equal(gen_prbs(n, order=order, seed_state=seed), ref[:n]), n
 
 
 def test_prbs_period_exact():

@@ -1,12 +1,22 @@
 """Frequency-lock servo: acquisition, suppression, and the linear model."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import closed_loop_phase_step
+from oracles import closed_loop_phase_step, lock_loop_scalar
 from wdlink.noise import LaserSpec, beat_phase, estimate_psd, laser_pair_phases
 from wdlink.opll import (
+    DIVERGENCE_RAD,
+    LOCK_FREQ_TOL_HZ,
+    QUIET,
+    TWO_PI,
     LoopConfig,
+    _block_plan,
+    _lock_loop,
     closed_loop_suppression,
     default_loop_config,
     free_running_beat,
@@ -190,3 +200,144 @@ def test_lock_csv_export(tmp_path):
     assert f0 == pytest.approx(res.freq_error[0], rel=1e-6, abs=1e-6)
     with pytest.raises(ValueError):
         write_lock_csv(path, res, stride=0)
+
+
+# ---------------------------------------------------------------------------
+# hybrid solver against the scalar recursion
+# ---------------------------------------------------------------------------
+
+THETA_TOL_RAD = 1e-9
+FREQ_TOL_HZ = 1e-3
+NOISELESS_A = LaserSpec("a", 0.0, 0.0)
+NOISELESS_B = LaserSpec("b", 0.0, 92.5e9)
+
+
+def beat_increments(master, slave, cfg, seed):
+    """The per-sample beat-noise increments simulate_lock draws."""
+    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
+    m_tr, s_tr = laser_pair_phases(master, slave, n, cfg.sim_rate_hz, seed)
+    return np.diff(s_tr.phases - m_tr.phases, prepend=0.0)
+
+
+def scalar_reference(cfg, incr, fm=None):
+    return lock_loop_scalar(incr, fm, cfg.initial_freq_error_hz, cfg.kp, cfg.ki,
+                            cfg.actuator_bw_hz, cfg.sim_rate_hz)
+
+
+def verdict(theta, freq_error):
+    """(locked, cycle_slips) by the rule simulate_lock documents."""
+    finite = bool(np.all(np.isfinite(theta)))
+    peak = float(np.max(np.abs(theta))) if finite else math.inf
+    tail = freq_error[int(0.9 * len(freq_error)):]
+    locked = finite and peak <= DIVERGENCE_RAD and abs(np.mean(tail)) < LOCK_FREQ_TOL_HZ
+    return locked, int(peak // TWO_PI) if finite else -1
+
+
+def assert_matches_scalar(master, slave, cfg, seed, fm_inject=None):
+    res = simulate_lock(master, slave, cfg, seed, fm_inject=fm_inject)
+    fm = None
+    if fm_inject is not None:
+        n = len(res.theta)
+        fm = fm_inject[0] * np.cos(TWO_PI * fm_inject[1] * (1.0 / cfg.sim_rate_hz) * np.arange(n))
+    theta, freq = scalar_reference(cfg, beat_increments(master, slave, cfg, seed), fm)
+    assert np.max(np.abs(res.theta - theta)) <= THETA_TOL_RAD
+    assert np.max(np.abs(res.freq_error - freq)) <= FREQ_TOL_HZ
+    assert (res.locked, res.cycle_slips) == verdict(theta, freq)
+    return res, theta
+
+
+@pytest.mark.parametrize("slave,offset,seed", [(LD2, 92.5e9, 2101), (LD3, 130e9, 2201)])
+def test_solver_matches_scalar_default_bands(slave, offset, seed):
+    cfg = default_loop_config(offset, initial_freq_error_hz=1e6)
+    res, theta = assert_matches_scalar(LD1, slave, cfg, seed)
+    assert res.locked
+    assert 0 < np.count_nonzero(np.abs(theta) > TWO_PI) < 1000
+    # the beat note carries the unclipped phase, acquisition cycles included
+    beat = res.locked_beat
+    assert beat.anchor_hz == offset and beat.sample_rate_hz == cfg.sim_rate_hz
+    assert np.max(np.abs(beat.samples - np.exp(1j * theta))) <= THETA_TOL_RAD
+
+
+def test_solver_matches_scalar_8mhz_acquisition():
+    cfg = default_loop_config(92.5e9, initial_freq_error_hz=8e6)
+    res, theta = assert_matches_scalar(LD1, LD2, cfg, 2101)
+    assert res.locked
+    sat = np.abs(theta) > TWO_PI
+    episodes = np.count_nonzero(sat[1:] & ~sat[:-1]) + int(sat[0])
+    assert 7 <= episodes <= 9
+
+
+def test_solver_matches_scalar_fm_inject():
+    cfg = default_loop_config(92.5e9, duration_s=4e-3)
+    assert_matches_scalar(NOISELESS_A, NOISELESS_B, cfg, 0, fm_inject=(200.0, 1e4))
+
+
+def test_solver_matches_scalar_proportional_only():
+    kp, _ = pi_gains_for(100e3, 0.0, 50e3)
+    cfg = LoopConfig(92.5e9, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=1e6)
+    assert_matches_scalar(LD1, LD2, cfg, 5)
+
+
+@pytest.mark.parametrize("kp,df0", [(10.0, 1e6), (0.0, 0.0)])
+def test_solver_matches_scalar_unsettled_loop(kp, df0):
+    """Loops that never settle use powers up to the record length."""
+    cfg = LoopConfig(92.5e9, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=df0)
+    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
+    block, _, _, free = _block_plan(cfg, n)
+    assert block == free.shape[2] == min(n, 1 << 16)
+    assert_matches_scalar(LD1, LD2, cfg, 1)
+
+
+def test_solver_matches_scalar_diverging_gains():
+    """An unstable linear loop: its blocks stop before the kick response
+    grows large.  Rounding differences grow with the loop once it diverges,
+    so theta is compared to the absolute tolerance only until then."""
+    cfg = LoopConfig(92.5e9, kp=1e3, ki=1e12, duration_s=4e-4)
+    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
+    block, _, _, _ = _block_plan(cfg, n)
+    assert block < 1000
+    incr = beat_increments(LD1, LD2, cfg, 1)
+    res = simulate_lock(LD1, LD2, cfg, seed=1)
+    theta, freq = scalar_reference(cfg, incr)
+    stop = int(np.argmax(np.abs(theta) > DIVERGENCE_RAD))
+    assert stop > 0
+    assert np.max(np.abs(res.theta[:stop] - theta[:stop])) <= THETA_TOL_RAD
+    assert np.max(np.abs(res.theta - theta)) <= 1e-9 * np.max(np.abs(theta))
+    assert (res.locked, res.cycle_slips) == verdict(theta, freq)
+    assert not res.locked
+
+
+def test_solver_matches_scalar_record_shorter_than_block():
+    cfg = default_loop_config(92.5e9, duration_s=2e-4, initial_freq_error_hz=1e6)
+    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
+    assert _block_plan(cfg, n)[0] == n
+    assert_matches_scalar(LD1, LD2, cfg, 3)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_solver_excursion_at_block_edge(where):
+    """A phase kick that saturates the detector exactly on the first or the
+    last sample of the first linear block."""
+    cfg = default_loop_config(92.5e9)
+    n = 200_000
+    block = _block_plan(cfg, n)[0]
+    kick = QUIET if where == "first" else QUIET + block - 1
+    incr = beat_increments(LD1, LD2, cfg, 9)[:n].copy()
+    incr[kick] += 8.0
+    theta_ref, freq_ref = scalar_reference(cfg, incr)
+    assert int(np.argmax(np.abs(theta_ref) > TWO_PI)) == kick
+    theta, act = _lock_loop(cfg, incr)
+    assert np.max(np.abs(theta - theta_ref)) <= THETA_TOL_RAD
+    assert np.max(np.abs(cfg.initial_freq_error_hz - act - freq_ref)) <= FREQ_TOL_HZ
+
+
+@settings(max_examples=25, deadline=None)
+@given(fu=st.floats(1e3, 1e6), zero_ratio=st.floats(0.0, 0.5),
+       act_ratio=st.floats(1.0, 2.0), df0=st.floats(-1e7, 1e7),
+       n=st.integers(10, 20_000), seed=st.integers(0, 2**32 - 1))
+def test_solver_matches_scalar_property(fu, zero_ratio, act_ratio, df0, n, seed):
+    fa = fu * act_ratio
+    kp, ki = pi_gains_for(fu, zero_ratio * fu, fa)
+    cfg = LoopConfig(92.5e9, kp=kp, ki=ki, actuator_bw_hz=fa,
+                     duration_s=n / 50e6, initial_freq_error_hz=df0)
+    assert_matches_scalar(LD1, LD2, cfg, seed)
