@@ -10,6 +10,7 @@ the guard gap between the blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,10 @@ class BandPlan:
     def __post_init__(self):
         if self.n_subcarriers <= 0:
             raise ValueError("n_subcarriers must be positive")
-        if self.spacing_hz <= 0:
-            raise ValueError("spacing_hz must be positive")
+        if not math.isfinite(self.center_hz):
+            raise ValueError("center_hz must be finite")
+        if not 0 < self.spacing_hz < math.inf:
+            raise ValueError("spacing_hz must be positive and finite")
         bad = [i for i in self.null_indices if not 0 <= i < self.n_subcarriers]
         if bad:
             raise ValueError(f"null indices out of range: {bad}")

@@ -9,15 +9,14 @@ the CP-discounted figure is reported alongside.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bandplan import BandPlan, detected_indices, subcarrier_center
+from .bandplan import BandPlan, detected_indices, subcarrier_centers
 from .ofdm_rx import SubcarrierMetrics
+from .waveform import read_table, write_json, write_table
 
 SUPPORTED_ORDER_BITS = (1, 2, 3, 4, 5, 6)
 
@@ -147,45 +146,38 @@ def capacity(load_map: BitLoadMap, plan: BandPlan, fec: FecProfile,
     )
 
 
+def total_capacity(reports: dict) -> dict:
+    """Raw, net and CP-adjusted rates summed over band label -> CapacityReport."""
+    return {key: sum(getattr(r, key) for r in reports.values())
+            for key in ("raw_gbps", "net_gbps", "raw_cp_adjusted_gbps")}
+
+
 # ----------------------------------------------------------------------------
 # interchange artifacts
 
 def write_bitload_csv(path, load_map: BitLoadMap, plan: BandPlan) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["index", "freq_hz", "bits"])
-        for i, b in enumerate(load_map.bits):
-            wr.writerow([i, f"{subcarrier_center(plan, i):.6f}", int(b)])
+    bits = np.asarray(load_map.bits, dtype=int)
+    if len(bits) != plan.n_subcarriers:
+        raise ValueError("bit map length does not match the plan")
+    write_table(path, "index,freq_hz,bits\r\n", "{:d},{:.6f},{:d}\r\n",
+                np.arange(len(bits)), subcarrier_centers(plan), bits)
 
 
 def read_bitload_csv(path) -> BitLoadMap:
-    rows = np.genfromtxt(path, delimiter=",", skip_header=1)
-    rows = np.atleast_2d(rows)
-    if rows.shape[1] != 3:
-        raise ValueError("bit-load CSV must have 3 columns: index,freq_hz,bits")
-    return BitLoadMap(bits=rows[:, 2].astype(int))
+    return BitLoadMap(bits=read_table(path, 3)[:, 2].astype(int))
 
 
 def write_threshold_csv(path, fec: FecProfile) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["order_bits", "min_snr_db"])
-        for b, s in sorted(threshold_table(fec).items()):
-            wr.writerow([b, f"{s:.6f}"])
+    orders, snrs = zip(*sorted(threshold_table(fec).items()))
+    write_table(path, "order_bits,min_snr_db\r\n", "{:d},{:.6f}\r\n", orders, snrs)
 
 
 def write_capacity_json(path, reports: dict, fec: FecProfile) -> None:
     """reports: band label -> CapacityReport; totals appended."""
     body = {label: rep.to_dict() for label, rep in sorted(reports.items())}
-    body["total"] = {
-        "raw_gbps": sum(r.raw_gbps for r in reports.values()),
-        "net_gbps": sum(r.net_gbps for r in reports.values()),
-        "raw_cp_adjusted_gbps": sum(r.raw_cp_adjusted_gbps for r in reports.values()),
-    }
+    body["total"] = total_capacity(reports)
     body["fec"] = {
         "overhead_fraction": fec.overhead_fraction,
         "ber_threshold": fec.ber_threshold,
     }
-    with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, body)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ComplexWaveform
+from .waveform import ComplexWaveform, read_table, write_table
 
 PSD_BLOCK_BYTES = 4 << 20   # bytes of spectra per Welch transform batch in estimate_psd
 
@@ -164,15 +164,11 @@ def write_psd_csv(path, freqs: np.ndarray, psd: np.ndarray) -> None:
     Zero-density bins are floored at -400 dB to keep the file finite.
     """
     db = 10.0 * np.log10(np.maximum(np.asarray(psd, dtype=np.float64), 1e-40))
-    with open(path, "w", newline="") as fh:
-        fh.write("freq_hz,psd_db_hz\n")
-        for f, v in zip(freqs, db):
-            fh.write(f"{f:.9e},{v:.6f}\n")
+    write_table(path, "freq_hz,psd_db_hz\n", "{:.9e},{:.6f}\n", freqs, db)
 
 
 def read_psd_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return np.atleast_1d(data["freq_hz"]), np.atleast_1d(data["psd_db_hz"])
+    return tuple(read_table(path, 2).T)
 
 
 def add_awgn(w: ComplexWaveform, snr_db, seed: int, occupied_bw_hz=None) -> ComplexWaveform:

@@ -11,7 +11,6 @@ into every downstream SNR figure.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .bandplan import BandPlan, subcarrier_center
 from .ofdm_tx import FrameRef, TxConfig, demap_qam, synth_time
-from .waveform import ComplexWaveform
+from .waveform import ComplexWaveform, read_table, write_table
 
 DEAD_TAP = 1e-6
 
@@ -258,19 +257,13 @@ def export_constellation(eqf: EqualizedFrame, ref: FrameRef, index: int) -> np.n
 # CSV interchange
 
 def write_metrics_csv(path, metrics: SubcarrierMetrics) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["index", "freq_hz", "snr_db", "evm_rms"])
-        for i, f, s, e in zip(metrics.indices, metrics.freq_hz,
-                              metrics.snr_db, metrics.evm_rms):
-            wr.writerow([int(i), f"{f:.6f}", f"{s:.6f}", f"{e:.9e}"])
+    write_table(path, "index,freq_hz,snr_db,evm_rms\r\n",
+                "{:d},{:.6f},{:.6f},{:.9e}\r\n", metrics.indices,
+                metrics.freq_hz, metrics.snr_db, metrics.evm_rms)
 
 
 def read_metrics_csv(path) -> SubcarrierMetrics:
-    rows = np.genfromtxt(path, delimiter=",", skip_header=1)
-    rows = np.atleast_2d(rows)
-    if rows.shape[1] != 4:
-        raise ValueError("metrics CSV must have 4 columns: index,freq_hz,snr_db,evm_rms")
+    rows = read_table(path, 4)
     return SubcarrierMetrics(
         indices=rows[:, 0].astype(int),
         freq_hz=rows[:, 1],
@@ -281,8 +274,4 @@ def read_metrics_csv(path) -> SubcarrierMetrics:
 
 
 def write_constellation_csv(path, points: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["re", "im"])
-        for z in points:
-            wr.writerow([f"{z.real:.9e}", f"{z.imag:.9e}"])
+    write_table(path, "re,im\r\n", "{:.9e},{:.9e}\r\n", points.real, points.imag)

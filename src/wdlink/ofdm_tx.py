@@ -218,10 +218,6 @@ class FrameRef:
     def payload_grid(self) -> np.ndarray:
         return self.grid[self.n_training:]
 
-    @property
-    def samples_per_symbol(self) -> int:
-        return self.plan.n_subcarriers * self.oversample + self.cp_len
-
 
 def pilot_indices(plan: BandPlan, n_pilots: int) -> np.ndarray:
     """Evenly spaced pilot subcarriers, avoiding the nulled edges."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import LaserSpec, PhaseTrace, laser_pair_phases
-from .waveform import ComplexWaveform
+from .waveform import ComplexWaveform, write_table
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
@@ -353,8 +353,6 @@ def write_lock_csv(path, result: LockResult, stride: int = 1) -> None:
         raise ValueError("stride must be >= 1")
     dt = 1.0 / result.config.sim_rate_hz
     p = result.phase_error.phases
-    f = result.freq_error
-    with open(path, "w", newline="") as fh:
-        fh.write("time_s,phase_error_rad,freq_error_hz\n")
-        for k in range(0, len(p), stride):
-            fh.write(f"{k * dt:.9e},{p[k]:.9e},{f[k]:.9e}\n")
+    write_table(path, "time_s,phase_error_rad,freq_error_hz\n",
+                "{:.9e},{:.9e},{:.9e}\n", np.arange(0, len(p), stride) * dt,
+                p[::stride], result.freq_error[::stride])

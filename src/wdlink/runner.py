@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .bandplan import detected_indices
-from .bitload import (capacity, load_bits, read_bitload_csv, write_bitload_csv,
-                      write_capacity_json, write_threshold_csv)
+from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
+                      write_bitload_csv, write_capacity_json, write_threshold_csv)
 from .channel import apply_carrier, apply_mask, dband_downconvert
 from .noise import PhaseTrace, add_awgn, estimate_psd, write_psd_csv
 from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
@@ -33,16 +33,10 @@ from .ofdm_tx import build_frame, clip, papr_db
 from .opll import (free_running_beat, residual_phase_variance, simulate_lock,
                    write_lock_csv)
 from .scenario import BandScenario, Scenario
-from .waveform import write_iq
+from .waveform import write_iq, write_json
 
 LOCK_PSD_RBW_HZ = 1e3
 LOCK_CSV_MAX_ROWS = 4000
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def resolve_seeds(scn: Scenario, seed_override=None) -> dict:
@@ -112,7 +106,7 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
     }
     if not lock.locked:
         record["failure"] = "lock"
-        _write_json(band_dir / "chain.json", record)
+        write_json(band_dir / "chain.json", record)
         return record
 
     tx_clipped, ref, papr = _tx_stage(band, band_dir, rbw_hz,
@@ -141,7 +135,7 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
     except SyncError as e:
         record["failure"] = "sync"
         record["sync_error"] = str(e)
-        _write_json(band_dir / "chain.json", record)
+        write_json(band_dir / "chain.json", record)
         return record
     record["sync_offset"] = int(offset)
 
@@ -163,7 +157,7 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
     record["constellation_subcarrier"] = show
     write_constellation_csv(band_dir / f"constellation_sc{show}.csv",
                             export_constellation(eqf, ref, show))
-    _write_json(band_dir / "chain.json", record)
+    write_json(band_dir / "chain.json", record)
     return record
 
 
@@ -200,11 +194,7 @@ def build_summary(scn: Scenario, out_dir) -> dict:
         bands_summary[band.name] = entry
 
     write_capacity_json(out / "capacity.json", reports, scn.fec)
-    totals = {
-        "raw_gbps": sum(r.raw_gbps for r in reports.values()),
-        "net_gbps": sum(r.net_gbps for r in reports.values()),
-        "raw_cp_adjusted_gbps": sum(r.raw_cp_adjusted_gbps for r in reports.values()),
-    }
+    totals = total_capacity(reports)
     manifest = {}
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name != "summary.json":
@@ -216,7 +206,7 @@ def build_summary(scn: Scenario, out_dir) -> dict:
         "totals": totals,
         "manifest": manifest,
     }
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     return summary
 
 
@@ -257,7 +247,7 @@ def lock_sim(scn: Scenario, out_dir, seed_override=None, rbw_hz=None,
         lock, lock_info = _lock_stage(scn, band, seed, bdir, rbw)
         _psd(bdir / "psd_beat.csv", lock.locked_beat, rbw)
         info[band.name] = {"mode": "locked", **lock_info}
-    _write_json(out / "lock.json", {"bands": info})
+    write_json(out / "lock.json", {"bands": info})
     return info
 
 
@@ -278,7 +268,7 @@ def tx_only(scn: Scenario, out_dir, clip_db=None, rbw_hz=None) -> dict:
             "n_samples": len(clipped),
             "sample_rate_hz": clipped.sample_rate_hz,
         }
-    _write_json(out / "tx.json", info)
+    write_json(out / "tx.json", info)
     return info
 
 

@@ -32,6 +32,11 @@ class ScenarioError(ValueError):
         self.json_path = path
 
 
+def _finite_number(v) -> bool:
+    """JSON numbers other than booleans, NaN and +-Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _get(d: dict, key: str, path: str, kind=None, required=True, default=None):
     if not isinstance(d, dict):
         raise ScenarioError(path, "expected an object")
@@ -42,8 +47,8 @@ def _get(d: dict, key: str, path: str, kind=None, required=True, default=None):
     v = d[key]
     if kind is not None:
         if kind is float:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ScenarioError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
+            if not _finite_number(v):
+                raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {v!r}")
             v = float(v)
         elif kind is int:
             if isinstance(v, bool) or not isinstance(v, int):
@@ -163,8 +168,8 @@ def _parse_downconvert(d, path: str):
     lo = _get(d, "seed_lo_hz", path, float)
     mult = _get(d, "mult", path, int)
     window = _get(d, "if_window_hz", path, list)
-    if len(window) != 2 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in window):
-        raise ScenarioError(f"{path}.if_window_hz", "expected [low_hz, high_hz]")
+    if len(window) != 2 or not all(_finite_number(x) for x in window):
+        raise ScenarioError(f"{path}.if_window_hz", "expected finite [low_hz, high_hz]")
     low, high = float(window[0]), float(window[1])
     if lo <= 0 or mult < 1 or not 0 <= low < high:
         raise ScenarioError(path, "downconvert values out of range")
@@ -235,8 +240,8 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         snr = ch.get("target_snr_db")
         if snr is None:
             snr = math.inf  # noiseless
-        elif isinstance(snr, bool) or not isinstance(snr, (int, float)):
-            raise ScenarioError(f"{path}.channel.target_snr_db", "expected a number or null")
+        elif not _finite_number(snr):
+            raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
         dc = _parse_downconvert(bd.get("downconvert"), f"{path}.downconvert")
         bands.append(BandScenario(
             name=name, plan=plan, master=master, slave=slave, tx=tx,

@@ -1,13 +1,20 @@
-"""Complex baseband waveform container and binary I/Q file I/O.
+"""Complex baseband waveform container and the artifact file formats.
 
 A waveform is a uniformly sampled complex envelope.  ``anchor_hz`` records the
 absolute RF frequency that baseband 0 Hz corresponds to, so spectra can always
 be labelled in absolute terms no matter how many mix/shift stages the samples
 have been through.
+
+Every artifact is in one of three formats, all defined here: binary I/Q
+(float32 pairs plus a ``key=value`` sidecar; :func:`write_iq`/:func:`read_iq`),
+CSV tables (a header line, then rows from a ``str.format`` template that
+carries its own ``\n`` or ``\r\n``; :func:`write_table`/:func:`read_table`),
+and JSON (indent 2, sorted keys, trailing newline; :func:`write_json`).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,14 +77,8 @@ def write_iq(path, w: ComplexWaveform) -> None:
 def read_iq(path) -> ComplexWaveform:
     """Read a waveform written by :func:`write_iq`."""
     path = str(path)
-    header = {}
     with open(path + ".hdr") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            header[key] = value
+        header = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
     missing = [k for k in _HEADER_FIELDS if k not in header]
     if missing:
         raise ValueError(f"sidecar header missing fields: {missing}")
@@ -93,3 +94,29 @@ def read_iq(path) -> ComplexWaveform:
         sample_rate_hz=float(header["sample_rate_hz"]),
         anchor_hz=float(header["anchor_hz"]),
     )
+
+
+def write_table(path, header: str, row_format: str, *columns) -> None:
+    """Write ``header``, then ``row_format.format(*row)`` for each row of the
+    equal-length ``columns``.  Both strings carry their own line end."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        # memoryviews hand out Python scalars one at a time, without a list copy
+        fh.writelines(map(row_format.format,
+                          *(memoryview(np.asarray(c)) for c in columns)))
+
+
+def read_table(path, n_columns: int) -> np.ndarray:
+    """Rows of a table written by :func:`write_table`, as floats of shape
+    (n_rows, n_columns); the header line is skipped."""
+    rows = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    if rows.shape[1] != n_columns:
+        raise ValueError(f"{path}: expected {n_columns} columns, found {rows.shape[1]}")
+    return rows
+
+
+def write_json(path, obj) -> None:
+    """JSON artifact: indent 2, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

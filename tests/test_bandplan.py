@@ -1,5 +1,7 @@
 """Grid arithmetic for the two OFDM blocks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,9 @@ def test_validation_errors():
         BandPlan("X", 1e9, 0, 1e6)
     with pytest.raises(ValueError):
         BandPlan("X", 1e9, 8, -1e6)
+    for center, spacing in ((math.nan, 1e6), (math.inf, 1e6), (1e9, math.nan), (1e9, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            BandPlan("X", center, 8, spacing)
     with pytest.raises(ValueError):
         BandPlan("X", 1e9, 8, 1e6, frozenset({8}))
     with pytest.raises(ValueError):

@@ -191,6 +191,13 @@ def test_bitload_csv_round_trip(w_plan, tmp_path):
     np.testing.assert_array_equal(back.bits, bits)
 
 
+def test_bitload_csv_rejects_map_of_another_length(w_plan, tmp_path):
+    for n in (255, 257):
+        with pytest.raises(ValueError, match="does not match the plan"):
+            write_bitload_csv(tmp_path / "bits.csv", BitLoadMap(bits=np.zeros(n, int)),
+                              w_plan)
+
+
 def test_threshold_csv_contents(tmp_path):
     path = tmp_path / "thr.csv"
     write_threshold_csv(path, FecProfile())

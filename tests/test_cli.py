@@ -1,6 +1,7 @@
 """End-to-end checks of the ``sim`` command line and its artifacts."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -216,13 +217,48 @@ def test_unsupported_schema_version_rejected(tmp_path, scenario_file, capsys):
     assert "$.schema_version" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _src_env():
+    """Environment whose PYTHONPATH finds the wdlink under test first."""
     src = str(Path(wdlink.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("keys, value, json_path", [
+    (("lasers", "ld2", "linewidth_hz"), math.inf, "$.lasers.ld2.linewidth_hz"),
+    (("lasers", "ld2", "linewidth_hz"), math.nan, "$.lasers.ld2.linewidth_hz"),
+    (("lock", "duration_s"), math.inf, "$.lock.duration_s"),
+    (("lock", "sim_rate_hz"), math.nan, "$.lock.sim_rate_hz"),
+    (("psd_rbw_hz",), math.nan, "$.psd_rbw_hz"),
+    (("bands", 0, "channel", "target_snr_db"), math.nan, "$.bands[0].channel.target_snr_db"),
+    (("bands", 0, "channel", "target_snr_db"), math.inf, "$.bands[0].channel.target_snr_db"),
+    (("bands", 1, "downconvert", "if_window_hz", 1), math.inf,
+     "$.bands[1].downconvert.if_window_hz"),
+])
+def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, keys, value,
+                                                  json_path):
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value   # written as JSON NaN / Infinity
+
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "wdlink.cli", "run", "--scenario",
+                           str(scenario_file(mutate)), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert f"scenario error: {json_path}: expected" in proc.stderr
+    assert "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, wdlink.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

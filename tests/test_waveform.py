@@ -1,9 +1,11 @@
-"""Waveform container and the float32 I/Q file format."""
+"""Waveform container and the artifact file formats: float32 I/Q, CSV
+tables and JSON."""
 
 import numpy as np
 import pytest
 
-from wdlink.waveform import ComplexWaveform, read_iq, write_iq
+from wdlink.waveform import (ComplexWaveform, read_iq, read_table, write_iq,
+                             write_json, write_table)
 
 
 @pytest.fixture()
@@ -45,3 +47,28 @@ def test_read_iq_rejects_incomplete_header(tmp_path, wave):
                            if not line.startswith("anchor_hz")))
     with pytest.raises(ValueError, match="anchor_hz"):
         read_iq(path)
+
+
+def test_table_round_trip_of_a_single_row(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "a,b,c\r\n", "{:d},{:.1f},{:.1e}\r\n", [7], [0.5], [-2.0])
+    assert path.read_bytes() == b"a,b,c\r\n7,0.5,-2.0e+00\r\n"
+    np.testing.assert_array_equal(read_table(path, 3), [[7.0, 0.5, -2.0]])
+
+
+def test_read_table_rejects_wrong_column_count(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "a,b,c\n", "{},{},{}\n", [1, 2], [3, 4], [5, 6])
+    with pytest.raises(ValueError, match="expected 2 columns, found 3"):
+        read_table(path, 2)
+    # a two-row, one-column table is two rows, not one row of two columns
+    write_table(path, "a\n", "{}\n", [1, 2])
+    assert read_table(path, 1).shape == (2, 1)
+    with pytest.raises(ValueError, match="expected 2 columns, found 1"):
+        read_table(path, 2)
+
+
+def test_write_json_format(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"b": [1, 2.5], "a": None})
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
