@@ -9,6 +9,7 @@ the CP-discounted figure is reported alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,9 +17,10 @@ import numpy as np
 
 from .bandplan import BandPlan, detected_indices, subcarrier_centers
 from .ofdm_rx import SubcarrierMetrics
+from .ofdm_tx import SUPPORTED_ORDERS
 from .waveform import read_table, write_json, write_table
 
-SUPPORTED_ORDER_BITS = (1, 2, 3, 4, 5, 6)
+SUPPORTED_ORDER_BITS = SUPPORTED_ORDERS
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,14 @@ def min_snr_db_for(order_bits: int, fec: FecProfile) -> float:
     return hi
 
 
+@functools.lru_cache(maxsize=8)
+def _thresholds(fec: FecProfile) -> tuple:
+    """(order_bits, min_snr_db) pairs, ascending; bisected once per profile."""
+    return tuple((b, min_snr_db_for(b, fec)) for b in SUPPORTED_ORDER_BITS)
+
+
 def threshold_table(fec: FecProfile) -> dict:
-    return {b: min_snr_db_for(b, fec) for b in SUPPORTED_ORDER_BITS}
+    return dict(_thresholds(fec))
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,7 @@ class BitLoadMap:
 def load_bits(metrics: SubcarrierMetrics, fec: FecProfile, plan: BandPlan) -> BitLoadMap:
     """Threshold loading: per detected subcarrier, the largest order whose
     BER at the measured SNR is within the FEC limit."""
-    table = threshold_table(fec)
-    thresholds = sorted(table.items())  # ascending in order_bits; snr monotone
+    thresholds = _thresholds(fec)  # ascending in order_bits; snr monotone
     bits = np.zeros(plan.n_subcarriers, dtype=int)
     window = set(int(i) for i in detected_indices(plan))
     snr_by_index = dict(zip((int(i) for i in metrics.indices), metrics.snr_db))
@@ -168,7 +175,7 @@ def read_bitload_csv(path) -> BitLoadMap:
 
 
 def write_threshold_csv(path, fec: FecProfile) -> None:
-    orders, snrs = zip(*sorted(threshold_table(fec).items()))
+    orders, snrs = zip(*_thresholds(fec))
     write_table(path, "order_bits,min_snr_db\r\n", "{:d},{:.6f}\r\n", orders, snrs)
 
 

@@ -33,6 +33,8 @@ def _mask_arrays(mask) -> tuple:
         raise ValueError("mask needs at least two points")
     f = np.array([p.freq_hz for p in pts], dtype=float)
     g = np.array([p.gain_db for p in pts], dtype=float)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        raise ValueError("mask frequencies and gains must be finite")
     if np.any(np.diff(f) <= 0):
         raise ValueError("mask frequencies must be strictly increasing")
     return f, g

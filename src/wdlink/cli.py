@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-    sim <subcommand> --scenario <file> --out <dir> [--seed-override N] [--rbw-hz X]
+    sim <subcommand> [--scenario <file>] --out <dir> [subcommand flags]
 
-Subcommands: lock-sim, tx, run, bitload, report.  Exit codes: 0 success,
-2 configuration/usage error, 3 lock or sync failure, 4 I/O error.
+Subcommands: lock-sim, tx, run, bitload, report.  ``--seed-override`` goes
+to run and lock-sim, ``--rbw-hz`` to run, lock-sim and tx; a subcommand
+rejects a flag it would ignore.  Exit codes: 0 success, 2 configuration/usage
+error, 3 lock or sync failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -28,27 +30,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def common(p, need_out=True):
+    def common(p):
         p.add_argument("--scenario", default=None,
                        help="scenario JSON (default: bundled desk-scale scenario)")
-        p.add_argument("--out", required=need_out, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
+
+    def seed_override(p):
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace all scenario seeds from one master seed")
+
+    def rbw(p):
         p.add_argument("--rbw-hz", type=float, default=None,
                        help="resolution bandwidth for PSD artifacts")
 
     p_lock = sub.add_parser("lock-sim", help="run only the laser locking loops")
     common(p_lock)
+    seed_override(p_lock)
+    rbw(p_lock)
     p_lock.add_argument("--free-running", action="store_true",
                         help="emit the unlocked beat spectrum instead")
 
     p_tx = sub.add_parser("tx", help="synthesize frames and report PAPR")
     common(p_tx)
+    rbw(p_tx)
     p_tx.add_argument("--clip-db", type=float, default=None,
                       help="override the scenario clip ratio")
 
     p_run = sub.add_parser("run", help="full chain: lock, transmit, channel, receive, load")
     common(p_run)
+    seed_override(p_run)
+    rbw(p_run)
 
     p_bl = sub.add_parser("bitload", help="bit-load an external SNR profile CSV")
     common(p_bl)

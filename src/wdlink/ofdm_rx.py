@@ -1,9 +1,10 @@
 """Receiver DSP: sync, demodulation, equalization, per-subcarrier metrics.
 
-The chain assumes the transmit frame layout is known (FrameRef), so all
-estimates are data-aided: taps start from the training symbols, a pilot-based
-common-phase rotation is removed per payload symbol, and a refinement pass
-re-fits gain and phase against the full known grid.  The refinement matters:
+The chain reads the transmit frame layout (subcarrier comb, cyclic prefix,
+active set) from the FrameRef and never re-derives it.  All estimates are
+data-aided: taps start from the training symbols, a pilot-based common-phase
+rotation is removed per payload symbol, and a refinement pass re-fits gain
+and phase against the full known grid.  The refinement matters:
 with only 4 training symbols and 8 pilots the tap and rotation estimates are
 noisy enough to bias measured EVM by over a dB at low SNR, which would leak
 into every downstream SNR figure.
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandplan import BandPlan, subcarrier_center
-from .ofdm_tx import FrameRef, TxConfig, demap_qam, synth_time
+from .bandplan import BandPlan, subcarrier_centers
+from .ofdm_tx import FrameRef, analyze_time, demap_qam, synth_time
 from .waveform import ComplexWaveform, read_table, write_table
 
 DEAD_TAP = 1e-6
@@ -37,14 +38,6 @@ def _effective_oversample(w: ComplexWaveform, plan: BandPlan) -> int:
             f"of the {base:.6g} Hz subcarrier grid span"
         )
     return os_eff
-
-
-def training_template(ref: FrameRef, os_eff: int) -> np.ndarray:
-    """The known training burst resampled to an effective oversample factor."""
-    cp_scaled = ref.cp_len * os_eff
-    if cp_scaled % ref.oversample:
-        raise ValueError("cyclic prefix does not survive this resampling factor")
-    return synth_time(ref.training_grid, os_eff, cp_scaled // ref.oversample)
 
 
 def _fast_len(n: int) -> int:
@@ -73,7 +66,7 @@ def synchronize(w: ComplexWaveform, ref: FrameRef, threshold: float = 0.5) -> in
     training burst.  Raises SyncError when the best peak stays below
     ``threshold`` (1.0 = perfect match)."""
     os_eff = _effective_oversample(w, ref.plan)
-    tpl = training_template(ref, os_eff)
+    tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
     x = w.samples
     if len(x) < len(tpl):
         raise SyncError("waveform shorter than the training burst")
@@ -88,26 +81,21 @@ def synchronize(w: ComplexWaveform, ref: FrameRef, threshold: float = 0.5) -> in
     return best
 
 
-def demodulate(w: ComplexWaveform, plan: BandPlan, cfg: TxConfig, offset: int) -> np.ndarray:
-    """CP removal and per-symbol DFT.
+def demodulate(w: ComplexWaveform, ref: FrameRef, offset: int) -> np.ndarray:
+    """CP removal and per-symbol DFT of the frame starting at ``offset``.
 
     Returns the full (training + payload, n_subcarriers) symbol grid
     including any nulled columns (they ride along as leakage noise); a
     global complex scale from transmit normalization remains on every entry
     and is absorbed downstream by the equalizer taps.
     """
-    os_eff = _effective_oversample(w, plan)
-    nfft = plan.n_subcarriers * os_eff
-    cp = int(round(cfg.cp_fraction * nfft))
-    n_total = cfg.n_training + cfg.n_symbols
-    step = nfft + cp
-    if offset < 0 or offset + n_total * step > len(w.samples):
+    n_sc = ref.plan.n_subcarriers
+    os_eff = _effective_oversample(w, ref.plan)
+    cp = ref.cp_len_at(os_eff)
+    end = offset + (ref.n_training + ref.n_payload) * (n_sc * os_eff + cp)
+    if offset < 0 or end > len(w.samples):
         raise ValueError("frame truncated: waveform too short past the sync offset")
-    blocks = w.samples[offset:offset + n_total * step].reshape(n_total, step)[:, cp:]
-    blocks = blocks * np.exp(-1j * np.pi * np.arange(nfft) / nfft)[None, :]
-    spec = np.fft.fft(blocks, axis=1) / nfft
-    bins = (np.arange(plan.n_subcarriers) - plan.n_subcarriers // 2) % nfft
-    return spec[:, bins]
+    return analyze_time(w.samples[offset:end], n_sc, os_eff, cp)
 
 
 @dataclass(frozen=True)
@@ -120,18 +108,17 @@ class EqualizedFrame:
     cpe_rad: np.ndarray      # removed rotation per payload symbol
 
 
-def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True,
-             refine: bool = True) -> EqualizedFrame:
+def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True) -> EqualizedFrame:
     """One complex tap per subcarrier from the training average, pilot-based
     common-phase removal per payload symbol, then a data-aided refinement
     fitting per-subcarrier gain and per-symbol phase on the whole known grid.
 
-    ``cpe``/``refine`` exist so tests can ablate the phase tracking.
+    ``cpe`` exists so tests can ablate the phase tracking.
     """
     n_sc = ref.plan.n_subcarriers
     if raw.shape != (ref.n_training + ref.n_payload, n_sc):
         raise ValueError("raw grid shape does not match the frame layout")
-    active = np.union1d(ref.data_idx, ref.pilot_idx).astype(int)
+    active = ref.active_idx
 
     ratios = raw[: ref.n_training, active] / ref.training_grid[:, active]
     taps = np.zeros(n_sc, dtype=complex)
@@ -154,21 +141,20 @@ def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True,
 
     eq = payload / np.where(dead, 1.0, taps)[None, :]
 
-    if refine:
-        live = active[~dead[active]]
-        s = known[:, live]
-        g = np.sum(eq[:, live] * np.conj(s), axis=0) / np.sum(np.abs(s) ** 2, axis=0)
-        g = np.where(np.abs(g) < DEAD_TAP, 1.0, g)
-        eq[:, live] /= g[None, :]
-        taps[live] *= g
-        if cpe:
-            # second rotation pass, now over every known symbol; the
-            # 8-pilot estimate alone leaves enough phase jitter to bias
-            # low-SNR EVM measurably
-            weight = np.abs(taps[live]) ** 2
-            rot = np.angle(np.sum(eq[:, live] * weight * np.conj(s), axis=1))
-            eq *= np.exp(-1j * rot)[:, None]
-            cpe_rad += rot
+    live = active[~dead[active]]
+    s = known[:, live]
+    g = np.sum(eq[:, live] * np.conj(s), axis=0) / np.sum(np.abs(s) ** 2, axis=0)
+    g = np.where(np.abs(g) < DEAD_TAP, 1.0, g)
+    eq[:, live] /= g[None, :]
+    taps[live] *= g
+    if cpe:
+        # second rotation pass, now over every known symbol; the 8-pilot
+        # estimate alone leaves enough phase jitter to bias low-SNR EVM
+        # measurably
+        weight = np.abs(taps[live]) ** 2
+        rot = np.angle(np.sum(eq[:, live] * weight * np.conj(s), axis=1))
+        eq *= np.exp(-1j * rot)[:, None]
+        cpe_rad += rot
 
     return EqualizedFrame(symbols=eq, taps=taps, dead=dead, cpe_rad=cpe_rad)
 
@@ -191,7 +177,7 @@ def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
     """Data-aided EVM against the known payload grid; snr = -20 log10(evm)."""
     if ref.n_payload < 32:
         raise ValueError("need at least 32 payload symbols for stable metrics")
-    active = np.union1d(ref.data_idx, ref.pilot_idx).astype(int)
+    active = ref.active_idx
     known = ref.payload_grid[:, active]
     err = np.mean(np.abs(eqf.symbols[:, active] - known) ** 2, axis=0)
     p_ref = np.mean(np.abs(known) ** 2, axis=0)
@@ -201,10 +187,9 @@ def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
     bad = eqf.dead[active]
     snr[bad] = np.nan
     evm[bad] = np.nan
-    freqs = np.array([subcarrier_center(ref.plan, int(i)) for i in active])
     return SubcarrierMetrics(
         indices=active,
-        freq_hz=freqs,
+        freq_hz=subcarrier_centers(ref.plan)[active],
         snr_db=snr,
         evm_rms=evm,
         n_symbols=ref.n_payload,
@@ -245,8 +230,7 @@ def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef, indices=None) -> tuple:
 
 def export_constellation(eqf: EqualizedFrame, ref: FrameRef, index: int) -> np.ndarray:
     """Equalized payload points of one subcarrier, for scatter plotting."""
-    active = set(ref.data_idx.tolist()) | set(ref.pilot_idx.tolist())
-    if index not in active:
+    if index not in ref.active_idx:
         raise ValueError(f"subcarrier {index} carries no symbols")
     if eqf.dead[index]:
         raise ValueError(f"subcarrier {index} is dead; no constellation available")

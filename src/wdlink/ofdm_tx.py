@@ -22,6 +22,12 @@ Bit-to-symbol conventions (fixed so golden vectors stay stable):
 The subcarrier grid is half-integer: subcarrier i of n sits at offset
 (i - (n-1)/2) * spacing from the band center, so an extra half-bin phase
 ramp accompanies the IDFT and the grid tiles the band exactly edge to edge.
+
+This module owns the frame layout: the subcarrier-to-bin comb and its
+half-bin ramp (``synth_time`` and its inverse ``analyze_time``), the
+cyclic-prefix length at any oversampling (``FrameRef.cp_len_at``) and the
+active subcarrier set (``FrameRef.active_idx``).  The receiver reads all of
+it from the ``FrameRef`` and decides none of it itself.
 """
 
 from __future__ import annotations
@@ -205,6 +211,7 @@ class FrameRef:
     n_payload: int
     pilot_idx: np.ndarray
     data_idx: np.ndarray
+    active_idx: np.ndarray            # every non-null subcarrier: pilots and data
     bits_per_subcarrier: np.ndarray
     grid: np.ndarray                  # (n_training + n_payload, n_subcarriers)
     payload_bits: dict = field(repr=False, default_factory=dict)
@@ -218,6 +225,14 @@ class FrameRef:
     def payload_grid(self) -> np.ndarray:
         return self.grid[self.n_training:]
 
+    def cp_len_at(self, oversample: int) -> int:
+        """Cyclic-prefix length in samples once the frame is resampled to
+        ``oversample``; raises when that is not a whole number of samples."""
+        scaled = self.cp_len * oversample
+        if scaled % self.oversample:
+            raise ValueError("cyclic prefix does not survive this resampling factor")
+        return scaled // self.oversample
+
 
 def pilot_indices(plan: BandPlan, n_pilots: int) -> np.ndarray:
     """Evenly spaced pilot subcarriers, avoiding the nulled edges."""
@@ -229,21 +244,42 @@ def pilot_indices(plan: BandPlan, n_pilots: int) -> np.ndarray:
     return idx
 
 
+def _comb(n_sc: int, oversample: int) -> tuple:
+    """FFT bin of each subcarrier and the half-bin phase ramp that shifts
+    the integer bins onto the half-integer subcarrier grid."""
+    nfft = n_sc * oversample
+    bins = (np.arange(n_sc) - n_sc // 2) % nfft
+    return bins, np.exp(1j * np.pi * np.arange(nfft) / nfft)
+
+
 def synth_time(grid: np.ndarray, oversample: int, cp_len: int) -> np.ndarray:
     """Per-row IDFT of a symbol grid onto the half-integer subcarrier comb,
     cyclic prefix prepended, rows concatenated."""
     n_sym, n_sc = grid.shape
-    nfft = n_sc * oversample
+    bins, ramp = _comb(n_sc, oversample)
+    nfft = len(ramp)
     spec = np.zeros((n_sym, nfft), dtype=complex)
-    bins = (np.arange(n_sc) - n_sc // 2) % nfft
     spec[:, bins] = grid
     body = np.fft.ifft(spec, axis=1) * nfft
-    body *= np.exp(1j * np.pi * np.arange(nfft) / nfft)[None, :]
+    body *= ramp[None, :]
     if cp_len:
         # the half-integer comb is antiperiodic over nfft, so the true
         # periodic extension of the body is the negated tail
         body = np.concatenate([-body[:, -cp_len:], body], axis=1)
     return body.ravel()
+
+
+def analyze_time(samples: np.ndarray, n_sc: int, oversample: int,
+                 cp_len: int) -> np.ndarray:
+    """Inverse of ``synth_time``: cut whole symbols, drop each cyclic
+    prefix, derotate the half-bin ramp, DFT, and keep the subcarrier bins.
+    Returns the (n_symbols, n_sc) grid."""
+    bins, ramp = _comb(n_sc, oversample)
+    nfft = len(ramp)
+    blocks = samples.reshape(-1, nfft + cp_len)[:, cp_len:]
+    blocks = blocks * np.conj(ramp)[None, :]
+    spec = np.fft.fft(blocks, axis=1) / nfft
+    return spec[:, bins]
 
 
 def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
@@ -317,6 +353,7 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         n_payload=n_pay,
         pilot_idx=p_idx,
         data_idx=d_idx,
+        active_idx=active,
         bits_per_subcarrier=bits_map,
         grid=grid,
         payload_bits=payload_bits,

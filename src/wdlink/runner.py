@@ -139,7 +139,7 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
         return record
     record["sync_offset"] = int(offset)
 
-    raw = demodulate(w, band.plan, band.tx, offset)
+    raw = demodulate(w, ref, offset)
     eqf = equalize(raw, ref)
     metrics = evm_snr(eqf, ref)
     write_metrics_csv(band_dir / "metrics.csv", metrics)
@@ -151,9 +151,8 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
     load_map = load_bits(metrics, scn.fec, band.plan)
     write_bitload_csv(band_dir / "bitload.csv", load_map, band.plan)
 
-    data_set = set(int(i) for i in ref.data_idx)
-    cands = [int(i) for i in det if int(i) in data_set]
-    show = cands[len(cands) // 2]
+    cands = np.intersect1d(det, ref.data_idx)
+    show = int(cands[len(cands) // 2])
     record["constellation_subcarrier"] = show
     write_constellation_csv(band_dir / f"constellation_sc{show}.csv",
                             export_constellation(eqf, ref, show))

@@ -84,10 +84,10 @@ def test_criterion_5_snr_calibration_and_mask_tilt():
     wav, ref = build_frame(plan, cfg)
 
     noisy = add_awgn(wav, 12.0, seed=7, occupied_bw_hz=254 * plan.spacing_hz)
-    m = evm_snr(equalize(demodulate(noisy, plan, cfg, 0), ref), ref)
+    m = evm_snr(equalize(demodulate(noisy, ref, 0), ref), ref)
     avg = band_average_snr_db(m, det)
 
-    eqf = equalize(demodulate(apply_mask(wav, default_masks()[0]), plan, cfg, 0), ref)
+    eqf = equalize(demodulate(apply_mask(wav, default_masks()[0]), ref, 0), ref)
     centers = subcarrier_centers(plan)
     tap_db = np.full(plan.n_subcarriers, np.nan)
     live = det[~eqf.dead[det]]
@@ -168,7 +168,7 @@ def test_criterion_8_waveform_fidelity():
     plan = make_default_plans()["W"]
     cfg = TxConfig(4, n_symbols=128, prbs_seed_state=77)
     wav, ref = build_frame(plan, cfg)
-    errors, total = count_bit_errors(equalize(demodulate(wav, plan, cfg, 0), ref), ref)
+    errors, total = count_bit_errors(equalize(demodulate(wav, ref, 0), ref), ref)
 
     clipped_papr = papr_db(clip(wav, 10.0))
 

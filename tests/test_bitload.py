@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import ber_mqam_ref
+from wdlink import bitload
 from wdlink.bandplan import detected_indices
 from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, CapacityReport,
                             FecProfile, ber_mqam, capacity, load_bits,
@@ -69,6 +70,24 @@ def test_threshold_table_values():
         assert table[b] == pytest.approx(snr, abs=2e-3)
         # the bisection landed exactly on the threshold BER
         assert ber_mqam(table[b], b) == pytest.approx(2.2e-2, rel=1e-6)
+
+
+def test_threshold_table_bisects_once_per_profile(monkeypatch):
+    calls = []
+    real = bitload.min_snr_db_for
+
+    def counting(order_bits, fec):
+        calls.append(order_bits)
+        return real(order_bits, fec)
+
+    monkeypatch.setattr(bitload, "min_snr_db_for", counting)
+    fec = FecProfile(ber_threshold=1.234e-2)  # a profile no other test bisects
+    first = threshold_table(fec)
+    first[1] = None                           # the caller's copy, not the cache
+    second = threshold_table(fec)
+    assert len(calls) == 6
+    assert sorted(second) == list(SUPPORTED_ORDER_BITS)
+    assert second[1] == real(1, fec)
 
 
 def test_min_snr_monotone_in_order():

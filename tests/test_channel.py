@@ -98,7 +98,7 @@ def test_equalizer_taps_follow_mask_shape(w_plan):
     cfg = TxConfig(2, n_symbols=64, prbs_seed_state=11)
     wav, ref = build_frame(w_plan, cfg)
     mask = default_masks()[0]
-    eqf = equalize(demodulate(apply_mask(wav, mask), w_plan, cfg, 0), ref)
+    eqf = equalize(demodulate(apply_mask(wav, mask), ref, 0), ref)
     live = detected_indices(w_plan)
     live = live[~eqf.dead[live]]
     tap_db = 20 * np.log10(np.abs(eqf.taps[live]))
@@ -113,7 +113,7 @@ def test_low_band_rolloff_tilts_band_edge_ten_db(w_plan):
     110 GHz edge subcarriers reading ~10 dB below the mid-band ones."""
     cfg = TxConfig(2, n_symbols=64, prbs_seed_state=11)
     wav, ref = build_frame(w_plan, cfg)
-    eqf = equalize(demodulate(apply_mask(wav, default_masks()[0]), w_plan, cfg, 0), ref)
+    eqf = equalize(demodulate(apply_mask(wav, default_masks()[0]), ref, 0), ref)
     hi = 20 * math.log10(abs(eqf.taps[254]))   # 109.79 GHz
     mid = 20 * math.log10(abs(eqf.taps[146]))  # 95.03 GHz
     assert subcarrier_center(w_plan, 254) > 109.5e9
@@ -186,7 +186,7 @@ def test_wider_linewidth_pair_wanders_more(w_plan):
                 default_loop_config(ld[name].offset_hz, duration_s=2e-3),
                 seed=100 + seed)
             rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
-            eqf = equalize(demodulate(rx, w_plan, cfg, 0), ref)
+            eqf = equalize(demodulate(rx, ref, 0), ref)
             pair_vars.append(float(np.var(eqf.cpe_rad)))
         var[name] = pair_vars
     for narrow, wide in zip(var["ld2"], var["ld3"]):
@@ -219,10 +219,10 @@ def test_downconvert_rejects_out_of_window_tone():
 
 def _surviving_columns(d_plan, if_window):
     cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5)
-    wav, _ = build_frame(d_plan, cfg)
+    wav, ref = build_frame(d_plan, cfg)
     out = dband_downconvert(wav, if_window_hz=if_window, decimate=2)
     assert out.sample_rate_hz == 40e9
-    grid = demodulate(out, d_plan, cfg, 0)
+    grid = demodulate(out, ref, 0)
     return np.mean(np.abs(grid) ** 2, axis=0)
 
 

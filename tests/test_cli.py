@@ -179,6 +179,22 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("tx", "--seed-override"),
+    ("bitload", "--seed-override"),
+    ("bitload", "--rbw-hz"),
+    ("report", "--seed-override"),
+    ("report", "--rbw-hz"),
+])
+def test_subcommand_rejects_a_flag_it_would_ignore(tmp_path, capsys, command, flag):
+    extra = ["--band", "W", "--snr-csv", "snr.csv"] if command == "bitload" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "o"), *extra, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_is_io_error(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])
@@ -249,6 +265,24 @@ def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, keys,
                           capture_output=True, text=True, timeout=120, env=_src_env())
     assert proc.returncode == 2, proc.stderr
     assert f"scenario error: {json_path}: expected" in proc.stderr
+    assert "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["1e9,nan", "nan,0", "1e9,inf"])
+def test_non_finite_mask_csv_row_fails_at_load(tmp_path, scenario_file, row):
+    (tmp_path / "bad.csv").write_text(f"freq_hz,gain_db\n{row}\n200e9,0\n")
+
+    def mutate(doc):
+        doc["bands"][0]["channel"]["mask"] = {"csv": "bad.csv"}
+
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "wdlink.cli", "run", "--scenario",
+                           str(scenario_file(mutate)), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "$.bands[0].channel.mask" in proc.stderr
     assert "finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import correlate_valid, smallest_5_smooth_at_least
 from wdlink.bandplan import detected_indices
-from wdlink.channel import apply_carrier
+from wdlink.channel import apply_carrier, dband_downconvert
 from wdlink.noise import add_awgn, default_lasers
 from wdlink.ofdm_rx import (SyncError, _correlate_valid, _fast_len,
                             band_average_snr_db, count_bit_errors,
@@ -28,9 +28,9 @@ def loopback(w_plan):
 
 
 def test_noiseless_demod_recovers_grid(w_plan, loopback):
-    cfg, wav, ref = loopback
+    _, wav, ref = loopback
     det = detected_indices(w_plan)
-    raw = demodulate(wav, w_plan, cfg, 0)
+    raw = demodulate(wav, ref, 0)
     scale = np.mean(raw[:4, det] / ref.grid[:4, det])
     err = np.abs(raw[:, det] / scale - ref.grid[:, det])
     floor_db = 20 * np.log10(err.max() / np.abs(ref.grid[:, det]).max())
@@ -38,11 +38,23 @@ def test_noiseless_demod_recovers_grid(w_plan, loopback):
 
 
 def test_noiseless_loopback_is_error_free(w_plan, loopback):
-    cfg, wav, ref = loopback
-    eqf = equalize(demodulate(wav, w_plan, cfg, 0), ref)
+    _, wav, ref = loopback
+    eqf = equalize(demodulate(wav, ref, 0), ref)
     errors, total = count_bit_errors(eqf, ref)
     assert errors == 0
     assert total == 246 * 4 * 64
+
+
+@pytest.mark.parametrize("cp_512ths", [3, 5, 7])
+def test_demod_refuses_a_cp_that_decimation_splits(d_plan, cp_512ths):
+    """An odd cyclic prefix at oversample 2 is a fractional one after the
+    D path decimates by 2: the receiver must say so, not cut the frame at
+    a rounded CP."""
+    cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5, cp_fraction=cp_512ths / 512)
+    wav, ref = build_frame(d_plan, cfg)
+    out = dband_downconvert(wav, if_window_hz=(2.8e9, 19.8e9), decimate=2)
+    with pytest.raises(ValueError, match="cyclic prefix does not survive"):
+        demodulate(out, ref, 0)
 
 
 def test_one_sample_delay_is_a_half_integer_phase_ramp(w_plan, loopback):
@@ -51,9 +63,9 @@ def test_one_sample_delay_is_a_half_integer_phase_ramp(w_plan, loopback):
     half-bin-offset subcarrier grid."""
     cfg, wav, ref = loopback
     det = detected_indices(w_plan)
-    raw0 = demodulate(wav, w_plan, cfg, 0)
+    raw0 = demodulate(wav, ref, 0)
     delayed = wav.with_samples(np.concatenate([[0j], wav.samples[:-1]]))
-    raw1 = demodulate(delayed, w_plan, cfg, 0)
+    raw1 = demodulate(delayed, ref, 0)
     ratio = raw1[:, det] / raw0[:, det]
     nfft = w_plan.n_subcarriers * cfg.oversample
     model = np.exp(-2j * np.pi * ((det - 128) + 0.5) / nfft)
@@ -109,10 +121,10 @@ def test_sync_rejects_pure_noise(w_plan):
 
 
 def test_equalizer_absorbs_global_rotation(w_plan, loopback):
-    cfg, wav, ref = loopback
+    _, wav, ref = loopback
     det = detected_indices(w_plan)
     rotated = wav.with_samples(wav.samples * np.exp(1j * np.pi / 4))
-    eqf = equalize(demodulate(rotated, w_plan, cfg, 0), ref)
+    eqf = equalize(demodulate(rotated, ref, 0), ref)
     live = det[~eqf.dead[det]]
     assert np.mean(np.angle(eqf.taps[live])) == pytest.approx(np.pi / 4, abs=1e-6)
     errors, _ = count_bit_errors(eqf, ref)
@@ -120,26 +132,26 @@ def test_equalizer_absorbs_global_rotation(w_plan, loopback):
 
 
 def test_metrics_scale_invariant(w_plan, loopback):
-    cfg, wav, ref = loopback
+    _, wav, ref = loopback
     scaled = wav.with_samples(wav.samples * 3.7)
-    m_a = evm_snr(equalize(demodulate(wav, w_plan, cfg, 0), ref), ref)
-    m_b = evm_snr(equalize(demodulate(scaled, w_plan, cfg, 0), ref), ref)
+    m_a = evm_snr(equalize(demodulate(wav, ref, 0), ref), ref)
+    m_b = evm_snr(equalize(demodulate(scaled, ref, 0), ref), ref)
     np.testing.assert_allclose(m_b.snr_db, m_a.snr_db, atol=1e-9, equal_nan=True)
 
 
 @pytest.mark.parametrize("snr_db", [6.0, 12.0, 20.0])
 def test_measured_snr_tracks_injected_noise(w_plan, loopback, snr_db):
-    cfg, wav, ref = loopback
+    _, wav, ref = loopback
     det = detected_indices(w_plan)
     noisy = add_awgn(wav, snr_db, seed=int(snr_db * 10), occupied_bw_hz=OCC_W)
-    m = evm_snr(equalize(demodulate(noisy, w_plan, cfg, 0), ref), ref)
+    m = evm_snr(equalize(demodulate(noisy, ref, 0), ref), ref)
     assert band_average_snr_db(m, det) == pytest.approx(snr_db, abs=0.5)
 
 
 def test_qam16_cluster_width_matches_noise(w_plan, loopback):
-    cfg, wav, ref = loopback
+    _, wav, ref = loopback
     noisy = add_awgn(wav, 12.0, seed=42, occupied_bw_hz=OCC_W)
-    eqf = equalize(demodulate(noisy, w_plan, cfg, 0), ref)
+    eqf = equalize(demodulate(noisy, ref, 0), ref)
     mid = ref.data_idx[(ref.data_idx > 60) & (ref.data_idx < 190)]
     errs = (eqf.symbols[:, mid] - ref.payload_grid[:, mid]).ravel()
     sigma = 10 ** (-12.0 / 20.0) / np.sqrt(2)  # per-axis at 12 dB
@@ -148,8 +160,8 @@ def test_qam16_cluster_width_matches_noise(w_plan, loopback):
 
 
 def test_dead_subcarrier_reported_not_counted(w_plan, loopback):
-    cfg, wav, ref = loopback
-    raw = demodulate(wav, w_plan, cfg, 0).copy()
+    _, wav, ref = loopback
+    raw = demodulate(wav, ref, 0).copy()
     raw[:, 37] = 0
     eqf = equalize(raw, ref)
     assert eqf.dead[37]
@@ -158,7 +170,7 @@ def test_dead_subcarrier_reported_not_counted(w_plan, loopback):
     assert np.isnan(m.snr_db[pos]) and np.isnan(m.evm_rms[pos])
     with pytest.raises(ValueError):
         export_constellation(eqf, ref, 37)
-    clean = equalize(demodulate(wav, w_plan, cfg, 0), ref)
+    clean = equalize(demodulate(wav, ref, 0), ref)
     _, total_clean = count_bit_errors(clean, ref)
     errors, total = count_bit_errors(eqf, ref)
     assert errors == 0
@@ -166,8 +178,8 @@ def test_dead_subcarrier_reported_not_counted(w_plan, loopback):
 
 
 def test_export_constellation_rejects_null_column(w_plan, loopback):
-    cfg, wav, ref = loopback
-    eqf = equalize(demodulate(wav, w_plan, cfg, 0), ref)
+    _, wav, ref = loopback
+    eqf = equalize(demodulate(wav, ref, 0), ref)
     with pytest.raises(ValueError):
         export_constellation(eqf, ref, 0)
     pts = export_constellation(eqf, ref, int(ref.data_idx[10]))
@@ -177,14 +189,14 @@ def test_export_constellation_rejects_null_column(w_plan, loopback):
 def test_evm_needs_enough_symbols(w_plan):
     cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5)
     wav, ref = build_frame(w_plan, cfg)
-    eqf = equalize(demodulate(wav, w_plan, cfg, 0), ref)
+    eqf = equalize(demodulate(wav, ref, 0), ref)
     with pytest.raises(ValueError):
         evm_snr(eqf, ref)
 
 
 def test_band_average_requires_live_subcarriers(w_plan, loopback):
-    cfg, wav, ref = loopback
-    m = evm_snr(equalize(demodulate(wav, w_plan, cfg, 0), ref), ref)
+    _, wav, ref = loopback
+    m = evm_snr(equalize(demodulate(wav, ref, 0), ref), ref)
     with pytest.raises(ValueError):
         band_average_snr_db(m, indices=[0])  # only a null: nothing to average
 
@@ -204,7 +216,7 @@ def test_phase_tracking_recovers_snr_under_lock_residual(w_plan):
         wav, ref = build_frame(w_plan, cfg)
         rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
         rx = add_awgn(rx, 12.0, seed=seed + 500, occupied_bw_hz=OCC_W)
-        raw = demodulate(rx, w_plan, cfg, 0)
+        raw = demodulate(rx, ref, 0)
         s_on = band_average_snr_db(evm_snr(equalize(raw, ref), ref), det)
         s_off = band_average_snr_db(evm_snr(equalize(raw, ref, cpe=False), ref), det)
         gains.append(s_on - s_off)
@@ -214,8 +226,8 @@ def test_phase_tracking_recovers_snr_under_lock_residual(w_plan):
 
 
 def test_metrics_csv_round_trip(w_plan, loopback, tmp_path):
-    cfg, wav, ref = loopback
-    m = evm_snr(equalize(demodulate(wav, w_plan, cfg, 0), ref), ref)
+    _, wav, ref = loopback
+    m = evm_snr(equalize(demodulate(wav, ref, 0), ref), ref)
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, m)
     header = path.read_text().splitlines()[0]
@@ -228,8 +240,8 @@ def test_metrics_csv_round_trip(w_plan, loopback, tmp_path):
 
 
 def test_constellation_csv_format(w_plan, loopback, tmp_path):
-    cfg, wav, ref = loopback
-    eqf = equalize(demodulate(wav, w_plan, cfg, 0), ref)
+    _, wav, ref = loopback
+    eqf = equalize(demodulate(wav, ref, 0), ref)
     pts = export_constellation(eqf, ref, int(ref.data_idx[0]))
     path = tmp_path / "const.csv"
     write_constellation_csv(path, pts)

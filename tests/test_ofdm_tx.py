@@ -11,6 +11,7 @@ from wdlink.ofdm_tx import (
     PRBS_TAPS,
     SUPPORTED_ORDERS,
     TxConfig,
+    analyze_time,
     build_frame,
     clip,
     demap_qam,
@@ -213,6 +214,25 @@ def test_cyclic_prefix_is_antiperiodic():
         assert np.allclose(row[:8], -row[-8:], atol=1e-12)
 
 
+@pytest.mark.parametrize("oversample, cp_len", [(1, 0), (2, 8), (3, 5)])
+def test_analyze_time_inverts_synth_time(oversample, cp_len):
+    rng = np.random.default_rng(oversample)
+    grid = rng.normal(size=(3, 256)) + 1j * rng.normal(size=(3, 256))
+    x = synth_time(grid, oversample, cp_len)
+    assert x.size == 3 * (256 * oversample + cp_len)
+    back = analyze_time(x, 256, oversample, cp_len)
+    assert np.max(np.abs(back - grid)) < 1e-12
+
+
+def test_cp_len_at_scales_or_refuses(w_plan):
+    _, ref = build_frame(w_plan, TxConfig(n_symbols=8))
+    assert (ref.cp_len_at(1), ref.cp_len_at(2), ref.cp_len_at(4)) == (4, 8, 16)
+    _, odd = build_frame(w_plan, TxConfig(n_symbols=8, cp_fraction=5 / 512))
+    assert odd.cp_len == 5
+    with pytest.raises(ValueError, match="cyclic prefix does not survive"):
+        odd.cp_len_at(1)
+
+
 def test_frame_shape_and_normalization(w_plan):
     frame, ref = build_frame(w_plan, TxConfig())
     assert frame.sample_rate_hz == 512 * w_plan.spacing_hz == 70e9
@@ -289,6 +309,9 @@ def test_mixed_bit_loading_frame(w_plan):
     cfg = TxConfig(bits_per_subcarrier=bits, n_symbols=8)
     frame, ref = build_frame(w_plan, cfg)
     assert np.array_equal(ref.bits_per_subcarrier[ref.data_idx], bits[ref.data_idx])
+    non_null = np.setdiff1d(np.arange(256), sorted(w_plan.null_indices))
+    assert np.array_equal(ref.active_idx, non_null)
+    assert np.array_equal(ref.active_idx, np.union1d(ref.data_idx, ref.pilot_idx))
     silent = np.setdiff1d(np.arange(256), np.concatenate([ref.data_idx, ref.pilot_idx]))
     assert np.all(ref.payload_grid[:, silent] == 0)
 
