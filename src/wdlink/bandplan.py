@@ -48,6 +48,8 @@ class BandPlan:
             raise ValueError("detect window misses the band span entirely")
         object.__setattr__(self, "detect_window_hz", (float(lo), float(hi)))
         object.__setattr__(self, "null_indices", frozenset(int(i) for i in self.null_indices))
+        if len(detected_indices(self)) == 0:
+            raise ValueError("detect window holds no modulated subcarrier")
 
     @property
     def occupied_bw_hz(self) -> float:

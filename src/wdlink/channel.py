@@ -113,9 +113,9 @@ def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
 
 def dband_downconvert(
     w: ComplexWaveform,
-    seed_lo_hz: float = 21.7e9,
-    mult: int = 6,
-    if_window_hz: tuple = (0.5e9, 17.0e9),
+    seed_lo_hz: float,
+    mult: int,
+    if_window_hz: tuple,
     decimate: int = 1,
 ) -> ComplexWaveform:
     """Mix down by a multiplied LO and keep one IF window.

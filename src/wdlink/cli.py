@@ -4,8 +4,10 @@
 
 Subcommands: lock-sim, tx, run, bitload, report.  ``--seed-override`` goes
 to run and lock-sim, ``--rbw-hz`` to run, lock-sim and tx; a subcommand
-rejects a flag it would ignore.  Exit codes: 0 success, 2 configuration/usage
-error, 3 lock or sync failure, 4 I/O error.
+rejects a flag it would ignore.  The scenario is loaded (and, with
+``--seed-override``, re-seeded) before any output is written, so a bad file
+or flag leaves no output directory.  Exit codes: 0 success, 2
+configuration/usage error, 3 lock or sync failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ EXIT_CHAIN = 3
 EXIT_IO = 4
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sim",
@@ -36,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
 
     def seed_override(p):
-        p.add_argument("--seed-override", type=int, default=None,
+        p.add_argument("--seed-override", type=_seed, default=None,
                        help="replace all scenario seeds from one master seed")
 
     def rbw(p):
@@ -82,6 +91,8 @@ def main(argv=None) -> int:
     try:
         path = args.scenario if args.scenario else default_scenario_path()
         scn = load_scenario(path)
+        if getattr(args, "seed_override", None) is not None:
+            scn = scn.with_seed_override(args.seed_override)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -91,14 +102,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            summary, failed = run_scenario(scn, args.out,
-                                           seed_override=args.seed_override,
-                                           rbw_hz=args.rbw_hz)
+            summary, failed = run_scenario(scn, args.out, rbw_hz=args.rbw_hz)
             print(json.dumps(summary["totals"], indent=2, sort_keys=True))
             return EXIT_CHAIN if failed else EXIT_OK
         if args.command == "lock-sim":
-            info = lock_sim(scn, args.out, seed_override=args.seed_override,
-                            rbw_hz=args.rbw_hz, free_running=args.free_running)
+            info = lock_sim(scn, args.out, rbw_hz=args.rbw_hz,
+                            free_running=args.free_running)
             print(json.dumps(info, indent=2, sort_keys=True))
             failed = any(v.get("locked") is False for v in info.values())
             return EXIT_CHAIN if failed else EXIT_OK

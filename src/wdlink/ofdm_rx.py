@@ -22,6 +22,7 @@ from .ofdm_tx import FrameRef, analyze_time, demap_qam, synth_time
 from .waveform import ComplexWaveform, read_table, write_table
 
 DEAD_TAP = 1e-6
+SYNC_THRESHOLD = 0.5  # normalized correlation a frame start must reach (1.0 = perfect)
 
 
 class SyncError(RuntimeError):
@@ -61,10 +62,10 @@ def _correlate_valid(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
     return num[:len(x) - len(tpl) + 1]
 
 
-def synchronize(w: ComplexWaveform, ref: FrameRef, threshold: float = 0.5) -> int:
+def synchronize(w: ComplexWaveform, ref: FrameRef) -> int:
     """Start-of-frame offset via normalized cross-correlation against the
     training burst.  Raises SyncError when the best peak stays below
-    ``threshold`` (1.0 = perfect match)."""
+    SYNC_THRESHOLD."""
     os_eff = _effective_oversample(w, ref.plan)
     tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
     x = w.samples
@@ -76,8 +77,8 @@ def synchronize(w: ComplexWaveform, ref: FrameRef, threshold: float = 0.5) -> in
     denom = np.sqrt(np.maximum(window, 0.0)) * math.sqrt(float(np.sum(np.abs(tpl) ** 2)))
     corr = np.abs(num) / np.maximum(denom, 1e-30)
     best = int(np.argmax(corr))
-    if corr[best] < threshold:
-        raise SyncError(f"best correlation {corr[best]:.3f} below threshold {threshold}")
+    if corr[best] < SYNC_THRESHOLD:
+        raise SyncError(f"best correlation {corr[best]:.3f} below threshold {SYNC_THRESHOLD}")
     return best
 
 
@@ -104,7 +105,8 @@ class EqualizedFrame:
 
     symbols: np.ndarray      # (n_payload, n_subcarriers)
     taps: np.ndarray         # complex per subcarrier (refinement folded in)
-    dead: np.ndarray         # True where the tap was unusable (or nulled)
+    dead: np.ndarray         # True where the tap was unusable, nulled, or the
+                             # payload silenced (bit map 0: nothing to judge)
     cpe_rad: np.ndarray      # removed rotation per payload symbol
 
 
@@ -124,7 +126,7 @@ def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True) -> EqualizedFrame
     taps = np.zeros(n_sc, dtype=complex)
     taps[active] = ratios.mean(axis=0)
     dead = np.ones(n_sc, dtype=bool)
-    dead[active] = np.abs(taps[active]) < DEAD_TAP
+    dead[active] = (np.abs(taps[active]) < DEAD_TAP) | (ref.bits_per_subcarrier[active] == 0)
 
     payload = raw[ref.n_training:]
     known = ref.payload_grid
@@ -167,10 +169,6 @@ class SubcarrierMetrics:
     freq_hz: np.ndarray
     snr_db: np.ndarray       # NaN where the subcarrier was dead
     evm_rms: np.ndarray
-    n_symbols: int
-
-    def available(self) -> np.ndarray:
-        return np.isfinite(self.snr_db)
 
 
 def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
@@ -181,18 +179,15 @@ def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
     known = ref.payload_grid[:, active]
     err = np.mean(np.abs(eqf.symbols[:, active] - known) ** 2, axis=0)
     p_ref = np.mean(np.abs(known) ** 2, axis=0)
-    evm = np.sqrt(err / p_ref)
-    evm = np.maximum(evm, 1e-12)
+    live = ~eqf.dead[active]   # a dead column may carry no reference power
+    evm = np.full(len(active), np.nan)
+    evm[live] = np.maximum(np.sqrt(err[live] / p_ref[live]), 1e-12)
     snr = -20.0 * np.log10(evm)
-    bad = eqf.dead[active]
-    snr[bad] = np.nan
-    evm[bad] = np.nan
     return SubcarrierMetrics(
         indices=active,
         freq_hz=subcarrier_centers(ref.plan)[active],
         snr_db=snr,
         evm_rms=evm,
-        n_symbols=ref.n_payload,
     )
 
 
@@ -253,7 +248,6 @@ def read_metrics_csv(path) -> SubcarrierMetrics:
         freq_hz=rows[:, 1],
         snr_db=rows[:, 2],
         evm_rms=rows[:, 3],
-        n_symbols=0,
     )
 
 

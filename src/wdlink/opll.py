@@ -32,6 +32,7 @@ from .waveform import ComplexWaveform, write_table
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
 LOCK_FREQ_TOL_HZ = 1.0e3
+RESIDUAL_TAIL = 0.5      # trailing fraction of the record that counts as settled
 
 # hybrid solver (see _lock_loop)
 BLOCK = 1 << 16          # linear block length; a settled loop's blocks fill the FFT
@@ -85,6 +86,9 @@ def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float)
     """(kp, ki) placing the open-loop unity-gain crossover at ``unity_gain_hz``
     with the PI zero at ``pi_zero_hz`` (0 for a pure proportional loop)."""
     fu, fz, fa = unity_gain_hz, pi_zero_hz, actuator_bw_hz
+    if not (fu > 0 and fa > 0 and fz >= 0):
+        raise ValueError("unity_gain_hz and actuator_bw_hz must be positive, "
+                         "pi_zero_hz non-negative")
     kp = fu * math.sqrt(1.0 + (fu / fa) ** 2) / math.sqrt(1.0 + (fz / fu) ** 2)
     ki = TWO_PI * fz * kp
     return kp, ki
@@ -143,6 +147,21 @@ def unity_gain_hz(cfg: LoopConfig) -> float:
         if hi / lo < 1.0 + 1e-9:
             break
     return math.sqrt(lo * hi)
+
+
+def loop_samples(cfg: LoopConfig) -> int:
+    """Length of the record ``simulate_lock`` runs for ``cfg``, in samples.
+    Raises ValueError when that record is too short or the rate
+    under-resolves the loop."""
+    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
+    if n < 10:
+        raise ValueError("duration too short for the simulation rate")
+    fu = unity_gain_hz(cfg)
+    if cfg.sim_rate_hz < 20.0 * fu:
+        raise ValueError(
+            f"sim_rate_hz {cfg.sim_rate_hz:g} under-resolves the loop (unity gain {fu:g} Hz)"
+        )
+    return n
 
 
 def _loop_matrix(cfg: LoopConfig) -> np.ndarray:
@@ -288,15 +307,7 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     ones in FFT blocks (see ``_lock_loop``); the result equals the plain
     sample-by-sample recursion up to rounding.
     """
-    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
-    if n < 10:
-        raise ValueError("duration too short for the simulation rate")
-    fu = unity_gain_hz(cfg)
-    if cfg.sim_rate_hz < 20.0 * fu:
-        raise ValueError(
-            f"sim_rate_hz {cfg.sim_rate_hz:g} under-resolves the loop (unity gain {fu:g} Hz)"
-        )
-
+    n = loop_samples(cfg)
     m_tr, s_tr = laser_pair_phases(master, slave, n, cfg.sim_rate_hz, seed)
     incr = np.diff(s_tr.phases - m_tr.phases, prepend=0.0)
     del m_tr, s_tr
@@ -336,10 +347,10 @@ def free_running_beat(master: LaserSpec, slave: LaserSpec, n_samples: int,
     )
 
 
-def residual_phase_variance(result: LockResult, tail_fraction: float = 0.5) -> float:
-    """Variance of the locked phase error over the trailing fraction of the record."""
+def residual_phase_variance(result: LockResult) -> float:
+    """Variance of the locked phase error over the last RESIDUAL_TAIL of the record."""
     p = result.phase_error.phases
-    tail = p[int((1.0 - tail_fraction) * len(p)):]
+    tail = p[int((1.0 - RESIDUAL_TAIL) * len(p)):]
     return float(np.var(tail))
 
 

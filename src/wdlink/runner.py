@@ -1,10 +1,12 @@
 """Scenario execution and artifact writing.
 
-Per band the chain is: offset-lock the slave laser, synthesize and clip the
-frame, ride it on the locked beat's residual phase, shape it with the band
-mask, (high band) downconvert through the multiplied-LO window, add noise at
-the in-band SNR set point, then sync/demodulate/equalize, measure EVM, load
-bits, and price the capacity.
+The runner only runs stages in order: every input a stage takes (laser pair,
+servo, seeds, converter, frame and channel settings) arrives resolved and
+checked in the loaded ``Scenario``.  Per band the chain is: offset-lock the
+slave laser, synthesize and clip the frame, ride it on the locked beat's
+residual phase, shape it with the band mask, (high band) downconvert through
+the multiplied-LO window, add noise at the in-band SNR set point, then
+sync/demodulate/equalize, measure EVM, load bits, and price the capacity.
 
 Every artifact is deterministic for a given scenario, so reruns are
 byte-identical and the summary can be rebuilt from stored files alone: the
@@ -30,25 +32,13 @@ from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
                       read_metrics_csv, synchronize, write_constellation_csv,
                       write_metrics_csv)
 from .ofdm_tx import build_frame, clip, papr_db
-from .opll import (free_running_beat, residual_phase_variance, simulate_lock,
-                   write_lock_csv)
+from .opll import (free_running_beat, loop_samples, residual_phase_variance,
+                   simulate_lock, write_lock_csv)
 from .scenario import BandScenario, Scenario
 from .waveform import write_iq, write_json
 
 LOCK_PSD_RBW_HZ = 1e3
 LOCK_CSV_MAX_ROWS = 4000
-
-
-def resolve_seeds(scn: Scenario, seed_override=None) -> dict:
-    """Scenario seeds, or a deterministic per-stage expansion of an override."""
-    if seed_override is None:
-        return dict(scn.seeds)
-    state = np.random.SeedSequence(seed_override).generate_state(2 * len(scn.bands))
-    seeds = {}
-    for i, band in enumerate(scn.bands):
-        seeds[f"lock_{band.name}"] = int(state[2 * i])
-        seeds[f"noise_{band.name}"] = int(state[2 * i + 1])
-    return seeds
 
 
 def _residual_tail(lock_result, duration_s: float) -> PhaseTrace:
@@ -65,12 +55,10 @@ def _psd(path, x, rbw_hz: float) -> None:
     write_psd_csv(path, f, p)
 
 
-def _lock_stage(scn: Scenario, band: BandScenario, seed: int, band_dir: Path,
-                rbw_hz: float) -> tuple:
+def _lock_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
     """Lock the band's slave laser; writes lock.csv and psd_error.csv.
     Returns the lock result and its summary record."""
-    lock = simulate_lock(scn.lasers[band.master], scn.lasers[band.slave],
-                         scn.loop_config_for(band), seed)
+    lock = simulate_lock(band.master, band.slave, band.loop, band.lock_seed)
     stride = max(1, len(lock.phase_error.phases) // LOCK_CSV_MAX_ROWS)
     write_lock_csv(band_dir / "lock.csv", lock, stride=stride)
     _psd(band_dir / "psd_error.csv", lock.phase_error, rbw_hz)
@@ -91,14 +79,12 @@ def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float,
                           "papr_clipped_db": float(papr_db(clipped))}
 
 
-def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
-             rbw_hz: float) -> dict:
+def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -> dict:
     """Run one band end to end, writing its artifacts; returns the chain
     record (also stored as chain.json) with a ``failure`` field of None,
     "lock", or "sync"."""
     band_dir.mkdir(parents=True, exist_ok=True)
-    lock, lock_info = _lock_stage(scn, band, seeds[f"lock_{band.name}"],
-                                  band_dir, LOCK_PSD_RBW_HZ)
+    lock, lock_info = _lock_stage(band, band_dir, LOCK_PSD_RBW_HZ)
     record = {
         "band": band.name,
         "failure": None,
@@ -116,17 +102,10 @@ def run_band(scn: Scenario, band: BandScenario, seeds: dict, band_dir: Path,
     w = apply_carrier(tx_clipped, _residual_tail(lock, tx_clipped.duration_s))
     w = apply_mask(w, band.mask)
     if band.downconvert is not None:
-        w = dband_downconvert(
-            w,
-            seed_lo_hz=band.downconvert["seed_lo_hz"],
-            mult=band.downconvert["mult"],
-            if_window_hz=band.downconvert["if_window_hz"],
-            decimate=band.tx.oversample,
-        )
+        w = dband_downconvert(w, **band.downconvert, decimate=band.tx.oversample)
     det = detected_indices(band.plan)
     occupied = len(det) * band.plan.spacing_hz
-    w = add_awgn(w, band.target_snr_db, seeds[f"noise_{band.name}"],
-                 occupied_bw_hz=occupied)
+    w = add_awgn(w, band.target_snr_db, band.noise_seed, occupied_bw_hz=occupied)
     write_iq(band_dir / "rx.iq", w)
     _psd(band_dir / "psd_rx.csv", w, rbw_hz)
 
@@ -209,41 +188,35 @@ def build_summary(scn: Scenario, out_dir) -> dict:
     return summary
 
 
-def run_scenario(scn: Scenario, out_dir, seed_override=None, rbw_hz=None):
+def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
     """Full chain over all bands.  Returns (summary dict, any_failure)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = resolve_seeds(scn, seed_override)
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
-    records = [run_band(scn, band, seeds, out / f"band_{band.name}", rbw)
+    records = [run_band(scn, band, out / f"band_{band.name}", rbw)
                for band in scn.bands]
     write_threshold_csv(out / "thresholds.csv", scn.fec)
     summary = build_summary(scn, out)
     return summary, any(r["failure"] for r in records)
 
 
-def lock_sim(scn: Scenario, out_dir, seed_override=None, rbw_hz=None,
-             free_running: bool = False) -> dict:
+def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) -> dict:
     """Servo-only run: lock (or free-run) each band's laser pair and emit
     phase/beat spectra."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = resolve_seeds(scn, seed_override)
     rbw = rbw_hz if rbw_hz is not None else LOCK_PSD_RBW_HZ
     info = {}
     for band in scn.bands:
         bdir = out / f"band_{band.name}"
         bdir.mkdir(parents=True, exist_ok=True)
-        seed = seeds[f"lock_{band.name}"]
         if free_running:
-            loop_cfg = scn.loop_config_for(band)
-            n = int(round(loop_cfg.duration_s * loop_cfg.sim_rate_hz))
-            beat = free_running_beat(scn.lasers[band.master], scn.lasers[band.slave],
-                                     n, loop_cfg.sim_rate_hz, seed)
+            beat = free_running_beat(band.master, band.slave, loop_samples(band.loop),
+                                     band.loop.sim_rate_hz, band.lock_seed)
             _psd(bdir / "psd_beat.csv", beat, rbw)
             info[band.name] = {"mode": "free-running"}
             continue
-        lock, lock_info = _lock_stage(scn, band, seed, bdir, rbw)
+        lock, lock_info = _lock_stage(band, bdir, rbw)
         _psd(bdir / "psd_beat.csv", lock.locked_beat, rbw)
         info[band.name] = {"mode": "locked", **lock_info}
     write_json(out / "lock.json", {"bands": info})

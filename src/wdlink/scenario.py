@@ -2,24 +2,29 @@
 
 A scenario is one JSON document (versioned via ``schema_version``) naming the
 lasers, the servo, the band plans, the transmit shapes, the channel settings,
-and an explicit seed for every random stage.  Validation errors carry the
-JSON path of the offending field so a broken file points at itself.
+and an explicit seed for every random stage.  Loading resolves each band into
+exactly the inputs its stages take (laser pair, servo, seeds, converter) and
+runs their checks, so a bad file fails before any stage runs, with the JSON
+path of the offending field in the error.  A seed override is applied here too
+(``Scenario.with_seed_override``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from .bandplan import BandPlan, make_default_plans
 from .bitload import FecProfile
 from .channel import default_masks, load_mask_csv
 from .noise import LaserSpec
-from .ofdm_tx import SUPPORTED_ORDERS, TxConfig
-from .opll import LoopConfig, pi_gains_for
+from .ofdm_tx import SUPPORTED_ORDERS, TxConfig, pilot_indices
+from .opll import LoopConfig, loop_samples, pi_gains_for
 
 SCHEMA_VERSION = 1
 
@@ -60,15 +65,20 @@ def _get(d: dict, key: str, path: str, kind=None, required=True, default=None):
 
 @dataclass(frozen=True)
 class BandScenario:
+    """One band's run inputs, resolved at load."""
+
     name: str
     plan: BandPlan
-    master: str
-    slave: str
+    master: LaserSpec
+    slave: LaserSpec
+    loop: LoopConfig
+    lock_seed: int
+    noise_seed: int
     tx: TxConfig
     mask: tuple
     mask_source: str
     target_snr_db: float
-    downconvert: dict | None
+    downconvert: dict | None   # keyword arguments of channel.dband_downconvert
 
 
 @dataclass(frozen=True)
@@ -76,10 +86,7 @@ class Scenario:
     schema_version: int
     description: str
     fec: FecProfile
-    lasers: dict
-    lock: dict
     bands: tuple
-    seeds: dict
     psd_rbw_hz: float
 
     def band(self, name: str) -> BandScenario:
@@ -88,21 +95,18 @@ class Scenario:
                 return b
         raise KeyError(f"no band named {name!r} in scenario")
 
-    def loop_config_for(self, band: BandScenario) -> LoopConfig:
-        master = self.lasers[band.master]
-        slave = self.lasers[band.slave]
-        kp, ki = pi_gains_for(
-            self.lock["unity_gain_hz"], self.lock["pi_zero_hz"], self.lock["actuator_bw_hz"]
-        )
-        return LoopConfig(
-            target_offset_hz=slave.offset_hz - master.offset_hz,
-            kp=kp,
-            ki=ki,
-            actuator_bw_hz=self.lock["actuator_bw_hz"],
-            sim_rate_hz=self.lock["sim_rate_hz"],
-            duration_s=self.lock["duration_s"],
-            initial_freq_error_hz=self.lock["initial_freq_error_hz"],
-        )
+    def with_seed_override(self, seed: int) -> "Scenario":
+        """A copy whose lock and noise seeds all come from one master seed."""
+        state = np.random.SeedSequence(seed).generate_state(2 * len(self.bands))
+        return replace(self, bands=tuple(
+            replace(b, lock_seed=int(state[2 * i]), noise_seed=int(state[2 * i + 1]))
+            for i, b in enumerate(self.bands)))
+
+
+def _parse_laser(lasers: dict, label: str, path: str) -> LaserSpec:
+    if label not in lasers:
+        raise ScenarioError(path, f"unknown laser {label!r}")
+    return lasers[label]
 
 
 def _parse_plan(value, path: str) -> BandPlan:
@@ -210,11 +214,16 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
     lock = {key: _get(lock_d, key, "$.lock", float)
             for key in ("sim_rate_hz", "duration_s", "actuator_bw_hz",
                         "unity_gain_hz", "pi_zero_hz", "initial_freq_error_hz")}
-    for key in ("sim_rate_hz", "duration_s", "actuator_bw_hz", "unity_gain_hz"):
-        if lock[key] <= 0:
-            raise ScenarioError(f"$.lock.{key}", "must be positive")
-    if lock["pi_zero_hz"] < 0:
-        raise ScenarioError("$.lock.pi_zero_hz", "must be non-negative")
+    try:
+        kp, ki = pi_gains_for(lock.pop("unity_gain_hz"), lock.pop("pi_zero_hz"),
+                              lock["actuator_bw_hz"])
+        servo = LoopConfig(target_offset_hz=0.0, kp=kp, ki=ki, **lock)
+        # simulate_lock's checks; a band's copy differs only in the target
+        # offset, which they do not read
+        loop_samples(servo)
+    except ValueError as e:
+        raise ScenarioError("$.lock", str(e)) from None
+    seeds_d = _get(doc, "seeds", "$", dict)
 
     bands_l = _get(doc, "bands", "$", list)
     if not bands_l:
@@ -227,13 +236,14 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         if name in names:
             raise ScenarioError(f"{path}.name", f"duplicate band name {name!r}")
         names.add(name)
-        master = _get(bd, "master", path, str)
-        slave = _get(bd, "slave", path, str)
-        for role, label in (("master", master), ("slave", slave)):
-            if label not in lasers:
-                raise ScenarioError(f"{path}.{role}", f"unknown laser {label!r}")
+        master, slave = (_parse_laser(lasers, _get(bd, role, path, str), f"{path}.{role}")
+                         for role in ("master", "slave"))
         plan = _parse_plan(_get(bd, "plan", path), f"{path}.plan")
         tx = _parse_tx(_get(bd, "tx", path, dict), f"{path}.tx")
+        try:
+            pilot_indices(plan, tx.n_pilots)
+        except ValueError as e:
+            raise ScenarioError(f"{path}.tx.n_pilots", str(e)) from None
         ch = _get(bd, "channel", path, dict)
         mask, mask_source = _parse_mask(_get(ch, "mask", f"{path}.channel"),
                                         f"{path}.channel.mask", base_dir)
@@ -244,17 +254,14 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
         dc = _parse_downconvert(bd.get("downconvert"), f"{path}.downconvert")
         bands.append(BandScenario(
-            name=name, plan=plan, master=master, slave=slave, tx=tx,
-            mask=mask, mask_source=mask_source, target_snr_db=float(snr),
+            name=name, plan=plan, master=master, slave=slave,
+            loop=replace(servo, target_offset_hz=slave.offset_hz - master.offset_hz),
+            lock_seed=_get(seeds_d, f"lock_{name}", "$.seeds", int),
+            noise_seed=_get(seeds_d, f"noise_{name}", "$.seeds", int),
+            tx=tx, mask=mask, mask_source=mask_source, target_snr_db=float(snr),
             downconvert=dc,
         ))
 
-    seeds_d = _get(doc, "seeds", "$", dict)
-    seeds = {}
-    for band in bands:
-        for stage in ("lock", "noise"):
-            key = f"{stage}_{band.name}"
-            seeds[key] = _get(seeds_d, key, "$.seeds", int)
     psd_rbw = _get(doc, "psd_rbw_hz", "$", float, required=False, default=100e6)
     if psd_rbw <= 0:
         raise ScenarioError("$.psd_rbw_hz", "must be positive")
@@ -263,10 +270,7 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         schema_version=version,
         description=description,
         fec=fec,
-        lasers=lasers,
-        lock=lock,
         bands=tuple(bands),
-        seeds=seeds,
         psd_rbw_hz=psd_rbw,
     )
 

@@ -58,7 +58,7 @@ def test_metrics_csv_bytes_with_dead_subcarrier(tmp_path):
     m = SubcarrierMetrics(indices=np.array([3, 10]),
                           freq_hz=np.array([9.25e10, -1.5e3]),
                           snr_db=np.array([12.345678912, np.nan]),
-                          evm_rms=np.array([0.25, np.nan]), n_symbols=64)
+                          evm_rms=np.array([0.25, np.nan]))
     write_metrics_csv(path, m)
     assert path.read_bytes() == (
         b"index,freq_hz,snr_db,evm_rms\r\n"

@@ -130,6 +130,15 @@ def test_validation_errors():
         BandPlan("X", 92.5e9, 256, 1e8, frozenset(), (1e9, 2e9))
 
 
+def test_detect_window_without_a_modulated_subcarrier_rejected():
+    # 75-75.1 GHz holds only the center of W's nulled subcarrier 0
+    with pytest.raises(ValueError, match="no modulated subcarrier"):
+        BandPlan("W", 92.5e9, 256, 35e9 / 256, frozenset({0, 255}), (75e9, 75.1e9))
+    # between two subcarrier centers
+    with pytest.raises(ValueError, match="no modulated subcarrier"):
+        BandPlan("W", 92.5e9, 256, 35e9 / 256, frozenset({0, 255}), (80.01e9, 80.1e9))
+
+
 def test_make_default_plans_fresh():
     a = make_default_plans()
     b = make_default_plans()

@@ -20,7 +20,7 @@ def _metrics(snr_db):
     n = len(snr_db)
     return SubcarrierMetrics(indices=np.arange(n), freq_hz=np.zeros(n),
                              snr_db=np.asarray(snr_db, dtype=float),
-                             evm_rms=np.full(n, 0.1), n_symbols=64)
+                             evm_rms=np.full(n, 0.1))
 
 
 # ------------------------------------------------------------- BER model
@@ -131,8 +131,7 @@ def test_load_bits_respects_detect_window(d_plan):
 def test_load_bits_handles_partial_metrics(d_plan):
     # metrics measured on a subset: everything else defaults to 0 bits
     m = SubcarrierMetrics(indices=np.array([200, 201]), freq_hz=np.zeros(2),
-                          snr_db=np.array([13.0, 4.0]), evm_rms=np.full(2, .1),
-                          n_symbols=64)
+                          snr_db=np.array([13.0, 4.0]), evm_rms=np.full(2, .1))
     lm = load_bits(m, FecProfile(), d_plan)
     assert lm.bits[200] == 4
     assert lm.bits[201] == 1

@@ -195,11 +195,14 @@ def test_wider_linewidth_pair_wanders_more(w_plan):
 
 # -------------------------------------------------------- downconversion
 
+LO = dict(seed_lo_hz=21.7e9, mult=6)  # the bundled D-band converter's 130.2 GHz LO
+
+
 def test_downconvert_passes_in_window_tone():
     fs, n = 80e9, 8000
     t = np.arange(n) / fs
     w = ComplexWaveform(np.exp(2j * np.pi * 10e9 * t), fs, 130e9)  # 140 GHz
-    out = dband_downconvert(w)
+    out = dband_downconvert(w, **LO, if_window_hz=(0.5e9, 17.0e9))
     assert out.anchor_hz == pytest.approx(-0.2e9)
     assert out.sample_rate_hz == fs
     # tone is bin-aligned and inside the IF window: samples pass untouched
@@ -213,14 +216,14 @@ def test_downconvert_rejects_out_of_window_tone():
     fs, n = 80e9, 8000
     t = np.arange(n) / fs
     w = ComplexWaveform(np.exp(-2j * np.pi * 1e9 * t), fs, 130e9)  # 129 GHz
-    out = dband_downconvert(w)  # IF would be -1.2 GHz
+    out = dband_downconvert(w, **LO, if_window_hz=(0.5e9, 17.0e9))  # IF would be -1.2 GHz
     assert np.mean(np.abs(out.samples) ** 2) < 1e-12
 
 
 def _surviving_columns(d_plan, if_window):
     cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, if_window_hz=if_window, decimate=2)
+    out = dband_downconvert(wav, **LO, if_window_hz=if_window, decimate=2)
     assert out.sample_rate_hz == 40e9
     grid = demodulate(out, ref, 0)
     return np.mean(np.abs(grid) ** 2, axis=0)
@@ -250,13 +253,15 @@ def test_downconvert_validation(d_plan):
     cfg = TxConfig(4, n_symbols=4, prbs_seed_state=5)
     wav, _ = build_frame(d_plan, cfg)
     with pytest.raises(ValueError):
-        dband_downconvert(wav, if_window_hz=(5e9, 2e9))
+        dband_downconvert(wav, **LO, if_window_hz=(5e9, 2e9))
     with pytest.raises(ValueError):
-        dband_downconvert(wav, if_window_hz=(0.5e9, 45e9))  # beyond sampled span
+        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 45e9))  # beyond sampled span
     with pytest.raises(ValueError):
-        dband_downconvert(wav, decimate=3)  # does not divide the sample count
+        # does not divide the sample count
+        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 17.0e9), decimate=3)
     with pytest.raises(ValueError):
-        dband_downconvert(wav, decimate=4)  # default window aliases at 20 GS/s
+        # a 0.5-17 GHz window aliases at 20 GS/s
+        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 17.0e9), decimate=4)
 
 
 # ----------------------------------------------------------- link budget

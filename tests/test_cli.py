@@ -288,6 +288,47 @@ def test_non_finite_mask_csv_row_fails_at_load(tmp_path, scenario_file, row):
     assert not out.exists()
 
 
+W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
+                       "spacing_hz": 35e9 / 256, "null_indices": [0, 255],
+                       "detect_window_hz": [75e9, 75.1e9]}
+
+
+@pytest.mark.parametrize("keys, value, json_path, message", [
+    (("lock", "sim_rate_hz"), 1e6, "$.lock", "under-resolves the loop"),
+    (("lock", "duration_s"), 1e-7, "$.lock", "duration too short"),
+    (("lock", "actuator_bw_hz"), 0.0, "$.lock", "must be positive"),
+    (("bands", 1, "tx", "n_pilots"), 256, "$.bands[1].tx.n_pilots",
+     "pilot grid collides"),
+    (("bands", 0, "plan"), W_PLAN_EMPTY_WINDOW, "$.bands[0].plan",
+     "no modulated subcarrier"),
+])
+def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, keys, value,
+                                             json_path, message):
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-m", "wdlink.cli", "run", "--scenario",
+                           str(scenario_file(mutate)), "--out", str(out)],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert f"scenario error: {json_path}: " in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lock-sim", "--out", str(tmp_path / "o"), "--seed-override", "-1"])
+    assert exc.value.code == 2
+    assert "must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, wdlink.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -1,5 +1,7 @@
 """Receive DSP: sync, demodulation, equalization, phase tracking, metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,8 @@ def test_demod_refuses_a_cp_that_decimation_splits(d_plan, cp_512ths):
     a rounded CP."""
     cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5, cp_fraction=cp_512ths / 512)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, if_window_hz=(2.8e9, 19.8e9), decimate=2)
+    out = dband_downconvert(wav, seed_lo_hz=21.7e9, mult=6, if_window_hz=(2.8e9, 19.8e9),
+                            decimate=2)
     with pytest.raises(ValueError, match="cyclic prefix does not survive"):
         demodulate(out, ref, 0)
 
@@ -175,6 +178,22 @@ def test_dead_subcarrier_reported_not_counted(w_plan, loopback):
     errors, total = count_bit_errors(eqf, ref)
     assert errors == 0
     assert total_clean - total == 64 * 4  # the notched column's bits drop out
+
+
+def test_silenced_data_subcarriers_are_dead_not_nan(w_plan):
+    """A bit map of 0 leaves a data column with no payload energy: nothing
+    to fit a gain against and no reference power to normalize EVM by."""
+    bits = np.full(w_plan.n_subcarriers, 4)
+    bits[100:110] = 0
+    wav, ref = build_frame(w_plan, TxConfig(bits, n_symbols=32, prbs_seed_state=9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eqf = equalize(demodulate(wav, ref, 0), ref)
+        m = evm_snr(eqf, ref)
+    assert np.all(np.isfinite(eqf.taps))
+    assert np.all(eqf.dead[100:110])
+    assert m.indices[np.isnan(m.snr_db)].tolist() == list(range(100, 110))
+    assert np.all(np.isnan(m.evm_rms[np.isin(m.indices, range(100, 110))]))
 
 
 def test_export_constellation_rejects_null_column(w_plan, loopback):

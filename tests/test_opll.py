@@ -20,6 +20,7 @@ from wdlink.opll import (
     closed_loop_suppression,
     default_loop_config,
     free_running_beat,
+    loop_samples,
     open_loop_gain,
     pi_gains_for,
     residual_phase_variance,
@@ -48,6 +49,24 @@ def test_config_validation():
     # a 10 MHz loop rate resolves the 100 kHz crossover 100 times over
     cfg = default_loop_config(92.5e9, sim_rate_hz=10e6, initial_freq_error_hz=1e6)
     assert simulate_lock(LD1, LD2, cfg, seed=3).locked
+
+
+def test_loop_samples_counts_and_rejects_unsimulable_configs():
+    assert loop_samples(default_loop_config(92.5e9)) == 1_000_000
+    with pytest.raises(ValueError, match="duration too short"):
+        loop_samples(default_loop_config(92.5e9, duration_s=1e-7))
+    with pytest.raises(ValueError, match="under-resolves"):
+        loop_samples(default_loop_config(92.5e9, sim_rate_hz=1e6))
+    # simulate_lock makes the same checks before it draws any noise
+    with pytest.raises(ValueError, match="under-resolves"):
+        simulate_lock(LD1, LD2, default_loop_config(92.5e9, sim_rate_hz=1e6), seed=1)
+
+
+@pytest.mark.parametrize("fu, fz, fa", [(0.0, 20e3, 50e3), (100e3, -1.0, 50e3),
+                                        (100e3, 20e3, 0.0)])
+def test_pi_gains_reject_bad_servo_settings(fu, fz, fa):
+    with pytest.raises(ValueError):
+        pi_gains_for(fu, fz, fa)
 
 
 def test_pi_gains_crossover():
