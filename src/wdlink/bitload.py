@@ -25,8 +25,8 @@ SUPPORTED_ORDER_BITS = SUPPORTED_ORDERS
 
 @dataclass(frozen=True)
 class FecProfile:
-    overhead_fraction: float = 0.155
-    ber_threshold: float = 2.2e-2
+    overhead_fraction: float
+    ber_threshold: float
 
     def __post_init__(self):
         if not 0 < self.overhead_fraction < 1:
@@ -140,7 +140,7 @@ class CapacityReport:
 
 
 def capacity(load_map: BitLoadMap, plan: BandPlan, fec: FecProfile,
-             cp_fraction: float = 1.0 / 64.0) -> CapacityReport:
+             cp_fraction: float) -> CapacityReport:
     """raw = sum(bits) x spacing; net divides out the FEC overhead."""
     if len(load_map.bits) != plan.n_subcarriers:
         raise ValueError("bit map length does not match the plan")

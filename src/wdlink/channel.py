@@ -111,6 +111,24 @@ def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
     return w.with_samples(w.samples * np.exp(1j * phi))
 
 
+def check_if_window(anchor_hz: float, sample_rate_hz: float, seed_lo_hz: float,
+                    mult: int, if_window_hz: tuple, decimate: int) -> None:
+    """Raise ValueError unless the IF window of a seed_lo_hz x mult LO lies
+    inside the span sampled at ``sample_rate_hz`` around ``anchor_hz``, and
+    still fits the Nyquist span once decimated by ``decimate``."""
+    lo = seed_lo_hz * mult
+    if_lo, if_hi = if_window_hz
+    if not if_lo < if_hi:
+        raise ValueError("if_window_hz must be (low, high) with low < high")
+    half = sample_rate_hz / 2.0
+    if lo + if_lo < anchor_hz - half or lo + if_hi > anchor_hz + half:
+        raise ValueError("IF window falls outside the waveform's sampled span")
+    if decimate > 1:
+        new_fs = sample_rate_hz / decimate
+        if lo + if_lo - anchor_hz < -new_fs / 2 or lo + if_hi - anchor_hz > new_fs / 2:
+            raise ValueError("decimation would alias the retained IF window")
+
+
 def dband_downconvert(
     w: ComplexWaveform,
     seed_lo_hz: float,
@@ -123,35 +141,22 @@ def dband_downconvert(
     The electrical LO is seed_lo_hz x mult.  Content whose IF (absolute
     frequency minus LO) falls outside if_window_hz is removed by a brick-wall
     filter; the result is re-anchored to the IF and optionally decimated
-    (alias-free because of the filter).
+    (alias-free because of the filter; ``check_if_window`` holds the window
+    rules).
     """
-    lo = seed_lo_hz * mult
-    if_lo, if_hi = if_window_hz
-    if not if_lo < if_hi:
-        raise ValueError("if_window_hz must be (low, high) with low < high")
-    half = w.sample_rate_hz / 2.0
-    if lo + if_lo < w.anchor_hz - half or lo + if_hi > w.anchor_hz + half:
-        raise ValueError("IF window falls outside the waveform's sampled span")
     if decimate < 1 or len(w.samples) % decimate:
         raise ValueError("decimate must divide the sample count")
+    check_if_window(w.anchor_hz, w.sample_rate_hz, seed_lo_hz, mult, if_window_hz,
+                    decimate)
+    lo = seed_lo_hz * mult
+    if_lo, if_hi = if_window_hz
 
     n = len(w.samples)
     freqs = np.fft.fftfreq(n, d=1.0 / w.sample_rate_hz) + w.anchor_hz
     keep = (freqs - lo >= if_lo) & (freqs - lo <= if_hi)
-    out = np.fft.ifft(np.fft.fft(w.samples) * keep)
-
-    new_fs = w.sample_rate_hz / decimate
-    if decimate > 1:
-        # filter already confined content to the retained window; verify it
-        # fits the reduced Nyquist span before throwing samples away
-        lo_off = lo + if_lo - w.anchor_hz
-        hi_off = lo + if_hi - w.anchor_hz
-        if lo_off < -new_fs / 2 or hi_off > new_fs / 2:
-            raise ValueError("decimation would alias the retained IF window")
-        out = out[::decimate]
-    return ComplexWaveform(
-        samples=out, sample_rate_hz=new_fs, anchor_hz=w.anchor_hz - lo
-    )
+    out = np.fft.ifft(np.fft.fft(w.samples) * keep)[::decimate]
+    return ComplexWaveform(samples=out, sample_rate_hz=w.sample_rate_hz / decimate,
+                           anchor_hz=w.anchor_hz - lo)
 
 
 def fspl_db(freq_hz: float, distance_m: float) -> float:
@@ -159,22 +164,3 @@ def fspl_db(freq_hz: float, distance_m: float) -> float:
     if freq_hz <= 0 or distance_m <= 0:
         raise ValueError("frequency and distance must be positive")
     return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / C_LIGHT)
-
-
-def link_snr_budget(
-    freq_hz: float,
-    distance_m: float,
-    gains_dbi=(20.0, 20.0),
-    tx_power_dbm: float = 0.0,
-    noise_floor_dbm_hz: float = 0.0,
-    bandwidth_hz: float = 1.0,
-) -> float:
-    """Friis budget in dB: tx power plus antenna gains, minus free-space
-    loss, against the integrated noise floor.
-
-    Advisory only: the default scenario pins its SNR set point directly, and
-    with the remaining defaults this returns minus the net link loss.
-    """
-    gains = (gains_dbi,) if np.isscalar(gains_dbi) else tuple(gains_dbi)
-    noise_dbm = noise_floor_dbm_hz + 10.0 * math.log10(bandwidth_hz)
-    return tx_power_dbm + float(sum(gains)) - fspl_db(freq_hz, distance_m) - noise_dbm

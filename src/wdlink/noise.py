@@ -55,16 +55,6 @@ class PhaseTrace:
         return len(self.phases) / self.sample_rate_hz
 
 
-def default_lasers() -> dict:
-    """The three lines of the transmitter: 100 Hz reference plus two offset
-    slaves at the W and D band centers (5 kHz and 80 kHz linewidths)."""
-    return {
-        "ld1": LaserSpec("ld1", linewidth_hz=100.0, offset_hz=0.0),
-        "ld2": LaserSpec("ld2", linewidth_hz=5e3, offset_hz=92.5e9),
-        "ld3": LaserSpec("ld3", linewidth_hz=80e3, offset_hz=130e9),
-    }
-
-
 def gen_phase_noise(spec: LaserSpec, n_samples: int, sample_rate_hz: float, seed: int) -> PhaseTrace:
     """Wiener phase trace for one laser.
 

@@ -23,6 +23,7 @@ from .waveform import ComplexWaveform, read_table, write_table
 
 DEAD_TAP = 1e-6
 SYNC_THRESHOLD = 0.5  # normalized correlation a frame start must reach (1.0 = perfect)
+MIN_METRIC_SYMBOLS = 32  # payload symbols evm_snr needs for stable per-subcarrier metrics
 
 
 class SyncError(RuntimeError):
@@ -173,8 +174,9 @@ class SubcarrierMetrics:
 
 def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
     """Data-aided EVM against the known payload grid; snr = -20 log10(evm)."""
-    if ref.n_payload < 32:
-        raise ValueError("need at least 32 payload symbols for stable metrics")
+    if ref.n_payload < MIN_METRIC_SYMBOLS:
+        raise ValueError(f"need at least {MIN_METRIC_SYMBOLS} payload symbols "
+                         "for stable metrics")
     active = ref.active_idx
     known = ref.payload_grid[:, active]
     err = np.mean(np.abs(eqf.symbols[:, active] - known) ** 2, axis=0)

@@ -33,7 +33,7 @@ it from the ``FrameRef`` and decides none of it itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +44,11 @@ from .waveform import ComplexWaveform
 # PRBS
 # ============================================================================
 
-# feedback taps per register length; x^17 + x^14 + 1 for the default order
+# feedback taps per register length, e.g. x^17 + x^14 + 1 for order 17
 PRBS_TAPS = {7: (7, 6), 9: (9, 5), 15: (15, 14), 17: (17, 14), 23: (23, 18), 31: (31, 28)}
 
 
-def gen_prbs(n_bits: int, order: int = 17, seed_state: int = 0x1FFFF) -> np.ndarray:
+def gen_prbs(n_bits: int, order: int, seed_state: int) -> np.ndarray:
     """Maximal-length LFSR bit sequence as uint8 array.
 
     The first ``order`` output bits are the seed register read LSB first;
@@ -175,15 +175,15 @@ class TxConfig:
     """Transmit-side knobs.  ``bits_per_subcarrier`` is either a uniform int
     or a per-index array (0 silences a subcarrier)."""
 
-    bits_per_subcarrier: object = 4
-    n_symbols: int = 64
-    n_training: int = 4
-    n_pilots: int = 8
-    cp_fraction: float = 1.0 / 64.0
-    clip_ratio_db: float = 10.0
-    oversample: int = 2
-    prbs_order: int = 17
-    prbs_seed_state: int = 0x1FFFF
+    bits_per_subcarrier: object
+    n_symbols: int
+    n_training: int
+    n_pilots: int
+    cp_fraction: float
+    clip_ratio_db: float
+    oversample: int
+    prbs_order: int
+    prbs_seed_state: int
 
     def __post_init__(self):
         if self.n_symbols < 1 or self.n_training < 1:
@@ -214,8 +214,8 @@ class FrameRef:
     active_idx: np.ndarray            # every non-null subcarrier: pilots and data
     bits_per_subcarrier: np.ndarray
     grid: np.ndarray                  # (n_training + n_payload, n_subcarriers)
-    payload_bits: dict = field(repr=False, default_factory=dict)
-    sample_rate_hz: float = 0.0
+    payload_bits: dict                # data subcarrier index -> its payload bits
+    sample_rate_hz: float
 
     @property
     def training_grid(self) -> np.ndarray:

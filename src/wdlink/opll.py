@@ -46,10 +46,10 @@ class LoopConfig:
     target_offset_hz: float
     kp: float
     ki: float
-    actuator_bw_hz: float = 50e3
-    sim_rate_hz: float = 50e6
-    duration_s: float = 20e-3
-    initial_freq_error_hz: float = 0.0
+    actuator_bw_hz: float
+    sim_rate_hz: float
+    duration_s: float
+    initial_freq_error_hz: float
 
     def __post_init__(self):
         if self.sim_rate_hz <= 0 or self.duration_s <= 0:
@@ -92,23 +92,6 @@ def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float)
     kp = fu * math.sqrt(1.0 + (fu / fa) ** 2) / math.sqrt(1.0 + (fz / fu) ** 2)
     ki = TWO_PI * fz * kp
     return kp, ki
-
-
-def default_loop_config(target_offset_hz: float, **overrides) -> LoopConfig:
-    """Default servo: 100 kHz crossover driving a 50 kHz one-pole piezo
-    actuator, PI zero at 20 kHz.
-
-    Pushing the crossover an octave past the actuator pole and keeping the
-    PI zero a fifth of a decade below it leaves ~15 deg of phase margin, so
-    the loop rings: the closed-loop response peaks ~12 dB just above
-    100 kHz. A pronounced servo bump like this is characteristic of piezo
-    locks run hard against their actuator limit; the payoff is the strong
-    in-band suppression the integrator buys below 10 kHz.
-    """
-    kp, ki = pi_gains_for(100e3, 20e3, overrides.get("actuator_bw_hz", 50e3))
-    params = dict(target_offset_hz=target_offset_hz, kp=kp, ki=ki)
-    params.update(overrides)
-    return LoopConfig(**params)
 
 
 def open_loop_gain(cfg: LoopConfig, freqs_hz) -> np.ndarray:

@@ -7,6 +7,9 @@ exactly the inputs its stages take (laser pair, servo, seeds, converter) and
 runs their checks, so a bad file fails before any stage runs, with the JSON
 path of the offending field in the error.  A seed override is applied here too
 (``Scenario.with_seed_override``).
+
+The bundled ``data/default_scenario.json`` is the only copy of the default
+link (lasers, servo, frames, FEC); no code restates its values.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import numpy as np
 
 from .bandplan import BandPlan, make_default_plans
 from .bitload import FecProfile
-from .channel import default_masks, load_mask_csv
+from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec
+from .ofdm_rx import MIN_METRIC_SYMBOLS
 from .ofdm_tx import SUPPORTED_ORDERS, TxConfig, pilot_indices
 from .opll import LoopConfig, loop_samples, pi_gains_for
 
@@ -244,6 +248,10 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             pilot_indices(plan, tx.n_pilots)
         except ValueError as e:
             raise ScenarioError(f"{path}.tx.n_pilots", str(e)) from None
+        if tx.n_symbols < MIN_METRIC_SYMBOLS:
+            raise ScenarioError(f"{path}.tx.n_symbols",
+                                f"need at least {MIN_METRIC_SYMBOLS} payload symbols "
+                                "for stable metrics")
         ch = _get(bd, "channel", path, dict)
         mask, mask_source = _parse_mask(_get(ch, "mask", f"{path}.channel"),
                                         f"{path}.channel.mask", base_dir)
@@ -253,6 +261,14 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         elif not _finite_number(snr):
             raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
         dc = _parse_downconvert(bd.get("downconvert"), f"{path}.downconvert")
+        if dc is not None:
+            # the frame as build_frame samples it, decimated back to one
+            # sample per subcarrier as run_band does
+            fs = plan.spacing_hz * (plan.n_subcarriers * tx.oversample)
+            try:
+                check_if_window(plan.center_hz, fs, **dc, decimate=tx.oversample)
+            except ValueError as e:
+                raise ScenarioError(f"{path}.downconvert", str(e)) from None
         bands.append(BandScenario(
             name=name, plan=plan, master=master, slave=slave,
             loop=replace(servo, target_offset_hz=slave.offset_hz - master.offset_hz),

@@ -6,8 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from golden.regen import capture
 from wdlink.bandplan import make_default_plans
-from wdlink.scenario import default_scenario_path
+from wdlink.scenario import default_scenario_path, load_scenario
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,38 @@ def w_plan(plans):
 @pytest.fixture(scope="session")
 def d_plan(plans):
     return plans["D"]
+
+
+@pytest.fixture(scope="session")
+def scenario():
+    """The bundled scenario, loaded once: the default link's only source.
+    Tests derive variants of its parts with ``dataclasses.replace``."""
+    return load_scenario(default_scenario_path())
+
+
+@pytest.fixture(scope="session")
+def w_band(scenario):
+    """Band W's resolved inputs: ``master``, ``slave``, ``loop``, ``tx``..."""
+    return scenario.band("W")
+
+
+@pytest.fixture(scope="session")
+def d_band(scenario):
+    return scenario.band("D")
+
+
+@pytest.fixture(scope="session")
+def fec(scenario):
+    return scenario.fec
+
+
+@pytest.fixture(scope="session")
+def default_run(tmp_path_factory):
+    """One in-process ``sim run`` on the bundled scenario, shared by the
+    tests that only read it: (output directory, record), where the record
+    holds the exit code, the stdout and the sha256 of every file."""
+    out = tmp_path_factory.mktemp("default_run") / "out"
+    return out, capture(["run"], out)
 
 
 @pytest.fixture(scope="session")

@@ -5,29 +5,23 @@ see them live) and then asserts, so a red criterion is visible both ways.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from wdlink.bandplan import (detected_indices, inter_band_gap_hz,
                              make_default_plans, subcarrier_centers)
-from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, FecProfile,
-                            ber_mqam, capacity, threshold_table)
+from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, ber_mqam,
+                            capacity, threshold_table)
 from wdlink.channel import apply_mask, default_masks, fspl_db
 from wdlink.noise import (LaserSpec, add_awgn, beat_phase, estimate_psd,
                           laser_pair_phases)
 from wdlink.ofdm_rx import (band_average_snr_db, count_bit_errors, demodulate,
                             equalize, evm_snr)
-from wdlink.ofdm_tx import (TxConfig, build_frame, clip, demap_qam, map_qam,
-                            papr_db, synth_time)
-from wdlink.opll import (closed_loop_suppression, default_loop_config,
-                         residual_phase_variance, simulate_lock)
+from wdlink.ofdm_tx import build_frame, clip, demap_qam, map_qam, papr_db, synth_time
+from wdlink.opll import closed_loop_suppression, residual_phase_variance, simulate_lock
 from wdlink.runner import run_scenario
 from wdlink.scenario import default_scenario_path, load_scenario
-
-LD1 = LaserSpec("LD1", 100.0, 0.0)
-LD2 = LaserSpec("LD2", 5e3, 92.5e9)
-LD3 = LaserSpec("LD3", 80e3, 130e9)
-
 
 def _verdict(num, desc, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {desc} ({detail})")
@@ -45,18 +39,17 @@ def test_criterion_1_subcarrier_grid():
                  f"gap {gap/1e6:.5f} MHz")
 
 
-def test_criterion_2_high_band_uniform_16qam():
+def test_criterion_2_high_band_uniform_16qam(d_band, fec):
     plan = make_default_plans()["D"]
     bits = np.zeros(plan.n_subcarriers, dtype=int)
     bits[detected_indices(plan)] = 4
-    rep = capacity(BitLoadMap(bits=bits), plan, FecProfile())
+    rep = capacity(BitLoadMap(bits=bits), plan, fec, d_band.tx.cp_fraction)
     ok = abs(rep.raw_gbps - 67.5) <= 0.7
     _verdict(2, "high band at uniform 16QAM carries 67.5 Gb/s",
              ok, f"{rep.raw_gbps:.4f} Gb/s over {rep.detected_count} subcarriers")
 
 
-def test_criterion_3_net_rate_after_fec():
-    fec = FecProfile()
+def test_criterion_3_net_rate_after_fec(fec):
     net = 173.5 / (1.0 + fec.overhead_fraction)
     ok = abs(net - 150.2) <= 0.1
     _verdict(3, "173.5 Gb/s raw nets 150.2 Gb/s after 15.5% FEC overhead",
@@ -76,11 +69,11 @@ def test_criterion_4_default_scenario_throughput(tmp_path):
              ok, f"low band {w_raw:.2f} Gb/s, total {total:.2f} Gb/s, {dt:.1f}s")
 
 
-def test_criterion_5_snr_calibration_and_mask_tilt():
+def test_criterion_5_snr_calibration_and_mask_tilt(w_band):
     t0 = time.time()
     plan = make_default_plans()["W"]
     det = detected_indices(plan)
-    cfg = TxConfig(4, n_symbols=64, prbs_seed_state=21)
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=64, prbs_seed_state=21)
     wav, ref = build_frame(plan, cfg)
 
     noisy = add_awgn(wav, 12.0, seed=7, occupied_bw_hz=254 * plan.spacing_hz)
@@ -101,13 +94,13 @@ def test_criterion_5_snr_calibration_and_mask_tilt():
              ok, f"avg {avg:.3f} dB, edge tilt {tilt:.2f} dB, {dt:.1f}s")
 
 
-def test_criterion_6_lock_quality():
+def test_criterion_6_lock_quality(w_band, d_band):
     t0 = time.time()
-    cfg12 = default_loop_config(92.5e9)
-    lock12 = simulate_lock(LD1, LD2, cfg12, seed=2101)
+    cfg12 = replace(w_band.loop, initial_freq_error_hz=0.0)
+    lock12 = simulate_lock(w_band.master, w_band.slave, cfg12, seed=2101)
     n = len(lock12.phase_error.phases)
-    free = beat_phase(*laser_pair_phases(LD1, LD2, n, cfg12.sim_rate_hz,
-                                         seed=2101)[::-1])
+    free = beat_phase(*laser_pair_phases(w_band.master, w_band.slave, n,
+                                         cfg12.sim_rate_hz, seed=2101)[::-1])
     f_l, p_l = estimate_psd(lock12.phase_error, 500.0)
     f_f, p_f = estimate_psd(free, 500.0)
     band = (f_l >= 8e3) & (f_l <= 12e3)
@@ -117,7 +110,8 @@ def test_criterion_6_lock_quality():
     above = f_l >= 5e3
     bump_hz = f_l[above][np.argmax(p_l[above])]
 
-    lock13 = simulate_lock(LD1, LD3, default_loop_config(130e9), seed=2201)
+    lock13 = simulate_lock(d_band.master, d_band.slave,
+                           replace(d_band.loop, initial_freq_error_hz=0.0), seed=2201)
     var12 = residual_phase_variance(lock12)
     var13 = residual_phase_variance(lock13)
     dt = time.time() - t0
@@ -128,10 +122,10 @@ def test_criterion_6_lock_quality():
                  f"residual var {var12:.3f} vs {var13:.3f} rad^2, {dt:.1f}s")
 
 
-def test_criterion_7_ber_model_and_fm_suppression():
+def test_criterion_7_ber_model_and_fm_suppression(w_band, fec):
     t0 = time.time()
     rng = np.random.default_rng(1234)
-    thresholds = threshold_table(FecProfile())
+    thresholds = threshold_table(fec)
     worst_rel = 0.0
     for b in SUPPORTED_ORDER_BITS:
         snr_db = thresholds[b]  # formula BER = 2.2e-2 there, inside [2e-3, 5e-2]
@@ -149,7 +143,7 @@ def test_criterion_7_ber_model_and_fm_suppression():
     quiet_b = LaserSpec("b", 0.0, 92.5e9)
     worst_fm = 0.0
     for f_mod in (1e3, 3e3, 10e3, 30e3):
-        cfg = default_loop_config(92.5e9, duration_s=10e-3)
+        cfg = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
         res = simulate_lock(quiet_a, quiet_b, cfg, seed=0, fm_inject=(200.0, f_mod))
         tail = res.phase_error.phases[len(res.phase_error.phases) // 2:]
         measured = np.sqrt(2.0) * np.std(tail)
@@ -163,10 +157,10 @@ def test_criterion_7_ber_model_and_fm_suppression():
                  f"worst FM deviation {worst_fm:.2f} dB, {dt:.1f}s")
 
 
-def test_criterion_8_waveform_fidelity():
+def test_criterion_8_waveform_fidelity(w_band):
     t0 = time.time()
     plan = make_default_plans()["W"]
-    cfg = TxConfig(4, n_symbols=128, prbs_seed_state=77)
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=128, prbs_seed_state=77)
     wav, ref = build_frame(plan, cfg)
     errors, total = count_bit_errors(equalize(demodulate(wav, ref, 0), ref), ref)
 

@@ -5,13 +5,15 @@ header, column formats, line ends, NaN rows, the PSD floor and the lock
 export's stride.  A format change must show up here as a deliberate edit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from wdlink.bandplan import BandPlan
-from wdlink.bitload import BitLoadMap, FecProfile, write_bitload_csv, write_threshold_csv
+from wdlink.bitload import BitLoadMap, write_bitload_csv, write_threshold_csv
 from wdlink.noise import PhaseTrace, write_psd_csv
 from wdlink.ofdm_rx import SubcarrierMetrics, write_constellation_csv, write_metrics_csv
-from wdlink.opll import LockResult, default_loop_config, write_lock_csv
+from wdlink.opll import LockResult, write_lock_csv
 
 
 def test_psd_csv_bytes(tmp_path):
@@ -24,28 +26,28 @@ def test_psd_csv_bytes(tmp_path):
         b"2.500000000e+10,3.010300\n")
 
 
-def _lock_result(n):
-    cfg = default_loop_config(1e9, sim_rate_hz=1e3, duration_s=n / 1e3)
+def _lock_result(loop, n):
+    cfg = replace(loop, sim_rate_hz=1e3, duration_s=n / 1e3)
     phases = np.array([0.0, -0.5, 1.25e-7, 2.0, -3.5, 4.0, -6.25])[:n]
     freq = np.array([1e6, -2.5, 0.0, 7.0, 1e-9, -8.0, 3.0])[:n]
     return LockResult(locked=True, phase_error=PhaseTrace(phases, 1e3),
                       freq_error=freq, theta=phases, cycle_slips=0, config=cfg)
 
 
-def test_lock_csv_bytes_with_stride(tmp_path):
+def test_lock_csv_bytes_with_stride(w_band, tmp_path):
     path = tmp_path / "lock.csv"
     # seven samples at stride 3: rows 0, 3 and the last sample, 6
-    write_lock_csv(path, _lock_result(7), stride=3)
+    write_lock_csv(path, _lock_result(w_band.loop, 7), stride=3)
     assert path.read_bytes() == (
         b"time_s,phase_error_rad,freq_error_hz\n"
         b"0.000000000e+00,0.000000000e+00,1.000000000e+06\n"
         b"3.000000000e-03,2.000000000e+00,7.000000000e+00\n"
         b"6.000000000e-03,-6.250000000e+00,3.000000000e+00\n")
     # six samples at stride 3: the last row is sample 3, not a partial stride
-    write_lock_csv(path, _lock_result(6), stride=3)
+    write_lock_csv(path, _lock_result(w_band.loop, 6), stride=3)
     assert path.read_bytes().splitlines()[-1] == (
         b"3.000000000e-03,2.000000000e+00,7.000000000e+00")
-    write_lock_csv(path, _lock_result(3))
+    write_lock_csv(path, _lock_result(w_band.loop, 3))
     assert path.read_bytes() == (
         b"time_s,phase_error_rad,freq_error_hz\n"
         b"0.000000000e+00,0.000000000e+00,1.000000000e+06\n"
@@ -87,9 +89,9 @@ def test_bitload_csv_bytes(tmp_path):
         b"3,102250000000.000000,6\r\n")
 
 
-def test_threshold_csv_bytes(tmp_path):
+def test_threshold_csv_bytes(fec, tmp_path):
     path = tmp_path / "thresholds.csv"
-    write_threshold_csv(path, FecProfile())
+    write_threshold_csv(path, fec)
     assert path.read_bytes() == (
         b"order_bits,min_snr_db\r\n"
         b"1,3.071281\r\n"

@@ -1,6 +1,7 @@
 """Grid arithmetic for the two OFDM blocks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,13 +66,11 @@ def test_inter_band_gap(plans):
     assert abs(gap - 293e6) < 1e6
 
 
-def test_gap_independent_of_tx_settings(plans):
+def test_gap_independent_of_tx_settings(plans, w_band):
     # the gap is pure plan arithmetic; tx knobs cannot perturb it
-    from wdlink.ofdm_tx import TxConfig
-
     before = inter_band_gap_hz(plans["W"], plans["D"])
-    TxConfig(n_symbols=8, clip_ratio_db=6.0)
-    TxConfig(n_symbols=256, clip_ratio_db=14.0)
+    replace(w_band.tx, n_symbols=8, clip_ratio_db=6.0)
+    replace(w_band.tx, n_symbols=256, clip_ratio_db=14.0)
     assert inter_band_gap_hz(plans["W"], plans["D"]) == before
 
 

@@ -1,6 +1,7 @@
 """Threshold bit loading, BER estimates, and capacity bookkeeping."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from oracles import ber_mqam_ref
 from wdlink import bitload
 from wdlink.bandplan import detected_indices
 from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, CapacityReport,
-                            FecProfile, ber_mqam, capacity, load_bits,
+                            ber_mqam, capacity, load_bits,
                             min_snr_db_for, read_bitload_csv, threshold_table,
                             write_bitload_csv, write_capacity_json,
                             write_threshold_csv)
@@ -62,8 +63,8 @@ def test_ber_rejects_unknown_order():
         ber_mqam(10.0, 7)
 
 
-def test_threshold_table_values():
-    table = threshold_table(FecProfile())
+def test_threshold_table_values(fec):
+    table = threshold_table(fec)
     expected = {1: 3.0713, 2: 6.0816, 3: 10.5118, 4: 12.5221, 5: 15.4054, 6: 18.2201}
     assert set(table) == set(expected)
     for b, snr in expected.items():
@@ -72,7 +73,7 @@ def test_threshold_table_values():
         assert ber_mqam(table[b], b) == pytest.approx(2.2e-2, rel=1e-6)
 
 
-def test_threshold_table_bisects_once_per_profile(monkeypatch):
+def test_threshold_table_bisects_once_per_profile(monkeypatch, fec):
     calls = []
     real = bitload.min_snr_db_for
 
@@ -81,7 +82,7 @@ def test_threshold_table_bisects_once_per_profile(monkeypatch):
         return real(order_bits, fec)
 
     monkeypatch.setattr(bitload, "min_snr_db_for", counting)
-    fec = FecProfile(ber_threshold=1.234e-2)  # a profile no other test bisects
+    fec = replace(fec, ber_threshold=1.234e-2)  # a profile no other test bisects
     first = threshold_table(fec)
     first[1] = None                           # the caller's copy, not the cache
     second = threshold_table(fec)
@@ -90,27 +91,26 @@ def test_threshold_table_bisects_once_per_profile(monkeypatch):
     assert second[1] == real(1, fec)
 
 
-def test_min_snr_monotone_in_order():
-    fec = FecProfile()
+def test_min_snr_monotone_in_order(fec):
     snrs = [min_snr_db_for(b, fec) for b in SUPPORTED_ORDER_BITS]
     assert all(s2 > s1 for s1, s2 in zip(snrs, snrs[1:]))
 
 
-def test_tighter_ber_demands_more_snr():
-    loose = min_snr_db_for(4, FecProfile(ber_threshold=2.2e-2))
-    tight = min_snr_db_for(4, FecProfile(ber_threshold=1e-3))
+def test_tighter_ber_demands_more_snr(fec):
+    loose = min_snr_db_for(4, replace(fec, ber_threshold=2.2e-2))
+    tight = min_snr_db_for(4, replace(fec, ber_threshold=1e-3))
     assert tight > loose + 3
 
 
 # ------------------------------------------------------------ bit loading
 
-def test_load_bits_snr_to_order_mapping(d_plan):
+def test_load_bits_snr_to_order_mapping(d_plan, fec):
     snr = np.full(256, 12.6)
     snr[150] = np.nan
     snr[151] = 25.0
     snr[152] = 7.0
     snr[153] = 0.5
-    lm = load_bits(_metrics(snr), FecProfile(), d_plan)
+    lm = load_bits(_metrics(snr), fec, d_plan)
     assert lm.bits[151] == 6
     assert lm.bits[152] == 2
     assert lm.bits[153] == 0
@@ -120,19 +120,19 @@ def test_load_bits_snr_to_order_mapping(d_plan):
     assert set(lm.bits[others].tolist()) == {4}
 
 
-def test_load_bits_respects_detect_window(d_plan):
-    lm = load_bits(_metrics(np.full(256, 30.0)), FecProfile(), d_plan)
+def test_load_bits_respects_detect_window(d_plan, fec):
+    lm = load_bits(_metrics(np.full(256, 30.0)), fec, d_plan)
     det = detected_indices(d_plan)
     outside = np.setdiff1d(np.arange(256), det)
     assert np.all(lm.bits[outside] == 0)
     assert np.all(lm.bits[det] == 6)
 
 
-def test_load_bits_handles_partial_metrics(d_plan):
+def test_load_bits_handles_partial_metrics(d_plan, fec):
     # metrics measured on a subset: everything else defaults to 0 bits
     m = SubcarrierMetrics(indices=np.array([200, 201]), freq_hz=np.zeros(2),
                           snr_db=np.array([13.0, 4.0]), evm_rms=np.full(2, .1))
-    lm = load_bits(m, FecProfile(), d_plan)
+    lm = load_bits(m, fec, d_plan)
     assert lm.bits[200] == 4
     assert lm.bits[201] == 1
     assert lm.bits.sum() == 5
@@ -147,53 +147,53 @@ def test_bitload_map_rejects_bad_orders():
 
 # --------------------------------------------------------------- capacity
 
-def test_uniform_16qam_high_band_capacity(d_plan):
+def test_uniform_16qam_high_band_capacity(d_plan, fec, d_band):
     det = detected_indices(d_plan)
     bits = np.zeros(256, int)
     bits[det] = 4
-    rep = capacity(BitLoadMap(bits=bits), d_plan, FecProfile())
+    rep = capacity(BitLoadMap(bits=bits), d_plan, fec, d_band.tx.cp_fraction)
     assert rep.detected_count == 108
     assert rep.raw_gbps == pytest.approx(67.5, abs=1e-9)  # 108 x 4 x 156.25 MHz
     assert rep.net_gbps == pytest.approx(67.5 / 1.155, abs=1e-9)
     assert rep.raw_cp_adjusted_gbps == pytest.approx(67.5 * 63 / 64, abs=1e-9)
 
 
-def test_net_capacity_is_raw_over_overhead(w_plan):
+def test_net_capacity_is_raw_over_overhead(w_plan, fec, w_band):
     bits = np.zeros(256, int)
     bits[detected_indices(w_plan)] = 3
-    rep = capacity(BitLoadMap(bits=bits), w_plan, FecProfile(overhead_fraction=0.2))
+    rep = capacity(BitLoadMap(bits=bits), w_plan, replace(fec, overhead_fraction=0.2),
+                   w_band.tx.cp_fraction)
     assert rep.net_gbps == pytest.approx(rep.raw_gbps / 1.2, rel=1e-12)
 
 
-def test_headline_net_rate_arithmetic():
+def test_headline_net_rate_arithmetic(fec):
     # 173.5 Gb/s raw through 15.5% overhead
-    assert 173.5 / (1 + FecProfile().overhead_fraction) == pytest.approx(150.2, abs=0.1)
+    assert 173.5 / (1 + fec.overhead_fraction) == pytest.approx(150.2, abs=0.1)
 
 
-def test_capacity_adds_across_bands(w_plan, d_plan):
-    fec = FecProfile()
+def test_capacity_adds_across_bands(w_plan, d_plan, fec, w_band, d_band):
     bw = np.zeros(256, int)
     bw[detected_indices(w_plan)] = 4
     bd = np.zeros(256, int)
     bd[detected_indices(d_plan)] = 4
-    rw = capacity(BitLoadMap(bits=bw), w_plan, fec)
-    rd = capacity(BitLoadMap(bits=bd), d_plan, fec)
+    rw = capacity(BitLoadMap(bits=bw), w_plan, fec, w_band.tx.cp_fraction)
+    rd = capacity(BitLoadMap(bits=bd), d_plan, fec, d_band.tx.cp_fraction)
     total = rw.raw_gbps + rd.raw_gbps
     assert total == pytest.approx(254 * 4 * 0.13671875 + 67.5, abs=1e-9)
 
 
-def test_capacity_rejects_length_mismatch(w_plan):
+def test_capacity_rejects_length_mismatch(w_plan, fec, w_band):
     with pytest.raises(ValueError):
-        capacity(BitLoadMap(bits=np.zeros(128, int)), w_plan, FecProfile())
+        capacity(BitLoadMap(bits=np.zeros(128, int)), w_plan, fec, w_band.tx.cp_fraction)
 
 
-def test_fec_profile_validation():
+def test_fec_profile_validation(fec):
     with pytest.raises(ValueError):
-        FecProfile(overhead_fraction=0.0)
+        replace(fec, overhead_fraction=0.0)
     with pytest.raises(ValueError):
-        FecProfile(overhead_fraction=1.0)
+        replace(fec, overhead_fraction=1.0)
     with pytest.raises(ValueError):
-        FecProfile(ber_threshold=0.6)
+        replace(fec, ber_threshold=0.6)
 
 
 # ------------------------------------------------------------ interchange
@@ -216,9 +216,9 @@ def test_bitload_csv_rejects_map_of_another_length(w_plan, tmp_path):
                               w_plan)
 
 
-def test_threshold_csv_contents(tmp_path):
+def test_threshold_csv_contents(tmp_path, fec):
     path = tmp_path / "thr.csv"
-    write_threshold_csv(path, FecProfile())
+    write_threshold_csv(path, fec)
     lines = path.read_text().splitlines()
     assert lines[0] == "order_bits,min_snr_db"
     assert len(lines) == 1 + len(SUPPORTED_ORDER_BITS)
@@ -227,13 +227,13 @@ def test_threshold_csv_contents(tmp_path):
     assert float(snr) == pytest.approx(3.0713, abs=2e-3)
 
 
-def test_capacity_json_totals(w_plan, d_plan, tmp_path):
-    fec = FecProfile()
+def test_capacity_json_totals(tmp_path, fec, w_band, d_band):
     reports = {}
-    for label, plan in (("W", w_plan), ("D", d_plan)):
+    for band in (w_band, d_band):
         bits = np.zeros(256, int)
-        bits[detected_indices(plan)] = 4
-        reports[label] = capacity(BitLoadMap(bits=bits), plan, fec)
+        bits[detected_indices(band.plan)] = 4
+        reports[band.name] = capacity(BitLoadMap(bits=bits), band.plan, fec,
+                                      band.tx.cp_fraction)
     path = tmp_path / "capacity.json"
     write_capacity_json(path, reports, fec)
     body = json.loads(path.read_text())

@@ -1,7 +1,8 @@
 """Channel stage: masks, carrier phase, the x6-LO downconversion window,
-and the free-space budget."""
+and free-space path loss."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from wdlink.bandplan import detected_indices, subcarrier_center, subcarrier_centers
 from wdlink.channel import (MaskPoint, apply_carrier, apply_mask,
                             dband_downconvert, default_masks, fspl_db,
-                            link_snr_budget, load_mask_csv, mask_gain_db)
-from wdlink.noise import PhaseTrace, default_lasers
+                            load_mask_csv, mask_gain_db)
+from wdlink.noise import PhaseTrace
 from wdlink.ofdm_rx import demodulate, equalize
-from wdlink.ofdm_tx import TxConfig, build_frame
-from wdlink.opll import default_loop_config, simulate_lock
+from wdlink.ofdm_tx import build_frame
+from wdlink.opll import simulate_lock
 from wdlink.runner import _residual_tail
 from wdlink.waveform import ComplexWaveform
 
@@ -94,8 +95,8 @@ def test_apply_mask_never_adds_energy():
             assert e_out <= e_in * (1 + 1e-12)
 
 
-def test_equalizer_taps_follow_mask_shape(w_plan):
-    cfg = TxConfig(2, n_symbols=64, prbs_seed_state=11)
+def test_equalizer_taps_follow_mask_shape(w_plan, w_band):
+    cfg = replace(w_band.tx, bits_per_subcarrier=2, n_symbols=64, prbs_seed_state=11)
     wav, ref = build_frame(w_plan, cfg)
     mask = default_masks()[0]
     eqf = equalize(demodulate(apply_mask(wav, mask), ref, 0), ref)
@@ -108,10 +109,10 @@ def test_equalizer_taps_follow_mask_shape(w_plan):
     assert np.max(np.abs(rel)) < 0.5
 
 
-def test_low_band_rolloff_tilts_band_edge_ten_db(w_plan):
+def test_low_band_rolloff_tilts_band_edge_ten_db(w_plan, w_band):
     """A flat frame pushed through the low-band mask comes out with the
     110 GHz edge subcarriers reading ~10 dB below the mid-band ones."""
-    cfg = TxConfig(2, n_symbols=64, prbs_seed_state=11)
+    cfg = replace(w_band.tx, bits_per_subcarrier=2, n_symbols=64, prbs_seed_state=11)
     wav, ref = build_frame(w_plan, cfg)
     eqf = equalize(demodulate(apply_mask(wav, default_masks()[0]), ref, 0), ref)
     hi = 20 * math.log10(abs(eqf.taps[254]))   # 109.79 GHz
@@ -171,25 +172,22 @@ def test_apply_carrier_rejects_short_trace():
         apply_carrier(w, tr)
 
 
-def test_wider_linewidth_pair_wanders_more(w_plan):
+def test_wider_linewidth_pair_wanders_more(w_plan, w_band, d_band):
     """Carrier phase from the 80 kHz-linewidth pair smears the received
     common phase far more than the 5 kHz pair, seed for seed."""
-    ld = default_lasers()
-    cfg = TxConfig(2, n_symbols=2048, prbs_seed_state=3)
+    cfg = replace(w_band.tx, bits_per_subcarrier=2, n_symbols=2048, prbs_seed_state=3)
     wav, ref = build_frame(w_plan, cfg)
     var = {}
-    for name in ("ld2", "ld3"):
+    for band in (w_band, d_band):
+        loop = replace(band.loop, duration_s=2e-3, initial_freq_error_hz=0.0)
         pair_vars = []
         for seed in (0, 1, 2):
-            lock = simulate_lock(
-                ld["ld1"], ld[name],
-                default_loop_config(ld[name].offset_hz, duration_s=2e-3),
-                seed=100 + seed)
+            lock = simulate_lock(band.master, band.slave, loop, seed=100 + seed)
             rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
             eqf = equalize(demodulate(rx, ref, 0), ref)
             pair_vars.append(float(np.var(eqf.cpe_rad)))
-        var[name] = pair_vars
-    for narrow, wide in zip(var["ld2"], var["ld3"]):
+        var[band.name] = pair_vars
+    for narrow, wide in zip(var["W"], var["D"]):
         assert wide > narrow
 
 
@@ -220,8 +218,8 @@ def test_downconvert_rejects_out_of_window_tone():
     assert np.mean(np.abs(out.samples) ** 2) < 1e-12
 
 
-def _surviving_columns(d_plan, if_window):
-    cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5)
+def _surviving_columns(d_plan, d_band, if_window):
+    cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5)
     wav, ref = build_frame(d_plan, cfg)
     out = dband_downconvert(wav, **LO, if_window_hz=if_window, decimate=2)
     assert out.sample_rate_hz == 40e9
@@ -233,8 +231,9 @@ def _surviving_columns(d_plan, if_window):
     ((0.5e9, 17.0e9), 106, 132, 237),
     ((2.8e9, 19.8e9), 108, 147, 254),
 ])
-def test_downconvert_window_selects_subcarriers(d_plan, window, count, first, last):
-    p = _surviving_columns(d_plan, window)
+def test_downconvert_window_selects_subcarriers(d_plan, d_band, window, count, first,
+                                                last):
+    p = _surviving_columns(d_plan, d_band, window)
     pdb = 10 * np.log10(p / p.max())
     offs = subcarrier_centers(d_plan) - 21.7e9 * 6
     inside = (offs >= window[0]) & (offs <= window[1])
@@ -249,17 +248,17 @@ def test_downconvert_window_selects_subcarriers(d_plan, window, count, first, la
     assert np.all(pdb[clear] < -15.0)
 
 
-def test_downconvert_validation(d_plan):
-    cfg = TxConfig(4, n_symbols=4, prbs_seed_state=5)
+def test_downconvert_validation(d_plan, d_band):
+    cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=4, prbs_seed_state=5)
     wav, _ = build_frame(d_plan, cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="low < high"):
         dband_downconvert(wav, **LO, if_window_hz=(5e9, 2e9))
-    with pytest.raises(ValueError):
-        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 45e9))  # beyond sampled span
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sampled span"):
+        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 45e9))
+    with pytest.raises(ValueError, match="divide"):
         # does not divide the sample count
         dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 17.0e9), decimate=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alias"):
         # a 0.5-17 GHz window aliases at 20 GS/s
         dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 17.0e9), decimate=4)
 
@@ -280,16 +279,4 @@ def test_free_space_loss_validation():
         fspl_db(0.0, 0.12)
     with pytest.raises(ValueError):
         fspl_db(92.5e9, -1.0)
-
-
-def test_link_budget_desk_defaults():
-    # two 20 dBi horns almost cancel the 53 dB desk-scale path loss
-    assert link_snr_budget(92.5e9, 0.12) == pytest.approx(-13.354, abs=0.1)
-
-
-def test_link_budget_scaling():
-    base = link_snr_budget(92.5e9, 0.12)
-    assert link_snr_budget(92.5e9, 0.12, bandwidth_hz=10.0) == pytest.approx(base - 10.0)
-    assert link_snr_budget(92.5e9, 0.12, gains_dbi=(20.0, 30.0)) == pytest.approx(base + 10.0)
-    assert link_snr_budget(92.5e9, 0.12, tx_power_dbm=3.0) == pytest.approx(base + 3.0)
 

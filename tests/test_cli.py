@@ -40,9 +40,10 @@ def test_run_default_scenario_reproducible(tmp_path, capsys):
         assert tree_a[name] == tree_b[name], f"{name} differs between runs"
 
 
-def test_run_default_scenario_totals_and_artifacts(tmp_path, capsys):
-    out = tmp_path / "run"
-    totals = _run_json(capsys, ["run", "--out", str(out)])
+def test_run_default_scenario_totals_and_artifacts(default_run):
+    out, run = default_run
+    assert run["exit_code"] == 0, run["stdout"]
+    totals = json.loads(run["stdout"])
     assert totals["raw_gbps"] == pytest.approx(162.75390625, abs=1e-9)
     assert totals["net_gbps"] == pytest.approx(162.75390625 / 1.155, abs=1e-9)
     summary = json.loads((out / "summary.json").read_text())
@@ -64,9 +65,9 @@ def test_run_default_scenario_totals_and_artifacts(tmp_path, capsys):
     assert set(summary["manifest"]) == files
 
 
-def test_report_rebuilds_summary_byte_identical(tmp_path, capsys):
+def test_report_rebuilds_summary_byte_identical(default_run, tmp_path, capsys):
     out = tmp_path / "run"
-    _run_json(capsys, ["run", "--out", str(out)])
+    shutil.copytree(default_run[0], out)
     summary = (out / "summary.json").read_bytes()
     cap = (out / "capacity.json").read_bytes()
     (out / "summary.json").unlink()
@@ -301,6 +302,12 @@ W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
      "pilot grid collides"),
     (("bands", 0, "plan"), W_PLAN_EMPTY_WINDOW, "$.bands[0].plan",
      "no modulated subcarrier"),
+    (("bands", 0, "tx", "n_symbols"), 8, "$.bands[0].tx.n_symbols",
+     "need at least 32 payload symbols"),
+    (("bands", 1, "downconvert", "if_window_hz"), [2.8e9, 60e9], "$.bands[1].downconvert",
+     "outside the waveform's sampled span"),
+    (("bands", 1, "downconvert", "if_window_hz"), [2.8e9, 25e9], "$.bands[1].downconvert",
+     "decimation would alias"),
 ])
 def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, keys, value,
                                              json_path, message):

@@ -1,0 +1,43 @@
+"""Byte identity of the two contract runs against ``golden/manifests.json``.
+
+The hashes depend on numpy's FFT and ufunc rounding, so on a numpy version
+or machine other than the recorded pair the comparison is skipped.  A change
+that alters output bytes on purpose reruns ``python tests/golden/regen.py``.
+"""
+
+import json
+
+import pytest
+
+from golden.regen import MANIFESTS, RUNS, capture, platform_key
+
+GOLDEN = json.loads(MANIFESTS.read_text())
+
+
+def _require_recorded_platform():
+    recorded = {key: GOLDEN[key] for key in platform_key()}
+    if platform_key() != recorded:
+        here = platform_key()
+        pytest.skip(f"golden manifests were recorded with numpy {recorded['numpy']} "
+                    f"on {recorded['machine']}; this is numpy {here['numpy']} "
+                    f"on {here['machine']}")
+
+
+def _assert_matches(name, got):
+    want = GOLDEN["runs"][name]
+    assert got["exit_code"] == want["exit_code"], f"{name}: exit code"
+    assert got["stdout"] == want["stdout"], f"{name}: stdout"
+    for path in sorted(set(want["files"]) | set(got["files"])):
+        assert got["files"].get(path) == want["files"].get(path), (
+            f"{name}: {path} differs from the golden manifest")
+
+
+def test_default_run_matches_golden(default_run):
+    _require_recorded_platform()
+    _assert_matches("run", default_run[1])
+
+
+def test_seed_override_run_matches_golden(tmp_path):
+    _require_recorded_platform()
+    name = "run --seed-override 7"
+    _assert_matches(name, capture(RUNS[name], tmp_path / "out"))

@@ -12,7 +12,6 @@ from wdlink.noise import (
     PhaseTrace,
     add_awgn,
     beat_phase,
-    default_lasers,
     estimate_psd,
     gen_phase_noise,
     laser_pair_phases,
@@ -27,16 +26,6 @@ def beat_field(lw_a, lw_b, n, fs, seed):
         LaserSpec("a", lw_a), LaserSpec("b", lw_b, 1e9), n, fs, seed
     )
     return ComplexWaveform(np.exp(1j * beat_phase(pb, pa).phases), fs)
-
-
-def test_default_lasers():
-    lasers = default_lasers()
-    assert lasers["ld1"].linewidth_hz == 100.0
-    assert lasers["ld2"].linewidth_hz == 5e3
-    assert lasers["ld3"].linewidth_hz == 80e3
-    assert lasers["ld1"].offset_hz == 0.0
-    assert lasers["ld2"].offset_hz == 92.5e9
-    assert lasers["ld3"].offset_hz == 130e9
 
 
 def test_zero_linewidth_constant_phase():

@@ -1,6 +1,7 @@
 """Receive DSP: sync, demodulation, equalization, phase tracking, metrics."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,23 +9,23 @@ import pytest
 from oracles import correlate_valid, smallest_5_smooth_at_least
 from wdlink.bandplan import detected_indices
 from wdlink.channel import apply_carrier, dband_downconvert
-from wdlink.noise import add_awgn, default_lasers
+from wdlink.noise import add_awgn
 from wdlink.ofdm_rx import (SyncError, _correlate_valid, _fast_len,
                             band_average_snr_db, count_bit_errors,
                             demodulate, equalize, evm_snr,
                             export_constellation, read_metrics_csv,
                             synchronize, write_constellation_csv,
                             write_metrics_csv)
-from wdlink.ofdm_tx import TxConfig, build_frame
-from wdlink.opll import default_loop_config, simulate_lock
+from wdlink.ofdm_tx import build_frame
+from wdlink.opll import simulate_lock
 from wdlink.runner import _residual_tail
 
 OCC_W = 254 * 136.71875e6
 
 
 @pytest.fixture(scope="module")
-def loopback(w_plan):
-    cfg = TxConfig(4, n_symbols=64, prbs_seed_state=21)
+def loopback(w_plan, w_band):
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=64, prbs_seed_state=21)
     wav, ref = build_frame(w_plan, cfg)
     return cfg, wav, ref
 
@@ -48,11 +49,12 @@ def test_noiseless_loopback_is_error_free(w_plan, loopback):
 
 
 @pytest.mark.parametrize("cp_512ths", [3, 5, 7])
-def test_demod_refuses_a_cp_that_decimation_splits(d_plan, cp_512ths):
+def test_demod_refuses_a_cp_that_decimation_splits(d_plan, d_band, cp_512ths):
     """An odd cyclic prefix at oversample 2 is a fractional one after the
     D path decimates by 2: the receiver must say so, not cut the frame at
     a rounded CP."""
-    cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5, cp_fraction=cp_512ths / 512)
+    cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5,
+                  cp_fraction=cp_512ths / 512)
     wav, ref = build_frame(d_plan, cfg)
     out = dband_downconvert(wav, seed_lo_hz=21.7e9, mult=6, if_window_hz=(2.8e9, 19.8e9),
                             decimate=2)
@@ -97,8 +99,8 @@ def test_fast_len_is_the_smallest_5_smooth_length():
         assert _fast_len(n) == smallest_5_smooth_at_least(n), n
 
 
-def test_sync_within_one_sample_under_noise(w_plan):
-    cfg = TxConfig(4, n_symbols=8, prbs_seed_state=77)
+def test_sync_within_one_sample_under_noise(w_plan, w_band):
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=8, prbs_seed_state=77)
     wav, ref = build_frame(w_plan, cfg)
     hits = 0
     for seed in range(100):
@@ -114,8 +116,8 @@ def test_sync_within_one_sample_under_noise(w_plan):
     assert hits >= 99
 
 
-def test_sync_rejects_pure_noise(w_plan):
-    cfg = TxConfig(4, n_symbols=8, prbs_seed_state=77)
+def test_sync_rejects_pure_noise(w_plan, w_band):
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=8, prbs_seed_state=77)
     wav, ref = build_frame(w_plan, cfg)
     rng = np.random.default_rng(3)
     noise = wav.with_samples(rng.standard_normal(len(wav.samples)) + 0j)
@@ -180,12 +182,13 @@ def test_dead_subcarrier_reported_not_counted(w_plan, loopback):
     assert total_clean - total == 64 * 4  # the notched column's bits drop out
 
 
-def test_silenced_data_subcarriers_are_dead_not_nan(w_plan):
+def test_silenced_data_subcarriers_are_dead_not_nan(w_plan, w_band):
     """A bit map of 0 leaves a data column with no payload energy: nothing
     to fit a gain against and no reference power to normalize EVM by."""
     bits = np.full(w_plan.n_subcarriers, 4)
     bits[100:110] = 0
-    wav, ref = build_frame(w_plan, TxConfig(bits, n_symbols=32, prbs_seed_state=9))
+    wav, ref = build_frame(w_plan, replace(w_band.tx, bits_per_subcarrier=bits,
+                                           n_symbols=32, prbs_seed_state=9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eqf = equalize(demodulate(wav, ref, 0), ref)
@@ -205,8 +208,8 @@ def test_export_constellation_rejects_null_column(w_plan, loopback):
     assert pts.shape == (64,)
 
 
-def test_evm_needs_enough_symbols(w_plan):
-    cfg = TxConfig(4, n_symbols=16, prbs_seed_state=5)
+def test_evm_needs_enough_symbols(w_plan, w_band):
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5)
     wav, ref = build_frame(w_plan, cfg)
     eqf = equalize(demodulate(wav, ref, 0), ref)
     with pytest.raises(ValueError):
@@ -220,18 +223,17 @@ def test_band_average_requires_live_subcarriers(w_plan, loopback):
         band_average_snr_db(m, indices=[0])  # only a null: nothing to average
 
 
-def test_phase_tracking_recovers_snr_under_lock_residual(w_plan):
+def test_phase_tracking_recovers_snr_under_lock_residual(w_plan, w_band):
     """With the locked beat's phase wander riding on the frame, pilot-based
     common-phase removal must buy back >= 3 dB of measured SNR at the
     12 dB operating point (averaged over lock noise seeds)."""
-    ld = default_lasers()
     det = detected_indices(w_plan)
+    loop = replace(w_band.loop, duration_s=3e-3, initial_freq_error_hz=0.0)
     gains = []
     for seed in range(10):
-        lock = simulate_lock(ld["ld1"], ld["ld2"],
-                             default_loop_config(92.5e9, duration_s=3e-3),
-                             seed=seed)
-        cfg = TxConfig(4, n_symbols=6144, prbs_seed_state=(seed % 65535) + 1)
+        lock = simulate_lock(w_band.master, w_band.slave, loop, seed=seed)
+        cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=6144,
+                      prbs_seed_state=(seed % 65535) + 1)
         wav, ref = build_frame(w_plan, cfg)
         rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
         rx = add_awgn(rx, 12.0, seed=seed + 500, occupied_bw_hz=OCC_W)

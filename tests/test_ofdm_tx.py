@@ -1,6 +1,7 @@
 """PRBS source, constellation tables, frame synthesis, clipping, PAPR."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from wdlink.ofdm_tx import (
     CONSTELLATIONS,
     PRBS_TAPS,
     SUPPORTED_ORDERS,
-    TxConfig,
     analyze_time,
     build_frame,
     clip,
@@ -26,6 +26,7 @@ from wdlink.waveform import ComplexWaveform
 # first 40 output bits for taps x^17+x^14+1, seed 0x1FFFF, register LSB first;
 # frozen from the scalar oracle before the vectorized generator existed
 GOLDEN_PRBS17_40 = "1111111111111111100000000000000111000000"
+ORDER, SEED = 17, 0x1FFFF
 
 PERIOD = 2**17 - 1
 
@@ -51,12 +52,12 @@ def nn_edges(points):
 def test_prbs_golden_vector():
     golden = np.array([int(c) for c in GOLDEN_PRBS17_40], dtype=np.uint8)
     assert np.array_equal(lfsr_bits(40), golden)
-    assert np.array_equal(gen_prbs(40), golden)
+    assert np.array_equal(gen_prbs(40, ORDER, SEED), golden)
 
 
 def test_prbs_matches_oracle_deep():
     n = 4096
-    assert np.array_equal(gen_prbs(n), lfsr_bits(n))
+    assert np.array_equal(gen_prbs(n, ORDER, SEED), lfsr_bits(n))
 
 
 @pytest.mark.parametrize("order", sorted(PRBS_TAPS))
@@ -70,7 +71,7 @@ def test_prbs_lag_doubling_matches_oracle(order):
 
 
 def test_prbs_period_exact():
-    seq = gen_prbs(2 * PERIOD + 64)
+    seq = gen_prbs(2 * PERIOD + 64, ORDER, SEED)
     assert np.array_equal(seq[:PERIOD], seq[PERIOD : 2 * PERIOD])
     # no shorter cycle: the period is prime, so spot checks suffice
     head = seq[:4096]
@@ -79,27 +80,27 @@ def test_prbs_period_exact():
 
 
 def test_prbs_balance():
-    seq = gen_prbs(PERIOD)
+    seq = gen_prbs(PERIOD, ORDER, SEED)
     ones = int(np.sum(seq))
     assert ones - (PERIOD - ones) == 1
 
 
 def test_prbs_never_all_zero_state():
     # 17 consecutive zeros would mean the register died
-    seq = gen_prbs(PERIOD)
+    seq = gen_prbs(PERIOD, ORDER, SEED)
     runs = np.convolve(1 - seq, np.ones(17, dtype=int), mode="valid")
     assert int(runs.max()) < 17
 
 
 def test_prbs_seed_and_order_validation():
     with pytest.raises(ValueError):
-        gen_prbs(8, seed_state=0)
+        gen_prbs(8, ORDER, seed_state=0)
     with pytest.raises(ValueError):
-        gen_prbs(8, order=8)
+        gen_prbs(8, order=8, seed_state=SEED)
     with pytest.raises(ValueError):
-        gen_prbs(0)
-    alt = gen_prbs(64, seed_state=0x00001)
-    assert not np.array_equal(alt, gen_prbs(64))
+        gen_prbs(0, ORDER, SEED)
+    alt = gen_prbs(64, ORDER, seed_state=0x00001)
+    assert not np.array_equal(alt, gen_prbs(64, ORDER, SEED))
 
 
 @pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
@@ -177,19 +178,19 @@ def test_map_validation():
         map_qam(np.zeros(13, np.uint8), 4)
 
 
-def test_tx_config_validation():
+def test_tx_config_validation(w_band):
     with pytest.raises(ValueError):
-        TxConfig(n_symbols=0)
+        replace(w_band.tx, n_symbols=0)
     with pytest.raises(ValueError):
-        TxConfig(cp_fraction=0.5)
+        replace(w_band.tx, cp_fraction=0.5)
     with pytest.raises(ValueError):
-        TxConfig(cp_fraction=-0.1)
+        replace(w_band.tx, cp_fraction=-0.1)
     with pytest.raises(ValueError):
-        TxConfig(oversample=0)
+        replace(w_band.tx, oversample=0)
     with pytest.raises(ValueError):
-        TxConfig(clip_ratio_db=0.0)
+        replace(w_band.tx, clip_ratio_db=0.0)
     with pytest.raises(ValueError):
-        TxConfig(bits_per_subcarrier=7)
+        replace(w_band.tx, bits_per_subcarrier=7)
 
 
 def test_pilot_spacing(w_plan):
@@ -224,17 +225,17 @@ def test_analyze_time_inverts_synth_time(oversample, cp_len):
     assert np.max(np.abs(back - grid)) < 1e-12
 
 
-def test_cp_len_at_scales_or_refuses(w_plan):
-    _, ref = build_frame(w_plan, TxConfig(n_symbols=8))
+def test_cp_len_at_scales_or_refuses(w_plan, w_band):
+    _, ref = build_frame(w_plan, replace(w_band.tx, n_symbols=8))
     assert (ref.cp_len_at(1), ref.cp_len_at(2), ref.cp_len_at(4)) == (4, 8, 16)
-    _, odd = build_frame(w_plan, TxConfig(n_symbols=8, cp_fraction=5 / 512))
+    _, odd = build_frame(w_plan, replace(w_band.tx, n_symbols=8, cp_fraction=5 / 512))
     assert odd.cp_len == 5
     with pytest.raises(ValueError, match="cyclic prefix does not survive"):
         odd.cp_len_at(1)
 
 
-def test_frame_shape_and_normalization(w_plan):
-    frame, ref = build_frame(w_plan, TxConfig())
+def test_frame_shape_and_normalization(w_plan, w_band):
+    frame, ref = build_frame(w_plan, w_band.tx)
     assert frame.sample_rate_hz == 512 * w_plan.spacing_hz == 70e9
     assert frame.anchor_hz == w_plan.center_hz
     assert frame.samples.size == (4 + 64) * (512 + 8)
@@ -246,14 +247,14 @@ def test_frame_shape_and_normalization(w_plan):
     assert ref.payload_grid.shape == (64, 256)
 
 
-def test_frame_power_invariant_to_length(w_plan):
+def test_frame_power_invariant_to_length(w_plan, w_band):
     for n_sym in (8, 64, 128):
-        frame, _ = build_frame(w_plan, TxConfig(n_symbols=n_sym))
+        frame, _ = build_frame(w_plan, replace(w_band.tx, n_symbols=n_sym))
         assert np.mean(np.abs(frame.samples) ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_null_subcarriers_silent(w_plan):
-    frame, ref = build_frame(w_plan, TxConfig(n_symbols=16))
+def test_null_subcarriers_silent(w_plan, w_band):
+    frame, ref = build_frame(w_plan, replace(w_band.tx, n_symbols=16))
     assert np.all(ref.grid[:, 0] == 0) and np.all(ref.grid[:, 255] == 0)
     # measure per-subcarrier power straight off the air: nulls must sit
     # 40 dB (in fact: numerically at zero) below the data subcarriers
@@ -267,8 +268,8 @@ def test_null_subcarriers_silent(w_plan):
     assert power[255] < 1e-4 * data_power
 
 
-def test_frame_reference_layout(w_plan):
-    _, ref = build_frame(w_plan, TxConfig())
+def test_frame_reference_layout(w_plan, w_band):
+    _, ref = build_frame(w_plan, w_band.tx)
     assert not set(ref.data_idx.tolist()) & set(ref.pilot_idx.tolist())
     assert not set(ref.data_idx.tolist()) & w_plan.null_indices
     assert ref.data_idx.size == 246
@@ -281,19 +282,19 @@ def test_frame_reference_layout(w_plan):
     assert np.allclose(np.abs(ref.payload_grid[:, ref.pilot_idx]), 1.0)
 
 
-def test_frame_determinism(w_plan):
-    a, ra = build_frame(w_plan, TxConfig())
-    b, rb = build_frame(w_plan, TxConfig())
+def test_frame_determinism(w_plan, w_band):
+    a, ra = build_frame(w_plan, w_band.tx)
+    b, rb = build_frame(w_plan, w_band.tx)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(ra.grid, rb.grid)
-    c, _ = build_frame(w_plan, TxConfig(prbs_seed_state=0x00777))
+    c, _ = build_frame(w_plan, replace(w_band.tx, prbs_seed_state=0x00777))
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_occupied_bandwidth_psd(w_plan):
+def test_occupied_bandwidth_psd(w_plan, w_band):
     from wdlink.noise import estimate_psd
 
-    frame, _ = build_frame(w_plan, TxConfig(n_symbols=256))
+    frame, _ = build_frame(w_plan, replace(w_band.tx, n_symbols=256))
     freqs, psd = estimate_psd(frame, w_plan.spacing_hz / 4)
     floor = np.median(psd[np.abs(freqs - frame.anchor_hz) < 10e9])
     above = freqs[psd >= 0.1 * floor]
@@ -302,11 +303,11 @@ def test_occupied_bandwidth_psd(w_plan):
     assert span <= 35e9 + w_plan.spacing_hz
 
 
-def test_mixed_bit_loading_frame(w_plan):
+def test_mixed_bit_loading_frame(w_plan, w_band):
     bits = np.zeros(256, dtype=int)
     bits[10:60] = 2
     bits[60:200] = 6
-    cfg = TxConfig(bits_per_subcarrier=bits, n_symbols=8)
+    cfg = replace(w_band.tx, bits_per_subcarrier=bits, n_symbols=8)
     frame, ref = build_frame(w_plan, cfg)
     assert np.array_equal(ref.bits_per_subcarrier[ref.data_idx], bits[ref.data_idx])
     non_null = np.setdiff1d(np.arange(256), sorted(w_plan.null_indices))
@@ -316,8 +317,8 @@ def test_mixed_bit_loading_frame(w_plan):
     assert np.all(ref.payload_grid[:, silent] == 0)
 
 
-def test_clip_bounds_papr(w_plan):
-    frame, _ = build_frame(w_plan, TxConfig())
+def test_clip_bounds_papr(w_plan, w_band):
+    frame, _ = build_frame(w_plan, w_band.tx)
     for ratio in (6.0, 8.0, 10.0):
         clipped = clip(frame, ratio)
         assert papr_db(clipped) <= ratio + 0.1
@@ -332,8 +333,8 @@ def test_clip_no_op_below_threshold():
         clip(tone, -1.0)
 
 
-def test_clip_preserves_phase(w_plan):
-    frame, _ = build_frame(w_plan, TxConfig())
+def test_clip_preserves_phase(w_plan, w_band):
+    frame, _ = build_frame(w_plan, w_band.tx)
     clipped = clip(frame, 6.0)
     moved = np.abs(clipped.samples) < np.abs(frame.samples) - 1e-12
     assert np.any(moved)
@@ -361,6 +362,6 @@ def test_papr_zero_waveform_rejected():
         papr_db(ComplexWaveform(np.zeros(16, dtype=complex), 1e9))
 
 
-def test_frame_papr_sane_range(w_plan):
-    frame, _ = build_frame(w_plan, TxConfig())
+def test_frame_papr_sane_range(w_plan, w_band):
+    frame, _ = build_frame(w_plan, w_band.tx)
     assert 9.0 <= papr_db(frame) <= 13.5

@@ -1,6 +1,7 @@
 """Frequency-lock servo: acquisition, suppression, and the linear model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from wdlink.opll import (
     LOCK_FREQ_TOL_HZ,
     QUIET,
     TWO_PI,
-    LoopConfig,
     _block_plan,
     _lock_loop,
     closed_loop_suppression,
-    default_loop_config,
     free_running_beat,
     loop_samples,
     open_loop_gain,
@@ -29,37 +28,33 @@ from wdlink.opll import (
     write_lock_csv,
 )
 
-LD1 = LaserSpec("LD1", 100.0, 0.0)
-LD2 = LaserSpec("LD2", 5e3, 92.5e9)
-LD3 = LaserSpec("LD3", 80e3, 130e9)
-
-
 def band_mean(freqs, psd, lo, hi):
     sel = (freqs >= lo) & (freqs <= hi)
     return float(np.mean(psd[sel]))
 
 
-def test_config_validation():
+def test_config_validation(w_band):
     with pytest.raises(ValueError):
-        LoopConfig(1e9, kp=-1.0, ki=0.0)
+        replace(w_band.loop, kp=-1.0, ki=0.0)
     with pytest.raises(ValueError):
-        LoopConfig(1e9, kp=1.0, ki=0.0, sim_rate_hz=0.0)
+        replace(w_band.loop, kp=1.0, ki=0.0, sim_rate_hz=0.0)
     with pytest.raises(ValueError):
-        LoopConfig(1e9, kp=1.0, ki=0.0, actuator_bw_hz=0.0)
+        replace(w_band.loop, kp=1.0, ki=0.0, actuator_bw_hz=0.0)
     # a 10 MHz loop rate resolves the 100 kHz crossover 100 times over
-    cfg = default_loop_config(92.5e9, sim_rate_hz=10e6, initial_freq_error_hz=1e6)
-    assert simulate_lock(LD1, LD2, cfg, seed=3).locked
+    cfg = replace(w_band.loop, sim_rate_hz=10e6, initial_freq_error_hz=1e6)
+    assert simulate_lock(w_band.master, w_band.slave, cfg, seed=3).locked
 
 
-def test_loop_samples_counts_and_rejects_unsimulable_configs():
-    assert loop_samples(default_loop_config(92.5e9)) == 1_000_000
+def test_loop_samples_counts_and_rejects_unsimulable_configs(w_band):
+    assert loop_samples(w_band.loop) == 1_000_000
     with pytest.raises(ValueError, match="duration too short"):
-        loop_samples(default_loop_config(92.5e9, duration_s=1e-7))
+        loop_samples(replace(w_band.loop, duration_s=1e-7))
     with pytest.raises(ValueError, match="under-resolves"):
-        loop_samples(default_loop_config(92.5e9, sim_rate_hz=1e6))
+        loop_samples(replace(w_band.loop, sim_rate_hz=1e6))
     # simulate_lock makes the same checks before it draws any noise
     with pytest.raises(ValueError, match="under-resolves"):
-        simulate_lock(LD1, LD2, default_loop_config(92.5e9, sim_rate_hz=1e6), seed=1)
+        simulate_lock(w_band.master, w_band.slave, replace(w_band.loop, sim_rate_hz=1e6),
+                      seed=1)
 
 
 @pytest.mark.parametrize("fu, fz, fa", [(0.0, 20e3, 50e3), (100e3, -1.0, 50e3),
@@ -69,18 +64,18 @@ def test_pi_gains_reject_bad_servo_settings(fu, fz, fa):
         pi_gains_for(fu, fz, fa)
 
 
-def test_pi_gains_crossover():
+def test_pi_gains_crossover(w_band):
     kp, ki = pi_gains_for(100e3, 20e3, 50e3)
-    cfg = LoopConfig(92.5e9, kp=kp, ki=ki, actuator_bw_hz=50e3)
+    cfg = replace(w_band.loop, kp=kp, ki=ki, actuator_bw_hz=50e3)
     assert abs(open_loop_gain(cfg, np.array([1e5]))[0]) == pytest.approx(1.0, rel=1e-6)
     assert unity_gain_hz(cfg) == pytest.approx(1e5, rel=1e-3)
 
 
-def test_noiseless_acquisition():
+def test_noiseless_acquisition(w_band):
     """1 MHz initial error on noiseless lasers pulls in and settles."""
     quiet_a = LaserSpec("a", 0.0, 0.0)
     quiet_b = LaserSpec("b", 0.0, 92.5e9)
-    cfg = default_loop_config(92.5e9, initial_freq_error_hz=1e6)
+    cfg = replace(w_band.loop, initial_freq_error_hz=1e6)
     res = simulate_lock(quiet_a, quiet_b, cfg, seed=0)
     assert res.locked
     tail_f = res.freq_error[int(0.9 * len(res.freq_error)) :]
@@ -89,48 +84,49 @@ def test_noiseless_acquisition():
     assert np.max(np.abs(tail_p)) < 1e-2
 
 
-def test_acquisition_with_laser_noise():
-    cfg = default_loop_config(92.5e9, initial_freq_error_hz=1e6)
-    res = simulate_lock(LD1, LD2, cfg, seed=2101)
+def test_acquisition_with_laser_noise(w_band):
+    cfg = replace(w_band.loop, initial_freq_error_hz=1e6)
+    res = simulate_lock(w_band.master, w_band.slave, cfg, seed=2101)
     assert res.locked
     assert res.cycle_slips >= 0
 
 
-def test_underpowered_loop_flagged_unlocked():
-    cfg = LoopConfig(92.5e9, kp=10.0, ki=0.0, duration_s=5e-3,
-                     initial_freq_error_hz=1e6)
-    res = simulate_lock(LD1, LD2, cfg, seed=1)
+def test_underpowered_loop_flagged_unlocked(w_band):
+    cfg = replace(w_band.loop, kp=10.0, ki=0.0, duration_s=5e-3,
+                  initial_freq_error_hz=1e6)
+    res = simulate_lock(w_band.master, w_band.slave, cfg, seed=1)
     assert not res.locked
 
 
-def test_proportional_only_suppression_analytic():
+def test_proportional_only_suppression_analytic(w_band):
     """First-order loop, 100 kHz unity gain: -20 dB one decade down."""
-    cfg = LoopConfig(92.5e9, kp=1e5, ki=0.0, actuator_bw_hz=5e6)
+    cfg = replace(w_band.loop, kp=1e5, ki=0.0, actuator_bw_hz=5e6)
     sup = closed_loop_suppression(cfg, np.array([1e4]))[0]
     assert sup == pytest.approx(-20.0, abs=2.0)
 
 
-def test_pi_low_frequency_advantage():
-    cfg = default_loop_config(92.5e9)
+def test_pi_low_frequency_advantage(w_band):
+    cfg = w_band.loop
     sup = closed_loop_suppression(cfg, np.array([1e3, 1e4]))
     assert sup[0] <= sup[1] - 15.0
 
 
-def test_suppression_vanishes_out_of_band():
-    cfg = default_loop_config(92.5e9)
+def test_suppression_vanishes_out_of_band(w_band):
+    cfg = w_band.loop
     assert abs(closed_loop_suppression(cfg, np.array([1e9]))[0]) < 0.1
 
 
-def test_locked_psd_matches_linear_suppression():
+def test_locked_psd_matches_linear_suppression(w_band):
     """Measured in-loop PSD over free-running PSD tracks |S|^2.
 
     The lock simulation and the free-running generator share phase noise
     when seeded alike, so the ratio is nearly deterministic.
     """
-    cfg = default_loop_config(92.5e9, duration_s=10e-3)
-    res = simulate_lock(LD1, LD2, cfg, seed=7)
+    cfg = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
+    res = simulate_lock(w_band.master, w_band.slave, cfg, seed=7)
     n = len(res.phase_error.phases)
-    free = beat_phase(*laser_pair_phases(LD1, LD2, n, cfg.sim_rate_hz, seed=7)[::-1])
+    free = beat_phase(*laser_pair_phases(w_band.master, w_band.slave, n, cfg.sim_rate_hz,
+                                         seed=7)[::-1])
     fl, sl = estimate_psd(res.phase_error, 500.0)
     ff, sf = estimate_psd(free, 500.0)
     measured = 10 * np.log10(band_mean(fl, sl, 8e3, 12e3) / band_mean(ff, sf, 8e3, 12e3))
@@ -139,21 +135,21 @@ def test_locked_psd_matches_linear_suppression():
     assert measured <= -20.0
 
 
-def test_servo_bump_location():
-    cfg = default_loop_config(92.5e9, duration_s=10e-3)
-    res = simulate_lock(LD1, LD2, cfg, seed=3)
+def test_servo_bump_location(w_band):
+    cfg = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
+    res = simulate_lock(w_band.master, w_band.slave, cfg, seed=3)
     freqs, psd = estimate_psd(res.phase_error, 1e3)
     sel = freqs >= 5e3
     peak = freqs[sel][np.argmax(psd[sel])]
     assert 50e3 <= peak <= 200e3
 
 
-def test_step_response_matches_linear_model():
+def test_step_response_matches_linear_model(w_band):
     """Zero-linewidth plant against the scipy state-space oracle."""
     quiet_a = LaserSpec("a", 0.0, 0.0)
     quiet_b = LaserSpec("b", 0.0, 92.5e9)
     step = 200.0
-    cfg = default_loop_config(92.5e9, duration_s=2e-4, initial_freq_error_hz=step)
+    cfg = replace(w_band.loop, duration_s=2e-4, initial_freq_error_hz=step)
     res = simulate_lock(quiet_a, quiet_b, cfg, seed=0)
     theta = res.phase_error.phases
     t = np.arange(len(theta)) / cfg.sim_rate_hz
@@ -163,12 +159,12 @@ def test_step_response_matches_linear_model():
 
 
 @pytest.mark.parametrize("f_mod", [1e3, 3e3, 1e4, 3e4])
-def test_fm_injection_follows_suppression(f_mod):
+def test_fm_injection_follows_suppression(w_band, f_mod):
     """Injected FM tone must be suppressed per the linear transfer."""
     quiet_a = LaserSpec("a", 0.0, 0.0)
     quiet_b = LaserSpec("b", 0.0, 92.5e9)
     amp = 200.0
-    cfg = default_loop_config(92.5e9, duration_s=10e-3)
+    cfg = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
     res = simulate_lock(quiet_a, quiet_b, cfg, seed=0, fm_inject=(amp, f_mod))
     tail = res.phase_error.phases[len(res.phase_error.phases) // 2 :]
     measured = np.sqrt(2.0) * np.std(tail)
@@ -177,27 +173,27 @@ def test_fm_injection_follows_suppression(f_mod):
     assert 20 * np.log10(measured / expect) == pytest.approx(0.0, abs=3.0)
 
 
-def test_residual_variance_ordering():
-    cfg12 = default_loop_config(92.5e9, duration_s=10e-3)
-    cfg13 = default_loop_config(130e9, duration_s=10e-3)
-    var12 = residual_phase_variance(simulate_lock(LD1, LD2, cfg12, seed=5))
-    var13 = residual_phase_variance(simulate_lock(LD1, LD3, cfg13, seed=5))
+def test_residual_variance_ordering(w_band, d_band):
+    cfg12 = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
+    cfg13 = replace(d_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
+    var12 = residual_phase_variance(simulate_lock(w_band.master, w_band.slave, cfg12, seed=5))
+    var13 = residual_phase_variance(simulate_lock(d_band.master, d_band.slave, cfg13, seed=5))
     assert var13 > var12
 
 
-def test_lock_determinism():
-    cfg = default_loop_config(92.5e9, duration_s=2e-3)
-    a = simulate_lock(LD1, LD2, cfg, seed=4)
-    b = simulate_lock(LD1, LD2, cfg, seed=4)
-    c = simulate_lock(LD1, LD2, cfg, seed=5)
+def test_lock_determinism(w_band):
+    cfg = replace(w_band.loop, duration_s=2e-3, initial_freq_error_hz=0.0)
+    a = simulate_lock(w_band.master, w_band.slave, cfg, seed=4)
+    b = simulate_lock(w_band.master, w_band.slave, cfg, seed=4)
+    c = simulate_lock(w_band.master, w_band.slave, cfg, seed=5)
     assert np.array_equal(a.phase_error.phases, b.phase_error.phases)
     assert np.array_equal(a.freq_error, b.freq_error)
     assert not np.array_equal(a.phase_error.phases, c.phase_error.phases)
 
 
-def test_free_running_beat_matches_pair():
-    fb = free_running_beat(LD1, LD2, 4096, 5e7, seed=7)
-    pa, pb = laser_pair_phases(LD1, LD2, 4096, 5e7, seed=7)
+def test_free_running_beat_matches_pair(w_band):
+    fb = free_running_beat(w_band.master, w_band.slave, 4096, 5e7, seed=7)
+    pa, pb = laser_pair_phases(w_band.master, w_band.slave, 4096, 5e7, seed=7)
     bt = beat_phase(pb, pa)
     ph = np.unwrap(np.angle(fb.samples))
     aligned = bt.phases - bt.phases[0] + ph[0]
@@ -205,9 +201,9 @@ def test_free_running_beat_matches_pair():
     assert fb.anchor_hz == 92.5e9
 
 
-def test_lock_csv_export(tmp_path):
-    cfg = default_loop_config(92.5e9, duration_s=1e-3)
-    res = simulate_lock(LD1, LD2, cfg, seed=1)
+def test_lock_csv_export(w_band, tmp_path):
+    cfg = replace(w_band.loop, duration_s=1e-3, initial_freq_error_hz=0.0)
+    res = simulate_lock(w_band.master, w_band.slave, cfg, seed=1)
     path = tmp_path / "lock.csv"
     write_lock_csv(path, res, stride=50)
     lines = path.read_text().splitlines()
@@ -265,58 +261,60 @@ def assert_matches_scalar(master, slave, cfg, seed, fm_inject=None):
     return res, theta
 
 
-@pytest.mark.parametrize("slave,offset,seed", [(LD2, 92.5e9, 2101), (LD3, 130e9, 2201)])
-def test_solver_matches_scalar_default_bands(slave, offset, seed):
-    cfg = default_loop_config(offset, initial_freq_error_hz=1e6)
-    res, theta = assert_matches_scalar(LD1, slave, cfg, seed)
+@pytest.mark.parametrize("name", ["W", "D"])
+def test_solver_matches_scalar_default_bands(scenario, name):
+    band = scenario.band(name)
+    cfg = band.loop
+    res, theta = assert_matches_scalar(band.master, band.slave, cfg, band.lock_seed)
     assert res.locked
     assert 0 < np.count_nonzero(np.abs(theta) > TWO_PI) < 1000
     # the beat note carries the unclipped phase, acquisition cycles included
     beat = res.locked_beat
-    assert beat.anchor_hz == offset and beat.sample_rate_hz == cfg.sim_rate_hz
+    assert beat.anchor_hz == band.slave.offset_hz - band.master.offset_hz
+    assert beat.sample_rate_hz == cfg.sim_rate_hz
     assert np.max(np.abs(beat.samples - np.exp(1j * theta))) <= THETA_TOL_RAD
 
 
-def test_solver_matches_scalar_8mhz_acquisition():
-    cfg = default_loop_config(92.5e9, initial_freq_error_hz=8e6)
-    res, theta = assert_matches_scalar(LD1, LD2, cfg, 2101)
+def test_solver_matches_scalar_8mhz_acquisition(w_band):
+    cfg = replace(w_band.loop, initial_freq_error_hz=8e6)
+    res, theta = assert_matches_scalar(w_band.master, w_band.slave, cfg, 2101)
     assert res.locked
     sat = np.abs(theta) > TWO_PI
     episodes = np.count_nonzero(sat[1:] & ~sat[:-1]) + int(sat[0])
     assert 7 <= episodes <= 9
 
 
-def test_solver_matches_scalar_fm_inject():
-    cfg = default_loop_config(92.5e9, duration_s=4e-3)
+def test_solver_matches_scalar_fm_inject(w_band):
+    cfg = replace(w_band.loop, duration_s=4e-3, initial_freq_error_hz=0.0)
     assert_matches_scalar(NOISELESS_A, NOISELESS_B, cfg, 0, fm_inject=(200.0, 1e4))
 
 
-def test_solver_matches_scalar_proportional_only():
+def test_solver_matches_scalar_proportional_only(w_band):
     kp, _ = pi_gains_for(100e3, 0.0, 50e3)
-    cfg = LoopConfig(92.5e9, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=1e6)
-    assert_matches_scalar(LD1, LD2, cfg, 5)
+    cfg = replace(w_band.loop, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=1e6)
+    assert_matches_scalar(w_band.master, w_band.slave, cfg, 5)
 
 
 @pytest.mark.parametrize("kp,df0", [(10.0, 1e6), (0.0, 0.0)])
-def test_solver_matches_scalar_unsettled_loop(kp, df0):
+def test_solver_matches_scalar_unsettled_loop(w_band, kp, df0):
     """Loops that never settle use powers up to the record length."""
-    cfg = LoopConfig(92.5e9, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=df0)
+    cfg = replace(w_band.loop, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=df0)
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
     block, _, _, free = _block_plan(cfg, n)
     assert block == free.shape[2] == min(n, 1 << 16)
-    assert_matches_scalar(LD1, LD2, cfg, 1)
+    assert_matches_scalar(w_band.master, w_band.slave, cfg, 1)
 
 
-def test_solver_matches_scalar_diverging_gains():
+def test_solver_matches_scalar_diverging_gains(w_band):
     """An unstable linear loop: its blocks stop before the kick response
     grows large.  Rounding differences grow with the loop once it diverges,
     so theta is compared to the absolute tolerance only until then."""
-    cfg = LoopConfig(92.5e9, kp=1e3, ki=1e12, duration_s=4e-4)
+    cfg = replace(w_band.loop, kp=1e3, ki=1e12, duration_s=4e-4, initial_freq_error_hz=0.0)
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
     block, _, _, _ = _block_plan(cfg, n)
     assert block < 1000
-    incr = beat_increments(LD1, LD2, cfg, 1)
-    res = simulate_lock(LD1, LD2, cfg, seed=1)
+    incr = beat_increments(w_band.master, w_band.slave, cfg, 1)
+    res = simulate_lock(w_band.master, w_band.slave, cfg, seed=1)
     theta, freq = scalar_reference(cfg, incr)
     stop = int(np.argmax(np.abs(theta) > DIVERGENCE_RAD))
     assert stop > 0
@@ -326,22 +324,22 @@ def test_solver_matches_scalar_diverging_gains():
     assert not res.locked
 
 
-def test_solver_matches_scalar_record_shorter_than_block():
-    cfg = default_loop_config(92.5e9, duration_s=2e-4, initial_freq_error_hz=1e6)
+def test_solver_matches_scalar_record_shorter_than_block(w_band):
+    cfg = replace(w_band.loop, duration_s=2e-4, initial_freq_error_hz=1e6)
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
     assert _block_plan(cfg, n)[0] == n
-    assert_matches_scalar(LD1, LD2, cfg, 3)
+    assert_matches_scalar(w_band.master, w_band.slave, cfg, 3)
 
 
 @pytest.mark.parametrize("where", ["first", "last"])
-def test_solver_excursion_at_block_edge(where):
+def test_solver_excursion_at_block_edge(w_band, where):
     """A phase kick that saturates the detector exactly on the first or the
     last sample of the first linear block."""
-    cfg = default_loop_config(92.5e9)
+    cfg = replace(w_band.loop, initial_freq_error_hz=0.0)
     n = 200_000
     block = _block_plan(cfg, n)[0]
     kick = QUIET if where == "first" else QUIET + block - 1
-    incr = beat_increments(LD1, LD2, cfg, 9)[:n].copy()
+    incr = beat_increments(w_band.master, w_band.slave, cfg, 9)[:n].copy()
     incr[kick] += 8.0
     theta_ref, freq_ref = scalar_reference(cfg, incr)
     assert int(np.argmax(np.abs(theta_ref) > TWO_PI)) == kick
@@ -354,9 +352,9 @@ def test_solver_excursion_at_block_edge(where):
 @given(fu=st.floats(1e3, 1e6), zero_ratio=st.floats(0.0, 0.5),
        act_ratio=st.floats(1.0, 2.0), df0=st.floats(-1e7, 1e7),
        n=st.integers(10, 20_000), seed=st.integers(0, 2**32 - 1))
-def test_solver_matches_scalar_property(fu, zero_ratio, act_ratio, df0, n, seed):
+def test_solver_matches_scalar_property(w_band, fu, zero_ratio, act_ratio, df0, n, seed):
     fa = fu * act_ratio
     kp, ki = pi_gains_for(fu, zero_ratio * fu, fa)
-    cfg = LoopConfig(92.5e9, kp=kp, ki=ki, actuator_bw_hz=fa,
-                     duration_s=n / 50e6, initial_freq_error_hz=df0)
-    assert_matches_scalar(LD1, LD2, cfg, seed)
+    cfg = replace(w_band.loop, kp=kp, ki=ki, actuator_bw_hz=fa,
+                  duration_s=n / 50e6, initial_freq_error_hz=df0)
+    assert_matches_scalar(w_band.master, w_band.slave, cfg, seed)

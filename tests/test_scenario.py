@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 
+from wdlink.bitload import FecProfile
 from wdlink.noise import LaserSpec
+from wdlink.ofdm_tx import TxConfig
 from wdlink.opll import LoopConfig, pi_gains_for
 from wdlink.scenario import default_scenario_path, load_scenario
 
@@ -19,6 +21,10 @@ def test_bands_carry_resolved_run_inputs():
     assert w.loop == LoopConfig(92.5e9, kp, ki, actuator_bw_hz=50e3, sim_rate_hz=50e6,
                                 duration_s=0.02, initial_freq_error_hz=1e6)
     assert d.loop == dataclasses.replace(w.loop, target_offset_hz=130e9)
+    # the PRBS register is the loader's default: the file leaves it out
+    assert w.tx == d.tx == TxConfig(4, 64, 4, 8, 1 / 64, 10.0, 2, prbs_order=17,
+                                    prbs_seed_state=0x1FFFF)
+    assert scn.fec == FecProfile(overhead_fraction=0.155, ber_threshold=0.022)
     assert (w.lock_seed, w.noise_seed, d.lock_seed, d.noise_seed) == (2101, 2102, 2201, 2202)
     assert w.downconvert is None
     assert d.downconvert == {"seed_lo_hz": 21.7e9, "mult": 6,
