@@ -1,8 +1,9 @@
 """Deterministic link-level simulator for a dual-band millimeter-wave OFDM
 system carried on offset-locked laser beats."""
 
-from .bandplan import (BandPlan, detected_indices, inter_band_gap_hz,
-                       make_default_plans, subcarrier_center, subcarrier_centers)
+from .bandplan import (BandPlan, active_indices, detected_indices,
+                       inter_band_gap_hz, make_default_plans, subcarrier_center,
+                       subcarrier_centers)
 from .bitload import (BitLoadMap, CapacityReport, FecProfile, ber_mqam,
                       capacity, load_bits, min_snr_db_for, threshold_table)
 from .channel import (MaskPoint, apply_carrier, apply_mask, check_if_window,

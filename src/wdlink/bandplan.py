@@ -5,7 +5,9 @@ D-band block spans 110-150 GHz (256 subcarriers, 40 GHz total).  Subcarrier
 centers sit on a half-integer grid around the band center, so the edge
 subcarriers tile the band exactly.  One subcarrier at each band edge is nulled;
 the two nulled subcarriers facing each other across the 110 GHz boundary form
-the guard gap between the blocks.
+the guard gap between the blocks.  Only this module decides which subcarriers
+are modulated (``active_indices``) and which the receiver judges
+(``detected_indices``); the transmitter, receiver and summary read them.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def subcarrier_center(plan: BandPlan, index: int) -> float:
     """Absolute center frequency of subcarrier ``index``."""
     if not 0 <= index < plan.n_subcarriers:
         raise IndexError(f"subcarrier index {index} out of range")
-    return plan.center_hz + (index - (plan.n_subcarriers - 1) / 2) * plan.spacing_hz
+    return float(subcarrier_centers(plan)[index])
 
 
 def subcarrier_centers(plan: BandPlan) -> np.ndarray:
@@ -117,26 +119,28 @@ def subcarrier_centers(plan: BandPlan) -> np.ndarray:
     return plan.center_hz + (idx - (plan.n_subcarriers - 1) / 2) * plan.spacing_hz
 
 
-def detected_indices(plan: BandPlan) -> np.ndarray:
-    """Indices of non-null subcarriers whose centers fall in the detect window."""
-    lo, hi = plan.detect_window_hz
-    centers = subcarrier_centers(plan)
-    keep = (centers >= lo) & (centers <= hi)
-    for i in plan.null_indices:
-        keep[i] = False
+def active_indices(plan: BandPlan) -> np.ndarray:
+    """Indices of the modulated (non-null) subcarriers, ascending."""
+    keep = np.ones(plan.n_subcarriers, dtype=bool)
+    keep[list(plan.null_indices)] = False
     return np.flatnonzero(keep)
+
+
+def detected_indices(plan: BandPlan) -> np.ndarray:
+    """Modulated subcarriers whose centers fall in the detect window: the
+    ones the receiver judges."""
+    lo, hi = plan.detect_window_hz
+    active = active_indices(plan)
+    centers = subcarrier_centers(plan)[active]
+    return active[(centers >= lo) & (centers <= hi)]
 
 
 def inter_band_gap_hz(low_plan: BandPlan, high_plan: BandPlan) -> float:
     """Guard gap between the highest modulated subcarrier band-edge of the lower
     block and the lowest modulated subcarrier band-edge of the upper block."""
-    low_mod = [i for i in range(low_plan.n_subcarriers) if i not in low_plan.null_indices]
-    high_mod = [i for i in range(high_plan.n_subcarriers) if i not in high_plan.null_indices]
-    if not low_mod or not high_mod:
-        raise ValueError("plans must have at least one modulated subcarrier")
-    top_edge = subcarrier_center(low_plan, low_mod[-1]) + low_plan.spacing_hz / 2
-    bottom_edge = subcarrier_center(high_plan, high_mod[0]) - high_plan.spacing_hz / 2
-    gap = bottom_edge - top_edge
+    top = subcarrier_center(low_plan, active_indices(low_plan)[-1])
+    bottom = subcarrier_center(high_plan, active_indices(high_plan)[0])
+    gap = (bottom - high_plan.spacing_hz / 2) - (top + low_plan.spacing_hz / 2)
     if gap < 0:
         raise ValueError("plans overlap; no inter-band gap")
     return gap

@@ -4,7 +4,8 @@
 
 Subcommands: lock-sim, tx, run, bitload, report.  ``--seed-override`` goes
 to run and lock-sim, ``--rbw-hz`` to run, lock-sim and tx; a subcommand
-rejects a flag it would ignore.  The scenario is loaded (and, with
+rejects a flag it would ignore.  ``--rbw-hz`` and ``--clip-db`` take only a
+finite positive number.  The scenario is loaded (and, with
 ``--seed-override``, re-seeded) before any output is written, so a bad file
 or flag leaves no output directory.  Exit codes: 0 success, 2
 configuration/usage error, 3 lock or sync failure, 4 I/O error.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .runner import bitload_only, build_summary, lock_sim, run_scenario, tx_only
@@ -30,6 +32,13 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
     return seed
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite positive number")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replace all scenario seeds from one master seed")
 
     def rbw(p):
-        p.add_argument("--rbw-hz", type=float, default=None,
+        p.add_argument("--rbw-hz", type=_positive, default=None,
                        help="resolution bandwidth for PSD artifacts")
 
     p_lock = sub.add_parser("lock-sim", help="run only the laser locking loops")
@@ -62,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tx = sub.add_parser("tx", help="synthesize frames and report PAPR")
     common(p_tx)
     rbw(p_tx)
-    p_tx.add_argument("--clip-db", type=float, default=None,
+    p_tx.add_argument("--clip-db", type=_positive, default=None,
                       help="override the scenario clip ratio")
 
     p_run = sub.add_parser("run", help="full chain: lock, transmit, channel, receive, load")
@@ -119,13 +128,10 @@ def main(argv=None) -> int:
             rep = bitload_only(scn, args.band, args.snr_csv, args.out)
             print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
             return EXIT_OK
-        if args.command == "report":
-            summary = build_summary(scn, args.out)
-            print(json.dumps(summary["totals"], indent=2, sort_keys=True))
-            return EXIT_OK
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        # report: argparse admits no other subcommand
+        summary = build_summary(scn, args.out)
+        print(json.dumps(summary["totals"], indent=2, sort_keys=True))
+        return EXIT_OK
     except KeyError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -135,8 +141,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    parser.print_usage(sys.stderr)
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
 """Receiver DSP: sync, demodulation, equalization, per-subcarrier metrics.
 
 The chain reads the transmit frame layout (subcarrier comb, cyclic prefix,
-active set) from the FrameRef and never re-derives it.  All estimates are
-data-aided: taps start from the training symbols, a pilot-based common-phase
-rotation is removed per payload symbol, and a refinement pass re-fits gain
-and phase against the full known grid.  The refinement matters:
-with only 4 training symbols and 8 pilots the tap and rotation estimates are
-noisy enough to bias measured EVM by over a dB at low SNR, which would leak
-into every downstream SNR figure.
+active set) from the FrameRef and the subcarriers it judges (the detected
+set) from ``bandplan``; it re-derives neither.  All estimates are data-aided:
+taps start from the training symbols, a pilot-based common-phase rotation is
+removed per payload symbol, and a refinement pass re-fits gain and phase
+against the full known grid.  The refinement matters: with only 4 training
+symbols and 8 pilots the tap and rotation estimates are noisy enough to bias
+measured EVM by over a dB at low SNR, which would leak into every downstream
+SNR figure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandplan import BandPlan, subcarrier_centers
+from .bandplan import BandPlan, detected_indices, subcarrier_centers
 from .ofdm_tx import FrameRef, analyze_time, demap_qam, synth_time
 from .waveform import ComplexWaveform, read_table, write_table
 
@@ -193,32 +194,26 @@ def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
     )
 
 
-def band_average_snr_db(metrics: SubcarrierMetrics, indices=None) -> float:
-    """Linear-domain mean SNR over available subcarriers (optionally a subset)."""
-    snr = metrics.snr_db
-    if indices is not None:
-        mask = np.isin(metrics.indices, np.asarray(indices))
-        snr = snr[mask]
+def band_average_snr_db(metrics: SubcarrierMetrics, plan: BandPlan) -> float:
+    """Linear-domain mean SNR over the plan's detected subcarriers that have
+    a measurement."""
+    snr = metrics.snr_db[np.isin(metrics.indices, detected_indices(plan))]
     snr = snr[np.isfinite(snr)]
     if len(snr) == 0:
         raise ValueError("no available subcarriers to average")
     return 10.0 * math.log10(float(np.mean(10.0 ** (snr / 10.0))))
 
 
-def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef, indices=None) -> tuple:
+def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     """Hard-decision bit errors over the payload, (errors, total).
 
-    ``indices`` restricts the count (e.g. to a detect window); bits sent on
-    subcarriers outside it are not the receiver's to judge.
+    Only the plan's detected data subcarriers count: bits sent outside the
+    detect window are not the receiver's to judge.
     """
-    wanted = None if indices is None else set(int(i) for i in indices)
-    errors = 0
-    total = 0
-    for i in ref.data_idx:
-        b = int(ref.bits_per_subcarrier[i])
-        if b == 0 or eqf.dead[i] or (wanted is not None and int(i) not in wanted):
-            continue
-        hat = demap_qam(eqf.symbols[:, i], b)
+    judged = np.intersect1d(ref.data_idx, detected_indices(ref.plan))
+    errors = total = 0
+    for i in judged[~eqf.dead[judged]]:   # dead covers silenced (bit map 0) columns
+        hat = demap_qam(eqf.symbols[:, i], int(ref.bits_per_subcarrier[i]))
         sent = ref.payload_bits[int(i)]
         errors += int(np.count_nonzero(hat != sent))
         total += len(sent)

@@ -24,10 +24,10 @@ The subcarrier grid is half-integer: subcarrier i of n sits at offset
 ramp accompanies the IDFT and the grid tiles the band exactly edge to edge.
 
 This module owns the frame layout: the subcarrier-to-bin comb and its
-half-bin ramp (``synth_time`` and its inverse ``analyze_time``), the
-cyclic-prefix length at any oversampling (``FrameRef.cp_len_at``) and the
-active subcarrier set (``FrameRef.active_idx``).  The receiver reads all of
-it from the ``FrameRef`` and decides none of it itself.
+half-bin ramp (``synth_time`` and its inverse ``analyze_time``) and the
+cyclic-prefix length at any oversampling (``FrameRef.cp_len_at``); the
+``FrameRef`` also carries ``bandplan``'s active set (``active_idx``).  The
+receiver reads all of it from the ``FrameRef`` and decides none of it itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandplan import BandPlan
+from .bandplan import BandPlan, active_indices
 from .waveform import ComplexWaveform
 
 # ============================================================================
@@ -215,7 +215,6 @@ class FrameRef:
     bits_per_subcarrier: np.ndarray
     grid: np.ndarray                  # (n_training + n_payload, n_subcarriers)
     payload_bits: dict                # data subcarrier index -> its payload bits
-    sample_rate_hz: float
 
     @property
     def training_grid(self) -> np.ndarray:
@@ -238,8 +237,7 @@ def pilot_indices(plan: BandPlan, n_pilots: int) -> np.ndarray:
     """Evenly spaced pilot subcarriers, avoiding the nulled edges."""
     n = plan.n_subcarriers
     idx = np.round((np.arange(n_pilots) + 0.5) * n / n_pilots).astype(int)
-    bad = [i for i in idx if i in plan.null_indices]
-    if bad or len(set(idx)) != n_pilots:
+    if not np.all(np.isin(idx, active_indices(plan))) or len(set(idx)) != n_pilots:
         raise ValueError("pilot grid collides with null subcarriers")
     return idx
 
@@ -299,15 +297,14 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         bits_map = np.asarray(bits_cfg, dtype=int).copy()
         if bits_map.shape != (n,):
             raise ValueError("per-subcarrier bit map must have one entry per subcarrier")
-    for i in plan.null_indices:
-        bits_map[i] = 0
+    active = active_indices(plan)
+    bits_map[np.setdiff1d(np.arange(n), active)] = 0   # nulls carry nothing
     bad = set(np.unique(bits_map)) - set(SUPPORTED_ORDERS) - {0}
     if bad:
         raise ValueError(f"unsupported constellation orders: {sorted(bad)}")
 
     p_idx = pilot_indices(plan, cfg.n_pilots)
-    active = np.array([i for i in range(n) if i not in plan.null_indices])
-    d_idx = np.array([i for i in active if i not in set(p_idx.tolist())])
+    d_idx = np.setdiff1d(active, p_idx)
     bits_map[p_idx] = 2  # pilots ride QPSK regardless of the payload order
 
     n_train, n_pay = cfg.n_training, cfg.n_symbols
@@ -357,7 +354,6 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         bits_per_subcarrier=bits_map,
         grid=grid,
         payload_bits=payload_bits,
-        sample_rate_hz=fs,
     )
     w = ComplexWaveform(samples=samples, sample_rate_hz=fs, anchor_hz=plan.center_hz)
     return w, ref

@@ -122,7 +122,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
     eqf = equalize(raw, ref)
     metrics = evm_snr(eqf, ref)
     write_metrics_csv(band_dir / "metrics.csv", metrics)
-    errors, total = count_bit_errors(eqf, ref, indices=det)
+    errors, total = count_bit_errors(eqf, ref)
     record["bit_errors"] = errors
     record["bits_total"] = total
     record["ber"] = errors / total if total else None
@@ -163,8 +163,7 @@ def build_summary(scn: Scenario, out_dir) -> dict:
         }
         if chain["failure"] is None:
             metrics = read_metrics_csv(bdir / "metrics.csv")
-            entry["avg_snr_db"] = band_average_snr_db(
-                metrics, indices=detected_indices(band.plan))
+            entry["avg_snr_db"] = band_average_snr_db(metrics, band.plan)
             load_map = read_bitload_csv(bdir / "bitload.csv")
             rep = capacity(load_map, band.plan, scn.fec, band.tx.cp_fraction)
             entry["capacity"] = rep.to_dict()

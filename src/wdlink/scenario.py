@@ -179,7 +179,7 @@ def _parse_downconvert(d, path: str):
     if len(window) != 2 or not all(_finite_number(x) for x in window):
         raise ScenarioError(f"{path}.if_window_hz", "expected finite [low_hz, high_hz]")
     low, high = float(window[0]), float(window[1])
-    if lo <= 0 or mult < 1 or not 0 <= low < high:
+    if lo <= 0 or mult < 1 or low < 0:   # the window's order is check_if_window's
         raise ScenarioError(path, "downconvert values out of range")
     return {"seed_lo_hz": lo, "mult": mult, "if_window_hz": (low, high)}
 

@@ -78,7 +78,7 @@ def test_criterion_5_snr_calibration_and_mask_tilt(w_band):
 
     noisy = add_awgn(wav, 12.0, seed=7, occupied_bw_hz=254 * plan.spacing_hz)
     m = evm_snr(equalize(demodulate(noisy, ref, 0), ref), ref)
-    avg = band_average_snr_db(m, det)
+    avg = band_average_snr_db(m, plan)
 
     eqf = equalize(demodulate(apply_mask(wav, default_masks()[0]), ref, 0), ref)
     centers = subcarrier_centers(plan)

@@ -8,6 +8,7 @@ import pytest
 
 from wdlink.bandplan import (
     BandPlan,
+    active_indices,
     detected_indices,
     inter_band_gap_hz,
     make_default_plans,
@@ -79,6 +80,16 @@ def test_gap_requires_separation():
     b = BandPlan("B", 10.5e9, 16, 1e8, frozenset({0, 15}))
     with pytest.raises(ValueError):
         inter_band_gap_hz(a, b)
+
+
+def test_active_indices_are_the_non_null_subcarriers(plans):
+    for plan in plans.values():
+        act = active_indices(plan)
+        assert act.dtype == np.int64
+        assert np.array_equal(act, np.arange(1, 255))
+    odd = BandPlan("X", 100e9, 8, 1e9, null_indices=frozenset({5, 0, 3}))
+    assert active_indices(odd).tolist() == [1, 2, 4, 6, 7]
+    assert active_indices(replace(odd, null_indices=frozenset())).tolist() == list(range(8))
 
 
 def test_detected_counts(plans):

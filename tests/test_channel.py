@@ -193,35 +193,42 @@ def test_wider_linewidth_pair_wanders_more(w_plan, w_band, d_band):
 
 # -------------------------------------------------------- downconversion
 
-LO = dict(seed_lo_hz=21.7e9, mult=6)  # the bundled D-band converter's 130.2 GHz LO
+@pytest.fixture(scope="module")
+def lo(d_band):
+    """The bundled D-band converter's LO (seed and multiplier); each test
+    picks its own IF window."""
+    return {key: d_band.downconvert[key] for key in ("seed_lo_hz", "mult")}
 
 
-def test_downconvert_passes_in_window_tone():
+def test_downconvert_passes_in_window_tone(lo):
     fs, n = 80e9, 8000
     t = np.arange(n) / fs
     w = ComplexWaveform(np.exp(2j * np.pi * 10e9 * t), fs, 130e9)  # 140 GHz
-    out = dband_downconvert(w, **LO, if_window_hz=(0.5e9, 17.0e9))
-    assert out.anchor_hz == pytest.approx(-0.2e9)
+    lo_hz = lo["seed_lo_hz"] * lo["mult"]
+    assert 0.5e9 < 140e9 - lo_hz < 17.0e9   # the tone's IF is inside the window
+    out = dband_downconvert(w, **lo, if_window_hz=(0.5e9, 17.0e9))
+    assert out.anchor_hz == pytest.approx(130e9 - lo_hz)
     assert out.sample_rate_hz == fs
     # tone is bin-aligned and inside the IF window: samples pass untouched
     np.testing.assert_allclose(out.samples, w.samples, atol=1e-9)
     spec = np.abs(np.fft.fft(out.samples)) ** 2
     freqs = np.fft.fftfreq(n, 1 / fs) + out.anchor_hz
-    assert freqs[np.argmax(spec)] == pytest.approx(9.8e9)
+    assert freqs[np.argmax(spec)] == pytest.approx(140e9 - lo_hz)
 
 
-def test_downconvert_rejects_out_of_window_tone():
+def test_downconvert_rejects_out_of_window_tone(lo):
     fs, n = 80e9, 8000
     t = np.arange(n) / fs
     w = ComplexWaveform(np.exp(-2j * np.pi * 1e9 * t), fs, 130e9)  # 129 GHz
-    out = dband_downconvert(w, **LO, if_window_hz=(0.5e9, 17.0e9))  # IF would be -1.2 GHz
+    assert 129e9 - lo["seed_lo_hz"] * lo["mult"] < 0.5e9   # its IF is below the window
+    out = dband_downconvert(w, **lo, if_window_hz=(0.5e9, 17.0e9))
     assert np.mean(np.abs(out.samples) ** 2) < 1e-12
 
 
-def _surviving_columns(d_plan, d_band, if_window):
+def _surviving_columns(d_plan, d_band, lo, if_window):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, **LO, if_window_hz=if_window, decimate=2)
+    out = dband_downconvert(wav, **lo, if_window_hz=if_window, decimate=2)
     assert out.sample_rate_hz == 40e9
     grid = demodulate(out, ref, 0)
     return np.mean(np.abs(grid) ** 2, axis=0)
@@ -231,11 +238,11 @@ def _surviving_columns(d_plan, d_band, if_window):
     ((0.5e9, 17.0e9), 106, 132, 237),
     ((2.8e9, 19.8e9), 108, 147, 254),
 ])
-def test_downconvert_window_selects_subcarriers(d_plan, d_band, window, count, first,
-                                                last):
-    p = _surviving_columns(d_plan, d_band, window)
+def test_downconvert_window_selects_subcarriers(d_plan, d_band, lo, window, count,
+                                                first, last):
+    p = _surviving_columns(d_plan, d_band, lo, window)
     pdb = 10 * np.log10(p / p.max())
-    offs = subcarrier_centers(d_plan) - 21.7e9 * 6
+    offs = subcarrier_centers(d_plan) - lo["seed_lo_hz"] * lo["mult"]
     inside = (offs >= window[0]) & (offs <= window[1])
     inside[[0, 255]] = False  # nulls never carry power
     idx = np.where(inside)[0]
@@ -248,19 +255,19 @@ def test_downconvert_window_selects_subcarriers(d_plan, d_band, window, count, f
     assert np.all(pdb[clear] < -15.0)
 
 
-def test_downconvert_validation(d_plan, d_band):
+def test_downconvert_validation(d_plan, d_band, lo):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=4, prbs_seed_state=5)
     wav, _ = build_frame(d_plan, cfg)
     with pytest.raises(ValueError, match="low < high"):
-        dband_downconvert(wav, **LO, if_window_hz=(5e9, 2e9))
+        dband_downconvert(wav, **lo, if_window_hz=(5e9, 2e9))
     with pytest.raises(ValueError, match="sampled span"):
-        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 45e9))
+        dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 45e9))
     with pytest.raises(ValueError, match="divide"):
         # does not divide the sample count
-        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 17.0e9), decimate=3)
+        dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 17.0e9), decimate=3)
     with pytest.raises(ValueError, match="alias"):
         # a 0.5-17 GHz window aliases at 20 GS/s
-        dband_downconvert(wav, **LO, if_window_hz=(0.5e9, 17.0e9), decimate=4)
+        dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 17.0e9), decimate=4)
 
 
 # ----------------------------------------------------------- link budget

@@ -252,8 +252,8 @@ def _src_env():
     (("bands", 1, "downconvert", "if_window_hz", 1), math.inf,
      "$.bands[1].downconvert.if_window_hz"),
 ])
-def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, keys, value,
-                                                  json_path):
+def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, capsys, keys,
+                                                  value, json_path):
     def mutate(doc):
         node = doc
         for key in keys[:-1]:
@@ -261,31 +261,25 @@ def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, keys,
         node[keys[-1]] = value   # written as JSON NaN / Infinity
 
     out = tmp_path / "o"
-    proc = subprocess.run([sys.executable, "-m", "wdlink.cli", "run", "--scenario",
-                           str(scenario_file(mutate)), "--out", str(out)],
-                          capture_output=True, text=True, timeout=120, env=_src_env())
-    assert proc.returncode == 2, proc.stderr
-    assert f"scenario error: {json_path}: expected" in proc.stderr
-    assert "finite" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: {json_path}: expected" in err
+    assert "finite" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("row", ["1e9,nan", "nan,0", "1e9,inf"])
-def test_non_finite_mask_csv_row_fails_at_load(tmp_path, scenario_file, row):
+def test_non_finite_mask_csv_row_fails_at_load(tmp_path, scenario_file, capsys, row):
     (tmp_path / "bad.csv").write_text(f"freq_hz,gain_db\n{row}\n200e9,0\n")
 
     def mutate(doc):
         doc["bands"][0]["channel"]["mask"] = {"csv": "bad.csv"}
 
     out = tmp_path / "o"
-    proc = subprocess.run([sys.executable, "-m", "wdlink.cli", "run", "--scenario",
-                           str(scenario_file(mutate)), "--out", str(out)],
-                          capture_output=True, text=True, timeout=120, env=_src_env())
-    assert proc.returncode == 2, proc.stderr
-    assert "$.bands[0].channel.mask" in proc.stderr
-    assert "finite" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "$.bands[0].channel.mask" in err
+    assert "finite" in err
     assert not out.exists()
 
 
@@ -308,8 +302,10 @@ W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
      "outside the waveform's sampled span"),
     (("bands", 1, "downconvert", "if_window_hz"), [2.8e9, 25e9], "$.bands[1].downconvert",
      "decimation would alias"),
+    (("bands", 1, "downconvert", "if_window_hz"), [19.8e9, 2.8e9], "$.bands[1].downconvert",
+     "low < high"),
 ])
-def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, keys, value,
+def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, keys, value,
                                              json_path, message):
     def mutate(doc):
         node = doc
@@ -318,13 +314,10 @@ def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, keys, valu
         node[keys[-1]] = value
 
     out = tmp_path / "o"
-    proc = subprocess.run([sys.executable, "-m", "wdlink.cli", "run", "--scenario",
-                           str(scenario_file(mutate)), "--out", str(out)],
-                          capture_output=True, text=True, timeout=120, env=_src_env())
-    assert proc.returncode == 2, proc.stderr
-    assert f"scenario error: {json_path}: " in proc.stderr
-    assert message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: {json_path}: " in err
+    assert message in err
     assert not out.exists()
 
 
@@ -336,6 +329,21 @@ def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    *(("tx", "--clip-db", v) for v in ("nan", "inf", "-1", "0")),
+    *((c, "--rbw-hz", v) for c in ("run", "tx", "lock-sim") for v in ("nan", "-5")),
+])
+def test_non_positive_or_non_finite_flag_is_a_usage_error(tmp_path, capsys, command,
+                                                          flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "o"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# A fresh interpreter is the point of the next two tests: one checks what a
+# bare import loads, the other the installed console script.
 def test_cli_import_leaves_scipy_unloaded():
     code = ("import sys, wdlink.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

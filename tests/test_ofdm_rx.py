@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import correlate_valid, smallest_5_smooth_at_least
-from wdlink.bandplan import detected_indices
+from wdlink.bandplan import active_indices, detected_indices, subcarrier_centers
 from wdlink.channel import apply_carrier, dband_downconvert
 from wdlink.noise import add_awgn
-from wdlink.ofdm_rx import (SyncError, _correlate_valid, _fast_len,
+from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _correlate_valid, _fast_len,
                             band_average_snr_db, count_bit_errors,
                             demodulate, equalize, evm_snr,
                             export_constellation, read_metrics_csv,
@@ -48,6 +48,24 @@ def test_noiseless_loopback_is_error_free(w_plan, loopback):
     assert total == 246 * 4 * 64
 
 
+def test_bit_errors_count_only_the_detect_window(d_plan, d_band):
+    """A D frame sends on all 246 data subcarriers, but only those inside
+    the 133-150 GHz detect window are the receiver's to judge: errors
+    outside it do not count, nor do their bits."""
+    cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=32, prbs_seed_state=5)
+    wav, ref = build_frame(d_plan, cfg)
+    eqf = equalize(demodulate(wav, ref, 0), ref)
+    centers = subcarrier_centers(d_plan)
+    inside = (centers >= 133e9) & (centers <= 150e9)
+    symbols = eqf.symbols.copy()
+    symbols[:, ~inside] *= -1   # every symbol outside the window decided wrong
+    errors, total = count_bit_errors(replace(eqf, symbols=symbols), ref)
+    judged = [i for i in ref.data_idx if inside[i]]
+    assert len(judged) == 105   # 147..254 less the pilots 176, 208, 240
+    assert errors == 0
+    assert total == len(judged) * 4 * 32
+
+
 @pytest.mark.parametrize("cp_512ths", [3, 5, 7])
 def test_demod_refuses_a_cp_that_decimation_splits(d_plan, d_band, cp_512ths):
     """An odd cyclic prefix at oversample 2 is a fractional one after the
@@ -56,8 +74,7 @@ def test_demod_refuses_a_cp_that_decimation_splits(d_plan, d_band, cp_512ths):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5,
                   cp_fraction=cp_512ths / 512)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, seed_lo_hz=21.7e9, mult=6, if_window_hz=(2.8e9, 19.8e9),
-                            decimate=2)
+    out = dband_downconvert(wav, **d_band.downconvert, decimate=2)
     with pytest.raises(ValueError, match="cyclic prefix does not survive"):
         demodulate(out, ref, 0)
 
@@ -147,10 +164,9 @@ def test_metrics_scale_invariant(w_plan, loopback):
 @pytest.mark.parametrize("snr_db", [6.0, 12.0, 20.0])
 def test_measured_snr_tracks_injected_noise(w_plan, loopback, snr_db):
     _, wav, ref = loopback
-    det = detected_indices(w_plan)
     noisy = add_awgn(wav, snr_db, seed=int(snr_db * 10), occupied_bw_hz=OCC_W)
     m = evm_snr(equalize(demodulate(noisy, ref, 0), ref), ref)
-    assert band_average_snr_db(m, det) == pytest.approx(snr_db, abs=0.5)
+    assert band_average_snr_db(m, w_plan) == pytest.approx(snr_db, abs=0.5)
 
 
 def test_qam16_cluster_width_matches_noise(w_plan, loopback):
@@ -216,18 +232,21 @@ def test_evm_needs_enough_symbols(w_plan, w_band):
         evm_snr(eqf, ref)
 
 
-def test_band_average_requires_live_subcarriers(w_plan, loopback):
-    _, wav, ref = loopback
-    m = evm_snr(equalize(demodulate(wav, ref, 0), ref), ref)
-    with pytest.raises(ValueError):
-        band_average_snr_db(m, indices=[0])  # only a null: nothing to average
+def test_band_average_requires_live_subcarriers(d_plan):
+    """Every detected SNR is NaN: the finite ones outside D's detect window
+    are not the receiver's to average."""
+    idx = active_indices(d_plan)
+    snr = np.where(np.isin(idx, detected_indices(d_plan)), np.nan, 20.0)
+    m = SubcarrierMetrics(indices=idx, freq_hz=subcarrier_centers(d_plan)[idx],
+                          snr_db=snr, evm_rms=10.0 ** (-snr / 20.0))
+    with pytest.raises(ValueError, match="no available subcarriers"):
+        band_average_snr_db(m, d_plan)
 
 
 def test_phase_tracking_recovers_snr_under_lock_residual(w_plan, w_band):
     """With the locked beat's phase wander riding on the frame, pilot-based
     common-phase removal must buy back >= 3 dB of measured SNR at the
     12 dB operating point (averaged over lock noise seeds)."""
-    det = detected_indices(w_plan)
     loop = replace(w_band.loop, duration_s=3e-3, initial_freq_error_hz=0.0)
     gains = []
     for seed in range(10):
@@ -238,8 +257,8 @@ def test_phase_tracking_recovers_snr_under_lock_residual(w_plan, w_band):
         rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
         rx = add_awgn(rx, 12.0, seed=seed + 500, occupied_bw_hz=OCC_W)
         raw = demodulate(rx, ref, 0)
-        s_on = band_average_snr_db(evm_snr(equalize(raw, ref), ref), det)
-        s_off = band_average_snr_db(evm_snr(equalize(raw, ref, cpe=False), ref), det)
+        s_on = band_average_snr_db(evm_snr(equalize(raw, ref), ref), w_plan)
+        s_off = band_average_snr_db(evm_snr(equalize(raw, ref, cpe=False), ref), w_plan)
         gains.append(s_on - s_off)
     gains = np.array(gains)
     assert np.all(gains > 0)
