@@ -10,8 +10,7 @@ from .channel import (MaskPoint, apply_carrier, apply_mask, check_if_window,
                       dband_downconvert, default_masks, fspl_db, load_mask_csv,
                       mask_gain_db)
 from .noise import (LaserSpec, PhaseTrace, add_awgn, beat_phase, estimate_psd,
-                    gen_phase_noise, laser_pair_phases, read_psd_csv,
-                    write_psd_csv)
+                    gen_phase_noise, read_psd_csv, write_psd_csv)
 from .ofdm_rx import (EqualizedFrame, SubcarrierMetrics, SyncError,
                       band_average_snr_db, count_bit_errors, demodulate,
                       equalize, evm_snr, export_constellation,

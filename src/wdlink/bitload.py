@@ -20,8 +20,6 @@ from .ofdm_rx import SubcarrierMetrics
 from .ofdm_tx import SUPPORTED_ORDERS
 from .waveform import read_table, write_json, write_table
 
-SUPPORTED_ORDER_BITS = SUPPORTED_ORDERS
-
 
 @dataclass(frozen=True)
 class FecProfile:
@@ -85,7 +83,7 @@ def min_snr_db_for(order_bits: int, fec: FecProfile) -> float:
 @functools.lru_cache(maxsize=8)
 def _thresholds(fec: FecProfile) -> tuple:
     """(order_bits, min_snr_db) pairs, ascending; bisected once per profile."""
-    return tuple((b, min_snr_db_for(b, fec)) for b in SUPPORTED_ORDER_BITS)
+    return tuple((b, min_snr_db_for(b, fec)) for b in SUPPORTED_ORDERS)
 
 
 def threshold_table(fec: FecProfile) -> dict:
@@ -99,7 +97,7 @@ class BitLoadMap:
     bits: np.ndarray
 
     def __post_init__(self):
-        bad = set(np.unique(self.bits)) - set(SUPPORTED_ORDER_BITS) - {0}
+        bad = set(np.unique(self.bits)) - set(SUPPORTED_ORDERS) - {0}
         if bad:
             raise ValueError(f"invalid orders in map: {sorted(bad)}")
 

@@ -73,31 +73,20 @@ def gen_phase_noise(spec: LaserSpec, n_samples: int, sample_rate_hz: float, seed
     return PhaseTrace(np.cumsum(increments), sample_rate_hz)
 
 
-def beat_phase(a: PhaseTrace, b: PhaseTrace) -> PhaseTrace:
-    """Phase of the beat note between two lines: element-wise difference.
+def beat_phase(master: LaserSpec, slave: LaserSpec, n_samples: int,
+               sample_rate_hz: float, seed: int) -> PhaseTrace:
+    """Phase of the beat note between a master/slave pair: slave minus master.
 
-    Independent Wiener traces add their linewidths (Lorentzian convolution),
-    e.g. 100 Hz against 5 kHz beats at 5.1 kHz FWHM.
-    """
-    if a.sample_rate_hz != b.sample_rate_hz:
-        raise ValueError("sample rates differ")
-    if len(a) != len(b):
-        raise ValueError("trace lengths differ")
-    return PhaseTrace(a.phases - b.phases, a.sample_rate_hz)
-
-
-def laser_pair_phases(master: LaserSpec, slave: LaserSpec, n_samples: int,
-                      sample_rate_hz: float, seed: int) -> tuple:
-    """Independent phase traces for a master/slave pair from one seed.
-
-    Child seeds are split deterministically so lock simulations and
-    free-running references can share the identical noise realization.
+    The two lasers draw independent Wiener traces from child seeds split
+    deterministically from ``seed``, so a locked and a free-running run with
+    the same seed see the identical noise realization.  Independent traces
+    add their linewidths (Lorentzian convolution), e.g. 100 Hz against
+    5 kHz beats at 5.1 kHz FWHM.
     """
     s_master, s_slave = np.random.SeedSequence(seed).generate_state(2)
-    return (
-        gen_phase_noise(master, n_samples, sample_rate_hz, int(s_master)),
-        gen_phase_noise(slave, n_samples, sample_rate_hz, int(s_slave)),
-    )
+    beat = gen_phase_noise(slave, n_samples, sample_rate_hz, int(s_slave)).phases
+    beat -= gen_phase_noise(master, n_samples, sample_rate_hz, int(s_master)).phases
+    return PhaseTrace(beat, sample_rate_hz)
 
 
 def estimate_psd(x, rbw_hz: float):

@@ -25,7 +25,7 @@ ramp accompanies the IDFT and the grid tiles the band exactly edge to edge.
 
 This module owns the frame layout: the subcarrier-to-bin comb and its
 half-bin ramp (``synth_time`` and its inverse ``analyze_time``) and the
-cyclic-prefix length at any oversampling (``FrameRef.cp_len_at``); the
+cyclic-prefix length and its resampling (``cp_length``, ``resampled_cp_length``); the
 ``FrameRef`` also carries ``bandplan``'s active set (``active_idx``).  The
 receiver reads all of it from the ``FrameRef`` and decides none of it itself.
 """
@@ -225,19 +225,35 @@ class FrameRef:
         return self.grid[self.n_training:]
 
     def cp_len_at(self, oversample: int) -> int:
-        """Cyclic-prefix length in samples once the frame is resampled to
-        ``oversample``; raises when that is not a whole number of samples."""
-        scaled = self.cp_len * oversample
-        if scaled % self.oversample:
-            raise ValueError("cyclic prefix does not survive this resampling factor")
-        return scaled // self.oversample
+        """Cyclic-prefix length once resampled to ``oversample`` (``resampled_cp_length``)."""
+        return resampled_cp_length(self.cp_len, self.oversample, oversample)
+
+
+def cp_length(n_subcarriers: int, oversample: int, cp_fraction: float) -> int:
+    """Cyclic-prefix length in samples of a frame synthesized at
+    ``oversample`` samples per subcarrier."""
+    return int(round(cp_fraction * (n_subcarriers * oversample)))
+
+
+def resampled_cp_length(cp_len: int, oversample: int, new_oversample: int) -> int:
+    """Length of a ``cp_len``-sample cyclic prefix synthesized at
+    ``oversample`` once the frame is resampled to ``new_oversample``;
+    raises when that is not a whole number of samples."""
+    scaled = cp_len * new_oversample
+    if scaled % oversample:
+        raise ValueError("cyclic prefix does not survive this resampling factor")
+    return scaled // oversample
 
 
 def pilot_indices(plan: BandPlan, n_pilots: int) -> np.ndarray:
     """Evenly spaced pilot subcarriers, avoiding the nulled edges."""
+    if n_pilots < 0:
+        raise ValueError(f"n_pilots must be non-negative, got {n_pilots}")
     n = plan.n_subcarriers
     idx = np.round((np.arange(n_pilots) + 0.5) * n / n_pilots).astype(int)
-    if not np.all(np.isin(idx, active_indices(plan))) or len(set(idx)) != n_pilots:
+    if len(set(idx)) != n_pilots:
+        raise ValueError(f"pilot grid collides with itself ({n_pilots} pilots on {n} subcarriers)")
+    if not np.all(np.isin(idx, active_indices(plan))):
         raise ValueError("pilot grid collides with null subcarriers")
     return idx
 
@@ -335,13 +351,12 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         for pos, j in enumerate(sel):
             payload_bits[int(d_idx[j])] = np.ascontiguousarray(cube[:, pos, :]).ravel()
 
-    nfft = n * cfg.oversample
-    cp_len = int(round(cfg.cp_fraction * nfft))
+    cp_len = cp_length(n, cfg.oversample, cfg.cp_fraction)
     samples = synth_time(grid, cfg.oversample, cp_len)
     rms = math.sqrt(float(np.mean(np.abs(samples) ** 2)))
     samples = samples / rms
 
-    fs = plan.spacing_hz * nfft
+    fs = plan.spacing_hz * (n * cfg.oversample)
     ref = FrameRef(
         plan=plan,
         oversample=cfg.oversample,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import LaserSpec, PhaseTrace, laser_pair_phases
+from .noise import LaserSpec, PhaseTrace, beat_phase
 from .waveform import ComplexWaveform, write_table
 
 TWO_PI = 2.0 * math.pi
@@ -60,17 +60,32 @@ class LoopConfig:
             raise ValueError("gains must be non-negative")
 
 
+def _detector(theta: np.ndarray) -> np.ndarray:
+    """The phase-frequency detector's view of ``theta``: clipped at +-2*pi."""
+    return np.clip(theta, -TWO_PI, TWO_PI)
+
+
 @dataclass(frozen=True)
 class LockResult:
-    """``phase_error`` is the detector's view, clipped at +-2*pi; ``theta``
-    is the unclipped phase error it came from."""
+    """``theta`` is the unclipped phase error, one value per loop sample;
+    the detector's clipped view of it is derived on access."""
 
     locked: bool
-    phase_error: PhaseTrace
     freq_error: np.ndarray
     theta: np.ndarray
     cycle_slips: int
     config: LoopConfig
+
+    @property
+    def phase_error(self) -> PhaseTrace:
+        """The whole record as the detector sees it, clipped at +-2*pi."""
+        return PhaseTrace(_detector(self.theta), self.config.sim_rate_hz)
+
+    def residual_tail(self, duration_s: float) -> PhaseTrace:
+        """Settled stretch of the detector's phase error handed to a frame of
+        ``duration_s``: the record's last samples, two more than the frame spans."""
+        n = min(int(math.ceil(duration_s * self.config.sim_rate_hz)) + 2, len(self.theta))
+        return PhaseTrace(_detector(self.theta[-n:]), self.config.sim_rate_hz)
 
     @property
     def locked_beat(self) -> ComplexWaveform:
@@ -150,7 +165,7 @@ def loop_samples(cfg: LoopConfig) -> int:
 def _loop_matrix(cfg: LoopConfig) -> np.ndarray:
     """One unsaturated step as s[k+1] = A s[k] + e_theta u[k] on the state
     s = (theta, integrator, actuator), where u[k] is the plant's open-loop
-    phase advance 2*pi*dt*(df0 + fm[k]) plus the beat-noise increment."""
+    phase advance 2*pi*dt*df0 plus the beat-noise (and FM) increment."""
     dt = 1.0 / cfg.sim_rate_hz
     alpha = TWO_PI * cfg.actuator_bw_hz * dt
     c = TWO_PI * dt
@@ -206,9 +221,9 @@ def _block_plan(cfg: LoopConfig, n: int) -> tuple:
     return block, nfft, kernel, free
 
 
-def _lock_loop(cfg: LoopConfig, incr: np.ndarray, fm=None) -> tuple:
-    """Run the loop over the beat-noise increments ``incr`` (and the slave
-    FM ``fm`` in Hz, or None); returns the unclipped phase error and the
+def _lock_loop(cfg: LoopConfig, incr: np.ndarray) -> tuple:
+    """Run the loop over the open-loop phase increments ``incr`` (beat noise
+    and any injected FM); returns the unclipped phase error and the
     actuator output, one value per sample.
 
     While the detector saturates, the recursion is stepped one sample at a
@@ -227,15 +242,12 @@ def _lock_loop(cfg: LoopConfig, incr: np.ndarray, fm=None) -> tuple:
     two_pi_dt = TWO_PI * dt
     block, nfft, kernel, free = _block_plan(cfg, n)
     u = incr + two_pi_dt * df0
-    if fm is not None:
-        u += two_pi_dt * fm
 
     theta_rec = np.empty(n)
     act_rec = np.empty(n)
     # memoryviews index as Python floats, several times faster per sample
     # than numpy scalars
     incr_v, theta_v, act_v = memoryview(incr), memoryview(theta_rec), memoryview(act_rec)
-    fm_v = memoryview(fm) if fm is not None else None
     theta = integ = act = 0.0
     k = 0
     while k < n:
@@ -248,10 +260,7 @@ def _lock_loop(cfg: LoopConfig, incr: np.ndarray, fm=None) -> tuple:
                 e = -TWO_PI
             integ += e * dt
             act += alpha * (kp * e + ki * integ - act)
-            dfreq = df0 - act
-            if fm_v is not None:
-                dfreq += fm_v[k]
-            theta += two_pi_dt * dfreq + incr_v[k]
+            theta += two_pi_dt * (df0 - act) + incr_v[k]
             theta_v[k] = theta
             act_v[k] = act
             k += 1
@@ -291,26 +300,22 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     sample-by-sample recursion up to rounding.
     """
     n = loop_samples(cfg)
-    m_tr, s_tr = laser_pair_phases(master, slave, n, cfg.sim_rate_hz, seed)
-    incr = np.diff(s_tr.phases - m_tr.phases, prepend=0.0)
-    del m_tr, s_tr
-    fm = None
+    incr = np.diff(beat_phase(master, slave, n, cfg.sim_rate_hz, seed).phases, prepend=0.0)
     if fm_inject is not None:
         fm_amp, fm_freq = fm_inject
         dt = 1.0 / cfg.sim_rate_hz
-        fm = fm_amp * np.cos(TWO_PI * fm_freq * dt * np.arange(n))
-    theta_arr, act = _lock_loop(cfg, incr, fm)
+        incr += TWO_PI * dt * (fm_amp * np.cos(TWO_PI * fm_freq * dt * np.arange(n)))
+    theta_arr, act = _lock_loop(cfg, incr)
 
     freq_error = cfg.initial_freq_error_hz - act
-    diverged = not np.all(np.isfinite(theta_arr)) or np.max(np.abs(theta_arr)) > DIVERGENCE_RAD
+    finite = bool(np.all(np.isfinite(theta_arr)))
+    peak = float(np.max(np.abs(theta_arr))) if finite else math.inf
     tail = freq_error[int(0.9 * n):]
-    locked = (not diverged) and abs(float(np.mean(tail))) < LOCK_FREQ_TOL_HZ
-    peak = float(np.max(np.abs(theta_arr))) if np.all(np.isfinite(theta_arr)) else float("inf")
-    cycle_slips = int(peak // TWO_PI) if math.isfinite(peak) else -1
+    locked = finite and peak <= DIVERGENCE_RAD and abs(float(np.mean(tail))) < LOCK_FREQ_TOL_HZ
+    cycle_slips = int(peak // TWO_PI) if finite else -1
 
     return LockResult(
         locked=locked,
-        phase_error=PhaseTrace(np.clip(theta_arr, -TWO_PI, TWO_PI), cfg.sim_rate_hz),
         freq_error=freq_error,
         theta=theta_arr,
         cycle_slips=cycle_slips,
@@ -318,23 +323,22 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     )
 
 
-def free_running_beat(master: LaserSpec, slave: LaserSpec, n_samples: int,
-                      sample_rate_hz: float, seed: int) -> ComplexWaveform:
-    """Unlocked beat note between two lines (linewidths add)."""
-    m_tr, s_tr = laser_pair_phases(master, slave, n_samples, sample_rate_hz, seed)
-    phases = s_tr.phases - m_tr.phases
+def free_running_beat(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig,
+                      seed: int) -> ComplexWaveform:
+    """Unlocked beat note between two lines (linewidths add), over the record
+    ``simulate_lock`` runs for ``cfg`` and seed, at the target offset."""
+    beat = beat_phase(master, slave, loop_samples(cfg), cfg.sim_rate_hz, seed)
     return ComplexWaveform(
-        samples=np.exp(1j * phases),
-        sample_rate_hz=sample_rate_hz,
-        anchor_hz=slave.offset_hz - master.offset_hz,
+        samples=np.exp(1j * beat.phases),
+        sample_rate_hz=cfg.sim_rate_hz,
+        anchor_hz=cfg.target_offset_hz,
     )
 
 
 def residual_phase_variance(result: LockResult) -> float:
     """Variance of the locked phase error over the last RESIDUAL_TAIL of the record."""
-    p = result.phase_error.phases
-    tail = p[int((1.0 - RESIDUAL_TAIL) * len(p)):]
-    return float(np.var(tail))
+    tail = result.theta[int((1.0 - RESIDUAL_TAIL) * len(result.theta)):]
+    return float(np.var(_detector(tail)))
 
 
 def write_lock_csv(path, result: LockResult, stride: int = 1) -> None:
@@ -346,7 +350,6 @@ def write_lock_csv(path, result: LockResult, stride: int = 1) -> None:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     dt = 1.0 / result.config.sim_rate_hz
-    p = result.phase_error.phases
     write_table(path, "time_s,phase_error_rad,freq_error_hz\n",
-                "{:.9e},{:.9e},{:.9e}\n", np.arange(0, len(p), stride) * dt,
-                p[::stride], result.freq_error[::stride])
+                "{:.9e},{:.9e},{:.9e}\n", np.arange(0, len(result.theta), stride) * dt,
+                _detector(result.theta[::stride]), result.freq_error[::stride])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -26,28 +25,19 @@ from .bandplan import detected_indices
 from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
 from .channel import apply_carrier, apply_mask, dband_downconvert
-from .noise import PhaseTrace, add_awgn, estimate_psd, write_psd_csv
+from .noise import add_awgn, estimate_psd, write_psd_csv
 from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
                       demodulate, equalize, evm_snr, export_constellation,
                       read_metrics_csv, synchronize, write_constellation_csv,
                       write_metrics_csv)
 from .ofdm_tx import build_frame, clip, papr_db
-from .opll import (free_running_beat, loop_samples, residual_phase_variance,
-                   simulate_lock, write_lock_csv)
+from .opll import (free_running_beat, residual_phase_variance, simulate_lock,
+                   write_lock_csv)
 from .scenario import BandScenario, Scenario
 from .waveform import write_iq, write_json
 
 LOCK_PSD_RBW_HZ = 1e3
 LOCK_CSV_MAX_ROWS = 4000
-
-
-def _residual_tail(lock_result, duration_s: float) -> PhaseTrace:
-    """Settled stretch of the loop's phase error, long enough for one frame."""
-    tr = lock_result.phase_error
-    n_need = int(math.ceil(duration_s * tr.sample_rate_hz)) + 2
-    n_need = min(n_need, len(tr.phases))
-    return PhaseTrace(phases=tr.phases[-n_need:].copy(),
-                      sample_rate_hz=tr.sample_rate_hz)
 
 
 def _psd(path, x, rbw_hz: float) -> None:
@@ -59,7 +49,7 @@ def _lock_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
     """Lock the band's slave laser; writes lock.csv and psd_error.csv.
     Returns the lock result and its summary record."""
     lock = simulate_lock(band.master, band.slave, band.loop, band.lock_seed)
-    stride = max(1, len(lock.phase_error.phases) // LOCK_CSV_MAX_ROWS)
+    stride = max(1, len(lock.theta) // LOCK_CSV_MAX_ROWS)
     write_lock_csv(band_dir / "lock.csv", lock, stride=stride)
     _psd(band_dir / "psd_error.csv", lock.phase_error, rbw_hz)
     return lock, {"locked": bool(lock.locked),
@@ -99,7 +89,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
                                       band.tx.clip_ratio_db)
     record.update(papr)
 
-    w = apply_carrier(tx_clipped, _residual_tail(lock, tx_clipped.duration_s))
+    w = apply_carrier(tx_clipped, lock.residual_tail(tx_clipped.duration_s))
     w = apply_mask(w, band.mask)
     if band.downconvert is not None:
         w = dband_downconvert(w, **band.downconvert, decimate=band.tx.oversample)
@@ -210,8 +200,7 @@ def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) ->
         bdir = out / f"band_{band.name}"
         bdir.mkdir(parents=True, exist_ok=True)
         if free_running:
-            beat = free_running_beat(band.master, band.slave, loop_samples(band.loop),
-                                     band.loop.sim_rate_hz, band.lock_seed)
+            beat = free_running_beat(band.master, band.slave, band.loop, band.lock_seed)
             _psd(bdir / "psd_beat.csv", beat, rbw)
             info[band.name] = {"mode": "free-running"}
             continue

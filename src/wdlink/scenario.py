@@ -27,7 +27,8 @@ from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec
 from .ofdm_rx import MIN_METRIC_SYMBOLS
-from .ofdm_tx import SUPPORTED_ORDERS, TxConfig, pilot_indices
+from .ofdm_tx import (SUPPORTED_ORDERS, TxConfig, cp_length, pilot_indices,
+                      resampled_cp_length)
 from .opll import LoopConfig, loop_samples, pi_gains_for
 
 SCHEMA_VERSION = 1
@@ -269,6 +270,11 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
                 check_if_window(plan.center_hz, fs, **dc, decimate=tx.oversample)
             except ValueError as e:
                 raise ScenarioError(f"{path}.downconvert", str(e)) from None
+            try:
+                resampled_cp_length(cp_length(plan.n_subcarriers, tx.oversample,
+                                              tx.cp_fraction), tx.oversample, 1)
+            except ValueError as e:
+                raise ScenarioError(f"{path}.tx.cp_fraction", str(e)) from None
         bands.append(BandScenario(
             name=name, plan=plan, master=master, slave=slave,
             loop=replace(servo, target_offset_hz=slave.offset_hz - master.offset_hz),

@@ -1,10 +1,10 @@
-"""Record the golden manifests of the two contract runs.
+"""Record the golden manifests of the contract runs.
 
     python tests/golden/regen.py
 
-Runs ``sim run`` and ``sim run --seed-override 7`` on the bundled scenario
-in process, through ``wdlink.cli.main``, and writes ``manifests.json`` next
-to this file.  For each run it holds the sha256 of every output file, the
+Runs each entry of ``RUNS`` (``sim run``, ``lock-sim`` and ``tx`` with and
+without their flags) on the bundled scenario in process, through
+``wdlink.cli.main``, and writes ``manifests.json`` next to this file.  For each run it holds the sha256 of every output file, the
 stdout and the exit code.  The numpy version and the machine are recorded
 with them, because the hashes depend on numpy's FFT and ufunc rounding.
 
@@ -29,6 +29,10 @@ MANIFESTS = Path(__file__).with_name("manifests.json")
 RUNS = {
     "run": ["run"],
     "run --seed-override 7": ["run", "--seed-override", "7"],
+    "lock-sim": ["lock-sim"],
+    "lock-sim --free-running": ["lock-sim", "--free-running"],
+    "tx": ["tx"],
+    "tx --clip-db 6": ["tx", "--clip-db", "6"],
 }
 
 

@@ -11,14 +11,13 @@ import numpy as np
 
 from wdlink.bandplan import (detected_indices, inter_band_gap_hz,
                              make_default_plans, subcarrier_centers)
-from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, ber_mqam,
-                            capacity, threshold_table)
+from wdlink.bitload import BitLoadMap, ber_mqam, capacity, threshold_table
 from wdlink.channel import apply_mask, default_masks, fspl_db
-from wdlink.noise import (LaserSpec, add_awgn, beat_phase, estimate_psd,
-                          laser_pair_phases)
+from wdlink.noise import LaserSpec, add_awgn, beat_phase, estimate_psd
 from wdlink.ofdm_rx import (band_average_snr_db, count_bit_errors, demodulate,
                             equalize, evm_snr)
-from wdlink.ofdm_tx import build_frame, clip, demap_qam, map_qam, papr_db, synth_time
+from wdlink.ofdm_tx import (SUPPORTED_ORDERS, build_frame, clip, demap_qam, map_qam,
+                            papr_db, synth_time)
 from wdlink.opll import closed_loop_suppression, residual_phase_variance, simulate_lock
 from wdlink.runner import run_scenario
 from wdlink.scenario import default_scenario_path, load_scenario
@@ -99,8 +98,7 @@ def test_criterion_6_lock_quality(w_band, d_band):
     cfg12 = replace(w_band.loop, initial_freq_error_hz=0.0)
     lock12 = simulate_lock(w_band.master, w_band.slave, cfg12, seed=2101)
     n = len(lock12.phase_error.phases)
-    free = beat_phase(*laser_pair_phases(w_band.master, w_band.slave, n,
-                                         cfg12.sim_rate_hz, seed=2101)[::-1])
+    free = beat_phase(w_band.master, w_band.slave, n, cfg12.sim_rate_hz, seed=2101)
     f_l, p_l = estimate_psd(lock12.phase_error, 500.0)
     f_f, p_f = estimate_psd(free, 500.0)
     band = (f_l >= 8e3) & (f_l <= 12e3)
@@ -127,7 +125,7 @@ def test_criterion_7_ber_model_and_fm_suppression(w_band, fec):
     rng = np.random.default_rng(1234)
     thresholds = threshold_table(fec)
     worst_rel = 0.0
-    for b in SUPPORTED_ORDER_BITS:
+    for b in SUPPORTED_ORDERS:
         snr_db = thresholds[b]  # formula BER = 2.2e-2 there, inside [2e-3, 5e-2]
         formula = ber_mqam(snr_db, b)
         n_bits = int(np.ceil(1.05e6 / b)) * b

@@ -11,7 +11,7 @@ import numpy as np
 
 from wdlink.bandplan import BandPlan
 from wdlink.bitload import BitLoadMap, write_bitload_csv, write_threshold_csv
-from wdlink.noise import PhaseTrace, write_psd_csv
+from wdlink.noise import write_psd_csv
 from wdlink.ofdm_rx import SubcarrierMetrics, write_constellation_csv, write_metrics_csv
 from wdlink.opll import LockResult, write_lock_csv
 
@@ -30,8 +30,8 @@ def _lock_result(loop, n):
     cfg = replace(loop, sim_rate_hz=1e3, duration_s=n / 1e3)
     phases = np.array([0.0, -0.5, 1.25e-7, 2.0, -3.5, 4.0, -6.25])[:n]
     freq = np.array([1e6, -2.5, 0.0, 7.0, 1e-9, -8.0, 3.0])[:n]
-    return LockResult(locked=True, phase_error=PhaseTrace(phases, 1e3),
-                      freq_error=freq, theta=phases, cycle_slips=0, config=cfg)
+    return LockResult(locked=True, freq_error=freq, theta=phases, cycle_slips=0,
+                      config=cfg)
 
 
 def test_lock_csv_bytes_with_stride(w_band, tmp_path):

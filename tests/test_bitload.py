@@ -9,12 +9,12 @@ import pytest
 from oracles import ber_mqam_ref
 from wdlink import bitload
 from wdlink.bandplan import detected_indices
-from wdlink.bitload import (SUPPORTED_ORDER_BITS, BitLoadMap, CapacityReport,
-                            ber_mqam, capacity, load_bits,
+from wdlink.bitload import (BitLoadMap, CapacityReport, ber_mqam, capacity, load_bits,
                             min_snr_db_for, read_bitload_csv, threshold_table,
                             write_bitload_csv, write_capacity_json,
                             write_threshold_csv)
 from wdlink.ofdm_rx import SubcarrierMetrics
+from wdlink.ofdm_tx import SUPPORTED_ORDERS
 
 
 def _metrics(snr_db):
@@ -38,7 +38,7 @@ def test_qam16_ber_near_fec_threshold():
 
 def test_ber_matches_scipy_erfc():
     snr = np.linspace(-10.0, 30.0, 81)
-    for b in SUPPORTED_ORDER_BITS:
+    for b in SUPPORTED_ORDERS:
         np.testing.assert_allclose(ber_mqam(snr, b), ber_mqam_ref(snr, b), rtol=1e-12)
         scalar = ber_mqam(12.5, b)
         assert isinstance(scalar, float)
@@ -47,14 +47,14 @@ def test_ber_matches_scipy_erfc():
 
 def test_ber_decreases_with_snr():
     snr = np.linspace(-5, 25, 61)
-    for b in SUPPORTED_ORDER_BITS:
+    for b in SUPPORTED_ORDERS:
         ber = ber_mqam(snr, b)
         assert ber.shape == snr.shape
         assert np.all(np.diff(ber) < 0)
 
 
 def test_ber_increases_with_order_at_fixed_snr():
-    bers = [ber_mqam(12.0, b) for b in SUPPORTED_ORDER_BITS]
+    bers = [ber_mqam(12.0, b) for b in SUPPORTED_ORDERS]
     assert all(b2 > b1 for b1, b2 in zip(bers, bers[1:]))
 
 
@@ -87,12 +87,12 @@ def test_threshold_table_bisects_once_per_profile(monkeypatch, fec):
     first[1] = None                           # the caller's copy, not the cache
     second = threshold_table(fec)
     assert len(calls) == 6
-    assert sorted(second) == list(SUPPORTED_ORDER_BITS)
+    assert sorted(second) == list(SUPPORTED_ORDERS)
     assert second[1] == real(1, fec)
 
 
 def test_min_snr_monotone_in_order(fec):
-    snrs = [min_snr_db_for(b, fec) for b in SUPPORTED_ORDER_BITS]
+    snrs = [min_snr_db_for(b, fec) for b in SUPPORTED_ORDERS]
     assert all(s2 > s1 for s1, s2 in zip(snrs, snrs[1:]))
 
 
@@ -221,7 +221,7 @@ def test_threshold_csv_contents(tmp_path, fec):
     write_threshold_csv(path, fec)
     lines = path.read_text().splitlines()
     assert lines[0] == "order_bits,min_snr_db"
-    assert len(lines) == 1 + len(SUPPORTED_ORDER_BITS)
+    assert len(lines) == 1 + len(SUPPORTED_ORDERS)
     order, snr = lines[1].split(",")
     assert int(order) == 1
     assert float(snr) == pytest.approx(3.0713, abs=2e-3)

@@ -15,7 +15,6 @@ from wdlink.noise import PhaseTrace
 from wdlink.ofdm_rx import demodulate, equalize
 from wdlink.ofdm_tx import build_frame
 from wdlink.opll import simulate_lock
-from wdlink.runner import _residual_tail
 from wdlink.waveform import ComplexWaveform
 
 
@@ -183,7 +182,7 @@ def test_wider_linewidth_pair_wanders_more(w_plan, w_band, d_band):
         pair_vars = []
         for seed in (0, 1, 2):
             lock = simulate_lock(band.master, band.slave, loop, seed=100 + seed)
-            rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
+            rx = apply_carrier(wav, lock.residual_tail(wav.duration_s))
             eqf = equalize(demodulate(rx, ref, 0), ref)
             pair_vars.append(float(np.var(eqf.cpe_rad)))
         var[band.name] = pair_vars

@@ -304,6 +304,10 @@ W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
      "decimation would alias"),
     (("bands", 1, "downconvert", "if_window_hz"), [19.8e9, 2.8e9], "$.bands[1].downconvert",
      "low < high"),
+    (("bands", 1, "tx", "cp_fraction"), 3 / 512, "$.bands[1].tx.cp_fraction",
+     "cyclic prefix does not survive this resampling factor"),
+    (("bands", 0, "tx", "n_pilots"), -1, "$.bands[0].tx.n_pilots",
+     "n_pilots must be non-negative"),
 ])
 def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, keys, value,
                                              json_path, message):

@@ -1,4 +1,4 @@
-"""Byte identity of the two contract runs against ``golden/manifests.json``.
+"""Byte identity of the contract runs against ``golden/manifests.json``.
 
 The hashes depend on numpy's FFT and ufunc rounding, so on a numpy version
 or machine other than the recorded pair the comparison is skipped.  A change
@@ -40,4 +40,11 @@ def test_default_run_matches_golden(default_run):
 def test_seed_override_run_matches_golden(tmp_path):
     _require_recorded_platform()
     name = "run --seed-override 7"
+    _assert_matches(name, capture(RUNS[name], tmp_path / "out"))
+
+
+@pytest.mark.parametrize("name", ["lock-sim", "lock-sim --free-running",
+                                  "tx", "tx --clip-db 6"])
+def test_subcommand_matches_golden(name, tmp_path):
+    _require_recorded_platform()
     _assert_matches(name, capture(RUNS[name], tmp_path / "out"))

@@ -14,7 +14,6 @@ from wdlink.noise import (
     beat_phase,
     estimate_psd,
     gen_phase_noise,
-    laser_pair_phases,
     read_psd_csv,
     write_psd_csv,
 )
@@ -22,10 +21,8 @@ from wdlink.waveform import ComplexWaveform
 
 
 def beat_field(lw_a, lw_b, n, fs, seed):
-    pa, pb = laser_pair_phases(
-        LaserSpec("a", lw_a), LaserSpec("b", lw_b, 1e9), n, fs, seed
-    )
-    return ComplexWaveform(np.exp(1j * beat_phase(pb, pa).phases), fs)
+    beat = beat_phase(LaserSpec("a", lw_a), LaserSpec("b", lw_b, 1e9), n, fs, seed)
+    return ComplexWaveform(np.exp(1j * beat.phases), fs)
 
 
 def test_zero_linewidth_constant_phase():
@@ -53,10 +50,8 @@ def test_phase_noise_determinism():
 def test_far_wing_phase_psd():
     """Beat of 100 Hz and 5 kHz lasers: S_phi(10 kHz) = 5.1e3/(pi f^2)."""
     fs, n = 5e6, 1 << 21
-    pa, pb = laser_pair_phases(
-        LaserSpec("a", 100.0), LaserSpec("b", 5e3, 1e9), n, fs, seed=21
-    )
-    freqs, psd = estimate_psd(beat_phase(pb, pa), 500.0)
+    beat = beat_phase(LaserSpec("a", 100.0), LaserSpec("b", 5e3, 1e9), n, fs, seed=21)
+    freqs, psd = estimate_psd(beat, 500.0)
     sel = (freqs >= 9e3) & (freqs <= 11e3)
     measured_db = 10.0 * np.log10(np.mean(psd[sel]))
     expect_db = 10.0 * math.log10(wiener_phase_psd(5.1e3, 1e4))
@@ -220,9 +215,9 @@ def test_psd_csv_round_trip(tmp_path):
 
 
 def test_laser_pair_shares_nothing_but_seed():
-    pa1, pb1 = laser_pair_phases(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
-    pa2, pb2 = laser_pair_phases(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
-    assert np.array_equal(pa1.phases, pa2.phases)
-    assert np.array_equal(pb1.phases, pb2.phases)
-    # the two lasers of a pair must be statistically independent streams
-    assert not np.array_equal(pa1.phases, pb1.phases)
+    b1 = beat_phase(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
+    b2 = beat_phase(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
+    assert np.array_equal(b1.phases, b2.phases)
+    # the two lasers of a pair must be statistically independent streams:
+    # at equal linewidths one shared stream would beat to all zeros
+    assert np.all(b1.phases[1:] != 0.0)

@@ -18,7 +18,6 @@ from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _correlate_valid, _fas
                             write_metrics_csv)
 from wdlink.ofdm_tx import build_frame
 from wdlink.opll import simulate_lock
-from wdlink.runner import _residual_tail
 
 OCC_W = 254 * 136.71875e6
 
@@ -254,7 +253,7 @@ def test_phase_tracking_recovers_snr_under_lock_residual(w_plan, w_band):
         cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=6144,
                       prbs_seed_state=(seed % 65535) + 1)
         wav, ref = build_frame(w_plan, cfg)
-        rx = apply_carrier(wav, _residual_tail(lock, wav.duration_s))
+        rx = apply_carrier(wav, lock.residual_tail(wav.duration_s))
         rx = add_awgn(rx, 12.0, seed=seed + 500, occupied_bw_hz=OCC_W)
         raw = demodulate(rx, ref, 0)
         s_on = band_average_snr_db(evm_snr(equalize(raw, ref), ref), w_plan)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import lfsr_bits
+from wdlink.bandplan import BandPlan
 from wdlink.ofdm_tx import (
     CONSTELLATIONS,
     PRBS_TAPS,
@@ -195,6 +196,16 @@ def test_tx_config_validation(w_band):
 
 def test_pilot_spacing(w_plan):
     assert pilot_indices(w_plan, 8).tolist() == [16, 48, 80, 112, 144, 176, 208, 240]
+
+
+def test_pilot_rejections_name_their_cause(w_plan):
+    with pytest.raises(ValueError, match="n_pilots must be non-negative"):
+        pilot_indices(w_plan, -1)
+    # 8 pilots on 8 subcarriers round onto 0, 2, 2, 4, ...: no nulls involved
+    with pytest.raises(ValueError, match="pilot grid collides with itself"):
+        pilot_indices(BandPlan("x", 1e9, 8, 1e6), 8)
+    with pytest.raises(ValueError, match="pilot grid collides with null subcarriers"):
+        pilot_indices(BandPlan("x", 1e9, 256, 1e6, null_indices={16}), 8)
 
 
 def test_synth_single_subcarrier_tone():

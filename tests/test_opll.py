@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import closed_loop_phase_step, lock_loop_scalar
-from wdlink.noise import LaserSpec, beat_phase, estimate_psd, laser_pair_phases
+from wdlink.noise import LaserSpec, beat_phase, estimate_psd
 from wdlink.opll import (
     DIVERGENCE_RAD,
     LOCK_FREQ_TOL_HZ,
@@ -125,8 +125,7 @@ def test_locked_psd_matches_linear_suppression(w_band):
     cfg = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
     res = simulate_lock(w_band.master, w_band.slave, cfg, seed=7)
     n = len(res.phase_error.phases)
-    free = beat_phase(*laser_pair_phases(w_band.master, w_band.slave, n, cfg.sim_rate_hz,
-                                         seed=7)[::-1])
+    free = beat_phase(w_band.master, w_band.slave, n, cfg.sim_rate_hz, seed=7)
     fl, sl = estimate_psd(res.phase_error, 500.0)
     ff, sf = estimate_psd(free, 500.0)
     measured = 10 * np.log10(band_mean(fl, sl, 8e3, 12e3) / band_mean(ff, sf, 8e3, 12e3))
@@ -192,9 +191,9 @@ def test_lock_determinism(w_band):
 
 
 def test_free_running_beat_matches_pair(w_band):
-    fb = free_running_beat(w_band.master, w_band.slave, 4096, 5e7, seed=7)
-    pa, pb = laser_pair_phases(w_band.master, w_band.slave, 4096, 5e7, seed=7)
-    bt = beat_phase(pb, pa)
+    cfg = replace(w_band.loop, sim_rate_hz=5e7, duration_s=4096 / 5e7)
+    fb = free_running_beat(w_band.master, w_band.slave, cfg, seed=7)
+    bt = beat_phase(w_band.master, w_band.slave, 4096, 5e7, seed=7)
     ph = np.unwrap(np.angle(fb.samples))
     aligned = bt.phases - bt.phases[0] + ph[0]
     assert np.max(np.abs(ph - aligned)) < 1e-9
@@ -230,8 +229,7 @@ NOISELESS_B = LaserSpec("b", 0.0, 92.5e9)
 def beat_increments(master, slave, cfg, seed):
     """The per-sample beat-noise increments simulate_lock draws."""
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
-    m_tr, s_tr = laser_pair_phases(master, slave, n, cfg.sim_rate_hz, seed)
-    return np.diff(s_tr.phases - m_tr.phases, prepend=0.0)
+    return np.diff(beat_phase(master, slave, n, cfg.sim_rate_hz, seed).phases, prepend=0.0)
 
 
 def scalar_reference(cfg, incr, fm=None):
