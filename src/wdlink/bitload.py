@@ -92,7 +92,7 @@ def threshold_table(fec: FecProfile) -> dict:
 
 @dataclass(frozen=True)
 class BitLoadMap:
-    """bits_per_subcarrier[i] in {0} + supported orders, full plan length."""
+    """bits[i] in {0} + supported orders, full plan length."""
 
     bits: np.ndarray
 

@@ -5,7 +5,8 @@
 Subcommands: lock-sim, tx, run, bitload, report.  ``--seed-override`` goes
 to run and lock-sim, ``--rbw-hz`` to run, lock-sim and tx; a subcommand
 rejects a flag it would ignore.  ``--rbw-hz`` and ``--clip-db`` take only a
-finite positive number.  The scenario is loaded (and, with
+finite positive number, and ``--rbw-hz`` must fit each record the subcommand
+estimates a PSD from.  The scenario is loaded (and, with
 ``--seed-override``, re-seeded) before any output is written, so a bad file
 or flag leaves no output directory.  Exit codes: 0 success, 2
 configuration/usage error, 3 lock or sync failure, 4 I/O error.
@@ -25,6 +26,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHAIN = 3
 EXIT_IO = 4
+
+# the records whose PSDs --rbw-hz sets, per subcommand (BandScenario.check_psd_rbw)
+RBW_RECORDS = {"run": ("tx", "rx"), "tx": ("tx",), "lock-sim": ("lock",)}
 
 
 def _seed(text: str) -> int:
@@ -108,6 +112,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"cannot read scenario: {e}", file=sys.stderr)
         return EXIT_IO
+    if getattr(args, "rbw_hz", None) is not None:
+        try:
+            for band in scn.bands:
+                band.check_psd_rbw(args.rbw_hz, RBW_RECORDS[args.command])
+        except ValueError as e:
+            parser.error(f"argument --rbw-hz: {e}")
 
     try:
         if args.command == "run":

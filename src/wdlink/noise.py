@@ -89,6 +89,22 @@ def beat_phase(master: LaserSpec, slave: LaserSpec, n_samples: int,
     return PhaseTrace(beat, sample_rate_hz)
 
 
+def psd_segment_length(sample_rate_hz: float, n_samples: int, rbw_hz: float) -> int:
+    """Welch segment length that gives bins ``rbw_hz`` apart on a record of
+    ``n_samples`` at ``sample_rate_hz``.  Raises ValueError when a segment
+    would be shorter than 8 samples or longer than the record."""
+    if rbw_hz <= 0:
+        raise ValueError("rbw_hz must be positive")
+    ratio = sample_rate_hz / rbw_hz
+    nperseg = round(min(ratio, n_samples + 1))   # min: an infinite ratio has no round()
+    if nperseg < 8:
+        raise ValueError("rbw_hz too coarse: fewer than 8 samples per segment")
+    if nperseg > n_samples:
+        raise ValueError(f"rbw_hz {rbw_hz:g} finer than the record allows "
+                         f"(need {ratio:.0f} samples, have {n_samples})")
+    return nperseg
+
+
 def estimate_psd(x, rbw_hz: float):
     """Power spectral density by averaged modified periodograms (Welch, 50%
     overlap, Hann window), density scaling so that sum(psd)*df recovers the
@@ -96,8 +112,8 @@ def estimate_psd(x, rbw_hz: float):
 
     Accepts a PhaseTrace (returns a one-sided spectrum in rad^2/Hz) or a
     ComplexWaveform (returns a two-sided spectrum centered on the anchor
-    frequency).  ``rbw_hz`` sets the bin spacing and must be no finer than
-    the record allows.
+    frequency).  ``rbw_hz`` sets the bin spacing; ``psd_segment_length``
+    says which values the record allows.
     """
     if isinstance(x, PhaseTrace):
         data, fs, anchor, onesided = x.phases, x.sample_rate_hz, None, True
@@ -105,15 +121,7 @@ def estimate_psd(x, rbw_hz: float):
         data, fs, anchor, onesided = x.samples, x.sample_rate_hz, x.anchor_hz, False
     else:
         raise TypeError("estimate_psd expects a PhaseTrace or ComplexWaveform")
-    if rbw_hz <= 0:
-        raise ValueError("rbw_hz must be positive")
-    nperseg = int(round(fs / rbw_hz))
-    if nperseg < 8:
-        raise ValueError("rbw_hz too coarse: fewer than 8 samples per segment")
-    if nperseg > len(data):
-        raise ValueError(
-            f"rbw_hz {rbw_hz:g} finer than the record allows (need {nperseg} samples, have {len(data)})"
-        )
+    nperseg = psd_segment_length(fs, len(data), rbw_hz)
     # periodic Hann window, 50% overlap (Welch 1967)
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     hop = nperseg - nperseg // 2

@@ -107,8 +107,7 @@ class EqualizedFrame:
 
     symbols: np.ndarray      # (n_payload, n_subcarriers)
     taps: np.ndarray         # complex per subcarrier (refinement folded in)
-    dead: np.ndarray         # True where the tap was unusable, nulled, or the
-                             # payload silenced (bit map 0: nothing to judge)
+    dead: np.ndarray         # True where the tap was unusable or the column nulled
     cpe_rad: np.ndarray      # removed rotation per payload symbol
 
 
@@ -128,7 +127,7 @@ def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True) -> EqualizedFrame
     taps = np.zeros(n_sc, dtype=complex)
     taps[active] = ratios.mean(axis=0)
     dead = np.ones(n_sc, dtype=bool)
-    dead[active] = (np.abs(taps[active]) < DEAD_TAP) | (ref.bits_per_subcarrier[active] == 0)
+    dead[active] = np.abs(taps[active]) < DEAD_TAP
 
     payload = raw[ref.n_training:]
     known = ref.payload_grid
@@ -212,8 +211,8 @@ def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     """
     judged = np.intersect1d(ref.data_idx, detected_indices(ref.plan))
     errors = total = 0
-    for i in judged[~eqf.dead[judged]]:   # dead covers silenced (bit map 0) columns
-        hat = demap_qam(eqf.symbols[:, i], int(ref.bits_per_subcarrier[i]))
+    for i in judged[~eqf.dead[judged]]:
+        hat = demap_qam(eqf.symbols[:, i], ref.bits_per_subcarrier)
         sent = ref.payload_bits[int(i)]
         errors += int(np.count_nonzero(hat != sent))
         total += len(sent)

@@ -172,10 +172,11 @@ def demap_qam(symbols: np.ndarray, order_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TxConfig:
-    """Transmit-side knobs.  ``bits_per_subcarrier`` is either a uniform int
-    or a per-index array (0 silences a subcarrier)."""
+    """Transmit-side knobs.  ``bits_per_subcarrier`` is the one QAM order
+    (bits per symbol, one of ``SUPPORTED_ORDERS``) every data subcarrier of
+    the frame carries."""
 
-    bits_per_subcarrier: object
+    bits_per_subcarrier: int
     n_symbols: int
     n_training: int
     n_pilots: int
@@ -194,10 +195,10 @@ class TxConfig:
             raise ValueError("oversample must be >= 1")
         if self.clip_ratio_db <= 0:
             raise ValueError("clip_ratio_db must be positive")
-        if isinstance(self.bits_per_subcarrier, (int, np.integer)):
-            if self.bits_per_subcarrier not in SUPPORTED_ORDERS:
-                raise ValueError(
-                    f"unsupported uniform order {self.bits_per_subcarrier}")
+        if type(self.bits_per_subcarrier) is not int or (
+                self.bits_per_subcarrier not in SUPPORTED_ORDERS):
+            raise ValueError(f"bits_per_subcarrier must be one of {list(SUPPORTED_ORDERS)}, "
+                             f"got {self.bits_per_subcarrier!r}")
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class FrameRef:
     pilot_idx: np.ndarray
     data_idx: np.ndarray
     active_idx: np.ndarray            # every non-null subcarrier: pilots and data
-    bits_per_subcarrier: np.ndarray
+    bits_per_subcarrier: int          # the QAM order of every data subcarrier
     grid: np.ndarray                  # (n_training + n_payload, n_subcarriers)
     payload_bits: dict                # data subcarrier index -> its payload bits
 
@@ -299,57 +300,35 @@ def analyze_time(samples: np.ndarray, n_sc: int, oversample: int,
 def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
     """Synthesize one frame: training symbols, then PRBS-driven payload.
 
-    Training and pilots carry Gray QPSK; payload subcarriers carry the
+    Training and pilots carry Gray QPSK; data subcarriers carry the
     configured order.  One PRBS stream is consumed in a fixed order
-    (training, then per payload symbol in ascending subcarrier index), so
-    the whole frame is a pure function of the configuration.  Output is
-    RMS-normalized to 1.  Returns (waveform, FrameRef).
+    (training, then per payload symbol the pilot bits followed by the data
+    bits in ascending subcarrier index), so the whole frame is a pure
+    function of the configuration.  Output is RMS-normalized to 1.  Returns
+    (waveform, FrameRef).
     """
     n = plan.n_subcarriers
-    bits_cfg = cfg.bits_per_subcarrier
-    if isinstance(bits_cfg, (int, np.integer)):
-        bits_map = np.full(n, int(bits_cfg), dtype=int)
-    else:
-        bits_map = np.asarray(bits_cfg, dtype=int).copy()
-        if bits_map.shape != (n,):
-            raise ValueError("per-subcarrier bit map must have one entry per subcarrier")
+    b = cfg.bits_per_subcarrier
     active = active_indices(plan)
-    bits_map[np.setdiff1d(np.arange(n), active)] = 0   # nulls carry nothing
-    bad = set(np.unique(bits_map)) - set(SUPPORTED_ORDERS) - {0}
-    if bad:
-        raise ValueError(f"unsupported constellation orders: {sorted(bad)}")
-
     p_idx = pilot_indices(plan, cfg.n_pilots)
     d_idx = np.setdiff1d(active, p_idx)
-    bits_map[p_idx] = 2  # pilots ride QPSK regardless of the payload order
 
     n_train, n_pay = cfg.n_training, cfg.n_symbols
     need_train = 2 * len(active) * n_train
-    data_widths = bits_map[d_idx]
-    per_sym = 2 * len(p_idx) + int(np.sum(data_widths))
+    per_sym = 2 * len(p_idx) + b * len(d_idx)
     stream = gen_prbs(need_train + per_sym * n_pay,
                       order=cfg.prbs_order, seed_state=cfg.prbs_seed_state)
 
     grid = np.zeros((n_train + n_pay, n), dtype=complex)
     grid[:n_train, active] = map_qam(stream[:need_train], 2).reshape(n_train, len(active))
 
-    # stream layout per payload symbol: pilot bits, then data bits in
-    # ascending subcarrier order; mapped column-group-wise per order
     block = stream[need_train:].reshape(n_pay, per_sym)
     grid[n_train:, p_idx] = map_qam(block[:, : 2 * len(p_idx)].ravel(), 2).reshape(n_pay, -1)
     data_block = block[:, 2 * len(p_idx):]
-    offsets = np.concatenate([[0], np.cumsum(data_widths)])
-    payload_bits = {}
-    for b in SUPPORTED_ORDERS:
-        sel = np.nonzero(data_widths == b)[0]
-        if len(sel) == 0:
-            continue
-        cols = np.concatenate([np.arange(offsets[j], offsets[j] + b) for j in sel])
-        chunk = data_block[:, cols]                       # (n_pay, len(sel) * b)
-        grid[n_train:, d_idx[sel]] = map_qam(chunk.ravel(), b).reshape(n_pay, len(sel))
-        cube = chunk.reshape(n_pay, len(sel), b)
-        for pos, j in enumerate(sel):
-            payload_bits[int(d_idx[j])] = np.ascontiguousarray(cube[:, pos, :]).ravel()
+    grid[n_train:, d_idx] = map_qam(data_block.ravel(), b).reshape(n_pay, len(d_idx))
+    # one row per data subcarrier: its b bits of every payload symbol in turn
+    rows = data_block.reshape(n_pay, len(d_idx), b).transpose(1, 0, 2).reshape(len(d_idx), -1)
+    payload_bits = dict(zip(d_idx.tolist(), rows))
 
     cp_len = cp_length(n, cfg.oversample, cfg.cp_fraction)
     samples = synth_time(grid, cfg.oversample, cp_len)
@@ -366,7 +345,7 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         pilot_idx=p_idx,
         data_idx=d_idx,
         active_idx=active,
-        bits_per_subcarrier=bits_map,
+        bits_per_subcarrier=b,
         grid=grid,
         payload_bits=payload_bits,
     )

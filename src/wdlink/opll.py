@@ -33,6 +33,7 @@ TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
 LOCK_FREQ_TOL_HZ = 1.0e3
 RESIDUAL_TAIL = 0.5      # trailing fraction of the record that counts as settled
+LOCK_PSD_RBW_HZ = 1e3    # resolution of a run's lock-loop PSD (psd_error.csv)
 
 # hybrid solver (see _lock_loop)
 BLOCK = 1 << 16          # linear block length; a settled loop's blocks fill the FFT

@@ -31,12 +31,11 @@ from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
                       read_metrics_csv, synchronize, write_constellation_csv,
                       write_metrics_csv)
 from .ofdm_tx import build_frame, clip, papr_db
-from .opll import (free_running_beat, residual_phase_variance, simulate_lock,
-                   write_lock_csv)
+from .opll import (LOCK_PSD_RBW_HZ, free_running_beat, residual_phase_variance,
+                   simulate_lock, write_lock_csv)
 from .scenario import BandScenario, Scenario
 from .waveform import write_iq, write_json
 
-LOCK_PSD_RBW_HZ = 1e3
 LOCK_CSV_MAX_ROWS = 4000
 
 

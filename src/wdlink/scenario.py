@@ -25,11 +25,11 @@ import numpy as np
 from .bandplan import BandPlan, make_default_plans
 from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
-from .noise import LaserSpec
+from .noise import LaserSpec, psd_segment_length
 from .ofdm_rx import MIN_METRIC_SYMBOLS
 from .ofdm_tx import (SUPPORTED_ORDERS, TxConfig, cp_length, pilot_indices,
                       resampled_cp_length)
-from .opll import LoopConfig, loop_samples, pi_gains_for
+from .opll import LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for
 
 SCHEMA_VERSION = 1
 
@@ -84,6 +84,26 @@ class BandScenario:
     mask_source: str
     target_snr_db: float
     downconvert: dict | None   # keyword arguments of channel.dband_downconvert
+
+    def check_psd_rbw(self, rbw_hz: float, records) -> None:
+        """Raise ValueError, naming the band and record, when a PSD at
+        ``rbw_hz`` does not fit one of ``records`` (``noise.psd_segment_length``):
+        "tx" is the transmitted frame, "rx" the received one (decimated to a
+        sample per subcarrier on a downconverted band), "lock" the lock
+        loop's record."""
+        n_sc, oversample = self.plan.n_subcarriers, self.tx.oversample
+        rate = self.plan.spacing_hz * (n_sc * oversample)
+        n = (self.tx.n_training + self.tx.n_symbols) * (
+            n_sc * oversample + cp_length(n_sc, oversample, self.tx.cp_fraction))
+        decimate = oversample if self.downconvert is not None else 1
+        sizes = {"tx": (rate, n), "rx": (rate / decimate, n // decimate)}
+        if "lock" in records:   # loop_samples solves for the unity gain: only on demand
+            sizes["lock"] = (self.loop.sim_rate_hz, loop_samples(self.loop))
+        for record in records:
+            try:
+                psd_segment_length(*sizes[record], rbw_hz)
+            except ValueError as e:
+                raise ValueError(f"band {self.name} {record} record: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -225,9 +245,13 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         servo = LoopConfig(target_offset_hz=0.0, kp=kp, ki=ki, **lock)
         # simulate_lock's checks; a band's copy differs only in the target
         # offset, which they do not read
-        loop_samples(servo)
+        n_lock = loop_samples(servo)
     except ValueError as e:
         raise ScenarioError("$.lock", str(e)) from None
+    try:
+        psd_segment_length(servo.sim_rate_hz, n_lock, LOCK_PSD_RBW_HZ)
+    except ValueError as e:
+        raise ScenarioError("$.lock.duration_s", f"lock record: {e}") from None
     seeds_d = _get(doc, "seeds", "$", dict)
 
     bands_l = _get(doc, "bands", "$", list)
@@ -285,8 +309,11 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         ))
 
     psd_rbw = _get(doc, "psd_rbw_hz", "$", float, required=False, default=100e6)
-    if psd_rbw <= 0:
-        raise ScenarioError("$.psd_rbw_hz", "must be positive")
+    try:
+        for band in bands:
+            band.check_psd_rbw(psd_rbw, ("tx", "rx"))
+    except ValueError as e:
+        raise ScenarioError("$.psd_rbw_hz", str(e)) from None
 
     return Scenario(
         schema_version=version,

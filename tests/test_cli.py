@@ -308,6 +308,15 @@ W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
      "cyclic prefix does not survive this resampling factor"),
     (("bands", 0, "tx", "n_pilots"), -1, "$.bands[0].tx.n_pilots",
      "n_pilots must be non-negative"),
+    (("psd_rbw_hz",), 1.0, "$.psd_rbw_hz",
+     "band W tx record: rbw_hz 1 finer than the record allows"),
+    (("psd_rbw_hz",), 1e12, "$.psd_rbw_hz",
+     "band W tx record: rbw_hz too coarse"),
+    # 13 samples per segment on D's transmitted frame, 7 once it is decimated
+    (("psd_rbw_hz",), 6e9, "$.psd_rbw_hz",
+     "band D rx record: rbw_hz too coarse"),
+    (("lock", "duration_s"), 5e-4, "$.lock.duration_s",
+     "lock record: rbw_hz 1000 finer than the record allows"),
 ])
 def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, keys, value,
                                              json_path, message):
@@ -343,6 +352,17 @@ def test_non_positive_or_non_finite_flag_is_a_usage_error(tmp_path, capsys, comm
         main([command, "--out", str(tmp_path / "o"), flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, record", [("run", "tx"), ("tx", "tx"),
+                                             ("lock-sim", "lock")])
+def test_rbw_flag_finer_than_a_record_is_a_usage_error(tmp_path, capsys, command, record):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "o"), "--rbw-hz", "1"])
+    assert exc.value.code == 2
+    assert (f"argument --rbw-hz: band W {record} record: rbw_hz 1 finer than the record "
+            "allows") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from golden.regen import MANIFESTS, RUNS, capture, platform_key
+from golden.regen import MANIFESTS, ON_RUN, RUNS, capture, capture_on_run, platform_key
 
 GOLDEN = json.loads(MANIFESTS.read_text())
 
@@ -48,3 +48,9 @@ def test_seed_override_run_matches_golden(tmp_path):
 def test_subcommand_matches_golden(name, tmp_path):
     _require_recorded_platform()
     _assert_matches(name, capture(RUNS[name], tmp_path / "out"))
+
+
+@pytest.mark.parametrize("name", list(ON_RUN))
+def test_run_tree_subcommand_matches_golden(name, default_run, tmp_path):
+    _require_recorded_platform()
+    _assert_matches(name, capture_on_run(name, default_run[0], tmp_path / "out"))

@@ -168,6 +168,8 @@ def test_psd_rbw_bounds():
         estimate_psd(tr, 1.0)  # finer than the record supports
     with pytest.raises(ValueError):
         estimate_psd(tr, 1e9)  # segments shorter than 8 samples
+    with pytest.raises(ValueError, match="need inf samples"):
+        estimate_psd(tr, 1e-310)  # a segment length past any float
 
 
 def test_add_awgn_power():

@@ -192,6 +192,9 @@ def test_tx_config_validation(w_band):
         replace(w_band.tx, clip_ratio_db=0.0)
     with pytest.raises(ValueError):
         replace(w_band.tx, bits_per_subcarrier=7)
+    # a frame carries one order: a per-subcarrier map is refused, by name
+    with pytest.raises(ValueError, match=r"bits_per_subcarrier must be one of .*got array"):
+        replace(w_band.tx, bits_per_subcarrier=np.full(256, 4))
 
 
 def test_pilot_spacing(w_plan):
@@ -284,8 +287,11 @@ def test_frame_reference_layout(w_plan, w_band):
     assert not set(ref.data_idx.tolist()) & set(ref.pilot_idx.tolist())
     assert not set(ref.data_idx.tolist()) & w_plan.null_indices
     assert ref.data_idx.size == 246
-    assert np.all(ref.bits_per_subcarrier[ref.data_idx] == 4)
-    assert np.all(ref.bits_per_subcarrier[list(w_plan.null_indices)] == 0)
+    assert ref.bits_per_subcarrier == 4
+    non_null = np.setdiff1d(np.arange(256), sorted(w_plan.null_indices))
+    assert np.array_equal(ref.active_idx, non_null)
+    assert np.array_equal(ref.active_idx, np.union1d(ref.data_idx, ref.pilot_idx))
+    assert np.all(ref.grid[:, sorted(w_plan.null_indices)] == 0)
     # payload bit bookkeeping: 64 symbols x 4 bits per data subcarrier
     assert set(ref.payload_bits) == set(ref.data_idx.tolist())
     assert all(v.size == 64 * 4 for v in ref.payload_bits.values())
@@ -312,20 +318,6 @@ def test_occupied_bandwidth_psd(w_plan, w_band):
     span = above.max() - above.min()
     assert abs(span - 254 * w_plan.spacing_hz) <= 1.5 * w_plan.spacing_hz
     assert span <= 35e9 + w_plan.spacing_hz
-
-
-def test_mixed_bit_loading_frame(w_plan, w_band):
-    bits = np.zeros(256, dtype=int)
-    bits[10:60] = 2
-    bits[60:200] = 6
-    cfg = replace(w_band.tx, bits_per_subcarrier=bits, n_symbols=8)
-    frame, ref = build_frame(w_plan, cfg)
-    assert np.array_equal(ref.bits_per_subcarrier[ref.data_idx], bits[ref.data_idx])
-    non_null = np.setdiff1d(np.arange(256), sorted(w_plan.null_indices))
-    assert np.array_equal(ref.active_idx, non_null)
-    assert np.array_equal(ref.active_idx, np.union1d(ref.data_idx, ref.pilot_idx))
-    silent = np.setdiff1d(np.arange(256), np.concatenate([ref.data_idx, ref.pilot_idx]))
-    assert np.all(ref.payload_grid[:, silent] == 0)
 
 
 def test_clip_bounds_papr(w_plan, w_band):
