@@ -20,6 +20,8 @@ from .bandplan import C_LIGHT
 from .noise import PhaseTrace
 from .waveform import ComplexWaveform
 
+CHUNK = 1 << 18   # samples or bins per step of the channel's chunked loops
+
 
 @dataclass(frozen=True)
 class MaskPoint:
@@ -87,11 +89,49 @@ def load_mask_csv(path) -> tuple:
 
 def apply_mask(w: ComplexWaveform, mask) -> ComplexWaveform:
     """Whole-frame frequency-domain multiply by the interpolated amplitude."""
+    z = np.fft.fft(w.samples)
+    _filter(z, w.sample_rate_hz, w.anchor_hz, _mask_amplitude(mask))
+    return w.with_samples(z)
+
+
+def _mask_amplitude(mask):
+    """Linear amplitude of ``mask`` as a function of absolute frequency."""
+    return lambda freqs: 10.0 ** (mask_gain_db(mask, freqs) / 20.0)
+
+
+def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain) -> None:
+    """Turn the spectrum ``z`` of a waveform sampled at ``sample_rate_hz``
+    around ``anchor_hz`` back into time samples, in place, after multiplying
+    each bin by ``gain`` of its absolute frequency.  The bin frequencies are
+    ``np.fft.fftfreq``'s, taken CHUNK bins at a time so that no
+    full-length frequency or gain array exists."""
+    n = len(z)
+    step = 1.0 / (n * (1.0 / sample_rate_hz))   # fftfreq's bin spacing, rounded as it rounds
+    for lo in range(0, n, CHUNK):
+        k = np.arange(lo, min(lo + CHUNK, n))
+        k[k >= (n + 1) // 2] -= n
+        z[lo:lo + len(k)] *= gain(k * step + anchor_hz)
+    np.fft.ifft(z, out=z)
+
+
+def _carrier_product(w: ComplexWaveform, residual: PhaseTrace) -> np.ndarray:
+    """A new array of ``w``'s samples times exp(j phi), phi being the
+    residual phase linearly resampled onto the waveform's sample grid; the
+    phase is resampled CHUNK samples at a time."""
     n = len(w.samples)
-    freqs = np.fft.fftfreq(n, d=1.0 / w.sample_rate_hz) + w.anchor_hz
-    amp = 10.0 ** (mask_gain_db(mask, freqs) / 20.0)
-    out = np.fft.ifft(np.fft.fft(w.samples) * amp)
-    return w.with_samples(out)
+    t_r = np.arange(len(residual.phases)) / residual.sample_rate_hz
+    if t_r[-1] < (n - 1) / w.sample_rate_hz:
+        raise ValueError(f"residual phase covers {t_r[-1]:.3e}s but waveform "
+                         f"lasts {(n - 1) / w.sample_rate_hz:.3e}s")
+    z = np.empty(n, dtype=complex)
+    for lo in range(0, n, CHUNK):
+        t_w = np.arange(lo, min(lo + CHUNK, n)) / w.sample_rate_hz
+        z[lo:lo + len(t_w)] = 1j * np.interp(t_w, t_r, residual.phases)
+    np.exp(z, out=z)
+    # the phasor is the left operand: complex products round differently
+    # with the operands swapped
+    z *= w.samples
+    return z
 
 
 def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
@@ -100,15 +140,7 @@ def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
     The phase trace is linearly resampled onto the waveform's sample grid and
     must span the waveform's duration.
     """
-    n = len(w.samples)
-    t_w = np.arange(n) / w.sample_rate_hz
-    t_r = np.arange(len(residual.phases)) / residual.sample_rate_hz
-    if t_r[-1] < t_w[-1]:
-        raise ValueError(
-            f"residual phase covers {t_r[-1]:.3e}s but waveform lasts {t_w[-1]:.3e}s"
-        )
-    phi = np.interp(t_w, t_r, residual.phases)
-    return w.with_samples(w.samples * np.exp(1j * phi))
+    return w.with_samples(_carrier_product(w, residual))
 
 
 def check_if_window(anchor_hz: float, sample_rate_hz: float, seed_lo_hz: float,
@@ -144,19 +176,52 @@ def dband_downconvert(
     (alias-free because of the filter; ``check_if_window`` holds the window
     rules).
     """
+    step = _downconvert_step(w, seed_lo_hz, mult, if_window_hz, decimate)
+    return step(np.fft.fft(w.samples))
+
+
+def _downconvert_step(w: ComplexWaveform, seed_lo_hz: float, mult: int,
+                      if_window_hz: tuple, decimate: int):
+    """Check ``dband_downconvert``'s arguments for ``w`` and return its step:
+    a function that takes the spectrum of ``w``'s samples (and overwrites
+    it) and returns the downconverted waveform."""
     if decimate < 1 or len(w.samples) % decimate:
         raise ValueError("decimate must divide the sample count")
     check_if_window(w.anchor_hz, w.sample_rate_hz, seed_lo_hz, mult, if_window_hz,
                     decimate)
+    rate, anchor = w.sample_rate_hz, w.anchor_hz
     lo = seed_lo_hz * mult
     if_lo, if_hi = if_window_hz
 
-    n = len(w.samples)
-    freqs = np.fft.fftfreq(n, d=1.0 / w.sample_rate_hz) + w.anchor_hz
-    keep = (freqs - lo >= if_lo) & (freqs - lo <= if_hi)
-    out = np.fft.ifft(np.fft.fft(w.samples) * keep)[::decimate]
-    return ComplexWaveform(samples=out, sample_rate_hz=w.sample_rate_hz / decimate,
-                           anchor_hz=w.anchor_hz - lo)
+    def step(z):
+        _filter(z, rate, anchor, lambda freqs: (freqs - lo >= if_lo) & (freqs - lo <= if_hi))
+        # a copy, so the decimated samples do not pin the full-rate buffer
+        return ComplexWaveform(samples=np.ascontiguousarray(z[::decimate]),
+                               sample_rate_hz=rate / decimate, anchor_hz=anchor - lo)
+    return step
+
+
+def propagate(tx: ComplexWaveform, residual: PhaseTrace, mask,
+              downconvert: dict | None) -> ComplexWaveform:
+    """The frame after the channel: ``apply_carrier``, then ``apply_mask``,
+    then (unless ``downconvert`` is None) ``dband_downconvert`` with
+    ``downconvert`` as its keyword arguments, with the same result to the
+    bit.  ``tx`` is left as it is.
+
+    The stages share one buffer: the carrier product is transformed in
+    place.  ``tx`` is not referenced past that product, so a caller that
+    hands over its only reference has one frame-sized array alive in the
+    channel where the separate stages need several."""
+    finish = None if downconvert is None else _downconvert_step(tx, **downconvert)
+    rate, anchor = tx.sample_rate_hz, tx.anchor_hz
+    z = _carrier_product(tx, residual)
+    del tx
+    np.fft.fft(z, out=z)
+    _filter(z, rate, anchor, _mask_amplitude(mask))
+    if finish is None:
+        return ComplexWaveform(samples=z, sample_rate_hz=rate, anchor_hz=anchor)
+    np.fft.fft(z, out=z)
+    return finish(z)
 
 
 def fspl_db(freq_hz: float, distance_m: float) -> float:

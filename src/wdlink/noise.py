@@ -179,5 +179,11 @@ def add_awgn(w: ComplexWaveform, snr_db, seed: int, occupied_bw_hz=None) -> Comp
     p_noise = p_sig / 10.0 ** (snr_db / 10.0) * (w.sample_rate_hz / occupied_bw_hz)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(p_noise / 2.0)
-    noise = scale * (rng.standard_normal(len(w)) + 1j * rng.standard_normal(len(w)))
-    return w.with_samples(w.samples + noise)
+    # scale * (real + 1j * imag) + signal, built in the noise's own buffer;
+    # the real part is drawn first
+    noise = np.empty(len(w), dtype=complex)
+    noise.real = rng.standard_normal(len(w))
+    noise.imag = rng.standard_normal(len(w))
+    noise *= scale
+    noise += w.samples
+    return w.with_samples(noise)

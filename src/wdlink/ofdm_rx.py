@@ -25,6 +25,7 @@ from .waveform import ComplexWaveform, read_table, write_table
 DEAD_TAP = 1e-6
 SYNC_THRESHOLD = 0.5  # normalized correlation a frame start must reach (1.0 = perfect)
 MIN_METRIC_SYMBOLS = 32  # payload symbols evm_snr needs for stable per-subcarrier metrics
+SYNC_BLOCK = 1 << 15     # transform length of synchronize's overlap-save correlation
 
 
 class SyncError(RuntimeError):
@@ -43,25 +44,23 @@ def _effective_oversample(w: ComplexWaveform, plan: BandPlan) -> int:
     return os_eff
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer (2^a 3^b 5^c) that is at least ``n``: an
-    FFT at a length with large prime factors runs several times slower."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _correlate_valid(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
-    """sum_k x[n + k] conj(tpl[k]) for every full overlap n, by FFT."""
-    nfft = _fast_len(len(x) + len(tpl) - 1)
-    num = np.fft.ifft(np.fft.fft(x, nfft) * np.conj(np.fft.fft(tpl, nfft)))
-    return num[:len(x) - len(tpl) + 1]
+def _correlate_blocks(x: np.ndarray, tpl: np.ndarray):
+    """Yield ``(start, c)`` pairs that together cover every full-overlap lag
+    n of c[n] = sum_k x[n + k] conj(tpl[k]), with ``c`` the lags from
+    ``start`` on.  Overlap-save (Oppenheim & Schafer, *Discrete-Time Signal
+    Processing*, 3rd ed., sec. 8.7): each SYNC_BLOCK-point transform of a
+    stretch of ``x`` (a power of two at least twice the template, if that
+    is longer) gives its lags that do not wrap around."""
+    m = len(tpl)
+    nfft = max(SYNC_BLOCK, 1 << (2 * m - 1).bit_length())
+    step = nfft - m + 1
+    n_lags = len(x) - m + 1
+    spec = np.conj(np.fft.fft(tpl, nfft))
+    for start in range(0, n_lags, step):
+        block = np.fft.fft(x[start:start + nfft], nfft)
+        block *= spec
+        np.fft.ifft(block, out=block)
+        yield start, block[:min(step, n_lags - start)]
 
 
 def synchronize(w: ComplexWaveform, ref: FrameRef) -> int:
@@ -73,11 +72,24 @@ def synchronize(w: ComplexWaveform, ref: FrameRef) -> int:
     x = w.samples
     if len(x) < len(tpl):
         raise SyncError("waveform shorter than the training burst")
-    num = _correlate_valid(x, tpl)
-    cs = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
-    window = cs[len(tpl):] - cs[: len(x) - len(tpl) + 1]
-    denom = np.sqrt(np.maximum(window, 0.0)) * math.sqrt(float(np.sum(np.abs(tpl) ** 2)))
-    corr = np.abs(num) / np.maximum(denom, 1e-30)
+    n_lags = len(x) - len(tpl) + 1
+    corr = np.empty(n_lags)
+    for start, block in _correlate_blocks(x, tpl):
+        np.abs(block, out=corr[start:start + len(block)])
+    # divide by the record's energy under the template at each lag (from a
+    # running sum) and the template's own
+    energy = np.abs(x)
+    energy **= 2
+    cs = np.empty(len(x) + 1)
+    cs[0] = 0.0
+    np.cumsum(energy, out=cs[1:])
+    denom = np.subtract(cs[len(tpl):], cs[:n_lags], out=energy[:n_lags])
+    del cs
+    np.maximum(denom, 0.0, out=denom)
+    np.sqrt(denom, out=denom)
+    denom *= math.sqrt(float(np.sum(np.abs(tpl) ** 2)))
+    np.maximum(denom, 1e-30, out=denom)
+    corr /= denom
     best = int(np.argmax(corr))
     if corr[best] < SYNC_THRESHOLD:
         raise SyncError(f"best correlation {corr[best]:.3f} below threshold {SYNC_THRESHOLD}")
@@ -95,7 +107,8 @@ def demodulate(w: ComplexWaveform, ref: FrameRef, offset: int) -> np.ndarray:
     n_sc = ref.plan.n_subcarriers
     os_eff = _effective_oversample(w, ref.plan)
     cp = ref.cp_len_at(os_eff)
-    end = offset + (ref.n_training + ref.n_payload) * (n_sc * os_eff + cp)
+    # a cyclic prefix that resamples whole makes the whole frame do so
+    end = offset + ref.n_samples * os_eff // ref.oversample
     if offset < 0 or end > len(w.samples):
         raise ValueError("frame truncated: waveform too short past the sync offset")
     return analyze_time(w.samples[offset:end], n_sc, os_eff, cp)

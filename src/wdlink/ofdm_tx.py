@@ -208,6 +208,7 @@ class FrameRef:
     plan: BandPlan
     oversample: int
     cp_len: int
+    n_samples: int                    # the frame's length at ``oversample`` (frame_samples)
     n_training: int
     n_payload: int
     pilot_idx: np.ndarray
@@ -275,13 +276,15 @@ def synth_time(grid: np.ndarray, oversample: int, cp_len: int) -> np.ndarray:
     nfft = len(ramp)
     spec = np.zeros((n_sym, nfft), dtype=complex)
     spec[:, bins] = grid
-    body = np.fft.ifft(spec, axis=1) * nfft
+    out = np.empty((n_sym, cp_len + nfft), dtype=complex)
+    body = out[:, cp_len:]
+    np.fft.ifft(spec, axis=1, out=body)
+    body *= nfft
     body *= ramp[None, :]
-    if cp_len:
-        # the half-integer comb is antiperiodic over nfft, so the true
-        # periodic extension of the body is the negated tail
-        body = np.concatenate([-body[:, -cp_len:], body], axis=1)
-    return body.ravel()
+    # the half-integer comb is antiperiodic over nfft, so the true periodic
+    # extension of the body is the negated tail
+    np.negative(body[:, nfft - cp_len:], out=out[:, :cp_len])
+    return out.ravel()
 
 
 def analyze_time(samples: np.ndarray, n_sc: int, oversample: int,
@@ -293,8 +296,22 @@ def analyze_time(samples: np.ndarray, n_sc: int, oversample: int,
     nfft = len(ramp)
     blocks = samples.reshape(-1, nfft + cp_len)[:, cp_len:]
     blocks = blocks * np.conj(ramp)[None, :]
-    spec = np.fft.fft(blocks, axis=1) / nfft
-    return spec[:, bins]
+    np.fft.fft(blocks, axis=1, out=blocks)
+    blocks /= nfft
+    return blocks[:, bins]
+
+
+def frame_samples(plan: BandPlan, cfg: TxConfig) -> int:
+    """Sample count of the frame ``build_frame`` synthesizes from ``cfg``:
+    every training and payload symbol is n_subcarriers * oversample samples
+    plus its cyclic prefix."""
+    n, os_ = plan.n_subcarriers, cfg.oversample
+    return (cfg.n_training + cfg.n_symbols) * (n * os_ + cp_length(n, os_, cfg.cp_fraction))
+
+
+def frame_rate_hz(plan: BandPlan, cfg: TxConfig) -> float:
+    """Sample rate of the frame ``build_frame`` synthesizes from ``cfg``."""
+    return plan.spacing_hz * (plan.n_subcarriers * cfg.oversample)
 
 
 def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
@@ -333,13 +350,13 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
     cp_len = cp_length(n, cfg.oversample, cfg.cp_fraction)
     samples = synth_time(grid, cfg.oversample, cp_len)
     rms = math.sqrt(float(np.mean(np.abs(samples) ** 2)))
-    samples = samples / rms
+    samples /= rms
 
-    fs = plan.spacing_hz * (n * cfg.oversample)
     ref = FrameRef(
         plan=plan,
         oversample=cfg.oversample,
         cp_len=cp_len,
+        n_samples=frame_samples(plan, cfg),
         n_training=n_train,
         n_payload=n_pay,
         pilot_idx=p_idx,
@@ -349,7 +366,8 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         grid=grid,
         payload_bits=payload_bits,
     )
-    w = ComplexWaveform(samples=samples, sample_rate_hz=fs, anchor_hz=plan.center_hz)
+    w = ComplexWaveform(samples=samples, sample_rate_hz=frame_rate_hz(plan, cfg),
+                        anchor_hz=plan.center_hz)
     return w, ref
 
 

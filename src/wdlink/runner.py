@@ -24,13 +24,13 @@ import numpy as np
 from .bandplan import detected_indices
 from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
-from .channel import apply_carrier, apply_mask, dband_downconvert
-from .noise import add_awgn, estimate_psd, write_psd_csv
+from .channel import propagate
+from .noise import PhaseTrace, add_awgn, estimate_psd, write_psd_csv
 from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
                       demodulate, equalize, evm_snr, export_constellation,
                       read_metrics_csv, synchronize, write_constellation_csv,
                       write_metrics_csv)
-from .ofdm_tx import build_frame, clip, papr_db
+from .ofdm_tx import build_frame, clip, frame_rate_hz, frame_samples, papr_db
 from .opll import (LOCK_PSD_RBW_HZ, free_running_beat, residual_phase_variance,
                    simulate_lock, write_lock_csv)
 from .scenario import BandScenario, Scenario
@@ -56,30 +56,42 @@ def _lock_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
                   "residual_phase_var_rad2": float(residual_phase_variance(lock))}
 
 
+def _frame_lock_stage(band: BandScenario, band_dir: Path) -> tuple:
+    """A run's lock stage: ``_lock_stage`` at the lock PSD resolution.
+    Returns the band's lock record and, when locked, the residual phase
+    that its frame will ride on (None otherwise).  The tail is cut here, so
+    the full lock record is freed before the next band locks."""
+    band_dir.mkdir(parents=True, exist_ok=True)
+    lock, lock_info = _lock_stage(band, band_dir, LOCK_PSD_RBW_HZ)
+    lock_info["target_offset_hz"] = lock.config.target_offset_hz
+    if not lock.locked:
+        return lock_info, None
+    duration_s = frame_samples(band.plan, band.tx) / frame_rate_hz(band.plan, band.tx)
+    return lock_info, lock.residual_tail(duration_s)
+
+
 def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float,
               clip_db: float) -> tuple:
     """Synthesize and clip the band's frame; writes tx.iq and psd_tx.csv.
     Returns (clipped waveform, frame reference, PAPR before and after)."""
     wave, ref = build_frame(band.plan, band.tx)
+    papr_raw_db = papr_db(wave)
     clipped = clip(wave, clip_db)
+    del wave   # the unclipped frame is done with once its PAPR is taken
     write_iq(band_dir / "tx.iq", clipped)
     _psd(band_dir / "psd_tx.csv", clipped, rbw_hz)
-    return clipped, ref, {"papr_raw_db": float(papr_db(wave)),
+    return clipped, ref, {"papr_raw_db": float(papr_raw_db),
                           "papr_clipped_db": float(papr_db(clipped))}
 
 
-def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -> dict:
-    """Run one band end to end, writing its artifacts; returns the chain
-    record (also stored as chain.json) with a ``failure`` field of None,
-    "lock", or "sync"."""
-    band_dir.mkdir(parents=True, exist_ok=True)
-    lock, lock_info = _lock_stage(band, band_dir, LOCK_PSD_RBW_HZ)
-    record = {
-        "band": band.name,
-        "failure": None,
-        "lock": {**lock_info, "target_offset_hz": lock.config.target_offset_hz},
-    }
-    if not lock.locked:
+def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float,
+             lock_info: dict, residual: PhaseTrace | None) -> dict:
+    """Run one band's frame path after its lock stage (``_frame_lock_stage``
+    gives ``lock_info`` and the ``residual`` phase, None when unlocked),
+    writing its artifacts; returns the chain record (also stored as
+    chain.json) with a ``failure`` field of None, "lock", or "sync"."""
+    record = {"band": band.name, "failure": None, "lock": lock_info}
+    if residual is None:
         record["failure"] = "lock"
         write_json(band_dir / "chain.json", record)
         return record
@@ -88,10 +100,15 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
                                       band.tx.clip_ratio_db)
     record.update(papr)
 
-    w = apply_carrier(tx_clipped, lock.residual_tail(tx_clipped.duration_s))
-    w = apply_mask(w, band.mask)
-    if band.downconvert is not None:
-        w = dband_downconvert(w, **band.downconvert, decimate=band.tx.oversample)
+    downconvert = (None if band.downconvert is None
+                   else {**band.downconvert, "decimate": band.tx.oversample})
+    # hand the frame over rather than share it: propagate lets go of it
+    # once it has the carrier product, so with no reference left here (and
+    # CPython 3.11 on moves call arguments into the callee) the frame is
+    # freed before the channel's full-length transforms
+    frame = [tx_clipped]
+    del tx_clipped
+    w = propagate(frame.pop(), residual, band.mask, downconvert)
     det = detected_indices(band.plan)
     occupied = len(det) * band.plan.spacing_hz
     w = add_awgn(w, band.target_snr_db, band.noise_seed, occupied_bw_hz=occupied)
@@ -108,6 +125,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
     record["sync_offset"] = int(offset)
 
     raw = demodulate(w, ref, offset)
+    del w   # the received record is done with once demodulated
     eqf = equalize(raw, ref)
     metrics = evm_snr(eqf, ref)
     write_metrics_csv(band_dir / "metrics.csv", metrics)
@@ -177,12 +195,26 @@ def build_summary(scn: Scenario, out_dir) -> dict:
 
 
 def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
-    """Full chain over all bands.  Returns (summary dict, any_failure)."""
+    """Full chain over all bands.  Returns (summary dict, any_failure).
+
+    The lock stages run first, one band after another on this thread; then
+    the bands' frame paths run concurrently, one thread per band.  The
+    bands share no state and write separate directories, so the artifacts
+    are the same as from running the bands in turn.  An exception from a
+    frame path is raised once every band has finished, the first band's
+    first."""
+    # imported here: it costs several ms of every ``import wdlink.cli``
+    from concurrent.futures import ThreadPoolExecutor
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
-    records = [run_band(scn, band, out / f"band_{band.name}", rbw)
-               for band in scn.bands]
+    dirs = [out / f"band_{band.name}" for band in scn.bands]
+    locks = [_frame_lock_stage(band, bdir) for band, bdir in zip(scn.bands, dirs)]
+    with ThreadPoolExecutor(max_workers=len(scn.bands)) as pool:
+        futures = [pool.submit(run_band, scn, band, bdir, rbw, *lock)
+                   for band, bdir, lock in zip(scn.bands, dirs, locks)]
+        records = [f.result() for f in futures]
     write_threshold_csv(out / "thresholds.csv", scn.fec)
     summary = build_summary(scn, out)
     return summary, any(r["failure"] for r in records)

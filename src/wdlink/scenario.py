@@ -27,8 +27,8 @@ from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec, psd_segment_length
 from .ofdm_rx import MIN_METRIC_SYMBOLS
-from .ofdm_tx import (SUPPORTED_ORDERS, TxConfig, cp_length, pilot_indices,
-                      resampled_cp_length)
+from .ofdm_tx import (SUPPORTED_ORDERS, TxConfig, cp_length, frame_rate_hz,
+                      frame_samples, pilot_indices, resampled_cp_length)
 from .opll import LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for
 
 SCHEMA_VERSION = 1
@@ -91,11 +91,8 @@ class BandScenario:
         "tx" is the transmitted frame, "rx" the received one (decimated to a
         sample per subcarrier on a downconverted band), "lock" the lock
         loop's record."""
-        n_sc, oversample = self.plan.n_subcarriers, self.tx.oversample
-        rate = self.plan.spacing_hz * (n_sc * oversample)
-        n = (self.tx.n_training + self.tx.n_symbols) * (
-            n_sc * oversample + cp_length(n_sc, oversample, self.tx.cp_fraction))
-        decimate = oversample if self.downconvert is not None else 1
+        rate, n = frame_rate_hz(self.plan, self.tx), frame_samples(self.plan, self.tx)
+        decimate = self.tx.oversample if self.downconvert is not None else 1
         sizes = {"tx": (rate, n), "rx": (rate / decimate, n // decimate)}
         if "lock" in records:   # loop_samples solves for the unity gain: only on demand
             sizes["lock"] = (self.loop.sim_rate_hz, loop_samples(self.loop))
@@ -289,9 +286,9 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         if dc is not None:
             # the frame as build_frame samples it, decimated back to one
             # sample per subcarrier as run_band does
-            fs = plan.spacing_hz * (plan.n_subcarriers * tx.oversample)
             try:
-                check_if_window(plan.center_hz, fs, **dc, decimate=tx.oversample)
+                check_if_window(plan.center_hz, frame_rate_hz(plan, tx), **dc,
+                                decimate=tx.oversample)
             except ValueError as e:
                 raise ScenarioError(f"{path}.downconvert", str(e)) from None
             try:

@@ -63,10 +63,8 @@ def write_iq(path, w: ComplexWaveform) -> None:
     sample count and dtype, one ``key=value`` per line.
     """
     path = str(path)
-    inter = np.empty(2 * len(w.samples), dtype=np.float32)
-    inter[0::2] = w.samples.real.astype(np.float32)
-    inter[1::2] = w.samples.imag.astype(np.float32)
-    inter.tofile(path)
+    # a complex array viewed as float64 is already interleaved I/Q
+    np.ascontiguousarray(w.samples).view(np.float64).astype(np.float32).tofile(path)
     with open(path + ".hdr", "w") as fh:
         fh.write(f"sample_rate_hz={w.sample_rate_hz!r}\n")
         fh.write(f"anchor_hz={w.anchor_hz!r}\n")

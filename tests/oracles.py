@@ -136,17 +136,14 @@ def correlate_valid(x, tpl):
     return scipy.signal.correlate(x, tpl, mode="valid", method="direct")
 
 
-def smallest_5_smooth_at_least(n):
-    """Linear search for the first m >= n with no prime factor above 5."""
-    m = n
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
+def sync_offset(x, tpl):
+    """Lag of the largest correlation of ``x`` with ``tpl`` normalized by
+    both energies, from scipy's full-length FFT correlation and an FFT
+    running sum of |x|^2 over the template span."""
+    num = np.abs(scipy.signal.correlate(x, tpl, mode="valid", method="fft"))
+    energy = scipy.signal.fftconvolve(np.abs(x) ** 2, np.ones(len(tpl)), mode="valid")
+    corr = num / np.sqrt(np.maximum(energy, 1e-30) * np.sum(np.abs(tpl) ** 2))
+    return int(np.argmax(corr))
 
 
 def ber_mqam_ref(snr_db, order_bits):

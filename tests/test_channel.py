@@ -10,10 +10,10 @@ import pytest
 from wdlink.bandplan import detected_indices, subcarrier_center, subcarrier_centers
 from wdlink.channel import (MaskPoint, apply_carrier, apply_mask,
                             dband_downconvert, default_masks, fspl_db,
-                            load_mask_csv, mask_gain_db)
+                            load_mask_csv, mask_gain_db, propagate)
 from wdlink.noise import PhaseTrace
 from wdlink.ofdm_rx import demodulate, equalize
-from wdlink.ofdm_tx import build_frame
+from wdlink.ofdm_tx import build_frame, clip
 from wdlink.opll import simulate_lock
 from wdlink.waveform import ComplexWaveform
 
@@ -267,6 +267,60 @@ def test_downconvert_validation(d_plan, d_band, lo):
     with pytest.raises(ValueError, match="alias"):
         # a 0.5-17 GHz window aliases at 20 GS/s
         dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 17.0e9), decimate=4)
+
+
+# ----------------------------------------------------------- whole channel
+
+def _clipped_frame(band, n_symbols):
+    """A run's clipped frame of ``n_symbols`` payload symbols, and a
+    residual phase walk that spans it."""
+    wav, _ = build_frame(band.plan, replace(band.tx, n_symbols=n_symbols))
+    wav = clip(wav, band.tx.clip_ratio_db)
+    rate = band.loop.sim_rate_hz
+    walk = np.cumsum(0.05 * np.random.default_rng(8).standard_normal(
+        int(wav.duration_s * rate) + 3))
+    return wav, PhaseTrace(walk, rate)
+
+
+def _run_downconvert(band):
+    if band.downconvert is None:
+        return None
+    return {**band.downconvert, "decimate": band.tx.oversample}
+
+
+# 8 payload symbols make a frame (6,240 samples) below the 16,384 at which
+# numpy starts to reuse temporaries in place, 64 one (35,360) above it
+@pytest.mark.parametrize("n_symbols", [8, 64])
+@pytest.mark.parametrize("band_name", ["W", "D"])
+def test_propagate_is_the_three_stages_to_the_bit(scenario, band_name, n_symbols):
+    band = scenario.band(band_name)
+    wav, residual = _clipped_frame(band, n_symbols)
+    kept = wav.samples.copy()
+    want = apply_mask(apply_carrier(wav, residual), band.mask)
+    downconvert = _run_downconvert(band)
+    if downconvert is not None:
+        want = dband_downconvert(want, **downconvert)
+    got = propagate(wav, residual, band.mask, downconvert)
+    assert np.array_equal(got.samples, want.samples)
+    assert (got.sample_rate_hz, got.anchor_hz) == (want.sample_rate_hz, want.anchor_hz)
+    # its own contiguous array: D's decimated samples pin no full-rate buffer
+    assert got.samples.flags.c_contiguous and got.samples.base is None
+    assert np.array_equal(wav.samples, kept)
+
+
+def test_propagate_checks_the_converter_first(d_band, lo):
+    wav, residual = _clipped_frame(d_band, 8)
+    with pytest.raises(ValueError, match="low < high"):
+        propagate(wav, residual, d_band.mask,
+                  {**lo, "if_window_hz": (5e9, 2e9), "decimate": 2})
+
+
+def test_mask_and_downconvert_leave_their_input_unchanged(d_band):
+    wav, _ = build_frame(d_band.plan, d_band.tx)
+    kept = wav.samples.copy()
+    apply_mask(wav, d_band.mask)
+    dband_downconvert(wav, **_run_downconvert(d_band))
+    assert np.array_equal(wav.samples, kept)
 
 
 # ----------------------------------------------------------- link budget

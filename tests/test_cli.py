@@ -366,11 +366,35 @@ def test_rbw_flag_finer_than_a_record_is_a_usage_error(tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+def test_io_error_in_one_band_exits_four_after_the_other_band(tmp_path, capsys, monkeypatch):
+    """A write that fails in band D's frame path is an I/O error (exit 4)
+    with the error's own text, as when the bands ran one after the other;
+    band W, which runs alongside it, still finishes."""
+    from wdlink import runner
+    write_iq = runner.write_iq
+
+    def failing_in_d(path, w):
+        if "band_D" in str(path):
+            raise OSError(28, "No space left on device", str(path))
+        write_iq(path, w)
+
+    monkeypatch.setattr(runner, "write_iq", failing_in_d)
+    out = tmp_path / "o"
+    assert main(["run", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("I/O error: [Errno 28] No space left on device: "
+                            f"'{out / 'band_D' / 'tx.iq'}'\n")
+    assert (out / "band_W" / "chain.json").exists()
+    assert not (out / "summary.json").exists()
+
+
 # A fresh interpreter is the point of the next two tests: one checks what a
 # bare import loads, the other the installed console script.
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_and_thread_pool_unloaded():
     code = ("import sys, wdlink.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr

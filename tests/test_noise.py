@@ -190,6 +190,21 @@ def test_add_awgn_occupied_band_scaling():
     assert noise_power == pytest.approx(2.0 * 10 ** (-1.2), rel=0.02)
 
 
+@pytest.mark.parametrize("n", [1000, 1 << 16])
+def test_add_awgn_in_place_matches_the_plain_expression(n):
+    """Noise built in its own buffer, real part drawn first, equals the
+    expression it replaces, below and above the size at which numpy reuses
+    temporaries."""
+    rng = np.random.default_rng(n)
+    w = ComplexWaveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e9)
+    out = add_awgn(w, 12.0, seed=6, occupied_bw_hz=5e8)
+    draws = np.random.default_rng(6)
+    p_noise = w.power / 10.0 ** (12.0 / 10.0) * (1e9 / 5e8)
+    scale = math.sqrt(p_noise / 2.0)
+    want = w.samples + scale * (draws.standard_normal(n) + 1j * draws.standard_normal(n))
+    assert np.array_equal(out.samples, want)
+
+
 def test_add_awgn_passthrough_and_determinism():
     w = ComplexWaveform(np.ones(256, dtype=complex), 1e9)
     assert add_awgn(w, float("inf"), seed=0) is w

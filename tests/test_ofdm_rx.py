@@ -1,22 +1,25 @@
 """Receive DSP: sync, demodulation, equalization, phase tracking, metrics."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import correlate_valid, smallest_5_smooth_at_least
+from oracles import correlate_valid, sync_offset
 from wdlink.bandplan import active_indices, detected_indices, subcarrier_centers
 from wdlink.channel import apply_carrier, dband_downconvert
+from wdlink import ofdm_rx
 from wdlink.noise import add_awgn
-from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _correlate_valid, _fast_len,
+from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _correlate_blocks,
                             band_average_snr_db, count_bit_errors,
                             demodulate, equalize, evm_snr,
                             export_constellation, read_metrics_csv,
                             synchronize, write_constellation_csv,
                             write_metrics_csv)
-from wdlink.ofdm_tx import SUPPORTED_ORDERS, build_frame
+from wdlink.ofdm_tx import SUPPORTED_ORDERS, build_frame, synth_time
 from wdlink.opll import simulate_lock
+from wdlink.waveform import read_iq
 
 OCC_W = 254 * 136.71875e6
 
@@ -100,20 +103,61 @@ def test_sync_finds_exact_offset_clean(loopback):
     assert synchronize(padded, ref) == 100
 
 
+def _block_correlation(x, tpl):
+    """``_correlate_blocks``'s blocks joined, checking they tile the lags."""
+    got, expect_start = [], 0
+    for start, block in _correlate_blocks(x, tpl):
+        assert start == expect_start
+        got.append(block)
+        expect_start += len(block)
+    return np.concatenate(got)
+
+
 @pytest.mark.parametrize("n_x, n_tpl", [(3001, 257), (640, 640), (1, 1)])
 def test_sync_correlation_matches_direct_sum(n_x, n_tpl):
     rng = np.random.default_rng(n_x)
     x = rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x)
     tpl = rng.standard_normal(n_tpl) + 1j * rng.standard_normal(n_tpl)
-    got = _correlate_valid(x, tpl)
+    got = _block_correlation(x, tpl)
     ref = correlate_valid(x, tpl)
     assert got.shape == ref.shape == (n_x - n_tpl + 1,)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-def test_fast_len_is_the_smallest_5_smooth_length():
-    for n in [*range(1, 3000), 35_185, 1_000_007, 3_196_960, 3_198_061]:
-        assert _fast_len(n) == smallest_5_smooth_at_least(n), n
+# (block, template, lags): one block holds block - template + 1 lags, and a
+# template longer than half a block doubles the block until it fits twice
+BLOCK_EDGES = [(64, 20, n) for n in (44, 45, 46, 90, 91)] + [
+    (64, 40, n) for n in (88, 89, 90)] + [
+    (1 << 15, 257, n) for n in (32511, 32512, 32513, 65025)]
+
+
+@pytest.mark.parametrize("block, n_tpl, n_lags", BLOCK_EDGES)
+def test_block_correlation_straddles_block_edges(monkeypatch, block, n_tpl, n_lags):
+    monkeypatch.setattr(ofdm_rx, "SYNC_BLOCK", block)
+    rng = np.random.default_rng(n_lags)
+    n_x = n_lags + n_tpl - 1
+    x = rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x)
+    tpl = rng.standard_normal(n_tpl) + 1j * rng.standard_normal(n_tpl)
+    ref = correlate_valid(x, tpl)
+    got = _block_correlation(x, tpl)
+    assert got.shape == ref.shape == (n_lags,)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("band_name", ["W", "D"])
+def test_sync_matches_full_length_correlation(default_run, scenario, band_name):
+    """On a run's received record, delayed behind noise at the record's own
+    power, the block correlator finds the offset that one full-length FFT
+    correlation finds."""
+    band = scenario.band(band_name)
+    _, ref = build_frame(band.plan, band.tx)
+    rx = read_iq(default_run[0] / f"band_{band_name}" / "rx.iq")
+    rng = np.random.default_rng(4)
+    pad = math.sqrt(rx.power / 2) * (rng.standard_normal(777) + 1j * rng.standard_normal(777))
+    rx = rx.with_samples(np.concatenate([pad, rx.samples]))
+    os_eff = round(rx.sample_rate_hz / (band.plan.spacing_hz * band.plan.n_subcarriers))
+    tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
+    assert synchronize(rx, ref) == sync_offset(rx.samples, tpl) == 777
 
 
 def test_sync_within_one_sample_under_noise(w_plan, w_band):

@@ -16,6 +16,8 @@ from wdlink.ofdm_tx import (
     build_frame,
     clip,
     demap_qam,
+    frame_rate_hz,
+    frame_samples,
     gen_prbs,
     map_qam,
     papr_db,
@@ -237,6 +239,42 @@ def test_analyze_time_inverts_synth_time(oversample, cp_len):
     assert x.size == 3 * (256 * oversample + cp_len)
     back = analyze_time(x, 256, oversample, cp_len)
     assert np.max(np.abs(back - grid)) < 1e-12
+
+
+@pytest.mark.parametrize("oversample, cp_len", [(1, 0), (2, 8), (3, 5)])
+def test_synth_and_analyze_in_place_match_the_out_of_place_form(oversample, cp_len):
+    """The preallocated and in-place transforms round exactly as the plain
+    expressions they replace."""
+    rng = np.random.default_rng(10 + oversample)
+    grid = rng.normal(size=(5, 256)) + 1j * rng.normal(size=(5, 256))
+    nfft = 256 * oversample
+    bins = (np.arange(256) - 128) % nfft
+    ramp = np.exp(1j * np.pi * np.arange(nfft) / nfft)
+    spec = np.zeros((5, nfft), dtype=complex)
+    spec[:, bins] = grid
+    body = np.fft.ifft(spec, axis=1) * nfft
+    body *= ramp[None, :]
+    if cp_len:
+        body = np.concatenate([-body[:, -cp_len:], body], axis=1)
+    x = synth_time(grid, oversample, cp_len)
+    assert np.array_equal(x, body.ravel())
+    blocks = x.reshape(-1, nfft + cp_len)[:, cp_len:] * np.conj(ramp)[None, :]
+    want = (np.fft.fft(blocks, axis=1) / nfft)[:, bins]
+    assert np.array_equal(analyze_time(x, 256, oversample, cp_len), want)
+
+
+@pytest.mark.parametrize("n_symbols, oversample, cp_fraction",
+                         [(64, 2, 1 / 64), (6144, 2, 1 / 64), (33, 3, 5 / 256), (40, 1, 0.0)])
+def test_frame_samples_and_rate_describe_the_built_frame(w_plan, d_plan, w_band, n_symbols,
+                                                         oversample, cp_fraction):
+    for plan in (w_plan, d_plan):
+        cfg = replace(w_band.tx, n_symbols=n_symbols, oversample=oversample,
+                      cp_fraction=cp_fraction)
+        wav, ref = build_frame(plan, cfg)
+        assert frame_samples(plan, cfg) == len(wav) == ref.n_samples
+        assert frame_rate_hz(plan, cfg) == wav.sample_rate_hz
+        # what the lock stage cuts its residual tail to, before the frame exists
+        assert frame_samples(plan, cfg) / frame_rate_hz(plan, cfg) == wav.duration_s
 
 
 def test_cp_len_at_scales_or_refuses(w_plan, w_band):

@@ -31,6 +31,15 @@ def test_iq_round_trip(tmp_path, wave):
     assert (tmp_path / "again.iq.hdr").read_text() == (tmp_path / "w.iq.hdr").read_text()
 
 
+def test_iq_bytes_of_a_strided_waveform(tmp_path, wave):
+    strided = wave.with_samples(wave.samples[::2])
+    write_iq(tmp_path / "s.iq", strided)
+    write_iq(tmp_path / "c.iq", wave.with_samples(wave.samples[::2].copy()))
+    assert (tmp_path / "s.iq").read_bytes() == (tmp_path / "c.iq").read_bytes()
+    assert np.array_equal(read_iq(tmp_path / "s.iq").samples,
+                          read_iq(tmp_path / "c.iq").samples)
+
+
 def test_read_iq_rejects_short_file(tmp_path, wave):
     path = tmp_path / "w.iq"
     write_iq(path, wave)
