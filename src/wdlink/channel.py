@@ -114,10 +114,13 @@ def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain) -> Non
     np.fft.ifft(z, out=z)
 
 
-def _carrier_product(w: ComplexWaveform, residual: PhaseTrace) -> np.ndarray:
-    """A new array of ``w``'s samples times exp(j phi), phi being the
-    residual phase linearly resampled onto the waveform's sample grid; the
-    phase is resampled CHUNK samples at a time."""
+def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
+    """Multiply by exp(j phi(t)): the locked carrier's leftover phase wander.
+
+    The phase trace is linearly resampled onto the waveform's sample grid,
+    CHUNK samples at a time, and must span the waveform's duration.  The
+    product is a new array.
+    """
     n = len(w.samples)
     t_r = np.arange(len(residual.phases)) / residual.sample_rate_hz
     if t_r[-1] < (n - 1) / w.sample_rate_hz:
@@ -131,16 +134,7 @@ def _carrier_product(w: ComplexWaveform, residual: PhaseTrace) -> np.ndarray:
     # the phasor is the left operand: complex products round differently
     # with the operands swapped
     z *= w.samples
-    return z
-
-
-def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
-    """Multiply by exp(j phi(t)): the locked carrier's leftover phase wander.
-
-    The phase trace is linearly resampled onto the waveform's sample grid and
-    must span the waveform's duration.
-    """
-    return w.with_samples(_carrier_product(w, residual))
+    return w.with_samples(z)
 
 
 def check_if_window(anchor_hz: float, sample_rate_hz: float, seed_lo_hz: float,
@@ -208,13 +202,13 @@ def propagate(tx: ComplexWaveform, residual: PhaseTrace, mask,
     ``downconvert`` as its keyword arguments, with the same result to the
     bit.  ``tx`` is left as it is.
 
-    The stages share one buffer: the carrier product is transformed in
-    place.  ``tx`` is not referenced past that product, so a caller that
+    The stages share one buffer: ``apply_carrier``'s product is transformed
+    in place.  ``tx`` is not referenced past that product, so a caller that
     hands over its only reference has one frame-sized array alive in the
     channel where the separate stages need several."""
     finish = None if downconvert is None else _downconvert_step(tx, **downconvert)
     rate, anchor = tx.sample_rate_hz, tx.anchor_hz
-    z = _carrier_product(tx, residual)
+    z = apply_carrier(tx, residual).samples
     del tx
     np.fft.fft(z, out=z)
     _filter(z, rate, anchor, _mask_amplitude(mask))

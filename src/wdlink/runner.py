@@ -102,10 +102,10 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float,
 
     downconvert = (None if band.downconvert is None
                    else {**band.downconvert, "decimate": band.tx.oversample})
-    # hand the frame over rather than share it: propagate lets go of it
-    # once it has the carrier product, so with no reference left here (and
-    # CPython 3.11 on moves call arguments into the callee) the frame is
-    # freed before the channel's full-length transforms
+    # the frame reaches propagate from a list, not a name, so nothing here
+    # keeps it and propagate frees it once it has the carrier product.  On
+    # CPython 3.10 the caller holds call arguments until the call returns,
+    # so there the frame lives through the channel's transforms.
     frame = [tx_clipped]
     del tx_clipped
     w = propagate(frame.pop(), residual, band.mask, downconvert)
@@ -200,9 +200,11 @@ def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
     The lock stages run first, one band after another on this thread; then
     the bands' frame paths run concurrently, one thread per band.  The
     bands share no state and write separate directories, so the artifacts
-    are the same as from running the bands in turn.  An exception from a
-    frame path is raised once every band has finished, the first band's
-    first."""
+    are the same as from running the bands in turn.  The pool has a thread
+    for every band, so all frame paths are running by the time one can
+    fail; none is cancelled.  An exception from a frame path, or an
+    interrupt, is raised once every running frame path has finished, the
+    first band's exception first."""
     # imported here: it costs several ms of every ``import wdlink.cli``
     from concurrent.futures import ThreadPoolExecutor
 
