@@ -8,7 +8,7 @@ from .bitload import (BitLoadMap, CapacityReport, FecProfile, ber_mqam,
                       capacity, load_bits, min_snr_db_for, threshold_table)
 from .channel import (MaskPoint, apply_carrier, apply_mask, check_if_window,
                       dband_downconvert, default_masks, fspl_db, load_mask_csv,
-                      mask_gain_db, propagate)
+                      mask_gain_db)
 from .noise import (LaserSpec, PhaseTrace, add_awgn, beat_phase, estimate_psd,
                     gen_phase_noise, read_psd_csv, write_psd_csv)
 from .ofdm_rx import (EqualizedFrame, SubcarrierMetrics, SyncError,

@@ -4,8 +4,11 @@ Everything happens at complex baseband anchored to a band center; absolute
 frequency is carried as waveform metadata.  The pieces, in the order a frame
 meets them: residual carrier phase from the lock, a band-shaped magnitude
 mask, the D-band x6-LO downconversion window, and additive noise (in noise.py).
-Magnitude masks are piecewise linear in dB over absolute frequency and can be
-swapped for measured responses via CSV.
+``apply_carrier`` writes its product into a new array; the mask and the
+downconversion then transform the samples they are given in place, so a
+frame crosses the channel in one frame-sized buffer.  Magnitude masks are
+piecewise linear in dB over absolute frequency and can be swapped for
+measured responses via CSV.
 """
 
 from __future__ import annotations
@@ -88,10 +91,11 @@ def load_mask_csv(path) -> tuple:
 
 
 def apply_mask(w: ComplexWaveform, mask) -> ComplexWaveform:
-    """Whole-frame frequency-domain multiply by the interpolated amplitude."""
-    z = np.fft.fft(w.samples)
-    _filter(z, w.sample_rate_hz, w.anchor_hz, _mask_amplitude(mask))
-    return w.with_samples(z)
+    """Whole-frame frequency-domain multiply by the interpolated amplitude.
+
+    Works in place: the result's samples are ``w.samples``, overwritten."""
+    _filter(w.samples, w.sample_rate_hz, w.anchor_hz, _mask_amplitude(mask))
+    return w
 
 
 def _mask_amplitude(mask):
@@ -100,11 +104,12 @@ def _mask_amplitude(mask):
 
 
 def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain) -> None:
-    """Turn the spectrum ``z`` of a waveform sampled at ``sample_rate_hz``
-    around ``anchor_hz`` back into time samples, in place, after multiplying
-    each bin by ``gain`` of its absolute frequency.  The bin frequencies are
-    ``np.fft.fftfreq``'s, taken CHUNK bins at a time so that no
-    full-length frequency or gain array exists."""
+    """Filter the samples ``z`` of a waveform sampled at ``sample_rate_hz``
+    around ``anchor_hz`` in place: transform them, multiply each bin by
+    ``gain`` of its absolute frequency, and transform back.  The bin
+    frequencies are ``np.fft.fftfreq``'s, taken CHUNK bins at a time so
+    that no full-length frequency or gain array exists."""
+    np.fft.fft(z, out=z)
     n = len(z)
     step = 1.0 / (n * (1.0 / sample_rate_hz))   # fftfreq's bin spacing, rounded as it rounds
     for lo in range(0, n, CHUNK):
@@ -168,54 +173,22 @@ def dband_downconvert(
     frequency minus LO) falls outside if_window_hz is removed by a brick-wall
     filter; the result is re-anchored to the IF and optionally decimated
     (alias-free because of the filter; ``check_if_window`` holds the window
-    rules).
+    rules).  The arguments are checked before ``w`` is touched; then the
+    filter works in place on ``w.samples``, and a decimated result is a
+    contiguous copy of every ``decimate``-th sample of them.
     """
-    step = _downconvert_step(w, seed_lo_hz, mult, if_window_hz, decimate)
-    return step(np.fft.fft(w.samples))
-
-
-def _downconvert_step(w: ComplexWaveform, seed_lo_hz: float, mult: int,
-                      if_window_hz: tuple, decimate: int):
-    """Check ``dband_downconvert``'s arguments for ``w`` and return its step:
-    a function that takes the spectrum of ``w``'s samples (and overwrites
-    it) and returns the downconverted waveform."""
     if decimate < 1 or len(w.samples) % decimate:
         raise ValueError("decimate must divide the sample count")
     check_if_window(w.anchor_hz, w.sample_rate_hz, seed_lo_hz, mult, if_window_hz,
                     decimate)
-    rate, anchor = w.sample_rate_hz, w.anchor_hz
     lo = seed_lo_hz * mult
     if_lo, if_hi = if_window_hz
-
-    def step(z):
-        _filter(z, rate, anchor, lambda freqs: (freqs - lo >= if_lo) & (freqs - lo <= if_hi))
-        # a copy, so the decimated samples do not pin the full-rate buffer
-        return ComplexWaveform(samples=np.ascontiguousarray(z[::decimate]),
-                               sample_rate_hz=rate / decimate, anchor_hz=anchor - lo)
-    return step
-
-
-def propagate(tx: ComplexWaveform, residual: PhaseTrace, mask,
-              downconvert: dict | None) -> ComplexWaveform:
-    """The frame after the channel: ``apply_carrier``, then ``apply_mask``,
-    then (unless ``downconvert`` is None) ``dband_downconvert`` with
-    ``downconvert`` as its keyword arguments, with the same result to the
-    bit.  ``tx`` is left as it is.
-
-    The stages share one buffer: ``apply_carrier``'s product is transformed
-    in place.  ``tx`` is not referenced past that product, so a caller that
-    hands over its only reference has one frame-sized array alive in the
-    channel where the separate stages need several."""
-    finish = None if downconvert is None else _downconvert_step(tx, **downconvert)
-    rate, anchor = tx.sample_rate_hz, tx.anchor_hz
-    z = apply_carrier(tx, residual).samples
-    del tx
-    np.fft.fft(z, out=z)
-    _filter(z, rate, anchor, _mask_amplitude(mask))
-    if finish is None:
-        return ComplexWaveform(samples=z, sample_rate_hz=rate, anchor_hz=anchor)
-    np.fft.fft(z, out=z)
-    return finish(z)
+    _filter(w.samples, w.sample_rate_hz, w.anchor_hz,
+            lambda freqs: (freqs - lo >= if_lo) & (freqs - lo <= if_hi))
+    # decimated, a copy, so the kept samples do not pin the full-rate buffer
+    return ComplexWaveform(samples=np.ascontiguousarray(w.samples[::decimate]),
+                           sample_rate_hz=w.sample_rate_hz / decimate,
+                           anchor_hz=w.anchor_hz - lo)
 
 
 def fspl_db(freq_hz: float, distance_m: float) -> float:

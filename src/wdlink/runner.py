@@ -24,7 +24,7 @@ import numpy as np
 from .bandplan import detected_indices
 from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
-from .channel import propagate
+from .channel import apply_carrier, apply_mask, dband_downconvert
 from .noise import PhaseTrace, add_awgn, estimate_psd, write_psd_csv
 from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
                       demodulate, equalize, evm_snr, export_constellation,
@@ -100,15 +100,11 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float,
                                       band.tx.clip_ratio_db)
     record.update(papr)
 
-    downconvert = (None if band.downconvert is None
-                   else {**band.downconvert, "decimate": band.tx.oversample})
-    # the frame reaches propagate from a list, not a name, so nothing here
-    # keeps it and propagate frees it once it has the carrier product.  On
-    # CPython 3.10 the caller holds call arguments until the call returns,
-    # so there the frame lives through the channel's transforms.
-    frame = [tx_clipped]
-    del tx_clipped
-    w = propagate(frame.pop(), residual, band.mask, downconvert)
+    w = apply_carrier(tx_clipped, residual)
+    del tx_clipped   # freed before the channel's full-length transforms
+    w = apply_mask(w, band.mask)
+    if band.downconvert is not None:
+        w = dband_downconvert(w, **band.downconvert)
     det = detected_indices(band.plan)
     occupied = len(det) * band.plan.spacing_hz
     w = add_awgn(w, band.target_snr_db, band.noise_seed, occupied_bw_hz=occupied)

@@ -92,7 +92,7 @@ class BandScenario:
         sample per subcarrier on a downconverted band), "lock" the lock
         loop's record."""
         rate, n = frame_rate_hz(self.plan, self.tx), frame_samples(self.plan, self.tx)
-        decimate = self.tx.oversample if self.downconvert is not None else 1
+        decimate = 1 if self.downconvert is None else self.downconvert["decimate"]
         sizes = {"tx": (rate, n), "rx": (rate / decimate, n // decimate)}
         if "lock" in records:   # loop_samples solves for the unity gain: only on demand
             sizes["lock"] = (self.loop.sim_rate_hz, loop_samples(self.loop))
@@ -284,16 +284,17 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
         dc = _parse_downconvert(bd.get("downconvert"), f"{path}.downconvert")
         if dc is not None:
-            # the frame as build_frame samples it, decimated back to one
-            # sample per subcarrier as run_band does
+            # the converter decimates the frame, as build_frame samples it,
+            # back to one sample per subcarrier
+            dc["decimate"] = tx.oversample
             try:
-                check_if_window(plan.center_hz, frame_rate_hz(plan, tx), **dc,
-                                decimate=tx.oversample)
+                check_if_window(plan.center_hz, frame_rate_hz(plan, tx), **dc)
             except ValueError as e:
                 raise ScenarioError(f"{path}.downconvert", str(e)) from None
             try:
                 resampled_cp_length(cp_length(plan.n_subcarriers, tx.oversample,
-                                              tx.cp_fraction), tx.oversample, 1)
+                                              tx.cp_fraction), tx.oversample,
+                                    tx.oversample // dc["decimate"])
             except ValueError as e:
                 raise ScenarioError(f"{path}.tx.cp_fraction", str(e)) from None
         bands.append(BandScenario(

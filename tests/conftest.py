@@ -59,6 +59,14 @@ def default_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def default_lock_sim(tmp_path_factory):
+    """One in-process ``sim lock-sim`` on the bundled scenario, shared like
+    ``default_run``: (output directory, record)."""
+    out = tmp_path_factory.mktemp("default_lock_sim") / "out"
+    return out, capture(["lock-sim"], out)
+
+
+@pytest.fixture(scope="session")
 def default_doc():
     """The bundled scenario as a plain dict, for derived variants."""
     with open(default_scenario_path()) as fh:

@@ -161,3 +161,26 @@ def ber_mqam_ref(snr_db, order_bits):
         return (2.5 * q(x) + q(3.0 * x) - 0.5 * q(5.0 * x)) / 3.0
     m = 2.0 ** order_bits
     return (4.0 / order_bits) * (1.0 - 1.0 / math.sqrt(m)) * q(np.sqrt(3.0 * g / (m - 1.0)))
+
+
+def channel_ref(x, fs, anchor_hz, mask, downconvert=None):
+    """The channel after the carrier, out of place and full length: the
+    mask's amplitude (linear in dB between its points, constant beyond),
+    then, when ``downconvert`` (``dband_downconvert``'s keyword arguments)
+    is given, a brick-wall IF window and every ``decimate``-th sample.
+    Returns (samples, sample rate, anchor)."""
+
+    def filtered(y, gain):
+        freqs = np.fft.fftfreq(len(y), 1.0 / fs) + anchor_hz
+        return np.fft.ifft(np.fft.fft(y) * gain(freqs))
+
+    f = np.array([p.freq_hz for p in mask])
+    g = np.array([p.gain_db for p in mask])
+    y = filtered(x, lambda freqs: 10.0 ** (np.interp(freqs, f, g) / 20.0))
+    if downconvert is None:
+        return y, fs, anchor_hz
+    lo = downconvert["seed_lo_hz"] * downconvert["mult"]
+    if_lo, if_hi = downconvert["if_window_hz"]
+    decimate = downconvert["decimate"]
+    y = filtered(y, lambda freqs: (freqs - lo >= if_lo) & (freqs - lo <= if_hi))
+    return y[::decimate], fs / decimate, anchor_hz - lo

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import channel_ref
 from wdlink.bandplan import detected_indices, subcarrier_center, subcarrier_centers
 from wdlink.channel import (MaskPoint, apply_carrier, apply_mask,
                             dband_downconvert, default_masks, fspl_db,
-                            load_mask_csv, mask_gain_db, propagate)
+                            load_mask_csv, mask_gain_db)
 from wdlink.noise import PhaseTrace
 from wdlink.ofdm_rx import demodulate, equalize
 from wdlink.ofdm_tx import build_frame, clip
@@ -69,9 +70,10 @@ def test_mask_validation():
 
 def test_apply_mask_flat_zero_db_is_identity():
     w = _rand_wave()
+    before = w.samples.copy()   # apply_mask overwrites w.samples
     flat = (MaskPoint(1e9, 0.0), MaskPoint(200e9, 0.0))
     out = apply_mask(w, flat)
-    np.testing.assert_allclose(out.samples, w.samples, atol=1e-10)
+    np.testing.assert_allclose(out.samples, before, atol=1e-10)
     assert out.sample_rate_hz == w.sample_rate_hz
     assert out.anchor_hz == w.anchor_hz
 
@@ -205,11 +207,12 @@ def test_downconvert_passes_in_window_tone(lo):
     w = ComplexWaveform(np.exp(2j * np.pi * 10e9 * t), fs, 130e9)  # 140 GHz
     lo_hz = lo["seed_lo_hz"] * lo["mult"]
     assert 0.5e9 < 140e9 - lo_hz < 17.0e9   # the tone's IF is inside the window
+    before = w.samples.copy()   # at decimate=1 the output is w.samples, overwritten
     out = dband_downconvert(w, **lo, if_window_hz=(0.5e9, 17.0e9))
     assert out.anchor_hz == pytest.approx(130e9 - lo_hz)
     assert out.sample_rate_hz == fs
     # tone is bin-aligned and inside the IF window: samples pass untouched
-    np.testing.assert_allclose(out.samples, w.samples, atol=1e-9)
+    np.testing.assert_allclose(out.samples, before, atol=1e-9)
     spec = np.abs(np.fft.fft(out.samples)) ** 2
     freqs = np.fft.fftfreq(n, 1 / fs) + out.anchor_hz
     assert freqs[np.argmax(spec)] == pytest.approx(140e9 - lo_hz)
@@ -255,72 +258,64 @@ def test_downconvert_window_selects_subcarriers(d_plan, d_band, lo, window, coun
 
 
 def test_downconvert_validation(d_plan, d_band, lo):
+    """Each refusal comes before the samples are touched: the frame's bytes
+    are those it was built with."""
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=4, prbs_seed_state=5)
     wav, _ = build_frame(d_plan, cfg)
-    with pytest.raises(ValueError, match="low < high"):
-        dband_downconvert(wav, **lo, if_window_hz=(5e9, 2e9))
-    with pytest.raises(ValueError, match="sampled span"):
-        dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 45e9))
-    with pytest.raises(ValueError, match="divide"):
+    kept = wav.samples.tobytes()
+    for kwargs, match in [
+        ({"if_window_hz": (5e9, 2e9)}, "low < high"),
+        ({"if_window_hz": (0.5e9, 45e9)}, "sampled span"),
         # does not divide the sample count
-        dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 17.0e9), decimate=3)
-    with pytest.raises(ValueError, match="alias"):
+        ({"if_window_hz": (0.5e9, 17.0e9), "decimate": 3}, "divide"),
         # a 0.5-17 GHz window aliases at 20 GS/s
-        dband_downconvert(wav, **lo, if_window_hz=(0.5e9, 17.0e9), decimate=4)
+        ({"if_window_hz": (0.5e9, 17.0e9), "decimate": 4}, "alias"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            dband_downconvert(wav, **lo, **kwargs)
+        assert wav.samples.tobytes() == kept, match
 
 
 # ----------------------------------------------------------- whole channel
 
-def _clipped_frame(band, n_symbols):
-    """A run's clipped frame of ``n_symbols`` payload symbols, and a
-    residual phase walk that spans it."""
+def _carried_frame(band, n_symbols):
+    """A run's clipped frame of ``n_symbols`` payload symbols after
+    ``apply_carrier`` on a residual phase walk that spans it."""
     wav, _ = build_frame(band.plan, replace(band.tx, n_symbols=n_symbols))
     wav = clip(wav, band.tx.clip_ratio_db)
     rate = band.loop.sim_rate_hz
     walk = np.cumsum(0.05 * np.random.default_rng(8).standard_normal(
         int(wav.duration_s * rate) + 3))
-    return wav, PhaseTrace(walk, rate)
-
-
-def _run_downconvert(band):
-    if band.downconvert is None:
-        return None
-    return {**band.downconvert, "decimate": band.tx.oversample}
+    return apply_carrier(wav, PhaseTrace(walk, rate))
 
 
 # 8 payload symbols make a frame (6,240 samples) below the 16,384 at which
 # numpy starts to reuse temporaries in place, 64 one (35,360) above it
 @pytest.mark.parametrize("n_symbols", [8, 64])
 @pytest.mark.parametrize("band_name", ["W", "D"])
-def test_propagate_is_the_three_stages_to_the_bit(scenario, band_name, n_symbols):
+def test_channel_stages_match_the_out_of_place_oracle(scenario, band_name, n_symbols):
     band = scenario.band(band_name)
-    wav, residual = _clipped_frame(band, n_symbols)
-    kept = wav.samples.copy()
-    want = apply_mask(apply_carrier(wav, residual), band.mask)
-    downconvert = _run_downconvert(band)
-    if downconvert is not None:
-        want = dband_downconvert(want, **downconvert)
-    got = propagate(wav, residual, band.mask, downconvert)
-    assert np.array_equal(got.samples, want.samples)
-    assert (got.sample_rate_hz, got.anchor_hz) == (want.sample_rate_hz, want.anchor_hz)
-    # its own contiguous array: D's decimated samples pin no full-rate buffer
-    assert got.samples.flags.c_contiguous and got.samples.base is None
-    assert np.array_equal(wav.samples, kept)
+    w = _carried_frame(band, n_symbols)
+    want = channel_ref(w.samples.copy(), w.sample_rate_hz, w.anchor_hz,
+                       band.mask, band.downconvert)
+    w = apply_mask(w, band.mask)
+    if band.downconvert is not None:
+        w = dband_downconvert(w, **band.downconvert)
+    assert np.array_equal(w.samples, want[0])
+    assert (w.sample_rate_hz, w.anchor_hz) == want[1:]
 
 
-def test_propagate_checks_the_converter_first(d_band, lo):
-    wav, residual = _clipped_frame(d_band, 8)
-    with pytest.raises(ValueError, match="low < high"):
-        propagate(wav, residual, d_band.mask,
-                  {**lo, "if_window_hz": (5e9, 2e9), "decimate": 2})
+def test_apply_mask_works_in_place(w_band):
+    w = _carried_frame(w_band, 8)
+    assert np.shares_memory(apply_mask(w, w_band.mask).samples, w.samples)
 
 
-def test_mask_and_downconvert_leave_their_input_unchanged(d_band):
-    wav, _ = build_frame(d_band.plan, d_band.tx)
-    kept = wav.samples.copy()
-    apply_mask(wav, d_band.mask)
-    dband_downconvert(wav, **_run_downconvert(d_band))
-    assert np.array_equal(wav.samples, kept)
+def test_decimated_downconvert_is_its_own_array(d_band):
+    w = _carried_frame(d_band, 8)
+    out = dband_downconvert(w, **d_band.downconvert)
+    assert len(out) == len(w) // d_band.downconvert["decimate"]
+    # D's decimated samples pin no full-rate buffer
+    assert out.samples.flags.c_contiguous and out.samples.base is None
 
 
 # ----------------------------------------------------------- link budget

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import wdlink
+from golden.regen import capture
 from wdlink.cli import main
 
 
@@ -29,15 +30,10 @@ def _run_json(capsys, argv, expect_rc=0):
 
 # ----------------------------------------------------------- full chain
 
-def test_run_default_scenario_reproducible(tmp_path, capsys):
-    t1 = _run_json(capsys, ["run", "--out", str(tmp_path / "a")])
-    t2 = _run_json(capsys, ["run", "--out", str(tmp_path / "b")])
-    assert t1 == t2
-    tree_a = _tree_bytes(tmp_path / "a")
-    tree_b = _tree_bytes(tmp_path / "b")
-    assert set(tree_a) == set(tree_b)
-    for name in tree_a:
-        assert tree_a[name] == tree_b[name], f"{name} differs between runs"
+def test_run_default_scenario_reproducible(default_run, tmp_path):
+    """A second, fresh run: the same exit code, stdout and file hashes as
+    ``default_run``'s."""
+    assert capture(["run"], tmp_path / "b") == default_run[1]
 
 
 def test_run_default_scenario_totals_and_artifacts(default_run):
@@ -99,9 +95,10 @@ def test_noiseless_flat_channel_is_error_free(tmp_path, scenario_file, capsys):
 
 # ------------------------------------------------------------ subcommands
 
-def test_lock_sim_exit_and_artifacts(tmp_path, capsys):
-    out = tmp_path / "lock"
-    info = _run_json(capsys, ["lock-sim", "--out", str(out)])
+def test_lock_sim_exit_and_artifacts(default_lock_sim):
+    out, run = default_lock_sim
+    assert run["exit_code"] == 0, run["stdout"]
+    info = json.loads(run["stdout"])
     for band in ("W", "D"):
         assert info[band]["mode"] == "locked"
         assert info[band]["locked"] is True
@@ -122,12 +119,13 @@ def test_lock_sim_free_running_mode(tmp_path, capsys):
         assert not (bdir / "lock.csv").exists()
 
 
-def test_seed_override_is_deterministic_but_different(tmp_path, capsys):
+def test_seed_override_is_deterministic_but_different(default_lock_sim, tmp_path,
+                                                      capsys):
     a = _run_json(capsys, ["lock-sim", "--out", str(tmp_path / "a"),
                            "--seed-override", "9"])
     b = _run_json(capsys, ["lock-sim", "--out", str(tmp_path / "b"),
                            "--seed-override", "9"])
-    c = _run_json(capsys, ["lock-sim", "--out", str(tmp_path / "c")])
+    c = json.loads(default_lock_sim[1]["stdout"])   # the unseeded run
     assert a == b
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
     assert a != c

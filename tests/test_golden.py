@@ -45,9 +45,11 @@ def test_seed_override_run_matches_golden(tmp_path):
 
 @pytest.mark.parametrize("name", ["lock-sim", "lock-sim --free-running",
                                   "tx", "tx --clip-db 6"])
-def test_subcommand_matches_golden(name, tmp_path):
+def test_subcommand_matches_golden(name, default_lock_sim, tmp_path):
     _require_recorded_platform()
-    _assert_matches(name, capture(RUNS[name], tmp_path / "out"))
+    got = (default_lock_sim[1] if name == "lock-sim"
+           else capture(RUNS[name], tmp_path / "out"))
+    _assert_matches(name, got)
 
 
 @pytest.mark.parametrize("name", list(ON_RUN))

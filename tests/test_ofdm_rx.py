@@ -77,7 +77,7 @@ def test_demod_refuses_a_cp_that_decimation_splits(d_plan, d_band, cp_512ths):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5,
                   cp_fraction=cp_512ths / 512)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, **d_band.downconvert, decimate=2)
+    out = dband_downconvert(wav, **d_band.downconvert)   # decimated by 2
     with pytest.raises(ValueError, match="cyclic prefix does not survive"):
         demodulate(out, ref, 0)
 

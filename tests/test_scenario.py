@@ -27,8 +27,9 @@ def test_bands_carry_resolved_run_inputs():
     assert scn.fec == FecProfile(overhead_fraction=0.155, ber_threshold=0.022)
     assert (w.lock_seed, w.noise_seed, d.lock_seed, d.noise_seed) == (2101, 2102, 2201, 2202)
     assert w.downconvert is None
+    # the decimation is the frame's oversampling, resolved at load
     assert d.downconvert == {"seed_lo_hz": 21.7e9, "mult": 6,
-                             "if_window_hz": (2.8e9, 19.8e9)}
+                             "if_window_hz": (2.8e9, 19.8e9), "decimate": 2}
 
 
 def test_seed_override_replaces_only_the_seeds():
