@@ -8,8 +8,16 @@ rejects a flag it would ignore.  ``--rbw-hz`` and ``--clip-db`` take only a
 finite positive number, and ``--rbw-hz`` must fit each record the subcommand
 estimates a PSD from.  The scenario is loaded (and, with
 ``--seed-override``, re-seeded) before any output is written, so a bad file
-or flag leaves no output directory.  Exit codes: 0 success, 2
-configuration/usage error, 3 lock or sync failure, 4 I/O error.
+or flag leaves no output directory.
+
+``--out`` must be absent or an empty directory, except for report, which
+rewrites ``summary.json`` and ``capacity.json`` of an existing run (each
+replaced whole).  The other subcommands write into a sibling
+``<out>.partial-<pid>`` and rename it to ``--out`` when they finish, so a
+tree is published whole or not at all.  Exit codes: 0 success, 2
+configuration/usage error (a taken ``--out`` included), 3 lock or sync
+failure, 4 I/O error.  Exits 0 and 3 leave a tree; 2 and 4 leave none (a
+failed report leaves the run as it was).
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ import json
 import math
 import sys
 
-from .runner import bitload_only, build_summary, lock_sim, run_scenario, tx_only
+from .runner import (OutDirError, bitload_only, build_summary, lock_sim,
+                     run_scenario, tx_only)
 from .scenario import ScenarioError, default_scenario_path, load_scenario
 
 EXIT_OK = 0
@@ -142,10 +151,9 @@ def main(argv=None) -> int:
         summary = build_summary(scn, args.out)
         print(json.dumps(summary["totals"], indent=2, sort_keys=True))
         return EXIT_OK
-    except KeyError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except OutDirError as e:
+        parser.error(f"argument --out: {e}")
+    except (KeyError, ValueError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

@@ -250,14 +250,37 @@ def write_metrics_csv(path, metrics: SubcarrierMetrics) -> None:
                 metrics.freq_hz, metrics.snr_db, metrics.evm_rms)
 
 
-def read_metrics_csv(path) -> SubcarrierMetrics:
+def read_metrics_csv(path, plan: BandPlan) -> SubcarrierMetrics:
+    """Read a metrics table back as a profile of ``plan``'s subcarriers.
+    Refuses, naming the file, an index that is not one of them or that
+    repeats: the profile would otherwise be priced on the wrong subcarriers,
+    or one of two rows silently dropped."""
     rows = read_table(path, 4)
+    col = rows[:, 0]
+    outside = col[~np.isin(col, np.arange(plan.n_subcarriers))]
+    if len(outside):
+        raise ValueError(f"{path}: index {outside[0]:g} not in "
+                         f"0..{plan.n_subcarriers - 1}")
+    values, counts = np.unique(col, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"{path}: index {values[counts > 1][0]:g} repeated")
     return SubcarrierMetrics(
-        indices=rows[:, 0].astype(int),
+        indices=col.astype(int),
         freq_hz=rows[:, 1],
         snr_db=rows[:, 2],
         evm_rms=rows[:, 3],
     )
+
+
+def check_centers(path, metrics: SubcarrierMetrics, plan: BandPlan) -> None:
+    """Refuse a run's metrics read back from ``path`` whose ``freq_hz`` is
+    not ``plan``'s center of each row's index as ``write_metrics_csv``
+    prints it: the rows were moved, or the run had another plan."""
+    centers = subcarrier_centers(plan)[metrics.indices]
+    for index, got, want in zip(metrics.indices, metrics.freq_hz, centers):
+        if f"{got:.6f}" != f"{want:.6f}":
+            raise ValueError(f"{path}: index {index} at freq_hz {got:.6f}, "
+                             f"not its center {want:.6f}")
 
 
 def write_constellation_csv(path, points: np.ndarray) -> None:

@@ -66,6 +66,12 @@ def _detector(theta: np.ndarray) -> np.ndarray:
     return np.clip(theta, -TWO_PI, TWO_PI)
 
 
+def _beat(phases: np.ndarray, cfg: LoopConfig) -> ComplexWaveform:
+    """The beat note exp(j*phases) at the loop's rate and target offset."""
+    return ComplexWaveform(np.exp(1j * phases), cfg.sim_rate_hz,
+                           anchor_hz=cfg.target_offset_hz)
+
+
 @dataclass(frozen=True)
 class LockResult:
     """``theta`` is the unclipped phase error, one value per loop sample;
@@ -91,11 +97,7 @@ class LockResult:
     @property
     def locked_beat(self) -> ComplexWaveform:
         """The locked beat note exp(j*theta) at the target offset."""
-        return ComplexWaveform(
-            samples=np.exp(1j * self.theta),
-            sample_rate_hz=self.config.sim_rate_hz,
-            anchor_hz=self.config.target_offset_hz,
-        )
+        return _beat(self.theta, self.config)
 
 
 def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float) -> tuple:
@@ -329,11 +331,7 @@ def free_running_beat(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig,
     """Unlocked beat note between two lines (linewidths add), over the record
     ``simulate_lock`` runs for ``cfg`` and seed, at the target offset."""
     beat = beat_phase(master, slave, loop_samples(cfg), cfg.sim_rate_hz, seed)
-    return ComplexWaveform(
-        samples=np.exp(1j * beat.phases),
-        sample_rate_hz=cfg.sim_rate_hz,
-        anchor_hz=cfg.target_offset_hz,
-    )
+    return _beat(beat.phases, cfg)
 
 
 def residual_phase_variance(result: LockResult) -> float:

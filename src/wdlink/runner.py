@@ -11,12 +11,20 @@ sync/demodulate/equalize, measure EVM, load bits, and price the capacity.
 Every artifact is deterministic for a given scenario, so reruns are
 byte-identical and the summary can be rebuilt from stored files alone: the
 summary builder only ever reads artifacts back, never live objects.
+
+Each writing entry point (``run_scenario``, ``lock_sim``, ``tx_only``,
+``bitload_only``) owns its whole output directory through ``_fresh_out``:
+the tree appears under its name complete, or not at all, so the manifest
+lists exactly what the run wrote.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +34,10 @@ from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
 from .channel import apply_carrier, apply_mask, dband_downconvert
 from .noise import PhaseTrace, add_awgn, estimate_psd, write_psd_csv
-from .ofdm_rx import (SyncError, band_average_snr_db, count_bit_errors,
-                      demodulate, equalize, evm_snr, export_constellation,
-                      read_metrics_csv, synchronize, write_constellation_csv,
-                      write_metrics_csv)
+from .ofdm_rx import (SyncError, band_average_snr_db, check_centers,
+                      count_bit_errors, demodulate, equalize, evm_snr,
+                      export_constellation, read_metrics_csv, synchronize,
+                      write_constellation_csv, write_metrics_csv)
 from .ofdm_tx import build_frame, clip, frame_rate_hz, frame_samples, papr_db
 from .opll import (LOCK_PSD_RBW_HZ, free_running_beat, residual_phase_variance,
                    simulate_lock, write_lock_csv)
@@ -37,6 +45,35 @@ from .scenario import BandScenario, Scenario
 from .waveform import write_iq, write_json
 
 LOCK_CSV_MAX_ROWS = 4000
+
+
+class OutDirError(Exception):
+    """The output directory is taken: it is a file or holds files."""
+
+
+@contextmanager
+def _fresh_out(out_dir):
+    """Give the body a fresh sibling ``<out_dir>.partial-<pid>`` to write
+    into, and rename it to ``out_dir`` when the body returns.  Refuses, with
+    ``OutDirError``, an ``out_dir`` that exists and is not an empty
+    directory; removes the sibling if the body raises, interrupt included."""
+    out = Path(os.path.abspath(out_dir))
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise OutDirError(f"{out_dir} exists and is not an empty directory")
+    partial = out.with_name(f"{out.name}.partial-{os.getpid()}")
+    partial.mkdir(parents=True)
+    try:
+        yield partial
+        os.replace(partial, out)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+
+
+def _band_dir(out: Path, band: BandScenario) -> Path:
+    bdir = out / f"band_{band.name}"
+    bdir.mkdir()
+    return bdir
 
 
 def _psd(path, x, rbw_hz: float) -> None:
@@ -61,7 +98,6 @@ def _frame_lock_stage(band: BandScenario, band_dir: Path) -> tuple:
     Returns the band's lock record and, when locked, the residual phase
     that its frame will ride on (None otherwise).  The tail is cut here, so
     the full lock record is freed before the next band locks."""
-    band_dir.mkdir(parents=True, exist_ok=True)
     lock, lock_info = _lock_stage(band, band_dir, LOCK_PSD_RBW_HZ)
     lock_info["target_offset_hz"] = lock.config.target_offset_hz
     if not lock.locked:
@@ -147,7 +183,9 @@ def build_summary(scn: Scenario, out_dir) -> dict:
 
     Also rewrites capacity.json (it is derived from bitload CSVs) before the
     manifest is hashed, so rerunning this on an existing output directory
-    reproduces both files byte for byte.
+    reproduces both files byte for byte.  A ``metrics.csv`` whose rows are
+    not the plan's subcarriers at their centers is refused before either
+    file is written.
     """
     out = Path(out_dir)
     bands_summary = {}
@@ -165,7 +203,8 @@ def build_summary(scn: Scenario, out_dir) -> dict:
             "constellation_subcarrier": chain.get("constellation_subcarrier"),
         }
         if chain["failure"] is None:
-            metrics = read_metrics_csv(bdir / "metrics.csv")
+            metrics = read_metrics_csv(bdir / "metrics.csv", band.plan)
+            check_centers(bdir / "metrics.csv", metrics, band.plan)
             entry["avg_snr_db"] = band_average_snr_db(metrics, band.plan)
             load_map = read_bitload_csv(bdir / "bitload.csv")
             rep = capacity(load_map, band.plan, scn.fec, band.tx.cp_fraction)
@@ -200,76 +239,70 @@ def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
     for every band, so all frame paths are running by the time one can
     fail; none is cancelled.  An exception from a frame path, or an
     interrupt, is raised once every running frame path has finished, the
-    first band's exception first."""
+    first band's exception first, and leaves no tree."""
     # imported here: it costs several ms of every ``import wdlink.cli``
     from concurrent.futures import ThreadPoolExecutor
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
-    dirs = [out / f"band_{band.name}" for band in scn.bands]
-    locks = [_frame_lock_stage(band, bdir) for band, bdir in zip(scn.bands, dirs)]
-    with ThreadPoolExecutor(max_workers=len(scn.bands)) as pool:
-        futures = [pool.submit(run_band, scn, band, bdir, rbw, *lock)
-                   for band, bdir, lock in zip(scn.bands, dirs, locks)]
-        records = [f.result() for f in futures]
-    write_threshold_csv(out / "thresholds.csv", scn.fec)
-    summary = build_summary(scn, out)
+    with _fresh_out(out_dir) as out:
+        dirs = [_band_dir(out, band) for band in scn.bands]
+        locks = [_frame_lock_stage(band, bdir) for band, bdir in zip(scn.bands, dirs)]
+        with ThreadPoolExecutor(max_workers=len(scn.bands)) as pool:
+            futures = [pool.submit(run_band, scn, band, bdir, rbw, *lock)
+                       for band, bdir, lock in zip(scn.bands, dirs, locks)]
+            records = [f.result() for f in futures]
+        write_threshold_csv(out / "thresholds.csv", scn.fec)
+        summary = build_summary(scn, out)
     return summary, any(r["failure"] for r in records)
 
 
 def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) -> dict:
     """Servo-only run: lock (or free-run) each band's laser pair and emit
     phase/beat spectra."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rbw = rbw_hz if rbw_hz is not None else LOCK_PSD_RBW_HZ
     info = {}
-    for band in scn.bands:
-        bdir = out / f"band_{band.name}"
-        bdir.mkdir(parents=True, exist_ok=True)
-        if free_running:
-            beat = free_running_beat(band.master, band.slave, band.loop, band.lock_seed)
-            _psd(bdir / "psd_beat.csv", beat, rbw)
-            info[band.name] = {"mode": "free-running"}
-            continue
-        lock, lock_info = _lock_stage(band, bdir, rbw)
-        _psd(bdir / "psd_beat.csv", lock.locked_beat, rbw)
-        info[band.name] = {"mode": "locked", **lock_info}
-    write_json(out / "lock.json", {"bands": info})
+    with _fresh_out(out_dir) as out:
+        for band in scn.bands:
+            bdir = _band_dir(out, band)
+            if free_running:
+                beat = free_running_beat(band.master, band.slave, band.loop,
+                                         band.lock_seed)
+                _psd(bdir / "psd_beat.csv", beat, rbw)
+                info[band.name] = {"mode": "free-running"}
+                continue
+            lock, lock_info = _lock_stage(band, bdir, rbw)
+            _psd(bdir / "psd_beat.csv", lock.locked_beat, rbw)
+            info[band.name] = {"mode": "locked", **lock_info}
+        write_json(out / "lock.json", {"bands": info})
     return info
 
 
 def tx_only(scn: Scenario, out_dir, clip_db=None, rbw_hz=None) -> dict:
     """Waveform synthesis only: frames, clipping, PAPR, spectra."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
     info = {}
-    for band in scn.bands:
-        bdir = out / f"band_{band.name}"
-        bdir.mkdir(parents=True, exist_ok=True)
-        ratio = clip_db if clip_db is not None else band.tx.clip_ratio_db
-        clipped, _, papr = _tx_stage(band, bdir, rbw, ratio)
-        info[band.name] = {
-            **papr,
-            "clip_ratio_db": float(ratio),
-            "n_samples": len(clipped),
-            "sample_rate_hz": clipped.sample_rate_hz,
-        }
-    write_json(out / "tx.json", info)
+    with _fresh_out(out_dir) as out:
+        for band in scn.bands:
+            ratio = clip_db if clip_db is not None else band.tx.clip_ratio_db
+            clipped, _, papr = _tx_stage(band, _band_dir(out, band), rbw, ratio)
+            info[band.name] = {
+                **papr,
+                "clip_ratio_db": float(ratio),
+                "n_samples": len(clipped),
+                "sample_rate_hz": clipped.sample_rate_hz,
+            }
+        write_json(out / "tx.json", info)
     return info
 
 
 def bitload_only(scn: Scenario, band_name: str, snr_csv, out_dir):
     """Load bits from an externally measured SNR profile CSV."""
     band = scn.band(band_name)
-    metrics = read_metrics_csv(snr_csv)
-    load_map = load_bits(metrics, scn.fec, band.plan)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_bitload_csv(out / "bitload.csv", load_map, band.plan)
-    write_threshold_csv(out / "thresholds.csv", scn.fec)
-    rep = capacity(load_map, band.plan, scn.fec, band.tx.cp_fraction)
-    write_capacity_json(out / "capacity.json", {band.name: rep}, scn.fec)
+    with _fresh_out(out_dir) as out:
+        metrics = read_metrics_csv(snr_csv, band.plan)
+        load_map = load_bits(metrics, scn.fec, band.plan)
+        write_bitload_csv(out / "bitload.csv", load_map, band.plan)
+        write_threshold_csv(out / "thresholds.csv", scn.fec)
+        rep = capacity(load_map, band.plan, scn.fec, band.tx.cp_fraction)
+        write_capacity_json(out / "capacity.json", {band.name: rep}, scn.fec)
     return rep

@@ -9,12 +9,15 @@ Every artifact is in one of three formats, all defined here: binary I/Q
 (float32 pairs plus a ``key=value`` sidecar; :func:`write_iq`/:func:`read_iq`),
 CSV tables (a header line, then rows from a ``str.format`` template that
 carries its own ``\n`` or ``\r\n``; :func:`write_table`/:func:`read_table`),
-and JSON (indent 2, sorted keys, trailing newline; :func:`write_json`).
+and JSON (indent 2, sorted keys, trailing newline, replaced whole;
+:func:`write_json`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,7 +117,16 @@ def read_table(path, n_columns: int) -> np.ndarray:
 
 
 def write_json(path, obj) -> None:
-    """JSON artifact: indent 2, sorted keys, trailing newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """JSON artifact: indent 2, sorted keys, trailing newline.  Written to a
+    temporary file beside ``path`` and renamed over it, so an existing file
+    is replaced whole or left as it was."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

@@ -11,6 +11,18 @@ from wdlink.bandplan import make_default_plans
 from wdlink.scenario import default_scenario_path, load_scenario
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_partial_trees(tmp_path_factory):
+    """Fails the session if any ``<out>.partial-<pid>`` sibling is left under
+    pytest's temporary directories: every run, passing or failing, must
+    either publish its tree or remove it."""
+    yield
+    left = sorted(p for p in tmp_path_factory.getbasetemp().rglob("*.partial-*")
+                  if p.is_dir())
+    if left:
+        pytest.fail(f"unpublished output trees left behind: {left}")
+
+
 @pytest.fixture(scope="session")
 def plans():
     return make_default_plans()

@@ -366,8 +366,8 @@ def test_rbw_flag_finer_than_a_record_is_a_usage_error(tmp_path, capsys, command
 
 def test_io_error_in_one_band_exits_four_after_the_other_band(tmp_path, capsys, monkeypatch):
     """A write that fails in band D's frame path is an I/O error (exit 4)
-    with the error's own text, as when the bands ran one after the other;
-    band W, which runs alongside it, still finishes."""
+    with the error's own text, as when the bands ran one after the other,
+    and leaves no tree: neither ``--out`` nor the sibling it was written in."""
     from wdlink import runner
     write_iq = runner.write_iq
 
@@ -381,10 +381,136 @@ def test_io_error_in_one_band_exits_four_after_the_other_band(tmp_path, capsys, 
     assert main(["run", "--out", str(out)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
+    partial = tmp_path / f"o.partial-{os.getpid()}"
     assert captured.err == ("I/O error: [Errno 28] No space left on device: "
-                            f"'{out / 'band_D' / 'tx.iq'}'\n")
-    assert (out / "band_W" / "chain.json").exists()
-    assert not (out / "summary.json").exists()
+                            f"'{partial / 'band_D' / 'tx.iq'}'\n")
+    assert not out.exists()
+    assert not partial.exists()
+
+
+# ------------------------------------------------------- output directory
+
+def _partials(tmp_path):
+    return sorted(tmp_path.glob("*.partial-*"))
+
+
+def test_run_into_a_tx_tree_is_refused_and_leaves_it_unchanged(tmp_path, capsys):
+    out = tmp_path / "o"
+    _run_json(capsys, ["tx", "--out", str(out)])
+    before = _tree_bytes(out)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument --out: {out} exists and is not an empty directory"
+            in capsys.readouterr().err)
+    assert _tree_bytes(out) == before
+    assert _partials(tmp_path) == []
+
+
+def test_existing_empty_out_is_accepted(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    info = _run_json(capsys, ["tx", "--out", str(out)])
+    assert json.loads((out / "tx.json").read_text()) == info
+    assert _partials(tmp_path) == []
+
+
+def test_out_dot_names_the_working_directory(tmp_path, capsys, monkeypatch):
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    _run_json(capsys, ["tx", "--out", "."])
+    assert (here / "tx.json").is_file()
+    assert _partials(tmp_path) == []
+
+
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("keep me\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["tx", "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument --out: {out} exists and is not an empty directory"
+            in capsys.readouterr().err)
+    assert out.read_text() == "keep me\n"
+    assert _partials(tmp_path) == []
+
+
+def test_interrupt_in_a_stage_leaves_no_tree(tmp_path, monkeypatch):
+    from wdlink import runner
+
+    def interrupted(path, w):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "write_iq", interrupted)
+    out = tmp_path / "o"
+    with pytest.raises(KeyboardInterrupt):
+        main(["tx", "--out", str(out)])
+    assert not out.exists()
+    assert _partials(tmp_path) == []
+
+
+def test_lock_sim_into_a_non_empty_directory_raises_before_any_stage(
+        tmp_path, scenario, monkeypatch):
+    from wdlink import runner
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(runner, "simulate_lock", no_stage)
+    monkeypatch.setattr(runner, "free_running_beat", no_stage)
+    (tmp_path / "stale.json").write_text("{}\n")
+    with pytest.raises(runner.OutDirError, match="not an empty directory"):
+        runner.lock_sim(scenario, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["stale.json"]
+
+
+# ------------------------------------------------ read-back against the plan
+
+def _move_indices(path, move):
+    """Rewrite the index column of the metrics table at ``path``."""
+    head, *rows = path.read_bytes().decode().splitlines(keepends=True)
+    moved = []
+    for row in rows:
+        index, rest = row.split(",", 1)
+        moved.append(f"{move(int(index))},{rest}")
+    path.write_bytes((head + "".join(moved)).encode())
+
+
+@pytest.mark.parametrize("move, why", [
+    (lambda i: (i + 64) % 256, "index 65 at freq_hz 75205078125.000000, not its center"),
+    (lambda i: i + 64, "not in 0..255"),
+], ids=["rolled", "shifted"])
+def test_report_refuses_moved_metrics_indices(default_run, tmp_path, capsys, move, why):
+    """Rolled indices keep inside the plan but leave each row's frequency
+    behind; shifted ones leave the plan.  Either would rewrite W's average
+    SNR in the summary."""
+    out = tmp_path / "run"
+    shutil.copytree(default_run[0], out)
+    metrics = out / "band_W" / "metrics.csv"
+    _move_indices(metrics, move)
+    before = _tree_bytes(out)
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {metrics}: ")
+    assert why in err
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("move, why", [
+    (lambda i: i + 64, "index 256 not in 0..255"),
+    (lambda i: min(i, 200), "index 200 repeated"),
+], ids=["shifted", "repeated"])
+def test_bitload_refuses_indices_off_the_plan(default_run, tmp_path, capsys, move, why):
+    profile = tmp_path / "metrics.csv"
+    shutil.copyfile(default_run[0] / "band_D" / "metrics.csv", profile)
+    _move_indices(profile, move)
+    out = tmp_path / "o"
+    assert main(["bitload", "--band", "D", "--snr-csv", str(profile),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {profile}: {why}\n"
+    assert not out.exists()
+    assert _partials(tmp_path) == []
 
 
 # A fresh interpreter is the point of the next two tests: one checks what a

@@ -299,7 +299,7 @@ def test_metrics_csv_round_trip(w_plan, loopback, tmp_path):
     write_metrics_csv(path, m)
     header = path.read_text().splitlines()[0]
     assert header == "index,freq_hz,snr_db,evm_rms"
-    back = read_metrics_csv(path)
+    back = read_metrics_csv(path, w_plan)
     np.testing.assert_array_equal(back.indices, m.indices)
     np.testing.assert_allclose(back.freq_hz, m.freq_hz, atol=1e-5)
     np.testing.assert_allclose(back.snr_db, m.snr_db, atol=1e-5, equal_nan=True)
