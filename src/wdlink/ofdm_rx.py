@@ -145,23 +145,29 @@ def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True) -> EqualizedFrame
     payload = raw[ref.n_training:]
     known = ref.payload_grid
     cpe_rad = np.zeros(ref.n_payload)
+    divisor = np.where(dead, 1.0, taps)[None, :]
 
+    # the first rotation or division makes ``eq``; every later one works on
+    # it in place, and ``raw`` is never written
     if cpe:
         # ML rotation against the tap-weighted reference: pilots on weak or
         # filtered-out subcarriers contribute in proportion to |tap|^2, so a
         # pilot that the channel killed cannot poison the estimate
         p = ref.pilot_idx
         rot = np.angle(np.sum(payload[:, p] * np.conj(taps[p] * known[:, p]), axis=1))
-        payload = payload * np.exp(-1j * rot)[:, None]
+        eq = payload * np.exp(-1j * rot)[:, None]
+        eq /= divisor
         cpe_rad += rot
-
-    eq = payload / np.where(dead, 1.0, taps)[None, :]
+    else:
+        eq = payload / divisor
 
     live = active[~dead[active]]
     s = known[:, live]
     g = np.sum(eq[:, live] * np.conj(s), axis=0) / np.sum(np.abs(s) ** 2, axis=0)
     g = np.where(np.abs(g) < DEAD_TAP, 1.0, g)
-    eq[:, live] /= g[None, :]
+    gain = np.ones(n_sc, dtype=complex)
+    gain[live] = g
+    np.divide(eq, gain, out=eq, where=~dead)   # the live columns
     taps[live] *= g
     if cpe:
         # second rotation pass, now over every known symbol; the 8-pilot

@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,12 +100,186 @@ def read_iq(path) -> ComplexWaveform:
 
 def write_table(path, header: str, row_format: str, *columns) -> None:
     """Write ``header``, then ``row_format.format(*row)`` for each row of the
-    equal-length ``columns``.  Both strings carry their own line end."""
+    equal-length 1-D ``columns``, byte for byte.  Both strings carry their
+    own line end.
+
+    The rows are built a column at a time (:func:`_cells`) in one byte
+    matrix, each cell zero padded to its column's width, and the padding is
+    dropped in one pass, so the template may hold only plain ``{}``/``{0}``
+    fields and no NUL.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("columns must be 1-D")
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"columns must have one length, got lengths {lengths}")
+    if "\0" in row_format:
+        raise ValueError("row_format must not contain NUL")
     with open(path, "w", newline="") as fh:
-        fh.write(header)
-        # memoryviews hand out Python scalars one at a time, without a list copy
-        fh.writelines(map(row_format.format,
-                          *(memoryview(np.asarray(c)) for c in columns)))
+        fh.write(header + (_rows(row_format, columns) if lengths[0] else ""))
+
+
+def _rows(row_format: str, columns: list) -> str:
+    """The body of a table of at least one row."""
+    from string import Formatter
+
+    n = len(columns[0])
+    pieces = []
+    auto = iter(range(len(columns)))
+    for literal, field, spec, conversion in Formatter().parse(row_format):
+        if literal:
+            text = np.frombuffer(literal.encode(), np.uint8)
+            pieces.append(np.broadcast_to(text, (n, len(text))))
+        if field is None:
+            continue
+        if conversion or not (field == "" or field.isdigit()):
+            raise ValueError(f"unsupported field {{{field}!{conversion}:{spec}}}")
+        pieces.append(_cells(columns[next(auto) if field == "" else int(field)], spec))
+    table = np.hstack(pieces) if pieces else np.zeros(0, np.uint8)
+    return table[table != 0].tobytes().decode()
+
+
+_FLOAT_SPEC = re.compile(r"\.(\d+)([ef])")
+# exact powers of ten: a float64 times or over one of these is rounded once
+_P10 = np.array([float(10 ** k) for k in range(23)])
+# "00" to "99" as one uint16 each, in memory order, then the same with a
+# leading zero as NUL, then with every zero digit before the first nonzero
+# one as NUL (so entry 200 is two NULs)
+_PAIRS = np.array([[divmod(i, 10) for i in range(100)]] * 3, dtype=np.uint8) + ord("0")
+_PAIRS[1:, :10, 0] = 0
+_PAIRS[2, 0, 1] = 0
+_PAIRS = _PAIRS.view(np.uint16).ravel()
+_MINUS, _DOT = ord("-"), ord(".")
+
+
+def _cells(col: np.ndarray, spec: str) -> np.ndarray:
+    """``format(v, spec)`` for each ``v`` of ``col`` (as the Python scalar
+    that the array holds), as UTF-8 bytes in the rows of an (n, width)
+    uint8 matrix, zero padded.
+
+    ``d`` on integers and ``.Ne``/``.Nf`` on floats are built from integer
+    digits.  A float's digits come from one correctly rounded scaling by an
+    exact power of ten, rounded half to even; a value whose scaled result
+    is a half-integer (:func:`_settled`), is out of range or is not finite
+    goes to ``format`` itself, as does every value under any other spec.
+    """
+    if spec == "d" and col.dtype.kind in "iu":
+        # |int64 min| wraps to itself, which reads as 2**63 unsigned
+        mag = np.abs(col.astype(np.int64)).view(np.uint64) if col.dtype.kind == "i" \
+            else col.astype(np.uint64)
+        return _fixed(mag, col < 0, 0)
+    n = len(col)
+    done = np.zeros(n, dtype=bool)
+    fast = np.zeros((n, 0), dtype=np.uint8)
+    match = _FLOAT_SPEC.fullmatch(spec)
+    # up to 14 decimals, every mantissa of .Ne stays below _settled's 2**52
+    if match and col.dtype.kind == "f" and int(match[1]) <= 14:
+        digits, kind = int(match[1]), match[2]
+        x = col.astype(np.float64, copy=False)
+        with np.errstate(all="ignore"):
+            done, fast = (_scientific if kind == "e" else _positional)(x, digits)
+    if done.all():
+        return fast
+    rest = np.flatnonzero(~done)
+    text = [format(v, spec).encode() for v in col[rest].tolist()]
+    lens = np.fromiter(map(len, text), dtype=np.intp, count=len(text))
+    width = max(fast.shape[1], int(lens.max()))
+    cells = np.zeros((n, width), dtype=np.uint8)
+    cells[:, :fast.shape[1]] = fast
+    slow = np.zeros((len(rest), width), dtype=np.uint8)
+    slow[np.arange(width) < lens[:, None]] = np.frombuffer(b"".join(text), np.uint8)
+    cells[rest] = slow
+    return cells
+
+
+def _settled(y: np.ndarray) -> np.ndarray:
+    """Where ``np.rint(y)`` is the exact value's rounding, ``y`` being that
+    value rounded once to a float.  That rounding is monotone and every
+    half-integer below 2**52 is a float, so ``y`` lies on the exact value's
+    side of each, or on it: a tie that only ``format`` can settle."""
+    return (y < 2.0 ** 52) & (y - np.floor(y) != 0.5)
+
+
+def _digits(m: np.ndarray, width: int, shown: int) -> np.ndarray:
+    """Decimal digits of the uint64 ``m`` (all below 10**width), right
+    aligned in an (n, width) uint8 ASCII matrix: the last ``shown`` digits
+    always, the zeros before the first nonzero digit above them as NUL."""
+    half = (width + 1) // 2
+    pairs = np.empty((len(m), half), dtype=np.uint16)
+    for j in range(half):
+        q = m // 100
+        # which table of _PAIRS: both digits shown, only the lower one, neither
+        lead = 100 * min(max(2 * j + 2 - shown, 0), 2)
+        index = m - q * 100
+        if lead:
+            index += (q == 0) * np.uint64(lead)
+        pairs[:, half - 1 - j] = _PAIRS.take(index)
+        m = q
+    return pairs.view(np.uint8)[:, 2 * half - width:]
+
+
+def _fixed(mag: np.ndarray, neg: np.ndarray, decimals: int) -> np.ndarray:
+    """``mag`` (uint64) as a signed number with ``decimals`` digits after
+    the point.  The sign stands first in the cell and the digits right
+    aligned, so the NUL between them drops out with the padding."""
+    width = max(len(str(int(mag.max()))), decimals + 1)
+    digits = _digits(mag, width, decimals + 1)
+    whole = width - decimals
+    cells = np.zeros((len(mag), 1 + width + (decimals > 0)), dtype=np.uint8)
+    cells[:, 0] = np.where(neg, _MINUS, 0)
+    cells[:, 1:1 + whole] = digits[:, :whole]
+    if decimals:
+        cells[:, 1 + whole] = _DOT
+        cells[:, 2 + whole:] = digits[:, whole:]
+    return cells
+
+
+def _positional(x: np.ndarray, decimals: int):
+    """``.{decimals}f``: (rows done, their cells)."""
+    y = np.abs(x) * _P10[decimals]
+    done = _settled(y)
+    mag = np.rint(np.where(done, y, 0.0)).astype(np.uint64)
+    return done, _fixed(mag, np.signbit(x), decimals)
+
+
+def _scientific(x: np.ndarray, decimals: int):
+    """``.{decimals}e``: (rows done, their cells).  The mantissa is scaled
+    into [10**decimals, 10**(decimals + 1)) by an exact power of ten, its
+    decade fixed by one step after the log10 guess; the carry of a mantissa
+    that rounds up to the next decade comes after the tie test."""
+    a = np.abs(x)
+    lo, hi = _P10[decimals], _P10[decimals + 1]
+    zero = a == 0
+    exp10 = np.where(zero | ~np.isfinite(a), 0.0, np.floor(np.log10(a)))
+
+    def scaled(exp10):
+        k = np.clip(decimals - exp10, -22, 22).astype(np.intp)
+        return np.where(k >= 0, a * _P10[np.abs(k)], a / _P10[np.abs(k)])
+
+    y = scaled(exp10)
+    exp10 += (y >= hi).astype(float) - ((y < lo) & ~zero)
+    y = scaled(exp10)
+    done = (np.abs(decimals - exp10) <= 22) & (zero | ((y >= lo) & (y < hi))) & _settled(y)
+    mag = np.rint(np.where(done, y, 0.0))
+    carry = mag == hi
+    mag[carry] = lo
+    exp10[carry] += 1
+    mag = mag.astype(np.uint64)
+    e = np.where(done, exp10, 0.0).astype(np.int64)
+
+    digits = _digits(mag, decimals + 1, decimals + 1)
+    point = decimals > 0
+    cells = np.zeros((len(x), decimals + 6 + point), dtype=np.uint8)
+    cells[:, 0] = np.where(np.signbit(x), _MINUS, 0)
+    cells[:, 1] = digits[:, 0]
+    if point:
+        cells[:, 2] = _DOT
+        cells[:, 3:3 + decimals] = digits[:, 1:]
+    cells[:, -4] = ord("e")
+    cells[:, -3] = np.where(e < 0, _MINUS, ord("+"))
+    cells[:, -2:] = _PAIRS.take(np.abs(e))[:, None].view(np.uint8)
+    return done, cells
 
 
 def read_table(path, n_columns: int) -> np.ndarray:

@@ -3,6 +3,9 @@ tables and JSON."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wdlink.waveform import (ComplexWaveform, read_iq, read_table, write_iq,
                              write_json, write_table)
@@ -75,6 +78,73 @@ def test_read_table_rejects_wrong_column_count(tmp_path):
     assert read_table(path, 1).shape == (2, 1)
     with pytest.raises(ValueError, match="expected 2 columns, found 1"):
         read_table(path, 2)
+
+
+def test_write_table_refuses_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"\[3, 2\]"):
+        write_table(path, "a,b\n", "{:d},{:d}\n", [1, 2, 3], [4, 5])
+    assert not path.exists()
+
+
+def _by_format(path, row_format, *columns):
+    """What ``write_table`` must write: ``str.format`` row by row, on the
+    Python scalars the columns hold."""
+    write_table(path, "h\n", row_format, *columns)
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    return path.read_bytes(), ("h\n" + "".join(row_format.format(*r) for r in rows)).encode()
+
+
+FLOAT_SPECS = [".9e", ".6f", ".1f", ".1e"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
+       k=hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(-2**63, 2**63 - 1)))
+def test_table_bytes_are_str_format_bytes(tmp_path_factory, x, k):
+    path = tmp_path_factory.mktemp("prop") / "t.csv"
+    for spec in FLOAT_SPECS:
+        got, want = _by_format(path, "{:%s}\n" % spec, x)
+        assert got == want, spec
+    got, want = _by_format(path, "{:d}\r\n", k)
+    assert got == want
+
+
+def _adversarial():
+    powers = 10.0 ** np.arange(-320, 309)
+    ticks = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    # ties that are exact in binary: (2i+1)/4 at .1f, (2i+1)/128 at .6f,
+    # 105, 115, ... at .1e and (2m+1)*500 with m of 10 digits at .9e; then
+    # decimal ties at .9e that binary can only come near
+    ties = np.concatenate([(np.arange(-400, 400) + 0.5) / 2,
+                           (np.arange(-400, 400) + 0.5) / 64,
+                           (np.arange(10, 100) + 0.5) * 10,
+                           (np.arange(10 ** 9, 10 ** 9 + 400) + 0.5) * 1e3,
+                           (np.arange(10 ** 9, 10 ** 9 + 400) + 0.5) * 1e-9])
+    odd = [9.9999999995, 0.0000005, 0.0000015, -1e-9, 1e300, -1e300, 0.0, -0.0,
+           np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+           0.05, 0.15, 0.25, 0.35, 2.5, 99.95, 999999.95, 1e16, 2.0 ** 50, 2.0 ** 53]
+    return np.concatenate([ticks, -ticks, ties, odd])
+
+
+def test_table_bytes_on_adversarial_values(tmp_path):
+    values = _adversarial()
+    for spec in FLOAT_SPECS:
+        got, want = _by_format(tmp_path / "t.csv", "{:%s},{:%s}\r\n" % (spec, spec),
+                               values, -values)
+        assert got == want, spec
+    assert _by_format(tmp_path / "t.csv", "{:.9e}\n", [9.9999999995])[0] == b"h\n9.999999999e+00\n"
+    assert _by_format(tmp_path / "t.csv", "{:.6f}\n", [-1e-9])[0] == b"h\n-0.000000\n"
+    ints = np.array([0, -1, 9, 10, -99, 100, 2 ** 63 - 1, -2 ** 63])
+    got, want = _by_format(tmp_path / "t.csv", "{:d},{}\n", ints, ints)
+    assert got == want
+
+
+def test_table_of_no_rows_and_of_one_row(tmp_path):
+    for columns in ([[], []], [[1.5], [-7]]):
+        got, want = _by_format(tmp_path / "t.csv", "{:.9e},{:d}\n", *columns)
+        assert got == want
+    assert got == b"h\n1.500000000e+00,-7\n"
 
 
 def test_write_json_format(tmp_path):
