@@ -70,14 +70,17 @@ class BandPlan:
 
     @staticmethod
     def from_dict(d: dict) -> "BandPlan":
-        return BandPlan(
-            name=str(d["name"]),
-            center_hz=float(d["center_hz"]),
-            n_subcarriers=int(d["n_subcarriers"]),
-            spacing_hz=float(d["spacing_hz"]),
-            null_indices=frozenset(int(i) for i in d.get("null_indices", [])),
-            detect_window_hz=tuple(float(x) for x in d["detect_window_hz"]),
-        )
+        try:   # a missing or unconvertible field is a ValueError too
+            return BandPlan(
+                name=str(d["name"]),
+                center_hz=float(d["center_hz"]),
+                n_subcarriers=int(d["n_subcarriers"]),
+                spacing_hz=float(d["spacing_hz"]),
+                null_indices=frozenset(int(i) for i in d.get("null_indices", [])),
+                detect_window_hz=tuple(float(x) for x in d["detect_window_hz"]),
+            )
+        except (KeyError, OverflowError, TypeError) as e:
+            raise ValueError(f"{type(e).__name__}: {e}") from None
 
 
 def make_default_plans() -> dict:

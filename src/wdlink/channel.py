@@ -144,13 +144,16 @@ def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
 
 def check_if_window(anchor_hz: float, sample_rate_hz: float, seed_lo_hz: float,
                     mult: int, if_window_hz: tuple, decimate: int) -> None:
-    """Raise ValueError unless the IF window of a seed_lo_hz x mult LO lies
-    inside the span sampled at ``sample_rate_hz`` around ``anchor_hz``, and
-    still fits the Nyquist span once decimated by ``decimate``."""
+    """Raise ValueError unless seed_lo_hz > 0, mult >= 1, and the IF window
+    (low, high), 0 <= low < high, of the seed_lo_hz x mult LO lies inside the
+    span sampled at ``sample_rate_hz`` around ``anchor_hz``, and still fits
+    the Nyquist span once decimated by ``decimate``."""
+    if not (seed_lo_hz > 0 and mult >= 1):
+        raise ValueError("seed_lo_hz must be positive and mult at least 1")
     lo = seed_lo_hz * mult
     if_lo, if_hi = if_window_hz
-    if not if_lo < if_hi:
-        raise ValueError("if_window_hz must be (low, high) with low < high")
+    if not 0 <= if_lo < if_hi:
+        raise ValueError("if_window_hz must be (low, high) with 0 <= low < high")
     half = sample_rate_hz / 2.0
     if lo + if_lo < anchor_hz - half or lo + if_hi > anchor_hz + half:
         raise ValueError("IF window falls outside the waveform's sampled span")

@@ -191,11 +191,16 @@ class SubcarrierMetrics:
     evm_rms: np.ndarray
 
 
-def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
-    """Data-aided EVM against the known payload grid; snr = -20 log10(evm)."""
-    if ref.n_payload < MIN_METRIC_SYMBOLS:
+def check_metric_symbols(n_payload: int) -> None:
+    """Raise ValueError when ``n_payload`` symbols are too few for ``evm_snr``."""
+    if n_payload < MIN_METRIC_SYMBOLS:
         raise ValueError(f"need at least {MIN_METRIC_SYMBOLS} payload symbols "
                          "for stable metrics")
+
+
+def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
+    """Data-aided EVM against the known payload grid; snr = -20 log10(evm)."""
+    check_metric_symbols(ref.n_payload)
     active = ref.active_idx
     known = ref.payload_grid[:, active]
     err = np.mean(np.abs(eqf.symbols[:, active] - known) ** 2, axis=0)

@@ -48,6 +48,16 @@ from .waveform import ComplexWaveform
 PRBS_TAPS = {7: (7, 6), 9: (9, 5), 15: (15, 14), 17: (17, 14), 23: (23, 18), 31: (31, 28)}
 
 
+def check_prbs_register(order: int, seed_state: int) -> None:
+    """Raise ValueError unless ``order`` is one of ``PRBS_TAPS`` and
+    ``seed_state`` is a nonzero state of its ``order``-bit register."""
+    if order not in PRBS_TAPS:
+        raise ValueError(f"unsupported PRBS order {order}")
+    if not 0 < seed_state < 1 << order:
+        raise ValueError(f"PRBS seed_state must be a nonzero {order}-bit register "
+                         f"state, got {seed_state}")
+
+
 def gen_prbs(n_bits: int, order: int, seed_state: int) -> np.ndarray:
     """Maximal-length LFSR bit sequence as uint8 array.
 
@@ -63,11 +73,7 @@ def gen_prbs(n_bits: int, order: int, seed_state: int) -> np.ndarray:
     """
     if n_bits <= 0:
         raise ValueError("n_bits must be positive")
-    if order not in PRBS_TAPS:
-        raise ValueError(f"unsupported PRBS order {order}")
-    seed_state &= (1 << order) - 1
-    if seed_state == 0:
-        raise ValueError("seed_state must be nonzero")
+    check_prbs_register(order, seed_state)
     lag_a, lag_b = PRBS_TAPS[order]
     out = np.empty(max(n_bits, order), dtype=np.uint8)
     for j in range(order):
@@ -199,6 +205,7 @@ class TxConfig:
                 self.bits_per_subcarrier not in SUPPORTED_ORDERS):
             raise ValueError(f"bits_per_subcarrier must be one of {list(SUPPORTED_ORDERS)}, "
                              f"got {self.bits_per_subcarrier!r}")
+        check_prbs_register(self.prbs_order, self.prbs_seed_state)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ DIVERGENCE_RAD = 1.0e4
 LOCK_FREQ_TOL_HZ = 1.0e3
 RESIDUAL_TAIL = 0.5      # trailing fraction of the record that counts as settled
 LOCK_PSD_RBW_HZ = 1e3    # resolution of a run's lock-loop PSD (psd_error.csv)
+MIN_PHASE_MARGIN_DEG = 1.0  # least phase margin pi_gains_for accepts (see there)
 
 # hybrid solver (see _lock_loop)
 BLOCK = 1 << 16          # linear block length; a settled loop's blocks fill the FFT
@@ -57,8 +58,8 @@ class LoopConfig:
             raise ValueError("sim_rate_hz and duration_s must be positive")
         if self.actuator_bw_hz <= 0:
             raise ValueError("actuator_bw_hz must be positive")
-        if self.kp < 0 or self.ki < 0:
-            raise ValueError("gains must be non-negative")
+        if not (0 <= self.kp < math.inf and 0 <= self.ki < math.inf):
+            raise ValueError("gains must be finite and non-negative")
 
 
 def _detector(theta: np.ndarray) -> np.ndarray:
@@ -102,11 +103,18 @@ class LockResult:
 
 def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float) -> tuple:
     """(kp, ki) placing the open-loop unity-gain crossover at ``unity_gain_hz``
-    with the PI zero at ``pi_zero_hz`` (0 for a pure proportional loop)."""
+    with the PI zero at ``pi_zero_hz`` (0 for a pure proportional loop).  The
+    phase margin there, atan(fu/fz) - atan(fu/fa), must reach MIN_PHASE_MARGIN_DEG."""
     fu, fz, fa = unity_gain_hz, pi_zero_hz, actuator_bw_hz
     if not (fu > 0 and fa > 0 and fz >= 0):
         raise ValueError("unity_gain_hz and actuator_bw_hz must be positive, "
                          "pi_zero_hz non-negative")
+    # below a 1 deg margin the error peaks over 35 dB at fu; the floor also keeps
+    # fu/fa and fz/fu under cot(1 deg), so the squares below stay finite
+    margin = math.degrees(math.atan2(fu, fz) - math.atan2(fu, fa))
+    if not margin >= MIN_PHASE_MARGIN_DEG:
+        raise ValueError(f"phase margin {margin:.3g} deg at the {fu:g} Hz crossover is below "
+                         f"{MIN_PHASE_MARGIN_DEG:g} deg (PI zero {fz:g} Hz, actuator {fa:g} Hz)")
     kp = fu * math.sqrt(1.0 + (fu / fa) ** 2) / math.sqrt(1.0 + (fz / fu) ** 2)
     ki = TWO_PI * fz * kp
     return kp, ki
@@ -152,9 +160,13 @@ def unity_gain_hz(cfg: LoopConfig) -> float:
 
 def loop_samples(cfg: LoopConfig) -> int:
     """Length of the record ``simulate_lock`` runs for ``cfg``, in samples.
-    Raises ValueError when that record is too short or the rate
-    under-resolves the loop."""
-    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
+    Raises ValueError when that record is too short or has no finite
+    length, or the rate under-resolves the loop."""
+    span = cfg.duration_s * cfg.sim_rate_hz
+    if not math.isfinite(span):
+        raise ValueError(f"duration_s {cfg.duration_s:g} at sim_rate_hz "
+                         f"{cfg.sim_rate_hz:g} gives no finite record length")
+    n = int(round(span))
     if n < 10:
         raise ValueError("duration too short for the simulation rate")
     fu = unity_gain_hz(cfg)

@@ -1,12 +1,19 @@
 """Scenario files: the single configuration format driving every CLI run.
 
-A scenario is one JSON document (versioned via ``schema_version``) naming the
-lasers, the servo, the band plans, the transmit shapes, the channel settings,
-and an explicit seed for every random stage.  Loading resolves each band into
-exactly the inputs its stages take (laser pair, servo, seeds, converter) and
-runs their checks, so a bad file fails before any stage runs, with the JSON
-path of the offending field in the error.  A seed override is applied here too
-(``Scenario.with_seed_override``).
+A scenario is one JSON document (its ``schema_version`` checked at load)
+naming the lasers, the servo, the band plans, the transmit shapes, the
+channel settings, and an explicit seed for every random stage.  Loading
+resolves each band into exactly the inputs its stages take (laser pair,
+servo, seeds, converter), so a bad file fails before any stage runs, with
+the JSON path of the offending field in the error.  A seed override is
+applied here too (``Scenario.with_seed_override``).
+
+Each rule has one owner.  The loader checks the document's shape: fields,
+JSON types (``_get``) and references to lasers and built-in plans and masks.
+A rule on a value belongs to the type or function that the value feeds
+(``TxConfig``, ``pi_gains_for``, ``check_if_window``, ...); the loader calls
+it inside ``_at(path)``, the one place that turns a ``ValueError`` into a
+``ScenarioError`` at a JSON path.
 
 The bundled ``data/default_scenario.json`` is the only copy of the default
 link (lasers, servo, frames, FEC); no code restates its values.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -26,9 +34,9 @@ from .bandplan import BandPlan, make_default_plans
 from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec, psd_segment_length
-from .ofdm_rx import MIN_METRIC_SYMBOLS
-from .ofdm_tx import (SUPPORTED_ORDERS, TxConfig, cp_length, frame_rate_hz,
-                      frame_samples, pilot_indices, resampled_cp_length)
+from .ofdm_rx import check_metric_symbols
+from .ofdm_tx import (TxConfig, cp_length, frame_rate_hz, frame_samples,
+                      pilot_indices, resampled_cp_length)
 from .opll import LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for
 
 SCHEMA_VERSION = 1
@@ -40,6 +48,19 @@ class ScenarioError(ValueError):
     def __init__(self, path: str, msg: str):
         super().__init__(f"{path}: {msg}")
         self.json_path = path
+
+
+@contextmanager
+def _at(path: str, prefix: str = ""):
+    """Raise a check's ``ValueError`` (or the ``OSError`` of reading a file
+    the scenario names) as a ``ScenarioError`` at ``path``, the message after
+    ``prefix``.  A ``ScenarioError``, which has its own path, passes as it is."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (OSError, ValueError) as e:
+        raise ScenarioError(path, prefix + str(e)) from None
 
 
 def _finite_number(v) -> bool:
@@ -81,7 +102,6 @@ class BandScenario:
     noise_seed: int
     tx: TxConfig
     mask: tuple
-    mask_source: str
     target_snr_db: float
     downconvert: dict | None   # keyword arguments of channel.dband_downconvert
 
@@ -105,7 +125,6 @@ class BandScenario:
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: int
     description: str
     fec: FecProfile
     bands: tuple
@@ -125,12 +144,6 @@ class Scenario:
             for i, b in enumerate(self.bands)))
 
 
-def _parse_laser(lasers: dict, label: str, path: str) -> LaserSpec:
-    if label not in lasers:
-        raise ScenarioError(path, f"unknown laser {label!r}")
-    return lasers[label]
-
-
 def _parse_plan(value, path: str) -> BandPlan:
     builtins = make_default_plans()
     if isinstance(value, str):
@@ -139,53 +152,32 @@ def _parse_plan(value, path: str) -> BandPlan:
             return builtins[name]
         raise ScenarioError(path, f"unknown plan reference {value!r}")
     if isinstance(value, dict):
-        try:
+        with _at(path, "invalid plan: "):
             return BandPlan.from_dict(value)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ScenarioError(path, f"invalid plan: {e}") from None
     raise ScenarioError(path, "plan must be 'builtin:<name>' or an object")
 
 
 def _parse_mask(value, path: str, base_dir: Path) -> tuple:
-    w_mask, d_mask = default_masks()
+    builtins = dict(zip(("builtin:W", "builtin:D"), default_masks()))
     if isinstance(value, str):
-        if value == "builtin:W":
-            return w_mask, value
-        if value == "builtin:D":
-            return d_mask, value
+        if value in builtins:
+            return builtins[value]
         raise ScenarioError(path, f"unknown mask reference {value!r}")
     if isinstance(value, dict) and "csv" in value:
-        csv_path = base_dir / str(value["csv"])
-        try:
-            return load_mask_csv(csv_path), f"csv:{value['csv']}"
-        except OSError as e:
-            raise ScenarioError(path, f"cannot read mask CSV: {e}") from None
-        except ValueError as e:
-            raise ScenarioError(path, f"bad mask CSV: {e}") from None
+        with _at(path, "mask CSV: "):
+            return load_mask_csv(base_dir / str(value["csv"]))
     raise ScenarioError(path, "mask must be 'builtin:W', 'builtin:D', or {'csv': path}")
 
 
 def _parse_tx(d: dict, path: str) -> TxConfig:
-    bits = _get(d, "bits_per_subcarrier", path, int)
-    if bits not in SUPPORTED_ORDERS:
-        raise ScenarioError(f"{path}.bits_per_subcarrier",
-                            f"must be one of {sorted(SUPPORTED_ORDERS)}")
-    kwargs = dict(
-        bits_per_subcarrier=bits,
-        n_symbols=_get(d, "n_symbols", path, int),
-        n_training=_get(d, "n_training", path, int),
-        n_pilots=_get(d, "n_pilots", path, int),
-        cp_fraction=_get(d, "cp_fraction", path, float),
-        clip_ratio_db=_get(d, "clip_ratio_db", path, float),
-        oversample=_get(d, "oversample", path, int),
-        prbs_order=_get(d, "prbs_order", path, int, required=False, default=17),
-        prbs_seed_state=_get(d, "prbs_seed_state", path, int, required=False,
-                             default=0x1FFFF),
-    )
-    try:
-        return TxConfig(**kwargs)
-    except ValueError as e:
-        raise ScenarioError(path, str(e)) from None
+    kinds = dict(bits_per_subcarrier=int, n_symbols=int, n_training=int, n_pilots=int,
+                 cp_fraction=float, clip_ratio_db=float, oversample=int)
+    kwargs = {key: _get(d, key, path, kind) for key, kind in kinds.items()}
+    with _at(path):   # the PRBS register is the only part with a default
+        return TxConfig(**kwargs,
+                        prbs_order=_get(d, "prbs_order", path, int, required=False, default=17),
+                        prbs_seed_state=_get(d, "prbs_seed_state", path, int, required=False,
+                                             default=0x1FFFF))
 
 
 def _parse_downconvert(d, path: str):
@@ -196,10 +188,8 @@ def _parse_downconvert(d, path: str):
     window = _get(d, "if_window_hz", path, list)
     if len(window) != 2 or not all(_finite_number(x) for x in window):
         raise ScenarioError(f"{path}.if_window_hz", "expected finite [low_hz, high_hz]")
-    low, high = float(window[0]), float(window[1])
-    if lo <= 0 or mult < 1 or low < 0:   # the window's order is check_if_window's
-        raise ScenarioError(path, "downconvert values out of range")
-    return {"seed_lo_hz": lo, "mult": mult, "if_window_hz": (low, high)}
+    return {"seed_lo_hz": lo, "mult": mult,
+            "if_window_hz": (float(window[0]), float(window[1]))}
 
 
 def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
@@ -212,13 +202,11 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
     description = _get(doc, "description", "$", str, required=False, default="")
 
     fec_d = _get(doc, "fec", "$", dict)
-    try:
+    with _at("$.fec"):
         fec = FecProfile(
             overhead_fraction=_get(fec_d, "overhead_fraction", "$.fec", float),
             ber_threshold=_get(fec_d, "ber_threshold", "$.fec", float),
         )
-    except ValueError as e:
-        raise ScenarioError("$.fec", str(e)) from None
 
     lasers_d = _get(doc, "lasers", "$", dict)
     if not lasers_d:
@@ -226,29 +214,23 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
     lasers = {}
     for label, ld in lasers_d.items():
         path = f"$.lasers.{label}"
-        lw = _get(ld, "linewidth_hz", path, float)
-        off = _get(ld, "offset_hz", path, float)
-        if lw < 0:
-            raise ScenarioError(f"{path}.linewidth_hz", "must be non-negative")
-        lasers[label] = LaserSpec(label=label, linewidth_hz=lw, offset_hz=off)
+        lw, off = (_get(ld, key, path, float) for key in ("linewidth_hz", "offset_hz"))
+        with _at(f"{path}.linewidth_hz"):
+            lasers[label] = LaserSpec(label=label, linewidth_hz=lw, offset_hz=off)
 
     lock_d = _get(doc, "lock", "$", dict)
     lock = {key: _get(lock_d, key, "$.lock", float)
             for key in ("sim_rate_hz", "duration_s", "actuator_bw_hz",
                         "unity_gain_hz", "pi_zero_hz", "initial_freq_error_hz")}
-    try:
+    with _at("$.lock"):
         kp, ki = pi_gains_for(lock.pop("unity_gain_hz"), lock.pop("pi_zero_hz"),
                               lock["actuator_bw_hz"])
         servo = LoopConfig(target_offset_hz=0.0, kp=kp, ki=ki, **lock)
         # simulate_lock's checks; a band's copy differs only in the target
         # offset, which they do not read
         n_lock = loop_samples(servo)
-    except ValueError as e:
-        raise ScenarioError("$.lock", str(e)) from None
-    try:
+    with _at("$.lock.duration_s", "lock record: "):
         psd_segment_length(servo.sim_rate_hz, n_lock, LOCK_PSD_RBW_HZ)
-    except ValueError as e:
-        raise ScenarioError("$.lock.duration_s", f"lock record: {e}") from None
     seeds_d = _get(doc, "seeds", "$", dict)
 
     bands_l = _get(doc, "bands", "$", list)
@@ -262,21 +244,19 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         if name in names:
             raise ScenarioError(f"{path}.name", f"duplicate band name {name!r}")
         names.add(name)
-        master, slave = (_parse_laser(lasers, _get(bd, role, path, str), f"{path}.{role}")
-                         for role in ("master", "slave"))
+        for role in ("master", "slave"):
+            if _get(bd, role, path, str) not in lasers:
+                raise ScenarioError(f"{path}.{role}", f"unknown laser {bd[role]!r}")
+        master, slave = lasers[bd["master"]], lasers[bd["slave"]]
         plan = _parse_plan(_get(bd, "plan", path), f"{path}.plan")
         tx = _parse_tx(_get(bd, "tx", path, dict), f"{path}.tx")
-        try:
+        with _at(f"{path}.tx.n_pilots"):
             pilot_indices(plan, tx.n_pilots)
-        except ValueError as e:
-            raise ScenarioError(f"{path}.tx.n_pilots", str(e)) from None
-        if tx.n_symbols < MIN_METRIC_SYMBOLS:
-            raise ScenarioError(f"{path}.tx.n_symbols",
-                                f"need at least {MIN_METRIC_SYMBOLS} payload symbols "
-                                "for stable metrics")
+        with _at(f"{path}.tx.n_symbols"):
+            check_metric_symbols(tx.n_symbols)
         ch = _get(bd, "channel", path, dict)
-        mask, mask_source = _parse_mask(_get(ch, "mask", f"{path}.channel"),
-                                        f"{path}.channel.mask", base_dir)
+        mask = _parse_mask(_get(ch, "mask", f"{path}.channel"), f"{path}.channel.mask",
+                           base_dir)
         snr = ch.get("target_snr_db")
         if snr is None:
             snr = math.inf  # noiseless
@@ -287,48 +267,34 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             # the converter decimates the frame, as build_frame samples it,
             # back to one sample per subcarrier
             dc["decimate"] = tx.oversample
-            try:
+            with _at(f"{path}.downconvert"):
                 check_if_window(plan.center_hz, frame_rate_hz(plan, tx), **dc)
-            except ValueError as e:
-                raise ScenarioError(f"{path}.downconvert", str(e)) from None
-            try:
+            with _at(f"{path}.tx.cp_fraction"):
                 resampled_cp_length(cp_length(plan.n_subcarriers, tx.oversample,
                                               tx.cp_fraction), tx.oversample,
                                     tx.oversample // dc["decimate"])
-            except ValueError as e:
-                raise ScenarioError(f"{path}.tx.cp_fraction", str(e)) from None
         bands.append(BandScenario(
             name=name, plan=plan, master=master, slave=slave,
             loop=replace(servo, target_offset_hz=slave.offset_hz - master.offset_hz),
             lock_seed=_get(seeds_d, f"lock_{name}", "$.seeds", int),
             noise_seed=_get(seeds_d, f"noise_{name}", "$.seeds", int),
-            tx=tx, mask=mask, mask_source=mask_source, target_snr_db=float(snr),
-            downconvert=dc,
+            tx=tx, mask=mask, target_snr_db=float(snr), downconvert=dc,
         ))
 
     psd_rbw = _get(doc, "psd_rbw_hz", "$", float, required=False, default=100e6)
-    try:
+    with _at("$.psd_rbw_hz"):
         for band in bands:
             band.check_psd_rbw(psd_rbw, ("tx", "rx"))
-    except ValueError as e:
-        raise ScenarioError("$.psd_rbw_hz", str(e)) from None
 
-    return Scenario(
-        schema_version=version,
-        description=description,
-        fec=fec,
-        bands=tuple(bands),
-        psd_rbw_hz=psd_rbw,
-    )
+    return Scenario(description=description, fec=fec, bands=tuple(bands),
+                    psd_rbw_hz=psd_rbw)
 
 
 def load_scenario(path) -> Scenario:
     p = Path(path)
-    text = p.read_text()
-    try:
+    text = p.read_text()   # an OSError here is the CLI's I/O error, not a bad scenario
+    with _at(str(p), "invalid JSON: "):
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(str(p), f"invalid JSON at line {e.lineno}: {e.msg}") from None
     return scenario_from_dict(doc, p.parent)
 
 

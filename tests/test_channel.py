@@ -270,9 +270,15 @@ def test_downconvert_validation(d_plan, d_band, lo):
         ({"if_window_hz": (0.5e9, 17.0e9), "decimate": 3}, "divide"),
         # a 0.5-17 GHz window aliases at 20 GS/s
         ({"if_window_hz": (0.5e9, 17.0e9), "decimate": 4}, "alias"),
+        # the converter's ranges, which the scenario loader checks through
+        # the same check_if_window
+        ({"if_window_hz": (0.5e9, 17.0e9), "seed_lo_hz": 0.0}, "seed_lo_hz must be positive"),
+        ({"if_window_hz": (0.5e9, 17.0e9), "seed_lo_hz": -21.7e9}, "seed_lo_hz must be positive"),
+        ({"if_window_hz": (0.5e9, 17.0e9), "mult": 0}, "mult at least 1"),
+        ({"if_window_hz": (-1e9, 17.0e9)}, "0 <= low < high"),
     ]:
         with pytest.raises(ValueError, match=match):
-            dband_downconvert(wav, **lo, **kwargs)
+            dband_downconvert(wav, **{**lo, **kwargs})
         assert wav.samples.tobytes() == kept, match
 
 

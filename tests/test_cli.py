@@ -315,6 +315,17 @@ W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
      "band D rx record: rbw_hz too coarse"),
     (("lock", "duration_s"), 5e-4, "$.lock.duration_s",
      "lock record: rbw_hz 1000 finer than the record allows"),
+    # the PRBS register is TxConfig's rule, so band D's bad register stops
+    # the load, before band W's stages run
+    (("bands", 1, "tx", "prbs_order"), 8, "$.bands[1].tx", "unsupported PRBS order 8"),
+    (("bands", 1, "tx", "prbs_seed_state"), 0, "$.bands[1].tx", "nonzero 17-bit"),
+    (("bands", 1, "tx", "prbs_seed_state"), 2**17, "$.bands[1].tx", "nonzero 17-bit"),
+    (("bands", 1, "tx", "prbs_seed_state"), -1, "$.bands[1].tx", "nonzero 17-bit"),
+    # servo and record ranges that overflowed or warned after the load
+    (("lock", "unity_gain_hz"), 1e308, "$.lock", "phase margin"),
+    (("lock", "pi_zero_hz"), 1e308, "$.lock", "phase margin"),
+    (("lock", "actuator_bw_hz"), 1e-308, "$.lock", "phase margin"),
+    (("lock", "duration_s"), 1e308, "$.lock", "no finite record length"),
 ])
 def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, keys, value,
                                              json_path, message):

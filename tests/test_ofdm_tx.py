@@ -106,6 +106,21 @@ def test_prbs_seed_and_order_validation():
     assert not np.array_equal(alt, gen_prbs(64, ORDER, SEED))
 
 
+@pytest.mark.parametrize("order, seed_state, match", [
+    (8, SEED, "unsupported PRBS order 8"),
+    (ORDER, 0, "nonzero 17-bit"),
+    (ORDER, 2**17, "nonzero 17-bit"),
+    (ORDER, -1, "nonzero 17-bit"),   # no longer masked to 0x1FFFF
+])
+def test_tx_config_owns_the_prbs_register_rule(w_band, order, seed_state, match):
+    """TxConfig refuses the register gen_prbs would refuse, so a scenario's
+    bad register fails at load rather than in build_frame."""
+    with pytest.raises(ValueError, match=match):
+        replace(w_band.tx, prbs_order=order, prbs_seed_state=seed_state)
+    with pytest.raises(ValueError, match=match):
+        gen_prbs(8, order, seed_state)
+
+
 @pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
 def test_constellation_energy_and_size(order):
     table = CONSTELLATIONS[order]

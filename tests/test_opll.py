@@ -13,6 +13,7 @@ from wdlink.noise import LaserSpec, beat_phase, estimate_psd
 from wdlink.opll import (
     DIVERGENCE_RAD,
     LOCK_FREQ_TOL_HZ,
+    MIN_PHASE_MARGIN_DEG,
     QUIET,
     TWO_PI,
     _block_plan,
@@ -36,6 +37,9 @@ def band_mean(freqs, psd, lo, hi):
 def test_config_validation(w_band):
     with pytest.raises(ValueError):
         replace(w_band.loop, kp=-1.0, ki=0.0)
+    # pi_gains_for(1.7e308, 0.0, 1e308) has 30 deg of margin but kp overflows
+    with pytest.raises(ValueError, match="finite"):
+        replace(w_band.loop, kp=pi_gains_for(1.7e308, 0.0, 1e308)[0], ki=0.0)
     with pytest.raises(ValueError):
         replace(w_band.loop, kp=1.0, ki=0.0, sim_rate_hz=0.0)
     with pytest.raises(ValueError):
@@ -51,6 +55,8 @@ def test_loop_samples_counts_and_rejects_unsimulable_configs(w_band):
         loop_samples(replace(w_band.loop, duration_s=1e-7))
     with pytest.raises(ValueError, match="under-resolves"):
         loop_samples(replace(w_band.loop, sim_rate_hz=1e6))
+    with pytest.raises(ValueError, match="no finite record length"):
+        loop_samples(replace(w_band.loop, duration_s=1e308))
     # simulate_lock makes the same checks before it draws any noise
     with pytest.raises(ValueError, match="under-resolves"):
         simulate_lock(w_band.master, w_band.slave, replace(w_band.loop, sim_rate_hz=1e6),
@@ -58,10 +64,25 @@ def test_loop_samples_counts_and_rejects_unsimulable_configs(w_band):
 
 
 @pytest.mark.parametrize("fu, fz, fa", [(0.0, 20e3, 50e3), (100e3, -1.0, 50e3),
-                                        (100e3, 20e3, 0.0)])
+                                        (100e3, 20e3, 0.0),
+                                        # phase margin below MIN_PHASE_MARGIN_DEG
+                                        (100e3, 60e3, 50e3), (1e308, 20e3, 50e3),
+                                        (100e3, 1e308, 50e3), (100e3, 20e3, 1e-308),
+                                        (1e-200, 20e3, 50e3), (100e3, 0.0, 1e-300)])
 def test_pi_gains_reject_bad_servo_settings(fu, fz, fa):
     with pytest.raises(ValueError):
         pi_gains_for(fu, fz, fa)
+
+
+def test_pi_gains_phase_margin_floor():
+    # the default servo: atan(5) - atan(2) = 15.3 deg
+    pi_gains_for(100e3, 20e3, 50e3)
+    # the zero just below the pole leaves a margin just above the floor
+    lo = 100e3 * math.tan(math.radians(45.0 - MIN_PHASE_MARGIN_DEG / 2))
+    hi = 100e3 * math.tan(math.radians(45.0 + MIN_PHASE_MARGIN_DEG / 2))
+    pi_gains_for(100e3, lo * 0.999, hi)
+    with pytest.raises(ValueError, match="phase margin"):
+        pi_gains_for(100e3, lo * 1.001, hi)
 
 
 def test_pi_gains_crossover(w_band):

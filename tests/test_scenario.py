@@ -1,14 +1,21 @@
 """Scenario loading: each band arrives resolved into its stages' inputs."""
 
+import copy
 import dataclasses
+import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wdlink.bitload import FecProfile
 from wdlink.noise import LaserSpec
 from wdlink.ofdm_tx import TxConfig
 from wdlink.opll import LoopConfig, pi_gains_for
-from wdlink.scenario import default_scenario_path, load_scenario
+from wdlink.scenario import (ScenarioError, default_scenario_path, load_scenario,
+                             scenario_from_dict)
 
 
 def test_bands_carry_resolved_run_inputs():
@@ -44,3 +51,95 @@ def test_seed_override_replaces_only_the_seeds():
     assert dataclasses.replace(over, bands=scn.bands) == scn
     assert scn.bands[0].lock_seed == 2101  # the loaded scenario is left as it was
     assert scn.with_seed_override(7) == over
+
+
+W_PLAN = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256, "spacing_hz": 35e9 / 256,
+          "null_indices": [0, 255], "detect_window_hz": [75e9, 110e9]}
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    # a shape error inside a checked block keeps its own path, given once
+    (("bands", 0, "tx", "prbs_order"), "17", "$.bands[0].tx.prbs_order: expected an integer"),
+    (("bands", 0, "tx", "bits_per_subcarrier"), 7,
+     "$.bands[0].tx: bits_per_subcarrier must be one of [1, 2, 3, 4, 5, 6], got 7"),
+    (("lasers", "ld2", "linewidth_hz"), -1.0,
+     "$.lasers.ld2.linewidth_hz: linewidth_hz must be finite and >= 0"),
+    (("bands", 0, "plan"), {k: v for k, v in W_PLAN.items() if k != "center_hz"},
+     "$.bands[0].plan: invalid plan: KeyError: 'center_hz'"),
+    (("bands", 0, "plan"), {**W_PLAN, "n_subcarriers": math.inf},
+     "$.bands[0].plan: invalid plan: OverflowError: "),
+    (("bands", 0, "channel", "mask"), {"csv": "no-such-mask.csv"},
+     "$.bands[0].channel.mask: mask CSV: [Errno 2] No such file or directory"),
+    (("bands", 1, "downconvert", "mult"), 0,
+     "$.bands[1].downconvert: seed_lo_hz must be positive and mult at least 1"),
+])
+def test_each_check_reports_its_owner_message_at_its_path(default_doc, keys, value, message):
+    doc = copy.deepcopy(default_doc)
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc, default_scenario_path().parent)
+    assert str(exc.value).startswith(message)
+    assert str(exc.value).count("$") == 1
+
+
+# ------------------------------------------------------------ loader fuzz
+
+def _leaves(node, path=()):
+    """Key paths of every non-container value in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _fuzz_doc():
+    """The bundled document with its defaulted PRBS register written out, so
+    that the register's two fields are leaves too."""
+    with open(default_scenario_path()) as fh:
+        doc = json.load(fh)
+    for band in doc["bands"]:
+        band["tx"].update(prbs_order=17, prbs_seed_state=0x1FFFF)
+    return doc
+
+
+FUZZ_DOC = _fuzz_doc()
+LEAVES = sorted(_leaves(FUZZ_DOC), key=repr)
+DELETE = object()
+# a swapped JSON type, the edge values, and deletion
+MUTATIONS = ["swap", 0, -1, 1e308, 1e-308, math.nan, 2**70, DELETE]
+
+
+# about as many examples as there are leaf x mutation cases, in about a second
+@settings(max_examples=500, deadline=None)
+@given(leaf=st.sampled_from(LEAVES), mutation=st.sampled_from(MUTATIONS))
+@example(leaf=("lock", "unity_gain_hz"), mutation=1e308)
+@example(leaf=("lock", "pi_zero_hz"), mutation=1e308)
+@example(leaf=("lock", "duration_s"), mutation=1e308)
+@example(leaf=("lock", "actuator_bw_hz"), mutation=1e-308)
+@example(leaf=("bands", 1, "tx", "prbs_order"), mutation=0)
+@example(leaf=("bands", 1, "tx", "prbs_seed_state"), mutation=2**70)
+def test_one_leaf_mutation_loads_or_names_its_json_path(leaf, mutation):
+    """Any one leaf of the document, retyped, set to an edge value or
+    deleted: the loader returns a Scenario or raises a ScenarioError whose
+    message starts with the JSON path; nothing else escapes, and no
+    RuntimeWarning is raised (the test configuration makes those errors)."""
+    doc = copy.deepcopy(FUZZ_DOC)
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    if mutation is DELETE:
+        del node[leaf[-1]]
+    elif mutation == "swap":
+        old = node[leaf[-1]]
+        node[leaf[-1]] = 1 if isinstance(old, str) else str(old)
+    else:
+        node[leaf[-1]] = mutation
+    try:
+        scenario_from_dict(doc, default_scenario_path().parent)
+    except ScenarioError as e:
+        assert str(e).startswith("$"), str(e)
