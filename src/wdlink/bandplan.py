@@ -36,6 +36,10 @@ class BandPlan:
             raise ValueError("center_hz must be finite")
         if not 0 < self.spacing_hz < math.inf:
             raise ValueError("spacing_hz must be positive and finite")
+        half = self.n_subcarriers * self.spacing_hz / 2
+        if not (math.isfinite(self.center_hz - half) and math.isfinite(self.center_hz + half)):
+            raise ValueError("band edges center_hz +- n_subcarriers * spacing_hz / 2 "
+                             "must be finite")
         bad = [i for i in self.null_indices if not 0 <= i < self.n_subcarriers]
         if bad:
             raise ValueError(f"null indices out of range: {bad}")
@@ -44,7 +48,6 @@ class BandPlan:
             raise ValueError("detect window must satisfy lo < hi")
         # the window is a receiver property; it can never reach outside the
         # tiled span, so clamp rather than force callers to repeat the span
-        half = self.n_subcarriers * self.spacing_hz / 2
         lo, hi = max(lo, self.center_hz - half), min(hi, self.center_hz + half)
         if not lo < hi:
             raise ValueError("detect window misses the band span entirely")
@@ -57,30 +60,6 @@ class BandPlan:
     def occupied_bw_hz(self) -> float:
         """Full tiled span of the subcarrier grid."""
         return self.n_subcarriers * self.spacing_hz
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "center_hz": self.center_hz,
-            "n_subcarriers": self.n_subcarriers,
-            "spacing_hz": self.spacing_hz,
-            "null_indices": sorted(self.null_indices),
-            "detect_window_hz": list(self.detect_window_hz),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BandPlan":
-        try:   # a missing or unconvertible field is a ValueError too
-            return BandPlan(
-                name=str(d["name"]),
-                center_hz=float(d["center_hz"]),
-                n_subcarriers=int(d["n_subcarriers"]),
-                spacing_hz=float(d["spacing_hz"]),
-                null_indices=frozenset(int(i) for i in d.get("null_indices", [])),
-                detect_window_hz=tuple(float(x) for x in d["detect_window_hz"]),
-            )
-        except (KeyError, OverflowError, TypeError) as e:
-            raise ValueError(f"{type(e).__name__}: {e}") from None
 
 
 def make_default_plans() -> dict:

@@ -92,14 +92,17 @@ def threshold_table(fec: FecProfile) -> dict:
 
 @dataclass(frozen=True)
 class BitLoadMap:
-    """bits[i] in {0} + supported orders, full plan length."""
+    """bits[i] in {0} + supported orders, full plan length.  The values are
+    checked as given, then held as integers."""
 
     bits: np.ndarray
 
     def __post_init__(self):
         bad = set(np.unique(self.bits)) - set(SUPPORTED_ORDERS) - {0}
         if bad:
-            raise ValueError(f"invalid orders in map: {sorted(bad)}")
+            raise ValueError("invalid orders in map: "
+                             + ", ".join(f"{b:g}" for b in sorted(bad)))
+        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=int))
 
 
 def load_bits(metrics: SubcarrierMetrics, fec: FecProfile, plan: BandPlan) -> BitLoadMap:
@@ -161,7 +164,7 @@ def total_capacity(reports: dict) -> dict:
 # interchange artifacts
 
 def write_bitload_csv(path, load_map: BitLoadMap, plan: BandPlan) -> None:
-    bits = np.asarray(load_map.bits, dtype=int)
+    bits = load_map.bits
     if len(bits) != plan.n_subcarriers:
         raise ValueError("bit map length does not match the plan")
     write_table(path, "index,freq_hz,bits\r\n", "{:d},{:.6f},{:d}\r\n",
@@ -169,7 +172,13 @@ def write_bitload_csv(path, load_map: BitLoadMap, plan: BandPlan) -> None:
 
 
 def read_bitload_csv(path) -> BitLoadMap:
-    return BitLoadMap(bits=read_table(path, 3)[:, 2].astype(int))
+    """The map in a table written by :func:`write_bitload_csv`; a ``bits``
+    value that is not 0 or a supported order is refused naming the file."""
+    bits = read_table(path, 3)[:, 2]
+    try:
+        return BitLoadMap(bits=bits)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_threshold_csv(path, fec: FecProfile) -> None:

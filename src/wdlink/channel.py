@@ -13,7 +13,6 @@ measured responses via CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -74,20 +73,21 @@ def default_masks() -> tuple:
 
 
 def load_mask_csv(path) -> tuple:
-    """Read (freq_hz, gain_db) rows; a header row is skipped if present."""
-    pts = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                pts.append(MaskPoint(float(row[0]), float(row[1])))
-            except ValueError:
-                if pts:
-                    raise
-                continue  # header line
+    """Read a measured response: rows of exactly two numbers, freq_hz and
+    gain_db.  Lines starting with ``#`` are comments, and the first other
+    line is skipped as a header if its first cell is not a number."""
+    with open(path) as fh:
+        lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
+    try:   # a first line whose first cell is not a number is the header
+        float(lines[0].split(",")[0] if lines else 0)
+    except ValueError:
+        del lines[0]
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.zeros((0, 2))
+    if rows.shape[1] != 2:
+        raise ValueError(f"expected 2 columns, found {rows.shape[1]}")
+    pts = tuple(MaskPoint(f, g) for f, g in rows.tolist())
     _mask_arrays(pts)
-    return tuple(pts)
+    return pts
 
 
 def apply_mask(w: ComplexWaveform, mask) -> ComplexWaveform:

@@ -9,7 +9,8 @@ the JSON path of the offending field in the error.  A seed override is
 applied here too (``Scenario.with_seed_override``).
 
 Each rule has one owner.  The loader checks the document's shape: fields,
-JSON types (``_get``) and references to lasers and built-in plans and masks.
+JSON types (every leaf, an inline plan's and the seeds' too, goes through
+``_get``) and references to lasers and built-in plans and masks.
 A rule on a value belongs to the type or function that the value feeds
 (``TxConfig``, ``pi_gains_for``, ``check_if_window``, ...); the loader calls
 it inside ``_at(path)``, the one place that turns a ``ValueError`` into a
@@ -52,14 +53,14 @@ class ScenarioError(ValueError):
 
 @contextmanager
 def _at(path: str, prefix: str = ""):
-    """Raise a check's ``ValueError`` (or the ``OSError`` of reading a file
-    the scenario names) as a ``ScenarioError`` at ``path``, the message after
-    ``prefix``.  A ``ScenarioError``, which has its own path, passes as it is."""
+    """Raise a check's ``ValueError`` or ``OverflowError`` (or the ``OSError``
+    of reading a file the scenario names) as a ``ScenarioError`` at ``path``,
+    the message after ``prefix``.  A ``ScenarioError`` passes as it is."""
     try:
         yield
     except ScenarioError:
         raise
-    except (OSError, ValueError) as e:
+    except (OSError, OverflowError, ValueError) as e:
         raise ScenarioError(path, prefix + str(e)) from None
 
 
@@ -152,8 +153,16 @@ def _parse_plan(value, path: str) -> BandPlan:
             return builtins[name]
         raise ScenarioError(path, f"unknown plan reference {value!r}")
     if isinstance(value, dict):
+        nulls = _get(value, "null_indices", path, list, required=False, default=())
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in nulls):
+            raise ScenarioError(f"{path}.null_indices", "expected a list of integers")
         with _at(path, "invalid plan: "):
-            return BandPlan.from_dict(value)
+            return BandPlan(name=_get(value, "name", path, str),
+                            center_hz=_get(value, "center_hz", path, float),
+                            n_subcarriers=_get(value, "n_subcarriers", path, int),
+                            spacing_hz=_get(value, "spacing_hz", path, float),
+                            null_indices=frozenset(nulls),
+                            detect_window_hz=_window(value, "detect_window_hz", path))
     raise ScenarioError(path, "plan must be 'builtin:<name>' or an object")
 
 
@@ -163,9 +172,10 @@ def _parse_mask(value, path: str, base_dir: Path) -> tuple:
         if value in builtins:
             return builtins[value]
         raise ScenarioError(path, f"unknown mask reference {value!r}")
-    if isinstance(value, dict) and "csv" in value:
+    if isinstance(value, dict):
+        csv_path = _get(value, "csv", path, str)
         with _at(path, "mask CSV: "):
-            return load_mask_csv(base_dir / str(value["csv"]))
+            return load_mask_csv(base_dir / csv_path)
     raise ScenarioError(path, "mask must be 'builtin:W', 'builtin:D', or {'csv': path}")
 
 
@@ -180,16 +190,27 @@ def _parse_tx(d: dict, path: str) -> TxConfig:
                                              default=0x1FFFF))
 
 
+def _window(d: dict, key: str, path: str) -> tuple:
+    """``d[key]``, a ``[low_hz, high_hz]`` of finite numbers, as floats."""
+    window = _get(d, key, path, list)
+    if len(window) != 2 or not all(_finite_number(x) for x in window):
+        raise ScenarioError(f"{path}.{key}", "expected finite [low_hz, high_hz]")
+    return float(window[0]), float(window[1])
+
+
+def _seed(seeds_d: dict, key: str) -> int:
+    seed = _get(seeds_d, key, "$.seeds", int)
+    with _at(f"$.seeds.{key}"):   # numpy's rule: the stages seed their generators with it
+        np.random.SeedSequence(seed)
+    return seed
+
+
 def _parse_downconvert(d, path: str):
     if d is None:
         return None
-    lo = _get(d, "seed_lo_hz", path, float)
-    mult = _get(d, "mult", path, int)
-    window = _get(d, "if_window_hz", path, list)
-    if len(window) != 2 or not all(_finite_number(x) for x in window):
-        raise ScenarioError(f"{path}.if_window_hz", "expected finite [low_hz, high_hz]")
-    return {"seed_lo_hz": lo, "mult": mult,
-            "if_window_hz": (float(window[0]), float(window[1]))}
+    return {"seed_lo_hz": _get(d, "seed_lo_hz", path, float),
+            "mult": _get(d, "mult", path, int),
+            "if_window_hz": _window(d, "if_window_hz", path)}
 
 
 def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
@@ -257,12 +278,13 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         ch = _get(bd, "channel", path, dict)
         mask = _parse_mask(_get(ch, "mask", f"{path}.channel"), f"{path}.channel.mask",
                            base_dir)
-        snr = ch.get("target_snr_db")
+        snr = _get(ch, "target_snr_db", f"{path}.channel", required=False)
         if snr is None:
             snr = math.inf  # noiseless
         elif not _finite_number(snr):
             raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
-        dc = _parse_downconvert(bd.get("downconvert"), f"{path}.downconvert")
+        dc = _parse_downconvert(_get(bd, "downconvert", path, required=False),
+                                f"{path}.downconvert")
         if dc is not None:
             # the converter decimates the frame, as build_frame samples it,
             # back to one sample per subcarrier
@@ -276,8 +298,8 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         bands.append(BandScenario(
             name=name, plan=plan, master=master, slave=slave,
             loop=replace(servo, target_offset_hz=slave.offset_hz - master.offset_hz),
-            lock_seed=_get(seeds_d, f"lock_{name}", "$.seeds", int),
-            noise_seed=_get(seeds_d, f"noise_{name}", "$.seeds", int),
+            lock_seed=_seed(seeds_d, f"lock_{name}"),
+            noise_seed=_seed(seeds_d, f"noise_{name}"),
             tx=tx, mask=mask, target_snr_db=float(snr), downconvert=dc,
         ))
 

@@ -284,8 +284,13 @@ def _scientific(x: np.ndarray, decimals: int):
 
 def read_table(path, n_columns: int) -> np.ndarray:
     """Rows of a table written by :func:`write_table`, as floats of shape
-    (n_rows, n_columns); the header line is skipped."""
-    rows = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    (n_rows, n_columns); the header line is skipped.  A blank or non-numeric
+    cell, or a row of another length, is refused naming the file; ``nan``
+    and ``inf`` read back as ``format`` writes them."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if rows.shape[1] != n_columns:
         raise ValueError(f"{path}: expected {n_columns} columns, found {rows.shape[1]}")
     return rows

@@ -207,6 +207,7 @@ def test_bitload_csv_round_trip(w_plan, tmp_path):
     assert path.read_text().splitlines()[0] == "index,freq_hz,bits"
     back = read_bitload_csv(path)
     np.testing.assert_array_equal(back.bits, bits)
+    assert back.bits.dtype == bits.dtype   # read as floats, checked, held as integers
 
 
 def test_bitload_csv_rejects_map_of_another_length(w_plan, tmp_path):

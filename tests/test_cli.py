@@ -281,6 +281,25 @@ def test_non_finite_mask_csv_row_fails_at_load(tmp_path, scenario_file, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "freq_hz,gain_db\n75e9,0\n90e9\n110e9,-10\n",
+    "freq_hz,gain_db\n75e9,0\n90e9,-1,7\n110e9,-10\n",
+    "vendor x\nmodel y\nfreq_hz,gain_db\n75e9,0\n110e9,-10\n",
+], ids=["one-column-row", "three-column-row", "three-lines-before-the-data"])
+def test_malformed_mask_csv_fails_at_load(tmp_path, scenario_file, capsys, text):
+    """Every row of a mask holds exactly two numbers, after at most one
+    header line."""
+    (tmp_path / "bad.csv").write_text(text)
+
+    def mutate(doc):
+        doc["bands"][0]["channel"]["mask"] = {"csv": "bad.csv"}
+
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
+    assert "scenario error: $.bands[0].channel.mask: mask CSV: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
                        "spacing_hz": 35e9 / 256, "null_indices": [0, 255],
                        "detect_window_hz": [75e9, 75.1e9]}
@@ -522,6 +541,49 @@ def test_bitload_refuses_indices_off_the_plan(default_run, tmp_path, capsys, mov
     assert capsys.readouterr().err == f"configuration error: {profile}: {why}\n"
     assert not out.exists()
     assert _partials(tmp_path) == []
+
+
+def _set_cell(path, row, column, text):
+    """Write ``text`` into one cell of the table at ``path``; ``row`` counts
+    from the first row after the header."""
+    head, *rows = path.read_bytes().decode().splitlines(keepends=True)
+    line = rows[row].rstrip("\r\n")
+    cells = line.split(",")
+    cells[column] = text
+    rows[row] = ",".join(cells) + rows[row][len(line):]
+    path.write_bytes((head + "".join(rows)).encode())
+
+
+@pytest.mark.parametrize("cell", ["", "abc"], ids=["blank", "abc"])
+def test_bitload_refuses_a_damaged_snr_cell(default_run, tmp_path, capsys, cell):
+    """A cell that is not a number is refused, not priced as a dead
+    subcarrier."""
+    profile = tmp_path / "metrics.csv"
+    shutil.copyfile(default_run[0] / "band_W" / "metrics.csv", profile)
+    _set_cell(profile, 100, 2, cell)
+    out = tmp_path / "o"
+    assert main(["bitload", "--band", "W", "--snr-csv", str(profile),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {profile}: could not convert string")
+    assert not out.exists()
+    assert _partials(tmp_path) == []
+
+
+@pytest.mark.parametrize("bits", ["x", "nan", "4.5"])
+def test_report_refuses_a_bits_value_that_is_not_an_order(default_run, tmp_path, capsys,
+                                                          bits):
+    """Refused as read, before any cast to an integer: no value is truncated
+    and no RuntimeWarning raised (the test configuration makes those
+    errors)."""
+    out = tmp_path / "run"
+    shutil.copytree(default_run[0], out)
+    table = out / "band_W" / "bitload.csv"
+    _set_cell(table, 100, 2, bits)
+    before = _tree_bytes(out)
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {table}: ")
+    assert _tree_bytes(out) == before
 
 
 # A fresh interpreter is the point of the next two tests: one checks what a

@@ -65,13 +65,20 @@ W_PLAN = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256, "spacing_hz": 
     (("lasers", "ld2", "linewidth_hz"), -1.0,
      "$.lasers.ld2.linewidth_hz: linewidth_hz must be finite and >= 0"),
     (("bands", 0, "plan"), {k: v for k, v in W_PLAN.items() if k != "center_hz"},
-     "$.bands[0].plan: invalid plan: KeyError: 'center_hz'"),
+     "$.bands[0].plan.center_hz: missing required field"),
     (("bands", 0, "plan"), {**W_PLAN, "n_subcarriers": math.inf},
-     "$.bands[0].plan: invalid plan: OverflowError: "),
+     "$.bands[0].plan.n_subcarriers: expected an integer, got float"),
     (("bands", 0, "channel", "mask"), {"csv": "no-such-mask.csv"},
      "$.bands[0].channel.mask: mask CSV: [Errno 2] No such file or directory"),
     (("bands", 1, "downconvert", "mult"), 0,
      "$.bands[1].downconvert: seed_lo_hz must be positive and mult at least 1"),
+    # numpy's rule on a seed, which the lock stage met only when it ran
+    (("seeds", "lock_W"), -1, "$.seeds.lock_W: expected non-negative integer"),
+    # a well-typed integer too large for a float
+    (("bands", 0, "plan"), {**W_PLAN, "n_subcarriers": 10**400},
+     "$.bands[0].plan: invalid plan: int too large to convert to float"),
+    (("bands", 0, "channel", "mask"), {"csv": 1},
+     "$.bands[0].channel.mask.csv: expected str, got int"),
 ])
 def test_each_check_reports_its_owner_message_at_its_path(default_doc, keys, value, message):
     doc = copy.deepcopy(default_doc)
@@ -83,6 +90,16 @@ def test_each_check_reports_its_owner_message_at_its_path(default_doc, keys, val
         scenario_from_dict(doc, default_scenario_path().parent)
     assert str(exc.value).startswith(message)
     assert str(exc.value).count("$") == 1
+
+
+def test_inline_copy_of_each_builtin_plan_loads_equal_to_it(default_doc, plans):
+    doc = copy.deepcopy(default_doc)
+    for band in doc["bands"]:
+        plan = plans[band["plan"].removeprefix("builtin:")]
+        band["plan"] = {**dataclasses.asdict(plan), "null_indices": sorted(plan.null_indices),
+                        "detect_window_hz": list(plan.detect_window_hz)}
+    scn = scenario_from_dict(json.loads(json.dumps(doc)), default_scenario_path().parent)
+    assert [b.plan for b in scn.bands] == [plans["W"], plans["D"]]
 
 
 # ------------------------------------------------------------ loader fuzz
@@ -98,12 +115,14 @@ def _leaves(node, path=()):
 
 
 def _fuzz_doc():
-    """The bundled document with its defaulted PRBS register written out, so
-    that the register's two fields are leaves too."""
+    """The bundled document with its defaulted PRBS register written out and
+    band W's plan written inline, so that the register's two fields and the
+    plan's fields and list items are leaves too."""
     with open(default_scenario_path()) as fh:
         doc = json.load(fh)
     for band in doc["bands"]:
         band["tx"].update(prbs_order=17, prbs_seed_state=0x1FFFF)
+    doc["bands"][0]["plan"] = copy.deepcopy(W_PLAN)
     return doc
 
 
@@ -123,11 +142,14 @@ MUTATIONS = ["swap", 0, -1, 1e308, 1e-308, math.nan, 2**70, DELETE]
 @example(leaf=("lock", "actuator_bw_hz"), mutation=1e-308)
 @example(leaf=("bands", 1, "tx", "prbs_order"), mutation=0)
 @example(leaf=("bands", 1, "tx", "prbs_seed_state"), mutation=2**70)
+@example(leaf=("bands", 0, "plan", "spacing_hz"), mutation=1e308)
+@example(leaf=("bands", 0, "plan", "n_subcarriers"), mutation="swap")
 def test_one_leaf_mutation_loads_or_names_its_json_path(leaf, mutation):
     """Any one leaf of the document, retyped, set to an edge value or
     deleted: the loader returns a Scenario or raises a ScenarioError whose
     message starts with the JSON path; nothing else escapes, and no
-    RuntimeWarning is raised (the test configuration makes those errors)."""
+    RuntimeWarning is raised (the test configuration makes those errors).
+    A retyped leaf never loads."""
     doc = copy.deepcopy(FUZZ_DOC)
     node = doc
     for key in leaf[:-1]:
@@ -143,3 +165,5 @@ def test_one_leaf_mutation_loads_or_names_its_json_path(leaf, mutation):
         scenario_from_dict(doc, default_scenario_path().parent)
     except ScenarioError as e:
         assert str(e).startswith("$"), str(e)
+    else:
+        assert mutation != "swap", f"retyped leaf {leaf} loaded"
