@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def ber_mqam(snr_db, order_bits: int):
         out = (4.0 / order_bits) * (1.0 - 1.0 / root_m) * _q(np.sqrt(3.0 * g / (m - 1.0)))
     else:
         raise ValueError(f"unsupported order_bits {order_bits}")
-    return float(out) if np.isscalar(snr_db) or snr_db.ndim == 0 else out
+    return float(out) if snr_db.ndim == 0 else out
 
 
 def min_snr_db_for(order_bits: int, fec: FecProfile) -> float:
@@ -107,20 +107,16 @@ class BitLoadMap:
 
 def load_bits(metrics: SubcarrierMetrics, fec: FecProfile, plan: BandPlan) -> BitLoadMap:
     """Threshold loading: per detected subcarrier, the largest order whose
-    BER at the measured SNR is within the FEC limit."""
-    thresholds = _thresholds(fec)  # ascending in order_bits; snr monotone
+    BER at the measured SNR is within the FEC limit.  A subcarrier without a
+    row, or with a non-finite SNR, carries 0 bits; ``metrics.indices`` lie in
+    the plan, as ``evm_snr`` and ``read_metrics_csv`` give them."""
+    orders, min_snrs = zip(*_thresholds(fec))
+    snr = np.full(plan.n_subcarriers, np.nan)   # NaN fits no order
+    snr[metrics.indices] = np.where(np.isfinite(metrics.snr_db), metrics.snr_db, np.nan)
+    det = detected_indices(plan)
+    fits = snr[det, None] >= np.array(min_snrs)
     bits = np.zeros(plan.n_subcarriers, dtype=int)
-    window = set(int(i) for i in detected_indices(plan))
-    snr_by_index = dict(zip((int(i) for i in metrics.indices), metrics.snr_db))
-    for i in window:
-        snr = snr_by_index.get(i)
-        if snr is None or not np.isfinite(snr):
-            continue
-        best = 0
-        for order, min_snr in thresholds:
-            if snr >= min_snr:
-                best = order
-        bits[i] = best
+    bits[det] = np.max(np.where(fits, orders, 0), axis=1)
     return BitLoadMap(bits=bits)
 
 
@@ -130,14 +126,6 @@ class CapacityReport:
     net_gbps: float
     raw_cp_adjusted_gbps: float
     detected_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "raw_gbps": self.raw_gbps,
-            "net_gbps": self.net_gbps,
-            "raw_cp_adjusted_gbps": self.raw_cp_adjusted_gbps,
-            "detected_count": self.detected_count,
-        }
 
 
 def capacity(load_map: BitLoadMap, plan: BandPlan, fec: FecProfile,
@@ -188,10 +176,7 @@ def write_threshold_csv(path, fec: FecProfile) -> None:
 
 def write_capacity_json(path, reports: dict, fec: FecProfile) -> None:
     """reports: band label -> CapacityReport; totals appended."""
-    body = {label: rep.to_dict() for label, rep in sorted(reports.items())}
+    body = {label: asdict(rep) for label, rep in reports.items()}
     body["total"] = total_capacity(reports)
-    body["fec"] = {
-        "overhead_fraction": fec.overhead_fraction,
-        "ber_threshold": fec.ber_threshold,
-    }
+    body["fec"] = asdict(fec)
     write_json(path, body)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bandplan import C_LIGHT
 from .noise import PhaseTrace
-from .waveform import ComplexWaveform
+from .waveform import ComplexWaveform, refused_line
 
 CHUNK = 1 << 18   # samples or bins per step of the channel's chunked loops
 
@@ -77,12 +77,17 @@ def load_mask_csv(path) -> tuple:
     gain_db.  Lines starting with ``#`` are comments, and the first other
     line is skipped as a header if its first cell is not a number."""
     with open(path) as fh:
-        lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
+        lines = [(number, line) for number, line in enumerate(fh, 1)
+                 if line.strip() and not line.lstrip().startswith("#")]
     try:   # a first line whose first cell is not a number is the header
-        float(lines[0].split(",")[0] if lines else 0)
+        float(lines[0][1].split(",")[0] if lines else 0)
     except ValueError:
         del lines[0]
-    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.zeros((0, 2))
+    try:
+        rows = (np.loadtxt([line for _, line in lines], delimiter=",", ndmin=2)
+                if lines else np.zeros((0, 2)))
+    except ValueError as e:
+        raise ValueError(refused_line(lines, 2, e)) from None
     if rows.shape[1] != 2:
         raise ValueError(f"expected 2 columns, found {rows.shape[1]}")
     pts = tuple(MaskPoint(f, g) for f, g in rows.tolist())
@@ -94,13 +99,9 @@ def apply_mask(w: ComplexWaveform, mask) -> ComplexWaveform:
     """Whole-frame frequency-domain multiply by the interpolated amplitude.
 
     Works in place: the result's samples are ``w.samples``, overwritten."""
-    _filter(w.samples, w.sample_rate_hz, w.anchor_hz, _mask_amplitude(mask))
+    _filter(w.samples, w.sample_rate_hz, w.anchor_hz,
+            lambda freqs: 10.0 ** (mask_gain_db(mask, freqs) / 20.0))
     return w
-
-
-def _mask_amplitude(mask):
-    """Linear amplitude of ``mask`` as a function of absolute frequency."""
-    return lambda freqs: 10.0 ** (mask_gain_db(mask, freqs) / 20.0)
 
 
 def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain) -> None:

@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .runner import (OutDirError, bitload_only, build_summary, lock_sim,
                      run_scenario, tx_only)
@@ -121,6 +122,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"cannot read scenario: {e}", file=sys.stderr)
         return EXIT_IO
+    if args.command == "bitload" and args.band not in [b.name for b in scn.bands]:
+        parser.error(f"argument --band: no band named {args.band!r} in the scenario "
+                     f"(bands: {', '.join(b.name for b in scn.bands)})")
     if getattr(args, "rbw_hz", None) is not None:
         try:
             for band in scn.bands:
@@ -145,7 +149,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "bitload":
             rep = bitload_only(scn, args.band, args.snr_csv, args.out)
-            print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(asdict(rep), indent=2, sort_keys=True))
             return EXIT_OK
         # report: argparse admits no other subcommand
         summary = build_summary(scn, args.out)

@@ -158,16 +158,16 @@ def read_psd_csv(path):
     return tuple(read_table(path, 2).T)
 
 
-def add_awgn(w: ComplexWaveform, snr_db, seed: int, occupied_bw_hz=None) -> ComplexWaveform:
+def add_awgn(w: ComplexWaveform, snr_db: float, seed: int, occupied_bw_hz=None) -> ComplexWaveform:
     """Add complex white Gaussian noise for a target in-band SNR.
 
     ``occupied_bw_hz`` names the signal's occupied band; only the noise
     falling inside it counts toward the SNR, so for oversampled waveforms the
     injected total is scaled up by fs/occupied_bw.  ``None`` means the whole
-    sampled band is in-band.  ``snr_db`` of None or +inf returns the waveform
+    sampled band is in-band.  ``snr_db`` of +inf returns the waveform
     unchanged.
     """
-    if snr_db is None or snr_db == float("inf"):
+    if snr_db == math.inf:
         return w
     if occupied_bw_hz is None:
         occupied_bw_hz = w.sample_rate_hz

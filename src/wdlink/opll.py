@@ -34,6 +34,7 @@ DIVERGENCE_RAD = 1.0e4
 LOCK_FREQ_TOL_HZ = 1.0e3
 RESIDUAL_TAIL = 0.5      # trailing fraction of the record that counts as settled
 LOCK_PSD_RBW_HZ = 1e3    # resolution of a run's lock-loop PSD (psd_error.csv)
+LOCK_CSV_MAX_ROWS = 4000  # lock.csv keeps every stride-th sample, stride = n // this
 MIN_PHASE_MARGIN_DEG = 1.0  # least phase margin pi_gains_for accepts (see there)
 
 # hybrid solver (see _lock_loop)
@@ -352,14 +353,11 @@ def residual_phase_variance(result: LockResult) -> float:
     return float(np.var(_detector(tail)))
 
 
-def write_lock_csv(path, result: LockResult, stride: int = 1) -> None:
-    """Time series export: time, post-PFD phase error, frequency error.
-
-    ``stride`` decimates the record for export; the simulation itself is
-    unaffected.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+def write_lock_csv(path, result: LockResult) -> None:
+    """Time series export: time, post-PFD phase error, frequency error, at
+    every stride-th sample, stride ``max(1, n // LOCK_CSV_MAX_ROWS)`` of an
+    n-sample record."""
+    stride = max(1, len(result.theta) // LOCK_CSV_MAX_ROWS)
     dt = 1.0 / result.config.sim_rate_hz
     write_table(path, "time_s,phase_error_rad,freq_error_hz\n",
                 "{:.9e},{:.9e},{:.9e}\n", np.arange(0, len(result.theta), stride) * dt,

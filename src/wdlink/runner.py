@@ -25,6 +25,7 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,6 @@ from .opll import (LOCK_PSD_RBW_HZ, free_running_beat, residual_phase_variance,
                    simulate_lock, write_lock_csv)
 from .scenario import BandScenario, Scenario
 from .waveform import write_iq, write_json
-
-LOCK_CSV_MAX_ROWS = 4000
 
 
 class OutDirError(Exception):
@@ -85,8 +84,7 @@ def _lock_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
     """Lock the band's slave laser; writes lock.csv and psd_error.csv.
     Returns the lock result and its summary record."""
     lock = simulate_lock(band.master, band.slave, band.loop, band.lock_seed)
-    stride = max(1, len(lock.theta) // LOCK_CSV_MAX_ROWS)
-    write_lock_csv(band_dir / "lock.csv", lock, stride=stride)
+    write_lock_csv(band_dir / "lock.csv", lock)
     _psd(band_dir / "psd_error.csv", lock.phase_error, rbw_hz)
     return lock, {"locked": bool(lock.locked),
                   "cycle_slips": int(lock.cycle_slips),
@@ -192,23 +190,31 @@ def build_summary(scn: Scenario, out_dir) -> dict:
     reports = {}
     for band in scn.bands:
         bdir = out / f"band_{band.name}"
-        chain = json.loads((bdir / "chain.json").read_text())
-        entry = {
-            "failure": chain["failure"],
-            "lock": chain["lock"],
-            "papr_raw_db": chain.get("papr_raw_db"),
-            "papr_clipped_db": chain.get("papr_clipped_db"),
-            "ber": chain.get("ber"),
-            "sync_offset": chain.get("sync_offset"),
-            "constellation_subcarrier": chain.get("constellation_subcarrier"),
-        }
+        chain_path = bdir / "chain.json"
+        try:
+            chain = json.loads(chain_path.read_text())
+            entry = {
+                "failure": chain["failure"],
+                "lock": chain["lock"],
+                "papr_raw_db": chain.get("papr_raw_db"),
+                "papr_clipped_db": chain.get("papr_clipped_db"),
+                "ber": chain.get("ber"),
+                "sync_offset": chain.get("sync_offset"),
+                "constellation_subcarrier": chain.get("constellation_subcarrier"),
+            }
+        except ValueError as e:   # not JSON, or not text
+            raise ValueError(f"{chain_path}: {e}") from None
+        except KeyError as e:
+            raise ValueError(f"{chain_path}: missing field {e}") from None
+        except TypeError:
+            raise ValueError(f"{chain_path}: expected a JSON object") from None
         if chain["failure"] is None:
             metrics = read_metrics_csv(bdir / "metrics.csv", band.plan)
             check_centers(bdir / "metrics.csv", metrics, band.plan)
             entry["avg_snr_db"] = band_average_snr_db(metrics, band.plan)
             load_map = read_bitload_csv(bdir / "bitload.csv")
             rep = capacity(load_map, band.plan, scn.fec, band.tx.cp_fraction)
-            entry["capacity"] = rep.to_dict()
+            entry["capacity"] = asdict(rep)
             reports[band.name] = rep
         bands_summary[band.name] = entry
 

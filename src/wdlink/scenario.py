@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -65,8 +66,10 @@ def _at(path: str, prefix: str = ""):
 
 
 def _finite_number(v) -> bool:
-    """JSON numbers other than booleans, NaN and +-Infinity."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """JSON numbers other than booleans, NaN and +-Infinity that a float can
+    hold (compared exactly: an integer past the largest float is refused)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _get(d: dict, key: str, path: str, kind=None, required=True, default=None):

@@ -285,15 +285,37 @@ def _scientific(x: np.ndarray, decimals: int):
 def read_table(path, n_columns: int) -> np.ndarray:
     """Rows of a table written by :func:`write_table`, as floats of shape
     (n_rows, n_columns); the header line is skipped.  A blank or non-numeric
-    cell, or a row of another length, is refused naming the file; ``nan``
-    and ``inf`` read back as ``format`` writes them."""
+    cell, or a row of another length, is refused naming the file and the
+    line; ``nan`` and ``inf`` read back as ``format`` writes them."""
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        with open(path, errors="replace") as fh:
+            lines = list(enumerate(fh, 1))[1:]
+        raise ValueError(f"{path}: {refused_line(lines, n_columns, e)}") from None
     if rows.shape[1] != n_columns:
         raise ValueError(f"{path}: expected {n_columns} columns, found {rows.shape[1]}")
     return rows
+
+
+def refused_line(numbered_lines, n_columns: int, error: ValueError) -> str:
+    """Why ``np.loadtxt`` refused these (1-based line number, text) rows, as
+    the first line that does not hold ``n_columns`` numbers; ``error``'s own
+    text when no line is found.  Mirrors loadtxt: text from ``#`` on is a
+    comment, and a line empty without it is skipped."""
+    for number, line in numbered_lines:
+        cells = line.rstrip("\r\n").split("#")[0]
+        if not cells:
+            continue
+        cells = cells.split(",")
+        if len(cells) != n_columns:
+            return f"line {number}: expected {n_columns} cells, found {len(cells)}"
+        for column, cell in enumerate(cells, 1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {number}, cell {column}: {cell.strip()!r} is not a number"
+    return str(error)
 
 
 def write_json(path, obj) -> None:

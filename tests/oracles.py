@@ -163,6 +163,24 @@ def ber_mqam_ref(snr_db, order_bits):
     return (4.0 / order_bits) * (1.0 - 1.0 / math.sqrt(m)) * q(np.sqrt(3.0 * g / (m - 1.0)))
 
 
+def load_bits_loop(indices, snr_db, thresholds, window, n_subcarriers):
+    """Threshold bit loading one subcarrier at a time: for each index of
+    ``window`` with a finite SNR row, the last of the ascending
+    (order, min_snr_db) ``thresholds`` that the SNR reaches; 0 elsewhere."""
+    bits = np.zeros(n_subcarriers, dtype=int)
+    snr_by_index = dict(zip((int(i) for i in indices), snr_db))
+    for i in set(int(i) for i in window):
+        snr = snr_by_index.get(i)
+        if snr is None or not np.isfinite(snr):
+            continue
+        best = 0
+        for order, min_snr in thresholds:
+            if snr >= min_snr:
+                best = order
+        bits[i] = best
+    return bits
+
+
 def channel_ref(x, fs, anchor_hz, mask, downconvert=None):
     """The channel after the carrier, out of place and full length: the
     mask's amplitude (linear in dB between its points, constant beyond),

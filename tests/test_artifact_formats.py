@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from wdlink import opll
 from wdlink.bandplan import BandPlan
 from wdlink.bitload import BitLoadMap, write_bitload_csv, write_threshold_csv
 from wdlink.noise import write_psd_csv
@@ -34,19 +35,21 @@ def _lock_result(loop, n):
                       config=cfg)
 
 
-def test_lock_csv_bytes_with_stride(w_band, tmp_path):
+def test_lock_csv_bytes_with_stride(w_band, tmp_path, monkeypatch):
     path = tmp_path / "lock.csv"
+    monkeypatch.setattr(opll, "LOCK_CSV_MAX_ROWS", 2)   # stride n // 2
     # seven samples at stride 3: rows 0, 3 and the last sample, 6
-    write_lock_csv(path, _lock_result(w_band.loop, 7), stride=3)
+    write_lock_csv(path, _lock_result(w_band.loop, 7))
     assert path.read_bytes() == (
         b"time_s,phase_error_rad,freq_error_hz\n"
         b"0.000000000e+00,0.000000000e+00,1.000000000e+06\n"
         b"3.000000000e-03,2.000000000e+00,7.000000000e+00\n"
         b"6.000000000e-03,-6.250000000e+00,3.000000000e+00\n")
     # six samples at stride 3: the last row is sample 3, not a partial stride
-    write_lock_csv(path, _lock_result(w_band.loop, 6), stride=3)
+    write_lock_csv(path, _lock_result(w_band.loop, 6))
     assert path.read_bytes().splitlines()[-1] == (
         b"3.000000000e-03,2.000000000e+00,7.000000000e+00")
+    # three samples at stride 1
     write_lock_csv(path, _lock_result(w_band.loop, 3))
     assert path.read_bytes() == (
         b"time_s,phase_error_rad,freq_error_hz\n"

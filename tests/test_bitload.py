@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ber_mqam_ref
+from oracles import ber_mqam_ref, load_bits_loop
 from wdlink import bitload
 from wdlink.bandplan import detected_indices
 from wdlink.bitload import (BitLoadMap, CapacityReport, ber_mqam, capacity, load_bits,
@@ -126,6 +128,27 @@ def test_load_bits_respects_detect_window(d_plan, fec):
     outside = np.setdiff1d(np.arange(256), det)
     assert np.all(lm.bits[outside] == 0)
     assert np.all(lm.bits[det] == 6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_load_bits_matches_the_loop(plans, fec, data):
+    """Against the one-subcarrier-at-a-time loop, on profiles that leave
+    rows out, keep rows outside the detect window, and hold NaN, +-inf and
+    SNRs exactly on a threshold."""
+    plan = plans[data.draw(st.sampled_from(["W", "D"]))]
+    thresholds = sorted(threshold_table(fec).items())
+    snr = st.one_of(st.floats(-30.0, 40.0),
+                    st.sampled_from([np.nan, np.inf, -np.inf,
+                                     *(t for _, t in thresholds)]))
+    rows = data.draw(st.dictionaries(st.integers(0, plan.n_subcarriers - 1), snr))
+    indices = np.array(list(rows), dtype=int)
+    snr_db = np.array(list(rows.values()), dtype=float)
+    m = SubcarrierMetrics(indices=indices, freq_hz=np.zeros(len(rows)), snr_db=snr_db,
+                          evm_rms=np.full(len(rows), 0.1))
+    want = load_bits_loop(indices, snr_db, thresholds, detected_indices(plan),
+                          plan.n_subcarriers)
+    assert np.array_equal(load_bits(m, fec, plan).bits, want)
 
 
 def test_load_bits_handles_partial_metrics(d_plan, fec):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -157,12 +158,17 @@ def test_bitload_from_external_snr_csv(tmp_path, capsys):
 
 
 def test_bitload_unknown_band_is_config_error(tmp_path, capsys):
+    """A usage error naming the scenario's bands, raised before any output."""
     csv_path = tmp_path / "snr.csv"
     csv_path.write_text("index,freq_hz,snr_db,evm_rms\n1,0.0,12.0,0.1\n")
-    rc = main(["bitload", "--band", "X", "--snr-csv", str(csv_path),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "no band named" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bitload", "--band", "X", "--snr-csv", str(csv_path),
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --band: no band named 'X' in the scenario (bands: W, D)\n")
+    assert not (tmp_path / "o").exists()
+    assert _partials(tmp_path) == []
 
 
 # ------------------------------------------------------------- exit codes
@@ -249,6 +255,8 @@ def _src_env():
     (("bands", 0, "channel", "target_snr_db"), math.inf, "$.bands[0].channel.target_snr_db"),
     (("bands", 1, "downconvert", "if_window_hz", 1), math.inf,
      "$.bands[1].downconvert.if_window_hz"),
+    pytest.param(("lasers", "ld2", "linewidth_hz"), 10**400, "$.lasers.ld2.linewidth_hz",
+                 id="integer-past-the-largest-float"),
 ])
 def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, capsys, keys,
                                                   value, json_path):
@@ -256,7 +264,7 @@ def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, capsy
         node = doc
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = value   # written as JSON NaN / Infinity
+        node[keys[-1]] = value   # written as JSON NaN / Infinity, or as an integer
 
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
@@ -281,14 +289,21 @@ def test_non_finite_mask_csv_row_fails_at_load(tmp_path, scenario_file, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    "freq_hz,gain_db\n75e9,0\n90e9\n110e9,-10\n",
-    "freq_hz,gain_db\n75e9,0\n90e9,-1,7\n110e9,-10\n",
-    "vendor x\nmodel y\nfreq_hz,gain_db\n75e9,0\n110e9,-10\n",
-], ids=["one-column-row", "three-column-row", "three-lines-before-the-data"])
-def test_malformed_mask_csv_fails_at_load(tmp_path, scenario_file, capsys, text):
+@pytest.mark.parametrize("text, why", [
+    ("freq_hz,gain_db\n75e9,0\n90e9\n110e9,-10\n", "line 3: expected 2 cells, found 1"),
+    ("freq_hz,gain_db\n75e9,0\n90e9,-1,7\n110e9,-10\n", "line 3: expected 2 cells, found 3"),
+    ("vendor x\nmodel y\nfreq_hz,gain_db\n75e9,0\n110e9,-10\n",
+     "line 2: expected 2 cells, found 1"),
+    ("# vendor x\nfreq_hz,gain_db\n75e9,0\n90e9\n110e9,-10\n",
+     "line 4: expected 2 cells, found 1"),
+    ("freq_hz,gain_db\n75e9,0\n90e9,abc\n110e9,-10\n",
+     "line 3, cell 2: 'abc' is not a number"),
+], ids=["one-column-row", "three-column-row", "three-lines-before-the-data",
+        "ragged-row-after-a-comment-and-a-header", "non-numeric-cell"])
+def test_malformed_mask_csv_fails_at_load(tmp_path, scenario_file, capsys, text, why):
     """Every row of a mask holds exactly two numbers, after at most one
-    header line."""
+    header line; a refused row is named by its line in the file, comment
+    and header lines counted."""
     (tmp_path / "bad.csv").write_text(text)
 
     def mutate(doc):
@@ -296,7 +311,8 @@ def test_malformed_mask_csv_fails_at_load(tmp_path, scenario_file, capsys, text)
 
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
-    assert "scenario error: $.bands[0].channel.mask: mask CSV: " in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"scenario error: $.bands[0].channel.mask: mask CSV: {why}\n")
     assert not out.exists()
 
 
@@ -564,8 +580,9 @@ def test_bitload_refuses_a_damaged_snr_cell(default_run, tmp_path, capsys, cell)
     out = tmp_path / "o"
     assert main(["bitload", "--band", "W", "--snr-csv", str(profile),
                  "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {profile}: could not convert string")
+    # data row 100 is line 102 of the CRLF file, after the header
+    assert capsys.readouterr().err == (
+        f"configuration error: {profile}: line 102, cell 3: {cell!r} is not a number\n")
     assert not out.exists()
     assert _partials(tmp_path) == []
 
@@ -584,6 +601,32 @@ def test_report_refuses_a_bits_value_that_is_not_an_order(default_run, tmp_path,
     assert main(["report", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {table}: ")
     assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("damage, why", [
+    (lambda chain: "{", "Expecting property name enclosed in double quotes"),
+    (lambda chain: json.dumps({k: v for k, v in json.loads(chain).items() if k != "lock"}),
+     "missing field 'lock'"),
+], ids=["not-json", "no-lock"])
+def test_report_names_a_damaged_chain_json(default_run, tmp_path, capsys, damage, why):
+    out = tmp_path / "run"
+    shutil.copytree(default_run[0], out)
+    chain = out / "band_W" / "chain.json"
+    chain.write_text(damage(chain.read_text()))
+    before = _tree_bytes(out)
+    assert main(["report", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {chain}: {why}")
+    assert _tree_bytes(out) == before
+
+
+def test_package_binds_only_its_version():
+    """Functions and classes are imported from their modules: the package
+    binds ``__version__`` and, once they are imported, its submodules."""
+    public = {name for name, value in vars(wdlink).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set()
+    assert isinstance(wdlink.__version__, str)
 
 
 # A fresh interpreter is the point of the next two tests: one checks what a

@@ -208,7 +208,6 @@ def test_add_awgn_in_place_matches_the_plain_expression(n):
 def test_add_awgn_passthrough_and_determinism():
     w = ComplexWaveform(np.ones(256, dtype=complex), 1e9)
     assert add_awgn(w, float("inf"), seed=0) is w
-    assert add_awgn(w, None, seed=0) is w
     a = add_awgn(w, 10.0, seed=7)
     b = add_awgn(w, 10.0, seed=7)
     c = add_awgn(w, 10.0, seed=8)

@@ -12,6 +12,7 @@ from oracles import closed_loop_phase_step, lock_loop_scalar
 from wdlink.noise import LaserSpec, beat_phase, estimate_psd
 from wdlink.opll import (
     DIVERGENCE_RAD,
+    LOCK_CSV_MAX_ROWS,
     LOCK_FREQ_TOL_HZ,
     MIN_PHASE_MARGIN_DEG,
     QUIET,
@@ -225,16 +226,17 @@ def test_lock_csv_export(w_band, tmp_path):
     cfg = replace(w_band.loop, duration_s=1e-3, initial_freq_error_hz=0.0)
     res = simulate_lock(w_band.master, w_band.slave, cfg, seed=1)
     path = tmp_path / "lock.csv"
-    write_lock_csv(path, res, stride=50)
+    write_lock_csv(path, res)
     lines = path.read_text().splitlines()
     assert lines[0] == "time_s,phase_error_rad,freq_error_hz"
-    assert len(lines) - 1 == int(np.ceil(len(res.phase_error.phases) / 50))
+    n = len(res.phase_error.phases)
+    stride = n // LOCK_CSV_MAX_ROWS
+    assert stride > 1
+    assert len(lines) - 1 == int(np.ceil(n / stride))
     t0, p0, f0 = (float(v) for v in lines[1].split(","))
     assert t0 == 0.0
     assert p0 == pytest.approx(res.phase_error.phases[0], abs=1e-8)
     assert f0 == pytest.approx(res.freq_error[0], rel=1e-6, abs=1e-6)
-    with pytest.raises(ValueError):
-        write_lock_csv(path, res, stride=0)
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,13 @@ def _fuzz_doc():
 FUZZ_DOC = _fuzz_doc()
 LEAVES = sorted(_leaves(FUZZ_DOC), key=repr)
 DELETE = object()
-# a swapped JSON type, the edge values, and deletion
-MUTATIONS = ["swap", 0, -1, 1e308, 1e-308, math.nan, 2**70, DELETE]
+# a swapped JSON type, the edge values (an integer past the largest float
+# among them), and deletion
+MUTATIONS = ["swap", 0, -1, 1e308, 1e-308, math.nan, 2**70, 10**400, DELETE]
 
 
 # about as many examples as there are leaf x mutation cases, in about a second
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=570, deadline=None)
 @given(leaf=st.sampled_from(LEAVES), mutation=st.sampled_from(MUTATIONS))
 @example(leaf=("lock", "unity_gain_hz"), mutation=1e308)
 @example(leaf=("lock", "pi_zero_hz"), mutation=1e308)
@@ -144,6 +145,8 @@ MUTATIONS = ["swap", 0, -1, 1e308, 1e-308, math.nan, 2**70, DELETE]
 @example(leaf=("bands", 1, "tx", "prbs_seed_state"), mutation=2**70)
 @example(leaf=("bands", 0, "plan", "spacing_hz"), mutation=1e308)
 @example(leaf=("bands", 0, "plan", "n_subcarriers"), mutation="swap")
+@example(leaf=("lasers", "ld2", "linewidth_hz"), mutation=10**400)
+@example(leaf=("bands", 1, "downconvert", "if_window_hz", 0), mutation=10**400)
 def test_one_leaf_mutation_loads_or_names_its_json_path(leaf, mutation):
     """Any one leaf of the document, retyped, set to an edge value or
     deleted: the loader returns a Scenario or raises a ScenarioError whose
