@@ -16,7 +16,8 @@ import numpy as np
 
 from .waveform import ComplexWaveform, read_table, write_table
 
-PSD_BLOCK_BYTES = 4 << 20   # bytes of spectra per Welch transform batch in estimate_psd
+PSD_BLOCK_BYTES = 1 << 20   # bytes of spectra per Welch transform batch
+BEAT_CHUNK = 1 << 16        # samples per drawn chunk of a Wiener trace
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,44 @@ class PhaseTrace:
         return len(self.phases) / self.sample_rate_hz
 
 
-def gen_phase_noise(spec: LaserSpec, n_samples: int, sample_rate_hz: float, seed: int) -> PhaseTrace:
-    """Wiener phase trace for one laser.
+def _wiener_chunks(spec: LaserSpec, n_samples: int, sample_rate_hz: float, seed: int):
+    """One laser's Wiener phase trace, BEAT_CHUNK samples at a time.
 
-    Increment variance per sample is 2*pi*linewidth/fs; a zero-linewidth laser
-    yields an all-zero trace.
+    Increment variance per sample is 2*pi*linewidth/fs; a zero-linewidth
+    laser yields an all-zero trace.
+
+    Each chunk's increments are drawn from the one seeded generator, and the
+    trace so far is added to the chunk's first increment before its cumsum,
+    so the chunks concatenate to the trace a single draw and cumsum give.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if sample_rate_hz <= 0:
         raise ValueError("sample_rate_hz must be positive")
-    if spec.linewidth_hz == 0.0:
-        return PhaseTrace(np.zeros(n_samples), sample_rate_hz)
     sigma = math.sqrt(2.0 * math.pi * spec.linewidth_hz / sample_rate_hz)
     rng = np.random.default_rng(seed)
-    increments = rng.standard_normal(n_samples) * sigma
-    return PhaseTrace(np.cumsum(increments), sample_rate_hz)
+    carry = 0.0
+    for start in range(0, n_samples, BEAT_CHUNK):
+        m = min(BEAT_CHUNK, n_samples - start)
+        if spec.linewidth_hz == 0.0:
+            yield np.zeros(m)
+            continue
+        trace = rng.standard_normal(m) * sigma
+        if start:
+            trace[0] += carry
+        np.cumsum(trace, out=trace)
+        carry = trace[-1]
+        yield trace
+
+
+def beat_chunks(master: LaserSpec, slave: LaserSpec, n_samples: int,
+                sample_rate_hz: float, seed: int):
+    """The beat phase of ``beat_phase``, BEAT_CHUNK samples at a time."""
+    s_master, s_slave = np.random.SeedSequence(seed).generate_state(2)
+    for beat, ref in zip(_wiener_chunks(slave, n_samples, sample_rate_hz, int(s_slave)),
+                         _wiener_chunks(master, n_samples, sample_rate_hz, int(s_master))):
+        beat -= ref
+        yield beat
 
 
 def beat_phase(master: LaserSpec, slave: LaserSpec, n_samples: int,
@@ -81,12 +104,10 @@ def beat_phase(master: LaserSpec, slave: LaserSpec, n_samples: int,
     deterministically from ``seed``, so a locked and a free-running run with
     the same seed see the identical noise realization.  Independent traces
     add their linewidths (Lorentzian convolution), e.g. 100 Hz against
-    5 kHz beats at 5.1 kHz FWHM.
+    5 kHz beats at 5.1 kHz FWHM.  The trace is ``beat_chunks`` joined.
     """
-    s_master, s_slave = np.random.SeedSequence(seed).generate_state(2)
-    beat = gen_phase_noise(slave, n_samples, sample_rate_hz, int(s_slave)).phases
-    beat -= gen_phase_noise(master, n_samples, sample_rate_hz, int(s_master)).phases
-    return PhaseTrace(beat, sample_rate_hz)
+    chunks = beat_chunks(master, slave, n_samples, sample_rate_hz, seed)
+    return PhaseTrace(np.concatenate(list(chunks)), sample_rate_hz)
 
 
 def psd_segment_length(sample_rate_hz: float, n_samples: int, rbw_hz: float) -> int:
@@ -105,10 +126,67 @@ def psd_segment_length(sample_rate_hz: float, n_samples: int, rbw_hz: float) -> 
     return nperseg
 
 
+class Welch:
+    """Power spectral density by averaged modified periodograms (Welch
+    1967: periodic Hann window, 50% overlap), fed an ``n_samples`` record
+    block by block in order, of any block sizes.
+
+    Each whole segment is transformed as soon as its samples have arrived,
+    and the periodograms are added one by one in segment order, so the
+    estimate does not depend on how the record was split.  ``anchor_hz``
+    None takes a real record and gives a one-sided spectrum; otherwise the
+    record is complex and the spectrum two-sided, centered on the anchor.
+    ``rbw_hz`` sets the bin spacing (``psd_segment_length``).
+    """
+
+    def __init__(self, n_samples: int, sample_rate_hz: float, rbw_hz: float,
+                 anchor_hz: float | None = None):
+        self.n_samples, self.fs, self.anchor = n_samples, sample_rate_hz, anchor_hz
+        self.nperseg = psd_segment_length(sample_rate_hz, n_samples, rbw_hz)
+        self.win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(self.nperseg) / self.nperseg)
+        self.hop = self.nperseg - self.nperseg // 2
+        self.n_seg = (n_samples - self.nperseg // 2) // self.hop
+        self.acc = np.zeros(self.nperseg // 2 + 1 if anchor_hz is None else self.nperseg)
+        self.done = 0         # segments added so far
+        self.fed = 0          # samples fed so far
+        self._rest = np.empty(0)   # fed samples from the next segment's start on
+
+    def feed(self, block: np.ndarray) -> None:
+        """Add the record's next samples; the block is not kept."""
+        self.fed += len(block)
+        data = np.concatenate((self._rest, block)) if len(self._rest) else block
+        nperseg, hop = self.nperseg, self.hop
+        n_new = min(max(0, (len(data) - nperseg) // hop + 1), self.n_seg - self.done)
+        if n_new:
+            segs = np.lib.stride_tricks.sliding_window_view(data, nperseg)[::hop][:n_new]
+            fft = np.fft.rfft if self.anchor is None else np.fft.fft
+            # transform PSD_BLOCK_BYTES of spectra per call, but add the
+            # periodograms one by one in segment order so the sum rounds as a
+            # per-segment loop would
+            per_block = max(1, PSD_BLOCK_BYTES // (16 * nperseg))
+            for first in range(0, n_new, per_block):
+                spec = fft(segs[first:first + per_block] * self.win, axis=1)
+                for row in spec.real ** 2 + spec.imag ** 2:
+                    self.acc += row
+            self.done += n_new
+        self._rest = data[n_new * hop:].copy()
+
+    def result(self) -> tuple:
+        """(frequencies, density) of the whole record; density scaling, so
+        that sum(psd)*df recovers the mean-square power."""
+        if self.fed != self.n_samples:
+            raise ValueError(f"fed {self.fed} of the record's {self.n_samples} samples")
+        psd = self.acc / (self.n_seg * self.fs * np.sum(self.win ** 2))
+        if self.anchor is None:
+            # fold the negative frequencies onto the interior bins
+            psd[1:-1 if self.nperseg % 2 == 0 else None] *= 2.0
+            return np.fft.rfftfreq(self.nperseg, 1.0 / self.fs), psd
+        freqs = np.fft.fftfreq(self.nperseg, 1.0 / self.fs)
+        return np.fft.fftshift(freqs) + self.anchor, np.fft.fftshift(psd)
+
+
 def estimate_psd(x, rbw_hz: float):
-    """Power spectral density by averaged modified periodograms (Welch, 50%
-    overlap, Hann window), density scaling so that sum(psd)*df recovers the
-    mean-square power.
+    """Welch PSD of a whole record: a ``Welch`` estimate fed once.
 
     Accepts a PhaseTrace (returns a one-sided spectrum in rad^2/Hz) or a
     ComplexWaveform (returns a two-sided spectrum centered on the anchor
@@ -116,33 +194,14 @@ def estimate_psd(x, rbw_hz: float):
     says which values the record allows.
     """
     if isinstance(x, PhaseTrace):
-        data, fs, anchor, onesided = x.phases, x.sample_rate_hz, None, True
+        data, anchor = x.phases, None
     elif isinstance(x, ComplexWaveform):
-        data, fs, anchor, onesided = x.samples, x.sample_rate_hz, x.anchor_hz, False
+        data, anchor = x.samples, x.anchor_hz
     else:
         raise TypeError("estimate_psd expects a PhaseTrace or ComplexWaveform")
-    nperseg = psd_segment_length(fs, len(data), rbw_hz)
-    # periodic Hann window, 50% overlap (Welch 1967)
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    hop = nperseg - nperseg // 2
-    n_seg = (len(data) - nperseg // 2) // hop
-    fft = np.fft.rfft if onesided else np.fft.fft
-    acc = np.zeros(nperseg // 2 + 1 if onesided else nperseg)
-    segs = np.lib.stride_tricks.sliding_window_view(data, nperseg)[::hop][:n_seg]
-    # transform a few MB of segments per call, but add the periodograms one
-    # by one in segment order so the sum rounds as a per-segment loop would
-    per_block = max(1, PSD_BLOCK_BYTES // (16 * nperseg))
-    for first in range(0, n_seg, per_block):
-        spec = fft(segs[first:first + per_block] * win, axis=1)
-        for row in spec.real ** 2 + spec.imag ** 2:
-            acc += row
-    psd = acc / (n_seg * fs * np.sum(win ** 2))
-    if onesided:
-        # fold the negative frequencies onto the interior bins
-        psd[1:-1 if nperseg % 2 == 0 else None] *= 2.0
-        return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
-    freqs = np.fft.fftfreq(nperseg, 1.0 / fs)
-    return np.fft.fftshift(freqs) + anchor, np.fft.fftshift(psd)
+    psd = Welch(len(data), x.sample_rate_hz, rbw_hz, anchor_hz=anchor)
+    psd.feed(data)
+    return psd.result()
 
 
 def write_psd_csv(path, freqs: np.ndarray, psd: np.ndarray) -> None:

@@ -15,18 +15,32 @@ plus the free response from the block's start state; each block is cut at
 its first saturated sample.  The two regimes give the sample-by-sample
 recursion's result up to rounding (see ``_lock_loop``).
 
+The lock stage is a stream, so no n-sample record is built but the one
+kept.  The beat-noise increments are drawn chunk by chunk
+(``noise.beat_chunks``, differenced across chunk edges, FM added per
+chunk), and the loop reads them forward only.  It hands each finished
+stretch of (theta, actuator) to a sink.  ``simulate_lock``'s sink keeps
+the whole theta record, which the residual tail, the beat, the residual
+variance and the Welch PSDs (fed a block at a time) read; and of the
+frequency error only the rows ``lock.csv`` writes and the last 10% that
+decides ``locked``.  The loop's block plan depends on the servo and the
+record length only, so the bands of a scenario, which share one servo,
+compute it once.
+
 Controller units: kp in Hz of actuation per radian, ki in Hz per (radian
 second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import LaserSpec, PhaseTrace, beat_phase
+from .noise import LaserSpec, PhaseTrace, Welch, beat_chunks, beat_phase
 from .waveform import ComplexWaveform, write_table
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +56,7 @@ BLOCK = 1 << 16          # linear block length; a settled loop's blocks fill the
 QUIET = 64               # unsaturated samples before leaving the scalar stepper
 DECAY_TOL = 1e-17        # relative size below which a power of A counts as settled
 KICK_GROWTH_MAX = 1e3    # largest A^m[0, 0] a block may rely on
+SCALAR_RUN = 1 << 14     # most samples the scalar stepper hands the sink at once
 
 
 @dataclass(frozen=True)
@@ -77,11 +92,16 @@ def _beat(phases: np.ndarray, cfg: LoopConfig) -> ComplexWaveform:
 @dataclass(frozen=True)
 class LockResult:
     """``theta`` is the unclipped phase error, one value per loop sample;
-    the detector's clipped view of it is derived on access."""
+    the detector's clipped view of it is derived on access.  Of the
+    frequency error (initial error minus actuator) only what is reported is
+    kept: ``freq_error_rows``, every ``_csv_stride``-th sample (the rows of
+    lock.csv), and ``freq_error_tail``, the record's last 10% (which
+    ``locked`` reads)."""
 
     locked: bool
-    freq_error: np.ndarray
     theta: np.ndarray
+    freq_error_rows: np.ndarray
+    freq_error_tail: np.ndarray
     cycle_slips: int
     config: LoopConfig
 
@@ -100,6 +120,22 @@ class LockResult:
     def locked_beat(self) -> ComplexWaveform:
         """The locked beat note exp(j*theta) at the target offset."""
         return _beat(self.theta, self.config)
+
+    def error_psd(self, rbw_hz: float) -> tuple:
+        """Welch PSD of ``phase_error``."""
+        return self._psd(rbw_hz, _detector, None)
+
+    def beat_psd(self, rbw_hz: float) -> tuple:
+        """Welch PSD of ``locked_beat``."""
+        return self._psd(rbw_hz, lambda th: np.exp(1j * th), self.config.target_offset_hz)
+
+    def _psd(self, rbw_hz: float, view, anchor_hz: float | None) -> tuple:
+        """Welch PSD of ``view(theta)``, formed a BLOCK at a time rather
+        than for the whole record."""
+        psd = Welch(len(self.theta), self.config.sim_rate_hz, rbw_hz, anchor_hz=anchor_hz)
+        for k in range(0, len(self.theta), BLOCK):
+            psd.feed(view(self.theta[k:k + BLOCK]))
+        return psd.result()
 
 
 def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float) -> tuple:
@@ -178,17 +214,17 @@ def loop_samples(cfg: LoopConfig) -> int:
     return n
 
 
-def _loop_matrix(cfg: LoopConfig) -> np.ndarray:
+def _loop_matrix(kp: float, ki: float, actuator_bw_hz: float, sim_rate_hz: float) -> np.ndarray:
     """One unsaturated step as s[k+1] = A s[k] + e_theta u[k] on the state
     s = (theta, integrator, actuator), where u[k] is the plant's open-loop
     phase advance 2*pi*dt*df0 plus the beat-noise (and FM) increment."""
-    dt = 1.0 / cfg.sim_rate_hz
-    alpha = TWO_PI * cfg.actuator_bw_hz * dt
+    dt = 1.0 / sim_rate_hz
+    alpha = TWO_PI * actuator_bw_hz * dt
     c = TWO_PI * dt
-    g = alpha * (cfg.kp + cfg.ki * dt)
-    return np.array([[1.0 - c * g, -c * alpha * cfg.ki, -c * (1.0 - alpha)],
+    g = alpha * (kp + ki * dt)
+    return np.array([[1.0 - c * g, -c * alpha * ki, -c * (1.0 - alpha)],
                      [dt, 1.0, 0.0],
-                     [g, alpha * cfg.ki, 1.0 - alpha]])
+                     [g, alpha * ki, 1.0 - alpha]])
 
 
 def _power_rows(a_mat: np.ndarray, cap: int) -> tuple:
@@ -220,12 +256,27 @@ def _power_rows(a_mat: np.ndarray, cap: int) -> tuple:
     return p[:, 0::2], False
 
 
+_PLAN_LOCK = threading.Lock()
+
+
 def _block_plan(cfg: LoopConfig, n: int) -> tuple:
     """Linear-stretch solver for an n-sample record: (block length, FFT
     length, rfft of the theta and actuator impulse responses A^m e_theta
     as a (2, nfft//2 + 1) array, and the theta and actuator rows of
-    A^1 ... A^K as a (2, 3, K) array)."""
-    rows, settled = _power_rows(_loop_matrix(cfg), min(BLOCK, n))
+    A^1 ... A^K as a (2, 3, K) array), all read-only.
+
+    The plan depends on the servo and n alone.  The last one is kept, and a
+    thread that asks for the plan another thread is computing waits for it,
+    so the bands of a run, which share one servo, compute it once."""
+    with _PLAN_LOCK:
+        return _servo_plan(cfg.kp, cfg.ki, cfg.actuator_bw_hz, cfg.sim_rate_hz, n)
+
+
+@functools.lru_cache(maxsize=1)
+def _servo_plan(kp: float, ki: float, actuator_bw_hz: float, sim_rate_hz: float,
+                n: int) -> tuple:
+    rows, settled = _power_rows(_loop_matrix(kp, ki, actuator_bw_hz, sim_rate_hz),
+                                min(BLOCK, n))
     n_pow = len(rows) - 1
     # A block of m samples needs an FFT of m + n_pow - 1 points.  An
     # unsettled loop needs every power its blocks use, so its blocks stop at
@@ -234,13 +285,41 @@ def _block_plan(cfg: LoopConfig, n: int) -> tuple:
     block = nfft - n_pow + 1 if settled else n_pow
     kernel = np.fft.rfft(rows[:n_pow, :, 0].T, nfft)
     free = rows[1:].transpose(1, 2, 0).copy()
+    kernel.flags.writeable = free.flags.writeable = False
     return block, nfft, kernel, free
 
 
-def _lock_loop(cfg: LoopConfig, incr: np.ndarray) -> tuple:
-    """Run the loop over the open-loop phase increments ``incr`` (beat noise
-    and any injected FM); returns the unclipped phase error and the
-    actuator output, one value per sample.
+class _Ahead:
+    """Forward-only reader of a record that arrives as chunks."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+        self._buf = np.empty(0)
+        self._start = 0   # record index of _buf[0]
+
+    def ahead(self, k: int, m: int) -> np.ndarray:
+        """The record from sample k on: at least m samples, fewer only at
+        its end.  The samples before k are dropped, so k must not decrease."""
+        end = self._start + len(self._buf)
+        if end - k < m:
+            parts = [self._buf[k - self._start:]]
+            for chunk in self._chunks:
+                parts.append(chunk)
+                end += len(chunk)
+                if end - k >= m:
+                    break
+            self._buf, self._start = np.concatenate(parts), k
+        return self._buf[k - self._start:]
+
+
+def _lock_loop(cfg: LoopConfig, n: int, increments, sink) -> None:
+    """Run the loop over the n open-loop phase increments (beat noise and
+    any injected FM) that the iterable ``increments`` yields in chunks of
+    any length, reading them forward only.  Each finished stretch of the
+    record goes to ``sink(k, theta, act)``: its first sample index, the
+    unclipped phase error and the actuator output.  The stretches arrive in
+    order and cover the record once; their arrays are scratch space, so a
+    sink copies what it keeps.
 
     While the detector saturates, the recursion is stepped one sample at a
     time.  Once QUIET consecutive samples are unsaturated the loop is
@@ -250,55 +329,86 @@ def _lock_loop(cfg: LoopConfig, incr: np.ndarray) -> tuple:
     and the scalar stepper takes over again from there.  The result differs
     from the scalar recursion alone only by rounding.
     """
-    n = len(incr)
     dt = 1.0 / cfg.sim_rate_hz
     alpha = TWO_PI * cfg.actuator_bw_hz * dt
     kp, ki = cfg.kp, cfg.ki
     df0 = cfg.initial_freq_error_hz
     two_pi_dt = TWO_PI * dt
     block, nfft, kernel, free = _block_plan(cfg, n)
-    u = incr + two_pi_dt * df0
+    incr = _Ahead(increments)
 
-    theta_rec = np.empty(n)
-    act_rec = np.empty(n)
+    theta_run, act_run = np.empty(SCALAR_RUN), np.empty(SCALAR_RUN)
     # memoryviews index as Python floats, several times faster per sample
     # than numpy scalars
-    incr_v, theta_v, act_v = memoryview(incr), memoryview(theta_rec), memoryview(act_rec)
+    theta_v, act_v = memoryview(theta_run), memoryview(act_run)
     theta = integ = act = 0.0
     k = 0
     while k < n:
         quiet = 0
         while k < n and quiet < QUIET:
-            e = theta
-            if e > TWO_PI:
-                e = TWO_PI
-            elif e < -TWO_PI:
-                e = -TWO_PI
-            integ += e * dt
-            act += alpha * (kp * e + ki * integ - act)
-            theta += two_pi_dt * (df0 - act) + incr_v[k]
-            theta_v[k] = theta
-            act_v[k] = act
-            k += 1
-            quiet = quiet + 1 if -TWO_PI <= theta <= TWO_PI else 0
+            ahead = incr.ahead(k, 1)
+            incr_v = memoryview(ahead)
+            m = min(len(ahead), SCALAR_RUN)
+            j = 0
+            while j < m and quiet < QUIET:
+                e = theta
+                if e > TWO_PI:
+                    e = TWO_PI
+                elif e < -TWO_PI:
+                    e = -TWO_PI
+                integ += e * dt
+                act += alpha * (kp * e + ki * integ - act)
+                theta += two_pi_dt * (df0 - act) + incr_v[j]
+                theta_v[j] = theta
+                act_v[j] = act
+                j += 1
+                quiet = quiet + 1 if -TWO_PI <= theta <= TWO_PI else 0
+            sink(k, theta_run[:j], act_run[:j])
+            k += j
 
         while k < n:
             m = min(block, n - k)
-            out = np.fft.irfft(np.fft.rfft(u[k:k + m], nfft) * kernel, nfft)[:, :m]
+            out = np.fft.irfft(np.fft.rfft(incr.ahead(k, m)[:m] + two_pi_dt * df0, nfft)
+                               * kernel, nfft)[:, :m]
             j = min(m, free.shape[2])
             for col, s0 in enumerate((theta, integ, act)):
                 out[:, :j] += s0 * free[:, col, :j]
             th = out[0]
             cut = np.flatnonzero(np.abs(th) > TWO_PI)
             end = int(cut[0]) + 1 if len(cut) else m
-            theta_rec[k:k + end] = th[:end]
-            act_rec[k:k + end] = out[1, :end]
+            sink(k, th[:end], out[1, :end])
             integ += dt * (theta + float(np.sum(th[:end - 1])))
             theta, act = float(th[end - 1]), float(out[1, end - 1])
+            del out, th   # freed before the next block's transforms
             k += end
             if len(cut):
                 break
-    return theta_rec, act_rec
+
+
+def _increments(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, n: int, seed: int,
+                fm_inject=None):
+    """The loop's n open-loop phase increments, a beat chunk at a time:
+    the first difference of the beat phase, its first sample taken against
+    0, plus ``fm_inject``'s frequency modulation (see ``simulate_lock``)."""
+    dt = 1.0 / cfg.sim_rate_hz
+    last, start = 0.0, 0
+    for incr in beat_chunks(master, slave, n, cfg.sim_rate_hz, seed):
+        # np.diff(beat, prepend=last) in the chunk's own buffer: numpy reads
+        # overlapping operands as if they were copies
+        first, last = incr[0] - last, incr[-1]
+        incr[1:] -= incr[:-1]
+        incr[0] = first
+        if fm_inject is not None:
+            fm_amp, fm_freq = fm_inject
+            k = np.arange(start, start + len(incr))
+            incr += TWO_PI * dt * (fm_amp * np.cos(TWO_PI * fm_freq * dt * k))
+        start += len(incr)
+        yield incr
+
+
+def _csv_stride(n: int) -> int:
+    """Sample stride of lock.csv's rows for an n-sample record."""
+    return max(1, n // LOCK_CSV_MAX_ROWS)
 
 
 def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: int,
@@ -316,24 +426,34 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     sample-by-sample recursion up to rounding.
     """
     n = loop_samples(cfg)
-    incr = np.diff(beat_phase(master, slave, n, cfg.sim_rate_hz, seed).phases, prepend=0.0)
-    if fm_inject is not None:
-        fm_amp, fm_freq = fm_inject
-        dt = 1.0 / cfg.sim_rate_hz
-        incr += TWO_PI * dt * (fm_amp * np.cos(TWO_PI * fm_freq * dt * np.arange(n)))
-    theta_arr, act = _lock_loop(cfg, incr)
+    df0 = cfg.initial_freq_error_hz
+    stride = _csv_stride(n)
+    tail_from = int(0.9 * n)
+    theta = np.empty(n)
+    rows = np.empty(len(range(0, n, stride)))
+    tail = np.empty(n - tail_from)
 
-    freq_error = cfg.initial_freq_error_hz - act
-    finite = bool(np.all(np.isfinite(theta_arr)))
-    peak = float(np.max(np.abs(theta_arr))) if finite else math.inf
-    tail = freq_error[int(0.9 * n):]
+    def keep(k, th, act):
+        end = k + len(th)
+        theta[k:end] = th
+        first = -(-k // stride)
+        rows[first:-(-end // stride)] = df0 - act[first * stride - k::stride]
+        if end > tail_from:
+            lo = max(k, tail_from)
+            tail[lo - tail_from:end - tail_from] = df0 - act[lo - k:]
+
+    _lock_loop(cfg, n, _increments(master, slave, cfg, n, seed, fm_inject), keep)
+
+    finite = bool(np.all(np.isfinite(theta)))
+    peak = max(float(theta.max()), -float(theta.min())) if finite else math.inf
     locked = finite and peak <= DIVERGENCE_RAD and abs(float(np.mean(tail))) < LOCK_FREQ_TOL_HZ
     cycle_slips = int(peak // TWO_PI) if finite else -1
 
     return LockResult(
         locked=locked,
-        freq_error=freq_error,
-        theta=theta_arr,
+        theta=theta,
+        freq_error_rows=rows,
+        freq_error_tail=tail,
         cycle_slips=cycle_slips,
         config=cfg,
     )
@@ -357,8 +477,8 @@ def write_lock_csv(path, result: LockResult) -> None:
     """Time series export: time, post-PFD phase error, frequency error, at
     every stride-th sample, stride ``max(1, n // LOCK_CSV_MAX_ROWS)`` of an
     n-sample record."""
-    stride = max(1, len(result.theta) // LOCK_CSV_MAX_ROWS)
+    stride = _csv_stride(len(result.theta))
     dt = 1.0 / result.config.sim_rate_hz
     write_table(path, "time_s,phase_error_rad,freq_error_hz\n",
                 "{:.9e},{:.9e},{:.9e}\n", np.arange(0, len(result.theta), stride) * dt,
-                _detector(result.theta[::stride]), result.freq_error[::stride])
+                _detector(result.theta[::stride]), result.freq_error_rows)

@@ -7,6 +7,8 @@ slave laser, synthesize and clip the frame, ride it on the locked beat's
 residual phase, shape it with the band mask, (high band) downconvert through
 the multiplied-LO window, add noise at the in-band SNR set point, then
 sync/demodulate/equalize, measure EVM, load bits, and price the capacity.
+``run_scenario`` runs each band's chain, from lock to frame, on its own
+thread; ``lock_sim`` locks the bands one after the other.
 
 Every artifact is deterministic for a given scenario, so reruns are
 byte-identical and the summary can be rebuilt from stored files alone: the
@@ -34,7 +36,7 @@ from .bandplan import detected_indices
 from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
 from .channel import apply_carrier, apply_mask, dband_downconvert
-from .noise import PhaseTrace, add_awgn, estimate_psd, write_psd_csv
+from .noise import add_awgn, estimate_psd, write_psd_csv
 from .ofdm_rx import (SyncError, band_average_snr_db, check_centers,
                       count_bit_errors, demodulate, equalize, evm_snr,
                       export_constellation, read_metrics_csv, synchronize,
@@ -85,7 +87,7 @@ def _lock_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
     Returns the lock result and its summary record."""
     lock = simulate_lock(band.master, band.slave, band.loop, band.lock_seed)
     write_lock_csv(band_dir / "lock.csv", lock)
-    _psd(band_dir / "psd_error.csv", lock.phase_error, rbw_hz)
+    write_psd_csv(band_dir / "psd_error.csv", *lock.error_psd(rbw_hz))
     return lock, {"locked": bool(lock.locked),
                   "cycle_slips": int(lock.cycle_slips),
                   "residual_phase_var_rad2": float(residual_phase_variance(lock))}
@@ -95,7 +97,7 @@ def _frame_lock_stage(band: BandScenario, band_dir: Path) -> tuple:
     """A run's lock stage: ``_lock_stage`` at the lock PSD resolution.
     Returns the band's lock record and, when locked, the residual phase
     that its frame will ride on (None otherwise).  The tail is cut here, so
-    the full lock record is freed before the next band locks."""
+    the full lock record is freed before the band's frame path runs."""
     lock, lock_info = _lock_stage(band, band_dir, LOCK_PSD_RBW_HZ)
     lock_info["target_offset_hz"] = lock.config.target_offset_hz
     if not lock.locked:
@@ -118,12 +120,12 @@ def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float,
                           "papr_clipped_db": float(papr_db(clipped))}
 
 
-def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float,
-             lock_info: dict, residual: PhaseTrace | None) -> dict:
-    """Run one band's frame path after its lock stage (``_frame_lock_stage``
-    gives ``lock_info`` and the ``residual`` phase, None when unlocked),
-    writing its artifacts; returns the chain record (also stored as
-    chain.json) with a ``failure`` field of None, "lock", or "sync"."""
+def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -> dict:
+    """Run one band from lock to frame: its lock stage
+    (``_frame_lock_stage``), then, when locked, its frame path, writing its
+    artifacts; returns the chain record (also stored as chain.json) with a
+    ``failure`` field of None, "lock", or "sync"."""
+    lock_info, residual = _frame_lock_stage(band, band_dir)
     record = {"band": band.name, "failure": None, "lock": lock_info}
     if residual is None:
         record["failure"] = "lock"
@@ -238,24 +240,24 @@ def build_summary(scn: Scenario, out_dir) -> dict:
 def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
     """Full chain over all bands.  Returns (summary dict, any_failure).
 
-    The lock stages run first, one band after another on this thread; then
-    the bands' frame paths run concurrently, one thread per band.  The
-    bands share no state and write separate directories, so the artifacts
-    are the same as from running the bands in turn.  The pool has a thread
-    for every band, so all frame paths are running by the time one can
-    fail; none is cancelled.  An exception from a frame path, or an
-    interrupt, is raised once every running frame path has finished, the
-    first band's exception first, and leaves no tree."""
+    The bands run concurrently, one thread per band, each from its lock
+    stage to the end of its frame path (``run_band``).  The bands share no
+    mutable state (the servo's block plan is computed once and read only)
+    and write separate directories, so the artifacts are the same as from
+    running the bands in turn.  The pool has a thread for every band, so
+    all bands are running by the time one can fail; none is cancelled.  An
+    exception from a band, or an interrupt, is raised once every running
+    band has finished, the first band's exception first, and leaves no
+    tree."""
     # imported here: it costs several ms of every ``import wdlink.cli``
     from concurrent.futures import ThreadPoolExecutor
 
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
     with _fresh_out(out_dir) as out:
         dirs = [_band_dir(out, band) for band in scn.bands]
-        locks = [_frame_lock_stage(band, bdir) for band, bdir in zip(scn.bands, dirs)]
         with ThreadPoolExecutor(max_workers=len(scn.bands)) as pool:
-            futures = [pool.submit(run_band, scn, band, bdir, rbw, *lock)
-                       for band, bdir, lock in zip(scn.bands, dirs, locks)]
+            futures = [pool.submit(run_band, scn, band, bdir, rbw)
+                       for band, bdir in zip(scn.bands, dirs)]
             records = [f.result() for f in futures]
         write_threshold_csv(out / "thresholds.csv", scn.fec)
         summary = build_summary(scn, out)
@@ -264,7 +266,7 @@ def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
 
 def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) -> dict:
     """Servo-only run: lock (or free-run) each band's laser pair and emit
-    phase/beat spectra."""
+    phase/beat spectra.  The bands run one after the other."""
     rbw = rbw_hz if rbw_hz is not None else LOCK_PSD_RBW_HZ
     info = {}
     with _fresh_out(out_dir) as out:
@@ -277,7 +279,7 @@ def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) ->
                 info[band.name] = {"mode": "free-running"}
                 continue
             lock, lock_info = _lock_stage(band, bdir, rbw)
-            _psd(bdir / "psd_beat.csv", lock.locked_beat, rbw)
+            write_psd_csv(bdir / "psd_beat.csv", *lock.beat_psd(rbw))
             info[band.name] = {"mode": "locked", **lock_info}
         write_json(out / "lock.json", {"bands": info})
     return info

@@ -42,6 +42,7 @@ from .ofdm_tx import (TxConfig, cp_length, frame_rate_hz, frame_samples,
 from .opll import LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for
 
 SCHEMA_VERSION = 1
+SHOWN_CHARS = 40   # longest refused value a message writes out whole
 
 
 class ScenarioError(ValueError):
@@ -72,6 +73,17 @@ def _finite_number(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+def _shown(v) -> str:
+    """A refused value as a message names it: its repr, or, when that is
+    longer than SHOWN_CHARS, its type and size ("int of 401 digits")."""
+    text = repr(v)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    if isinstance(v, int):
+        return f"{type(v).__name__} of {len(text.lstrip('-'))} digits"
+    return f"{type(v).__name__} of {len(text)} characters"
+
+
 def _get(d: dict, key: str, path: str, kind=None, required=True, default=None):
     if not isinstance(d, dict):
         raise ScenarioError(path, "expected an object")
@@ -83,7 +95,7 @@ def _get(d: dict, key: str, path: str, kind=None, required=True, default=None):
     if kind is not None:
         if kind is float:
             if not _finite_number(v):
-                raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {v!r}")
+                raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {_shown(v)}")
             v = float(v)
         elif kind is int:
             if isinstance(v, bool) or not isinstance(v, int):

@@ -28,11 +28,12 @@ def test_psd_csv_bytes(tmp_path):
 
 
 def _lock_result(loop, n):
+    """A LockResult keeping the frequency error at the rows lock.csv writes."""
     cfg = replace(loop, sim_rate_hz=1e3, duration_s=n / 1e3)
     phases = np.array([0.0, -0.5, 1.25e-7, 2.0, -3.5, 4.0, -6.25])[:n]
     freq = np.array([1e6, -2.5, 0.0, 7.0, 1e-9, -8.0, 3.0])[:n]
-    return LockResult(locked=True, freq_error=freq, theta=phases, cycle_slips=0,
-                      config=cfg)
+    return LockResult(locked=True, theta=phases, freq_error_rows=freq[::opll._csv_stride(n)],
+                      freq_error_tail=freq[int(0.9 * n):], cycle_slips=0, config=cfg)
 
 
 def test_lock_csv_bytes_with_stride(w_band, tmp_path, monkeypatch):

@@ -271,6 +271,10 @@ def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, capsy
     err = capsys.readouterr().err
     assert f"scenario error: {json_path}: expected" in err
     assert "finite" in err
+    if value == 10**400:
+        # named by its type and digit count, not echoed in 401 digits
+        assert err == ("scenario error: $.lasers.ld2.linewidth_hz: expected a finite number, "
+                       "got int of 401 digits\n")
     assert not out.exists()
 
 
@@ -432,6 +436,70 @@ def test_io_error_in_one_band_exits_four_after_the_other_band(tmp_path, capsys, 
                             f"'{partial / 'band_D' / 'tx.iq'}'\n")
     assert not out.exists()
     assert not partial.exists()
+
+
+def _fail_w_lock_csv_while_d_locks(monkeypatch, error):
+    """Make band W's lock.csv write raise ``error`` once band D has started
+    its lock stage, and hold D's lock until W has raised.  Returns the list
+    of bands whose ``run_band`` has returned."""
+    import threading
+
+    from wdlink import runner
+    write_lock_csv, frame_lock_stage, run_band = (runner.write_lock_csv,
+                                                  runner._frame_lock_stage, runner.run_band)
+    d_locking, w_failed, finished = threading.Event(), threading.Event(), []
+
+    def lock_stage(band, band_dir):
+        if band.name == "D":
+            d_locking.set()
+            assert w_failed.wait(60)
+        return frame_lock_stage(band, band_dir)
+
+    def failing_in_w(path, result):
+        if "band_W" in str(path):
+            assert d_locking.wait(60)
+            w_failed.set()
+            raise error
+        write_lock_csv(path, result)
+
+    def band(scn, b, band_dir, rbw_hz):
+        record = run_band(scn, b, band_dir, rbw_hz)
+        finished.append(b.name)
+        return record
+
+    monkeypatch.setattr(runner, "_frame_lock_stage", lock_stage)
+    monkeypatch.setattr(runner, "write_lock_csv", failing_in_w)
+    monkeypatch.setattr(runner, "run_band", band)
+    return finished
+
+
+def test_io_error_in_one_band_lock_stage_exits_four_after_the_other_band(
+        tmp_path, capsys, monkeypatch):
+    """The bands lock concurrently: a failed lock.csv write in band W while
+    band D locks is an I/O error (exit 4) with the error's own text, raised
+    once band D has run to its end, and leaves no tree."""
+    out = tmp_path / "o"
+    partial = tmp_path / f"o.partial-{os.getpid()}"
+    lock_csv = partial / "band_W" / "lock.csv"
+    finished = _fail_w_lock_csv_while_d_locks(
+        monkeypatch, OSError(28, "No space left on device", str(lock_csv)))
+    assert main(["run", "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"I/O error: [Errno 28] No space left on device: '{lock_csv}'\n"
+    assert finished == ["D"]
+    assert not out.exists()
+    assert not partial.exists()
+
+
+def test_interrupt_in_one_band_lock_stage_leaves_no_tree(tmp_path, monkeypatch):
+    finished = _fail_w_lock_csv_while_d_locks(monkeypatch, KeyboardInterrupt())
+    out = tmp_path / "o"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--out", str(out)])
+    assert finished == ["D"]
+    assert not out.exists()
+    assert _partials(tmp_path) == []
 
 
 # ------------------------------------------------------- output directory

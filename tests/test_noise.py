@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (lorentzian_fwhm_from_field_psd, welch_psd, welch_psd_per_segment,
                      wiener_phase_psd)
 from wdlink.noise import (
     LaserSpec,
     PhaseTrace,
+    Welch,
     add_awgn,
     beat_phase,
     estimate_psd,
-    gen_phase_noise,
     read_psd_csv,
     write_psd_csv,
 )
@@ -25,14 +27,19 @@ def beat_field(lw_a, lw_b, n, fs, seed):
     return ComplexWaveform(np.exp(1j * beat.phases), fs)
 
 
+def laser_phase(spec, n, fs, seed):
+    """One laser's Wiener phase: its beat against a zero-linewidth master."""
+    return beat_phase(LaserSpec("ref", 0.0), spec, n, fs, seed)
+
+
 def test_zero_linewidth_constant_phase():
-    tr = gen_phase_noise(LaserSpec("x", 0.0), 1000, 1e6, seed=3)
+    tr = laser_phase(LaserSpec("x", 0.0), 1000, 1e6, seed=3)
     assert np.all(tr.phases == tr.phases[0])
 
 
 def test_increment_sigma():
     # 5 kHz at 1 GHz sampling: sqrt(2 pi 5e3 / 1e9) = 5.605e-3 rad
-    tr = gen_phase_noise(LaserSpec("x", 5e3), 1_000_001, 1e9, seed=11)
+    tr = laser_phase(LaserSpec("x", 5e3), 1_000_001, 1e9, seed=11)
     sigma = np.std(np.diff(tr.phases))
     expect = math.sqrt(2.0 * math.pi * 5e3 / 1e9)
     assert expect == pytest.approx(5.60e-3, abs=5e-6)
@@ -40,9 +47,9 @@ def test_increment_sigma():
 
 
 def test_phase_noise_determinism():
-    a = gen_phase_noise(LaserSpec("x", 5e3), 4096, 1e8, seed=9)
-    b = gen_phase_noise(LaserSpec("x", 5e3), 4096, 1e8, seed=9)
-    c = gen_phase_noise(LaserSpec("x", 5e3), 4096, 1e8, seed=10)
+    a = laser_phase(LaserSpec("x", 5e3), 4096, 1e8, seed=9)
+    b = laser_phase(LaserSpec("x", 5e3), 4096, 1e8, seed=9)
+    c = laser_phase(LaserSpec("x", 5e3), 4096, 1e8, seed=10)
     assert np.array_equal(a.phases, b.phases)
     assert not np.array_equal(a.phases, c.phases)
 
@@ -141,9 +148,10 @@ def test_psd_matches_scipy_welch_two_sided(nperseg):
 
 
 @pytest.mark.parametrize("n,nperseg,complex_input", [
-    (400_000, 700, True),      # 1141 segments, 374 per transform batch
-    (1_000_000, 50_000, False),  # 39 segments, 5 per batch
-    (70_000, 350, False),      # one partial batch
+    (400_000, 700, True),      # 1141 segments, 93 per transform batch
+    (1_000_000, 50_000, False),  # 39 segments, 1 per batch
+    (70_000, 350, False),      # 399 segments, 187 per batch
+    (20_000, 350, False),      # one partial batch
 ])
 def test_psd_bit_exact_against_per_segment_loop(n, nperseg, complex_input):
     """Batched transforms sum exactly as one transform per segment would,
@@ -160,6 +168,35 @@ def test_psd_bit_exact_against_per_segment_loop(n, nperseg, complex_input):
     f_ref, p_ref = welch_psd_per_segment(x, fs, nperseg, onesided=not complex_input)
     assert np.array_equal(psd, p_ref)
     assert np.allclose(freqs, f_ref, rtol=0, atol=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 4000), nperseg=st.integers(8, 300), complex_input=st.booleans(),
+       cuts=st.lists(st.integers(0, 4000), max_size=12))
+def test_welch_fed_in_uneven_blocks_equals_one_shot(n, nperseg, complex_input, cuts):
+    """Fed in blocks split anywhere (empty ones too), the accumulator gives
+    exactly the one-shot estimate, for a phase trace and a waveform."""
+    nperseg = min(nperseg, n)
+    rng = np.random.default_rng(n)
+    fs, anchor = 1e6, 92.5e9
+    if complex_input:
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        record, anchor_hz = ComplexWaveform(x, fs, anchor_hz=anchor), anchor
+    else:
+        x = np.cumsum(rng.normal(size=n))
+        record, anchor_hz = PhaseTrace(x, fs), None
+    psd = Welch(n, fs, fs / nperseg, anchor_hz=anchor_hz)
+    for block in np.split(x, sorted(c for c in cuts if c <= n)):
+        psd.feed(block)
+    for got, want in zip(psd.result(), estimate_psd(record, fs / nperseg)):
+        assert np.array_equal(got, want)
+
+
+def test_welch_refuses_a_record_fed_short():
+    psd = Welch(100, 1e6, 1e6 / 16)
+    psd.feed(np.zeros(99))
+    with pytest.raises(ValueError, match="fed 99 of the record's 100 samples"):
+        psd.result()
 
 
 def test_psd_rbw_bounds():

@@ -1,6 +1,9 @@
 """Frequency-lock servo: acquisition, suppression, and the linear model."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -9,16 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import closed_loop_phase_step, lock_loop_scalar
+from wdlink import noise, opll
 from wdlink.noise import LaserSpec, beat_phase, estimate_psd
 from wdlink.opll import (
     DIVERGENCE_RAD,
     LOCK_CSV_MAX_ROWS,
     LOCK_FREQ_TOL_HZ,
+    LOCK_PSD_RBW_HZ,
     MIN_PHASE_MARGIN_DEG,
     QUIET,
     TWO_PI,
     _block_plan,
+    _csv_stride,
+    _increments,
     _lock_loop,
+    _servo_plan,
     closed_loop_suppression,
     free_running_beat,
     loop_samples,
@@ -100,7 +108,8 @@ def test_noiseless_acquisition(w_band):
     cfg = replace(w_band.loop, initial_freq_error_hz=1e6)
     res = simulate_lock(quiet_a, quiet_b, cfg, seed=0)
     assert res.locked
-    tail_f = res.freq_error[int(0.9 * len(res.freq_error)) :]
+    tail_f = res.freq_error_tail
+    assert len(tail_f) == len(res.theta) - int(0.9 * len(res.theta))
     assert abs(np.mean(tail_f)) < 1.0
     tail_p = res.phase_error.phases[int(0.9 * len(res.phase_error.phases)) :]
     assert np.max(np.abs(tail_p)) < 1e-2
@@ -208,7 +217,8 @@ def test_lock_determinism(w_band):
     b = simulate_lock(w_band.master, w_band.slave, cfg, seed=4)
     c = simulate_lock(w_band.master, w_band.slave, cfg, seed=5)
     assert np.array_equal(a.phase_error.phases, b.phase_error.phases)
-    assert np.array_equal(a.freq_error, b.freq_error)
+    assert np.array_equal(a.freq_error_rows, b.freq_error_rows)
+    assert np.array_equal(a.freq_error_tail, b.freq_error_tail)
     assert not np.array_equal(a.phase_error.phases, c.phase_error.phases)
 
 
@@ -236,7 +246,7 @@ def test_lock_csv_export(w_band, tmp_path):
     t0, p0, f0 = (float(v) for v in lines[1].split(","))
     assert t0 == 0.0
     assert p0 == pytest.approx(res.phase_error.phases[0], abs=1e-8)
-    assert f0 == pytest.approx(res.freq_error[0], rel=1e-6, abs=1e-6)
+    assert f0 == pytest.approx(res.freq_error_rows[0], rel=1e-6, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +265,24 @@ def beat_increments(master, slave, cfg, seed):
     return np.diff(beat_phase(master, slave, n, cfg.sim_rate_hz, seed).phases, prepend=0.0)
 
 
+def run_loop(cfg, n, chunks):
+    """Theta and actuator of every sample, from ``_lock_loop`` through a
+    sink that collects them; checks that the stretches arrive in order and
+    cover the record once."""
+    theta, act = np.full(n, np.nan), np.full(n, np.nan)
+    covered = [0]
+
+    def collect(k, th, a):
+        assert k == covered[0] and len(th) == len(a) > 0
+        theta[k:k + len(th)] = th
+        act[k:k + len(a)] = a
+        covered[0] += len(th)
+
+    _lock_loop(cfg, n, chunks, collect)
+    assert covered[0] == n
+    return theta, act
+
+
 def scalar_reference(cfg, incr, fm=None):
     return lock_loop_scalar(incr, fm, cfg.initial_freq_error_hz, cfg.kp, cfg.ki,
                             cfg.actuator_bw_hz, cfg.sim_rate_hz)
@@ -270,14 +298,23 @@ def verdict(theta, freq_error):
 
 
 def assert_matches_scalar(master, slave, cfg, seed, fm_inject=None):
+    """simulate_lock's theta, and every theta and actuator sample of the
+    loop it runs (collected from the same ``_lock_loop`` path), against the
+    scalar recursion; what LockResult keeps of the frequency error is the
+    loop's own."""
     res = simulate_lock(master, slave, cfg, seed, fm_inject=fm_inject)
+    n = len(res.theta)
     fm = None
     if fm_inject is not None:
-        n = len(res.theta)
         fm = fm_inject[0] * np.cos(TWO_PI * fm_inject[1] * (1.0 / cfg.sim_rate_hz) * np.arange(n))
     theta, freq = scalar_reference(cfg, beat_increments(master, slave, cfg, seed), fm)
+    loop_theta, act = run_loop(cfg, n, _increments(master, slave, cfg, n, seed, fm_inject))
+    loop_freq = cfg.initial_freq_error_hz - act
+    assert np.array_equal(loop_theta, res.theta)
     assert np.max(np.abs(res.theta - theta)) <= THETA_TOL_RAD
-    assert np.max(np.abs(res.freq_error - freq)) <= FREQ_TOL_HZ
+    assert np.max(np.abs(loop_freq - freq)) <= FREQ_TOL_HZ
+    assert np.array_equal(res.freq_error_rows, loop_freq[::_csv_stride(n)])
+    assert np.array_equal(res.freq_error_tail, loop_freq[int(0.9 * n):])
     assert (res.locked, res.cycle_slips) == verdict(theta, freq)
     return res, theta
 
@@ -364,7 +401,7 @@ def test_solver_excursion_at_block_edge(w_band, where):
     incr[kick] += 8.0
     theta_ref, freq_ref = scalar_reference(cfg, incr)
     assert int(np.argmax(np.abs(theta_ref) > TWO_PI)) == kick
-    theta, act = _lock_loop(cfg, incr)
+    theta, act = run_loop(cfg, n, [incr])
     assert np.max(np.abs(theta - theta_ref)) <= THETA_TOL_RAD
     assert np.max(np.abs(cfg.initial_freq_error_hz - act - freq_ref)) <= FREQ_TOL_HZ
 
@@ -379,3 +416,99 @@ def test_solver_matches_scalar_property(w_band, fu, zero_ratio, act_ratio, df0, 
     cfg = replace(w_band.loop, kp=kp, ki=ki, actuator_bw_hz=fa,
                   duration_s=n / 50e6, initial_freq_error_hz=df0)
     assert_matches_scalar(w_band.master, w_band.slave, cfg, seed)
+
+
+# ---------------------------------------------------------------------------
+# the lock stage as a stream
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3000), chunk=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1),
+       quiet=st.sampled_from([None, "master", "slave"]), fm=st.booleans())
+def test_chunked_increments_equal_the_whole_record_difference(w_band, n, chunk, seed,
+                                                              quiet, fm):
+    """The increments drawn chunk by chunk (any chunk size, a zero-linewidth
+    laser on either side, FM or none) are exactly the first difference of the
+    whole beat, plus the FM simulate_lock documents."""
+    lasers = {"master": w_band.master, "slave": w_band.slave}
+    if quiet is not None:
+        lasers[quiet] = replace(lasers[quiet], linewidth_hz=0.0)
+    cfg = w_band.loop
+    fm_inject = (200.0, 1e4) if fm else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noise, "BEAT_CHUNK", chunk)
+        got = np.concatenate(list(_increments(lasers["master"], lasers["slave"], cfg, n, seed,
+                                              fm_inject)))
+    want = np.diff(beat_phase(lasers["master"], lasers["slave"], n, cfg.sim_rate_hz,
+                              seed).phases, prepend=0.0)
+    if fm:
+        dt = 1.0 / cfg.sim_rate_hz
+        want += TWO_PI * dt * (200.0 * np.cos(TWO_PI * 1e4 * dt * np.arange(n)))
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(10, 20_000), chunk=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+       df0=st.sampled_from([0.0, 1e6, 8e6]))
+def test_loop_reads_chunked_increments_as_one_record(w_band, n, chunk, seed, df0):
+    """Through the scalar stepper and the FFT blocks alike, the loop gives
+    the same record whether its increments arrive whole or in chunks."""
+    cfg = replace(w_band.loop, initial_freq_error_hz=df0)
+    whole = np.concatenate(list(_increments(w_band.master, w_band.slave, cfg, n, seed)))
+    chunks = [whole[k:k + chunk] for k in range(0, n, chunk)]
+    for got, want in zip(run_loop(cfg, n, chunks), run_loop(cfg, n, [whole])):
+        assert np.array_equal(got, want)
+
+
+def test_lock_stage_peak_memory_is_at_most_three_theta_records(scenario):
+    """Band D's lock as a run calls it (error PSD included, block plan
+    computed afresh) peaks under tracemalloc at no more than three theta
+    records: no n-sample increment, actuator, beat or clipped record is
+    built beside the kept theta.  Whole-record increments, actuator and
+    clipped copies peaked at 41.6 MB."""
+    band = scenario.band("D")
+    _servo_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        res = simulate_lock(band.master, band.slave, band.loop, band.lock_seed)
+        res.error_psd(LOCK_PSD_RBW_HZ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * res.theta.nbytes == 24_000_000
+
+
+def test_block_fed_psds_equal_the_whole_record_estimates(w_band):
+    """The error and beat PSDs, fed a block at a time, are exactly the
+    one-shot estimates of the clipped record and of the locked beat."""
+    res = simulate_lock(w_band.master, w_band.slave, w_band.loop, seed=4)
+    for got, want in ((res.error_psd(LOCK_PSD_RBW_HZ), estimate_psd(res.phase_error, LOCK_PSD_RBW_HZ)),
+                      (res.beat_psd(LOCK_PSD_RBW_HZ), estimate_psd(res.locked_beat, LOCK_PSD_RBW_HZ))):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_block_plan_is_computed_once_for_concurrent_callers(w_band, monkeypatch):
+    """Threads (more than there are cores, switching as often as possible)
+    asking for one servo's plan at once share one computation and one
+    read-only result."""
+    calls = []
+    power_rows = opll._power_rows
+
+    def counted(*args):
+        calls.append(args)
+        return power_rows(*args)
+
+    monkeypatch.setattr(opll, "_power_rows", counted)
+    _servo_plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            plans = list(pool.map(lambda _: _block_plan(w_band.loop, 200_000), range(8),
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    assert all(plan is plans[0] for plan in plans)
+    assert not any(a.flags.writeable for a in plans[0][2:])
