@@ -5,10 +5,11 @@
 Subcommands: lock-sim, tx, run, bitload, report.  ``--seed-override`` goes
 to run and lock-sim, ``--rbw-hz`` to run, lock-sim and tx; a subcommand
 rejects a flag it would ignore.  ``--rbw-hz`` and ``--clip-db`` take only a
-finite positive number, and ``--rbw-hz`` must fit each record the subcommand
-estimates a PSD from.  The scenario is loaded (and, with
-``--seed-override``, re-seeded) before any output is written, so a bad file
-or flag leaves no output directory.
+finite positive number; ``--rbw-hz`` must fit each record the subcommand
+estimates a PSD from, and ``--clip-db`` must pass ``TxConfig``'s clip rule.
+The scenario is loaded (and, with ``--seed-override``, re-seeded; with
+``--clip-db``, given that clip ratio on every band) before any output is
+written, so a bad file or flag leaves no output directory.
 
 ``--out`` must be absent or an empty directory, except for report, which
 rewrites ``summary.json`` and ``capacity.json`` of an existing run (each
@@ -26,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .runner import (OutDirError, bitload_only, build_summary, lock_sim,
                      run_scenario, tx_only)
@@ -125,6 +126,12 @@ def main(argv=None) -> int:
     if args.command == "bitload" and args.band not in [b.name for b in scn.bands]:
         parser.error(f"argument --band: no band named {args.band!r} in the scenario "
                      f"(bands: {', '.join(b.name for b in scn.bands)})")
+    if getattr(args, "clip_db", None) is not None:
+        try:
+            scn = replace(scn, bands=tuple(
+                replace(b, tx=replace(b.tx, clip_ratio_db=args.clip_db)) for b in scn.bands))
+        except ValueError as e:
+            parser.error(f"argument --clip-db: {e}")
     if getattr(args, "rbw_hz", None) is not None:
         try:
             for band in scn.bands:
@@ -144,7 +151,7 @@ def main(argv=None) -> int:
             failed = any(v.get("locked") is False for v in info.values())
             return EXIT_CHAIN if failed else EXIT_OK
         if args.command == "tx":
-            info = tx_only(scn, args.out, clip_db=args.clip_db, rbw_hz=args.rbw_hz)
+            info = tx_only(scn, args.out, rbw_hz=args.rbw_hz)
             print(json.dumps(info, indent=2, sort_keys=True))
             return EXIT_OK
         if args.command == "bitload":

@@ -88,26 +88,20 @@ def _wiener_chunks(spec: LaserSpec, n_samples: int, sample_rate_hz: float, seed:
 
 def beat_chunks(master: LaserSpec, slave: LaserSpec, n_samples: int,
                 sample_rate_hz: float, seed: int):
-    """The beat phase of ``beat_phase``, BEAT_CHUNK samples at a time."""
-    s_master, s_slave = np.random.SeedSequence(seed).generate_state(2)
-    for beat, ref in zip(_wiener_chunks(slave, n_samples, sample_rate_hz, int(s_slave)),
-                         _wiener_chunks(master, n_samples, sample_rate_hz, int(s_master))):
-        beat -= ref
-        yield beat
-
-
-def beat_phase(master: LaserSpec, slave: LaserSpec, n_samples: int,
-               sample_rate_hz: float, seed: int) -> PhaseTrace:
-    """Phase of the beat note between a master/slave pair: slave minus master.
+    """Phase of the beat note between a master/slave pair, slave minus
+    master, BEAT_CHUNK samples at a time.
 
     The two lasers draw independent Wiener traces from child seeds split
     deterministically from ``seed``, so a locked and a free-running run with
     the same seed see the identical noise realization.  Independent traces
     add their linewidths (Lorentzian convolution), e.g. 100 Hz against
-    5 kHz beats at 5.1 kHz FWHM.  The trace is ``beat_chunks`` joined.
+    5 kHz beats at 5.1 kHz FWHM.
     """
-    chunks = beat_chunks(master, slave, n_samples, sample_rate_hz, seed)
-    return PhaseTrace(np.concatenate(list(chunks)), sample_rate_hz)
+    s_master, s_slave = np.random.SeedSequence(seed).generate_state(2)
+    for beat, ref in zip(_wiener_chunks(slave, n_samples, sample_rate_hz, int(s_slave)),
+                         _wiener_chunks(master, n_samples, sample_rate_hz, int(s_master))):
+        beat -= ref
+        yield beat
 
 
 def psd_segment_length(sample_rate_hz: float, n_samples: int, rbw_hz: float) -> int:
@@ -217,6 +211,18 @@ def read_psd_csv(path):
     return tuple(read_table(path, 2).T)
 
 
+def snr_ratio(snr_db: float) -> float:
+    """The power ratio 10^(snr_db/10).  Raises ValueError unless it is a
+    finite, nonzero float, which ``add_awgn`` divides by."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"an SNR of {snr_db:g} dB is no finite, nonzero power ratio")
+    return ratio
+
+
 def add_awgn(w: ComplexWaveform, snr_db: float, seed: int, occupied_bw_hz=None) -> ComplexWaveform:
     """Add complex white Gaussian noise for a target in-band SNR.
 
@@ -235,7 +241,7 @@ def add_awgn(w: ComplexWaveform, snr_db: float, seed: int, occupied_bw_hz=None) 
     p_sig = w.power
     if p_sig == 0.0:
         raise ValueError("cannot set an SNR on an all-zero waveform")
-    p_noise = p_sig / 10.0 ** (snr_db / 10.0) * (w.sample_rate_hz / occupied_bw_hz)
+    p_noise = p_sig / snr_ratio(snr_db) * (w.sample_rate_hz / occupied_bw_hz)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(p_noise / 2.0)
     # scale * (real + 1j * imag) + signal, built in the noise's own buffer;

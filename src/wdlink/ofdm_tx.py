@@ -199,8 +199,7 @@ class TxConfig:
             raise ValueError("cp_fraction must be in [0, 0.5)")
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
-        if self.clip_ratio_db <= 0:
-            raise ValueError("clip_ratio_db must be positive")
+        clip_gain(self.clip_ratio_db)
         if type(self.bits_per_subcarrier) is not int or (
                 self.bits_per_subcarrier not in SUPPORTED_ORDERS):
             raise ValueError(f"bits_per_subcarrier must be one of {list(SUPPORTED_ORDERS)}, "
@@ -378,14 +377,26 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
     return w, ref
 
 
+def clip_gain(ratio_db: float) -> float:
+    """The clip limit's ratio to the rms, 10^(ratio_db/20).  Raises
+    ValueError unless ``ratio_db`` is positive and that ratio a finite float."""
+    try:
+        gain = 10.0 ** (ratio_db / 20.0)
+    except OverflowError:
+        gain = math.inf
+    if not (ratio_db > 0 and gain < math.inf):
+        raise ValueError(f"clip ratio {ratio_db:g} dB must be positive, "
+                         "with a finite limit 10^(ratio/20)")
+    return gain
+
+
 def clip(w: ComplexWaveform, ratio_db: float) -> ComplexWaveform:
-    """Magnitude-limit the envelope at rms * 10^(ratio_db/20), phase kept."""
-    if ratio_db <= 0:
-        raise ValueError("ratio_db must be positive")
+    """Magnitude-limit the envelope at rms * ``clip_gain(ratio_db)``, phase kept."""
+    gain = clip_gain(ratio_db)
     rms = math.sqrt(w.power)
     if rms == 0.0:
         return w
-    limit = rms * 10.0 ** (ratio_db / 20.0)
+    limit = rms * gain
     mag = np.abs(w.samples)
     over = mag > limit
     if not np.any(over):

@@ -20,12 +20,13 @@ kept.  The beat-noise increments are drawn chunk by chunk
 (``noise.beat_chunks``, differenced across chunk edges, FM added per
 chunk), and the loop reads them forward only.  It hands each finished
 stretch of (theta, actuator) to a sink.  ``simulate_lock``'s sink keeps
-the whole theta record, which the residual tail, the beat, the residual
-variance and the Welch PSDs (fed a block at a time) read; and of the
-frequency error only the rows ``lock.csv`` writes and the last 10% that
-decides ``locked``.  The loop's block plan depends on the servo and the
-record length only, so the bands of a scenario, which share one servo,
-compute it once.
+the whole theta record, which the residual tail, the residual variance and
+the Welch PSDs read; and of the frequency error only the rows ``lock.csv``
+writes and the last 10% that decides ``locked``.  Every lock PSD, the
+free-running beat's too, is fed to ``noise.Welch`` a beat chunk at a time
+(``_chunk_psd``), so none forms a whole record beside theta.  The loop's
+block plan depends on the servo and the record length only, so the bands
+of a scenario, which share one servo, compute it once.
 
 Controller units: kp in Hz of actuation per radian, ki in Hz per (radian
 second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import LaserSpec, PhaseTrace, Welch, beat_chunks, beat_phase
-from .waveform import ComplexWaveform, write_table
+from .noise import BEAT_CHUNK, LaserSpec, PhaseTrace, Welch, beat_chunks
+from .waveform import write_table
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
@@ -83,10 +84,26 @@ def _detector(theta: np.ndarray) -> np.ndarray:
     return np.clip(theta, -TWO_PI, TWO_PI)
 
 
-def _beat(phases: np.ndarray, cfg: LoopConfig) -> ComplexWaveform:
-    """The beat note exp(j*phases) at the loop's rate and target offset."""
-    return ComplexWaveform(np.exp(1j * phases), cfg.sim_rate_hz,
-                           anchor_hz=cfg.target_offset_hz)
+def residual_samples(cfg: LoopConfig, n: int, duration_s: float) -> int:
+    """Samples of an n-sample lock record that ``LockResult.residual_tail``
+    hands a frame of ``duration_s``: two more than the frame spans.  Raises
+    ValueError when the record is shorter than that."""
+    span = duration_s * cfg.sim_rate_hz
+    if not span <= n - 2:
+        raise ValueError(f"the {n / cfg.sim_rate_hz:.3e}s lock record cannot cover "
+                         f"a {duration_s:.3e}s frame")
+    return int(math.ceil(span)) + 2
+
+
+def _chunk_psd(cfg: LoopConfig, n: int, rbw_hz: float, beat: bool, chunks) -> tuple:
+    """Welch PSD of the n-sample phase record at the loop's rate that
+    ``chunks`` yields in order: of the detector's view of it, or, with
+    ``beat``, of the beat note exp(j*phase) at the target offset.  Each
+    chunk is viewed and fed on its own."""
+    psd = Welch(n, cfg.sim_rate_hz, rbw_hz, anchor_hz=cfg.target_offset_hz if beat else None)
+    for chunk in chunks:
+        psd.feed(np.exp(1j * chunk) if beat else _detector(chunk))
+    return psd.result()
 
 
 @dataclass(frozen=True)
@@ -112,30 +129,20 @@ class LockResult:
 
     def residual_tail(self, duration_s: float) -> PhaseTrace:
         """Settled stretch of the detector's phase error handed to a frame of
-        ``duration_s``: the record's last samples, two more than the frame spans."""
-        n = min(int(math.ceil(duration_s * self.config.sim_rate_hz)) + 2, len(self.theta))
+        ``duration_s``: the record's last ``residual_samples``."""
+        n = residual_samples(self.config, len(self.theta), duration_s)
         return PhaseTrace(_detector(self.theta[-n:]), self.config.sim_rate_hz)
-
-    @property
-    def locked_beat(self) -> ComplexWaveform:
-        """The locked beat note exp(j*theta) at the target offset."""
-        return _beat(self.theta, self.config)
 
     def error_psd(self, rbw_hz: float) -> tuple:
         """Welch PSD of ``phase_error``."""
-        return self._psd(rbw_hz, _detector, None)
+        return _chunk_psd(self.config, len(self.theta), rbw_hz, False, self._chunks())
 
     def beat_psd(self, rbw_hz: float) -> tuple:
-        """Welch PSD of ``locked_beat``."""
-        return self._psd(rbw_hz, lambda th: np.exp(1j * th), self.config.target_offset_hz)
+        """Welch PSD of the locked beat note exp(j*theta) at the target offset."""
+        return _chunk_psd(self.config, len(self.theta), rbw_hz, True, self._chunks())
 
-    def _psd(self, rbw_hz: float, view, anchor_hz: float | None) -> tuple:
-        """Welch PSD of ``view(theta)``, formed a BLOCK at a time rather
-        than for the whole record."""
-        psd = Welch(len(self.theta), self.config.sim_rate_hz, rbw_hz, anchor_hz=anchor_hz)
-        for k in range(0, len(self.theta), BLOCK):
-            psd.feed(view(self.theta[k:k + BLOCK]))
-        return psd.result()
+    def _chunks(self):
+        return (self.theta[k:k + BEAT_CHUNK] for k in range(0, len(self.theta), BEAT_CHUNK))
 
 
 def pi_gains_for(unity_gain_hz: float, pi_zero_hz: float, actuator_bw_hz: float) -> tuple:
@@ -459,12 +466,13 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     )
 
 
-def free_running_beat(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig,
-                      seed: int) -> ComplexWaveform:
-    """Unlocked beat note between two lines (linewidths add), over the record
-    ``simulate_lock`` runs for ``cfg`` and seed, at the target offset."""
-    beat = beat_phase(master, slave, loop_samples(cfg), cfg.sim_rate_hz, seed)
-    return _beat(beat.phases, cfg)
+def free_running_psd(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: int,
+                     rbw_hz: float) -> tuple:
+    """Welch PSD of the unlocked beat note between two lines (linewidths
+    add) at the target offset, over the record ``simulate_lock`` runs for
+    ``cfg`` and seed, so on the noise the locked loop sees."""
+    n = loop_samples(cfg)
+    return _chunk_psd(cfg, n, rbw_hz, True, beat_chunks(master, slave, n, cfg.sim_rate_hz, seed))
 
 
 def residual_phase_variance(result: LockResult) -> float:

@@ -42,7 +42,7 @@ from .ofdm_rx import (SyncError, band_average_snr_db, check_centers,
                       export_constellation, read_metrics_csv, synchronize,
                       write_constellation_csv, write_metrics_csv)
 from .ofdm_tx import build_frame, clip, frame_rate_hz, frame_samples, papr_db
-from .opll import (LOCK_PSD_RBW_HZ, free_running_beat, residual_phase_variance,
+from .opll import (LOCK_PSD_RBW_HZ, free_running_psd, residual_phase_variance,
                    simulate_lock, write_lock_csv)
 from .scenario import BandScenario, Scenario
 from .waveform import write_iq, write_json
@@ -77,11 +77,6 @@ def _band_dir(out: Path, band: BandScenario) -> Path:
     return bdir
 
 
-def _psd(path, x, rbw_hz: float) -> None:
-    f, p = estimate_psd(x, rbw_hz)
-    write_psd_csv(path, f, p)
-
-
 def _lock_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
     """Lock the band's slave laser; writes lock.csv and psd_error.csv.
     Returns the lock result and its summary record."""
@@ -106,16 +101,16 @@ def _frame_lock_stage(band: BandScenario, band_dir: Path) -> tuple:
     return lock_info, lock.residual_tail(duration_s)
 
 
-def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float,
-              clip_db: float) -> tuple:
-    """Synthesize and clip the band's frame; writes tx.iq and psd_tx.csv.
-    Returns (clipped waveform, frame reference, PAPR before and after)."""
+def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
+    """Synthesize the band's frame and clip it at its ``clip_ratio_db``;
+    writes tx.iq and psd_tx.csv.  Returns (clipped waveform, frame
+    reference, PAPR before and after)."""
     wave, ref = build_frame(band.plan, band.tx)
     papr_raw_db = papr_db(wave)
-    clipped = clip(wave, clip_db)
+    clipped = clip(wave, band.tx.clip_ratio_db)
     del wave   # the unclipped frame is done with once its PAPR is taken
     write_iq(band_dir / "tx.iq", clipped)
-    _psd(band_dir / "psd_tx.csv", clipped, rbw_hz)
+    write_psd_csv(band_dir / "psd_tx.csv", *estimate_psd(clipped, rbw_hz))
     return clipped, ref, {"papr_raw_db": float(papr_raw_db),
                           "papr_clipped_db": float(papr_db(clipped))}
 
@@ -132,8 +127,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
         write_json(band_dir / "chain.json", record)
         return record
 
-    tx_clipped, ref, papr = _tx_stage(band, band_dir, rbw_hz,
-                                      band.tx.clip_ratio_db)
+    tx_clipped, ref, papr = _tx_stage(band, band_dir, rbw_hz)
     record.update(papr)
 
     w = apply_carrier(tx_clipped, residual)
@@ -145,7 +139,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
     occupied = len(det) * band.plan.spacing_hz
     w = add_awgn(w, band.target_snr_db, band.noise_seed, occupied_bw_hz=occupied)
     write_iq(band_dir / "rx.iq", w)
-    _psd(band_dir / "psd_rx.csv", w, rbw_hz)
+    write_psd_csv(band_dir / "psd_rx.csv", *estimate_psd(w, rbw_hz))
 
     try:
         offset = synchronize(w, ref)
@@ -273,9 +267,8 @@ def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) ->
         for band in scn.bands:
             bdir = _band_dir(out, band)
             if free_running:
-                beat = free_running_beat(band.master, band.slave, band.loop,
-                                         band.lock_seed)
-                _psd(bdir / "psd_beat.csv", beat, rbw)
+                write_psd_csv(bdir / "psd_beat.csv", *free_running_psd(
+                    band.master, band.slave, band.loop, band.lock_seed, rbw))
                 info[band.name] = {"mode": "free-running"}
                 continue
             lock, lock_info = _lock_stage(band, bdir, rbw)
@@ -285,17 +278,16 @@ def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) ->
     return info
 
 
-def tx_only(scn: Scenario, out_dir, clip_db=None, rbw_hz=None) -> dict:
+def tx_only(scn: Scenario, out_dir, rbw_hz=None) -> dict:
     """Waveform synthesis only: frames, clipping, PAPR, spectra."""
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
     info = {}
     with _fresh_out(out_dir) as out:
         for band in scn.bands:
-            ratio = clip_db if clip_db is not None else band.tx.clip_ratio_db
-            clipped, _, papr = _tx_stage(band, _band_dir(out, band), rbw, ratio)
+            clipped, _, papr = _tx_stage(band, _band_dir(out, band), rbw)
             info[band.name] = {
                 **papr,
-                "clip_ratio_db": float(ratio),
+                "clip_ratio_db": float(band.tx.clip_ratio_db),
                 "n_samples": len(clipped),
                 "sample_rate_hz": clipped.sample_rate_hz,
             }

@@ -35,11 +35,12 @@ import numpy as np
 from .bandplan import BandPlan, make_default_plans
 from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
-from .noise import LaserSpec, psd_segment_length
+from .noise import LaserSpec, psd_segment_length, snr_ratio
 from .ofdm_rx import check_metric_symbols
 from .ofdm_tx import (TxConfig, cp_length, frame_rate_hz, frame_samples,
                       pilot_indices, resampled_cp_length)
-from .opll import LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for
+from .opll import (LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for,
+                   residual_samples)
 
 SCHEMA_VERSION = 1
 SHOWN_CHARS = 40   # longest refused value a message writes out whole
@@ -290,6 +291,9 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             pilot_indices(plan, tx.n_pilots)
         with _at(f"{path}.tx.n_symbols"):
             check_metric_symbols(tx.n_symbols)
+            duration_s = frame_samples(plan, tx) / frame_rate_hz(plan, tx)
+        with _at("$.lock.duration_s", f"band {name}: "):   # the frame rides on the lock's tail
+            residual_samples(servo, n_lock, duration_s)
         ch = _get(bd, "channel", path, dict)
         mask = _parse_mask(_get(ch, "mask", f"{path}.channel"), f"{path}.channel.mask",
                            base_dir)
@@ -298,6 +302,9 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             snr = math.inf  # noiseless
         elif not _finite_number(snr):
             raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
+        else:
+            with _at(f"{path}.channel.target_snr_db"):
+                snr_ratio(snr)
         dc = _parse_downconvert(_get(bd, "downconvert", path, required=False),
                                 f"{path}.downconvert")
         if dc is not None:

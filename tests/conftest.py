@@ -2,13 +2,32 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from golden.regen import capture
 from wdlink.bandplan import make_default_plans
+from wdlink.noise import PhaseTrace, beat_chunks
 from wdlink.scenario import default_scenario_path, load_scenario
+
+
+def joined_beat(master, slave, n_samples, sample_rate_hz, seed) -> PhaseTrace:
+    """The whole beat phase of ``noise.beat_chunks``: its chunks joined."""
+    return PhaseTrace(np.concatenate(list(beat_chunks(master, slave, n_samples,
+                                                      sample_rate_hz, seed))),
+                      sample_rate_hz)
+
+
+def json_leaves(node, path=()):
+    """Key paths of every non-container value in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from json_leaves(value, path + (key,))
+        else:
+            yield path + (key,)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -9,11 +9,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import joined_beat
 from wdlink.bandplan import (detected_indices, inter_band_gap_hz,
                              make_default_plans, subcarrier_centers)
 from wdlink.bitload import BitLoadMap, ber_mqam, capacity, threshold_table
 from wdlink.channel import apply_mask, default_masks, fspl_db
-from wdlink.noise import LaserSpec, add_awgn, beat_phase, estimate_psd
+from wdlink.noise import LaserSpec, add_awgn, estimate_psd
 from wdlink.ofdm_rx import (band_average_snr_db, count_bit_errors, demodulate,
                             equalize, evm_snr)
 from wdlink.ofdm_tx import (SUPPORTED_ORDERS, build_frame, clip, demap_qam, map_qam,
@@ -98,7 +99,7 @@ def test_criterion_6_lock_quality(w_band, d_band):
     cfg12 = replace(w_band.loop, initial_freq_error_hz=0.0)
     lock12 = simulate_lock(w_band.master, w_band.slave, cfg12, seed=2101)
     n = len(lock12.phase_error.phases)
-    free = beat_phase(w_band.master, w_band.slave, n, cfg12.sim_rate_hz, seed=2101)
+    free = joined_beat(w_band.master, w_band.slave, n, cfg12.sim_rate_hz, seed=2101)
     f_l, p_l = estimate_psd(lock12.phase_error, 500.0)
     f_f, p_f = estimate_psd(free, 500.0)
     band = (f_l >= 8e3) & (f_l <= 12e3)

@@ -1,5 +1,6 @@
 """End-to-end checks of the ``sim`` command line and its artifacts."""
 
+import functools
 import json
 import math
 import os
@@ -13,13 +14,29 @@ import numpy as np
 import pytest
 
 import wdlink
+from conftest import json_leaves
 from golden.regen import capture
 from wdlink.cli import main
+from wdlink.scenario import default_scenario_path
 
 
 def _tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _setting(keys, value):
+    """A ``scenario_file`` mutation that sets the leaf at ``keys`` to
+    ``value``; empty ``keys`` update the document's top level with ``value``."""
+    def mutate(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        if keys:
+            node[keys[-1]] = value
+        else:
+            doc.update(value)
+    return mutate
 
 
 def _run_json(capsys, argv, expect_rc=0):
@@ -260,14 +277,10 @@ def _src_env():
 ])
 def test_non_finite_scenario_number_fails_at_load(tmp_path, scenario_file, capsys, keys,
                                                   value, json_path):
-    def mutate(doc):
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value   # written as JSON NaN / Infinity, or as an integer
-
+    # written as JSON NaN / Infinity, or as an integer
+    scn = scenario_file(_setting(keys, value))
     out = tmp_path / "o"
-    assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"scenario error: {json_path}: expected" in err
     assert "finite" in err
@@ -323,6 +336,10 @@ def test_malformed_mask_csv_fails_at_load(tmp_path, scenario_file, capsys, text,
 W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
                        "spacing_hz": 35e9 / 256, "null_indices": [0, 255],
                        "detect_window_hz": [75e9, 75.1e9]}
+DEFAULT_DOC = json.loads(default_scenario_path().read_text())
+W_BAND_1KHZ = {**DEFAULT_DOC["bands"][0],
+               "plan": {**W_PLAN_EMPTY_WINDOW, "spacing_hz": 1e3,
+                        "detect_window_hz": [75e9, 110e9]}}
 
 
 @pytest.mark.parametrize("keys, value, json_path, message", [
@@ -365,17 +382,26 @@ W_PLAN_EMPTY_WINDOW = {"name": "W", "center_hz": 92.5e9, "n_subcarriers": 256,
     (("lock", "pi_zero_hz"), 1e308, "$.lock", "phase margin"),
     (("lock", "actuator_bw_hz"), 1e-308, "$.lock", "phase margin"),
     (("lock", "duration_s"), 1e308, "$.lock", "no finite record length"),
+    # band W alone on a 1 kHz grid: its frame outlasts the lock record it rides on
+    ((), {"bands": [W_BAND_1KHZ], "psd_rbw_hz": 1e3}, "$.lock.duration_s",
+     "band W: the 2.000e-02s lock record cannot cover a 6.906e-02s frame"),
+    # a frame too long for its duration to be a float is the frame's fault
+    (("bands", 0, "tx", "n_symbols"), 10**400, "$.bands[0].tx.n_symbols",
+     "int too large to convert to float"),
+    # an SNR whose power ratio overflows, or underflows to zero
+    (("bands", 0, "channel", "target_snr_db"), 1e308, "$.bands[0].channel.target_snr_db",
+     "no finite, nonzero power ratio"),
+    (("bands", 0, "channel", "target_snr_db"), -1e308, "$.bands[0].channel.target_snr_db",
+     "no finite, nonzero power ratio"),
+    # a clip limit past the largest float
+    (("bands", 1, "tx", "clip_ratio_db"), 1e308, "$.bands[1].tx",
+     "with a finite limit 10^(ratio/20)"),
 ])
 def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, keys, value,
                                              json_path, message):
-    def mutate(doc):
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-
     out = tmp_path / "o"
-    assert main(["run", "--scenario", str(scenario_file(mutate)), "--out", str(out)]) == 2
+    assert main(["run", "--scenario", str(scenario_file(_setting(keys, value))),
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"scenario error: {json_path}: " in err
     assert message in err
@@ -401,6 +427,39 @@ def test_non_positive_or_non_finite_flag_is_a_usage_error(tmp_path, capsys, comm
     assert exc.value.code == 2
     assert f"argument {flag}: must be a finite positive number" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_clip_db_without_a_finite_limit_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tx", "--out", str(tmp_path / "o"), "--clip-db", "1e308"])
+    assert exc.value.code == 2
+    assert "argument --clip-db: clip ratio 1e+308 dB" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+FLOAT_LEAVES = [keys for keys in json_leaves(DEFAULT_DOC)
+                if isinstance(functools.reduce(lambda node, key: node[key], keys, DEFAULT_DOC),
+                              float)]
+
+
+@pytest.mark.parametrize("value", [0, -1, 1e-308, 1e308, -1e308])
+@pytest.mark.parametrize("keys", FLOAT_LEAVES, ids=lambda keys: ".".join(map(str, keys)))
+def test_tx_with_an_edge_float_leaf_exits_0_or_2_at_a_path(tmp_path, scenario_file, capsys,
+                                                           keys, value):
+    """Any float leaf of the default document at an edge value: ``tx``
+    exits 0, or exits 2 naming a JSON path or a flag and leaving no tree;
+    no exception escapes."""
+    out = tmp_path / "o"
+    try:
+        rc = main(["tx", "--scenario", str(scenario_file(_setting(keys, value))),
+                   "--out", str(out)])
+    except SystemExit as exc:   # argparse's usage errors
+        rc = exc.code
+    assert rc in (0, 2)
+    if rc == 2:
+        err = capsys.readouterr().err
+        assert "$." in err or "argument " in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, record", [("run", "tx"), ("tx", "tx"),
@@ -572,7 +631,7 @@ def test_lock_sim_into_a_non_empty_directory_raises_before_any_stage(
         raise AssertionError("a stage ran")
 
     monkeypatch.setattr(runner, "simulate_lock", no_stage)
-    monkeypatch.setattr(runner, "free_running_beat", no_stage)
+    monkeypatch.setattr(runner, "free_running_psd", no_stage)
     (tmp_path / "stale.json").write_text("{}\n")
     with pytest.raises(runner.OutDirError, match="not an empty directory"):
         runner.lock_sim(scenario, tmp_path)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import joined_beat
 from oracles import (lorentzian_fwhm_from_field_psd, welch_psd, welch_psd_per_segment,
                      wiener_phase_psd)
 from wdlink.noise import (
@@ -14,7 +15,6 @@ from wdlink.noise import (
     PhaseTrace,
     Welch,
     add_awgn,
-    beat_phase,
     estimate_psd,
     read_psd_csv,
     write_psd_csv,
@@ -23,13 +23,13 @@ from wdlink.waveform import ComplexWaveform
 
 
 def beat_field(lw_a, lw_b, n, fs, seed):
-    beat = beat_phase(LaserSpec("a", lw_a), LaserSpec("b", lw_b, 1e9), n, fs, seed)
+    beat = joined_beat(LaserSpec("a", lw_a), LaserSpec("b", lw_b, 1e9), n, fs, seed)
     return ComplexWaveform(np.exp(1j * beat.phases), fs)
 
 
 def laser_phase(spec, n, fs, seed):
     """One laser's Wiener phase: its beat against a zero-linewidth master."""
-    return beat_phase(LaserSpec("ref", 0.0), spec, n, fs, seed)
+    return joined_beat(LaserSpec("ref", 0.0), spec, n, fs, seed)
 
 
 def test_zero_linewidth_constant_phase():
@@ -57,7 +57,7 @@ def test_phase_noise_determinism():
 def test_far_wing_phase_psd():
     """Beat of 100 Hz and 5 kHz lasers: S_phi(10 kHz) = 5.1e3/(pi f^2)."""
     fs, n = 5e6, 1 << 21
-    beat = beat_phase(LaserSpec("a", 100.0), LaserSpec("b", 5e3, 1e9), n, fs, seed=21)
+    beat = joined_beat(LaserSpec("a", 100.0), LaserSpec("b", 5e3, 1e9), n, fs, seed=21)
     freqs, psd = estimate_psd(beat, 500.0)
     sel = (freqs >= 9e3) & (freqs <= 11e3)
     measured_db = 10.0 * np.log10(np.mean(psd[sel]))
@@ -252,6 +252,10 @@ def test_add_awgn_passthrough_and_determinism():
     assert not np.array_equal(a.samples, c.samples)
     with pytest.raises(ValueError):
         add_awgn(w, 10.0, seed=0, occupied_bw_hz=2e9)
+    # power ratios that overflow, or underflow to zero
+    for snr_db in (1e308, -1e308):
+        with pytest.raises(ValueError, match="no finite, nonzero power ratio"):
+            add_awgn(w, snr_db, seed=0)
 
 
 def test_psd_csv_round_trip(tmp_path):
@@ -268,8 +272,8 @@ def test_psd_csv_round_trip(tmp_path):
 
 
 def test_laser_pair_shares_nothing_but_seed():
-    b1 = beat_phase(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
-    b2 = beat_phase(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
+    b1 = joined_beat(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
+    b2 = joined_beat(LaserSpec("a", 1e3), LaserSpec("b", 1e3, 1e9), 4096, 1e7, 13)
     assert np.array_equal(b1.phases, b2.phases)
     # the two lasers of a pair must be statistically independent streams:
     # at equal linewidths one shared stream would beat to all zeros

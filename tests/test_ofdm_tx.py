@@ -387,6 +387,8 @@ def test_clip_no_op_below_threshold():
     assert np.array_equal(out.samples, tone.samples)
     with pytest.raises(ValueError):
         clip(tone, -1.0)
+    with pytest.raises(ValueError, match="finite limit"):   # 10^(1e308/20) overflows
+        clip(tone, 1e308)
 
 
 def test_clip_preserves_phase(w_plan, w_band):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import joined_beat
 from oracles import closed_loop_phase_step, lock_loop_scalar
 from wdlink import noise, opll
-from wdlink.noise import LaserSpec, beat_phase, estimate_psd
+from wdlink.noise import LaserSpec, estimate_psd
 from wdlink.opll import (
     DIVERGENCE_RAD,
     LOCK_CSV_MAX_ROWS,
@@ -28,7 +29,7 @@ from wdlink.opll import (
     _lock_loop,
     _servo_plan,
     closed_loop_suppression,
-    free_running_beat,
+    free_running_psd,
     loop_samples,
     open_loop_gain,
     pi_gains_for,
@@ -37,6 +38,7 @@ from wdlink.opll import (
     unity_gain_hz,
     write_lock_csv,
 )
+from wdlink.waveform import ComplexWaveform
 
 def band_mean(freqs, psd, lo, hi):
     sel = (freqs >= lo) & (freqs <= hi)
@@ -156,7 +158,7 @@ def test_locked_psd_matches_linear_suppression(w_band):
     cfg = replace(w_band.loop, duration_s=10e-3, initial_freq_error_hz=0.0)
     res = simulate_lock(w_band.master, w_band.slave, cfg, seed=7)
     n = len(res.phase_error.phases)
-    free = beat_phase(w_band.master, w_band.slave, n, cfg.sim_rate_hz, seed=7)
+    free = joined_beat(w_band.master, w_band.slave, n, cfg.sim_rate_hz, seed=7)
     fl, sl = estimate_psd(res.phase_error, 500.0)
     ff, sf = estimate_psd(free, 500.0)
     measured = 10 * np.log10(band_mean(fl, sl, 8e3, 12e3) / band_mean(ff, sf, 8e3, 12e3))
@@ -222,14 +224,22 @@ def test_lock_determinism(w_band):
     assert not np.array_equal(a.phase_error.phases, c.phase_error.phases)
 
 
-def test_free_running_beat_matches_pair(w_band):
-    cfg = replace(w_band.loop, sim_rate_hz=5e7, duration_s=4096 / 5e7)
-    fb = free_running_beat(w_band.master, w_band.slave, cfg, seed=7)
-    bt = beat_phase(w_band.master, w_band.slave, 4096, 5e7, seed=7)
-    ph = np.unwrap(np.angle(fb.samples))
-    aligned = bt.phases - bt.phases[0] + ph[0]
-    assert np.max(np.abs(ph - aligned)) < 1e-9
-    assert fb.anchor_hz == 92.5e9
+def beat_note(phases, cfg):
+    """The beat note exp(j*phases) at the loop's rate and target offset."""
+    return ComplexWaveform(np.exp(1j * phases), cfg.sim_rate_hz, anchor_hz=cfg.target_offset_hz)
+
+
+def test_free_running_psd_is_the_joined_beats_estimate(scenario):
+    """On either band, the free-running beat PSD, drawn and fed a chunk at
+    a time, is exactly the one-shot estimate of the beat note over the
+    pair's whole beat, at the target offset."""
+    for band in scenario.bands:
+        cfg = band.loop
+        beat = joined_beat(band.master, band.slave, loop_samples(cfg), cfg.sim_rate_hz,
+                           band.lock_seed)
+        got = free_running_psd(band.master, band.slave, cfg, band.lock_seed, LOCK_PSD_RBW_HZ)
+        for g, w in zip(got, estimate_psd(beat_note(beat.phases, cfg), LOCK_PSD_RBW_HZ)):
+            assert np.array_equal(g, w)
 
 
 def test_lock_csv_export(w_band, tmp_path):
@@ -262,7 +272,7 @@ NOISELESS_B = LaserSpec("b", 0.0, 92.5e9)
 def beat_increments(master, slave, cfg, seed):
     """The per-sample beat-noise increments simulate_lock draws."""
     n = int(round(cfg.duration_s * cfg.sim_rate_hz))
-    return np.diff(beat_phase(master, slave, n, cfg.sim_rate_hz, seed).phases, prepend=0.0)
+    return np.diff(joined_beat(master, slave, n, cfg.sim_rate_hz, seed).phases, prepend=0.0)
 
 
 def run_loop(cfg, n, chunks):
@@ -326,11 +336,6 @@ def test_solver_matches_scalar_default_bands(scenario, name):
     res, theta = assert_matches_scalar(band.master, band.slave, cfg, band.lock_seed)
     assert res.locked
     assert 0 < np.count_nonzero(np.abs(theta) > TWO_PI) < 1000
-    # the beat note carries the unclipped phase, acquisition cycles included
-    beat = res.locked_beat
-    assert beat.anchor_hz == band.slave.offset_hz - band.master.offset_hz
-    assert beat.sample_rate_hz == cfg.sim_rate_hz
-    assert np.max(np.abs(beat.samples - np.exp(1j * theta))) <= THETA_TOL_RAD
 
 
 def test_solver_matches_scalar_8mhz_acquisition(w_band):
@@ -439,8 +444,8 @@ def test_chunked_increments_equal_the_whole_record_difference(w_band, n, chunk, 
         mp.setattr(noise, "BEAT_CHUNK", chunk)
         got = np.concatenate(list(_increments(lasers["master"], lasers["slave"], cfg, n, seed,
                                               fm_inject)))
-    want = np.diff(beat_phase(lasers["master"], lasers["slave"], n, cfg.sim_rate_hz,
-                              seed).phases, prepend=0.0)
+    want = np.diff(joined_beat(lasers["master"], lasers["slave"], n, cfg.sim_rate_hz,
+                               seed).phases, prepend=0.0)
     if fm:
         dt = 1.0 / cfg.sim_rate_hz
         want += TWO_PI * dt * (200.0 * np.cos(TWO_PI * 1e4 * dt * np.arange(n)))
@@ -478,12 +483,32 @@ def test_lock_stage_peak_memory_is_at_most_three_theta_records(scenario):
     assert peak <= 3 * res.theta.nbytes == 24_000_000
 
 
+def test_free_running_psd_peak_memory_is_under_one_and_a_half_beat_records(scenario):
+    """Band D's free-running beat PSD peaks under tracemalloc at about one
+    real beat record (8.3 MB against 8 MB), held by the Welch transforms
+    and one chunk's beat note.  The joined beat alone would add a whole
+    record, so the bound is one and a half.  Joining the beat and forming
+    its complex note whole peaked at 40.0 MB."""
+    band = scenario.band("D")
+    n = loop_samples(band.loop)
+    tracemalloc.start()
+    try:
+        free_running_psd(band.master, band.slave, band.loop, band.lock_seed, LOCK_PSD_RBW_HZ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n == 12_000_000
+
+
 def test_block_fed_psds_equal_the_whole_record_estimates(w_band):
-    """The error and beat PSDs, fed a block at a time, are exactly the
-    one-shot estimates of the clipped record and of the locked beat."""
+    """The error and beat PSDs, fed a chunk at a time, are exactly the
+    one-shot estimates of the clipped record and of the locked beat note:
+    exp(j*theta) of the unclipped theta, acquisition cycles included, at
+    the target offset."""
     res = simulate_lock(w_band.master, w_band.slave, w_band.loop, seed=4)
+    beat = beat_note(res.theta, res.config)
     for got, want in ((res.error_psd(LOCK_PSD_RBW_HZ), estimate_psd(res.phase_error, LOCK_PSD_RBW_HZ)),
-                      (res.beat_psd(LOCK_PSD_RBW_HZ), estimate_psd(res.locked_beat, LOCK_PSD_RBW_HZ))):
+                      (res.beat_psd(LOCK_PSD_RBW_HZ), estimate_psd(beat, LOCK_PSD_RBW_HZ))):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import json_leaves
 from wdlink.bitload import FecProfile
 from wdlink.noise import LaserSpec
 from wdlink.ofdm_tx import TxConfig
@@ -104,16 +105,6 @@ def test_inline_copy_of_each_builtin_plan_loads_equal_to_it(default_doc, plans):
 
 # ------------------------------------------------------------ loader fuzz
 
-def _leaves(node, path=()):
-    """Key paths of every non-container value in a JSON document."""
-    items = node.items() if isinstance(node, dict) else enumerate(node)
-    for key, value in items:
-        if isinstance(value, (dict, list)):
-            yield from _leaves(value, path + (key,))
-        else:
-            yield path + (key,)
-
-
 def _fuzz_doc():
     """The bundled document with its defaulted PRBS register written out and
     band W's plan written inline, so that the register's two fields and the
@@ -127,7 +118,7 @@ def _fuzz_doc():
 
 
 FUZZ_DOC = _fuzz_doc()
-LEAVES = sorted(_leaves(FUZZ_DOC), key=repr)
+LEAVES = sorted(json_leaves(FUZZ_DOC), key=repr)
 DELETE = object()
 # a swapped JSON type, the edge values (an integer past the largest float
 # among them), and deletion
