@@ -64,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
     def common(p):
+        p.set_defaults(parser=p)   # the subcommand's own, for usage errors after the load
         p.add_argument("--scenario", default=None,
                        help="scenario JSON (default: bundled desk-scale scenario)")
         p.add_argument("--out", required=True, help="output directory")
@@ -124,20 +125,20 @@ def main(argv=None) -> int:
         print(f"cannot read scenario: {e}", file=sys.stderr)
         return EXIT_IO
     if args.command == "bitload" and args.band not in [b.name for b in scn.bands]:
-        parser.error(f"argument --band: no band named {args.band!r} in the scenario "
-                     f"(bands: {', '.join(b.name for b in scn.bands)})")
+        args.parser.error(f"argument --band: no band named {args.band!r} in the scenario "
+                          f"(bands: {', '.join(b.name for b in scn.bands)})")
     if getattr(args, "clip_db", None) is not None:
         try:
             scn = replace(scn, bands=tuple(
                 replace(b, tx=replace(b.tx, clip_ratio_db=args.clip_db)) for b in scn.bands))
         except ValueError as e:
-            parser.error(f"argument --clip-db: {e}")
+            args.parser.error(f"argument --clip-db: {e}")
     if getattr(args, "rbw_hz", None) is not None:
         try:
             for band in scn.bands:
                 band.check_psd_rbw(args.rbw_hz, RBW_RECORDS[args.command])
         except ValueError as e:
-            parser.error(f"argument --rbw-hz: {e}")
+            args.parser.error(f"argument --rbw-hz: {e}")
 
     try:
         if args.command == "run":
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
         print(json.dumps(summary["totals"], indent=2, sort_keys=True))
         return EXIT_OK
     except OutDirError as e:
-        parser.error(f"argument --out: {e}")
+        args.parser.error(f"argument --out: {e}")
     except (KeyError, ValueError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,8 @@ import numpy as np
 from .waveform import ComplexWaveform, read_table, write_table
 
 PSD_BLOCK_BYTES = 1 << 20   # bytes of spectra per Welch transform batch
-BEAT_CHUNK = 1 << 16        # samples per drawn chunk of a Wiener trace
+BEAT_CHUNK = 1 << 14        # samples per drawn chunk of a Wiener trace
+RX_HEADROOM_DB = 60.0       # least margin of the AWGN rms under float32's range (snr_ratio)
 
 
 @dataclass(frozen=True)
@@ -211,15 +212,32 @@ def read_psd_csv(path):
     return tuple(read_table(path, 2).T)
 
 
-def snr_ratio(snr_db: float) -> float:
-    """The power ratio 10^(snr_db/10).  Raises ValueError unless it is a
-    finite, nonzero float, which ``add_awgn`` divides by."""
+def snr_ratio(snr_db: float, bandwidth_ratio: float) -> float:
+    """The power ratio 10^(snr_db/10) of ``add_awgn`` on a record sampled at
+    ``bandwidth_ratio`` times its occupied band.  Raises ValueError unless it
+    is a finite, nonzero float, which ``add_awgn`` divides by, and unless
+    the noise it sets fits the float32 samples of rx.iq.
+
+    That floor: on a record of power p, add_awgn draws each of I and Q
+    with rms sigma = sqrt(p * bandwidth_ratio / (2 * ratio)), and
+    ``waveform.write_iq`` stores them as float32, which turns a value past
+    F = np.finfo(np.float32).max into inf.  A frame is unit rms
+    (``ofdm_tx.build_frame``) and the chain after it is passive, so p is
+    about 1.  Keeping sigma RX_HEADROOM_DB under F,
+    20*log10(F / sigma) >= RX_HEADROOM_DB, gives
+    snr_db >= 10*log10(bandwidth_ratio / 2) - 20*log10(F) + RX_HEADROOM_DB,
+    about -714 dB at bandwidth_ratio 1."""
     try:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         ratio = math.inf
     if not 0.0 < ratio < math.inf:
         raise ValueError(f"an SNR of {snr_db:g} dB is no finite, nonzero power ratio")
+    floor_db = (10.0 * math.log10(bandwidth_ratio / 2.0)
+                - 20.0 * math.log10(float(np.finfo(np.float32).max)) + RX_HEADROOM_DB)
+    if snr_db < floor_db:
+        raise ValueError(f"an SNR of {snr_db:g} dB is below the {floor_db:.1f} dB floor "
+                         "past which its noise overflows float32 I/Q samples")
     return ratio
 
 
@@ -241,7 +259,8 @@ def add_awgn(w: ComplexWaveform, snr_db: float, seed: int, occupied_bw_hz=None) 
     p_sig = w.power
     if p_sig == 0.0:
         raise ValueError("cannot set an SNR on an all-zero waveform")
-    p_noise = p_sig / snr_ratio(snr_db) * (w.sample_rate_hz / occupied_bw_hz)
+    excess = w.sample_rate_hz / occupied_bw_hz
+    p_noise = p_sig / snr_ratio(snr_db, excess) * excess
     rng = np.random.default_rng(seed)
     scale = math.sqrt(p_noise / 2.0)
     # scale * (real + 1j * imag) + signal, built in the noise's own buffer;

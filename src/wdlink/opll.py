@@ -18,15 +18,23 @@ recursion's result up to rounding (see ``_lock_loop``).
 The lock stage is a stream, so no n-sample record is built but the one
 kept.  The beat-noise increments are drawn chunk by chunk
 (``noise.beat_chunks``, differenced across chunk edges, FM added per
-chunk), and the loop reads them forward only.  It hands each finished
-stretch of (theta, actuator) to a sink.  ``simulate_lock``'s sink keeps
-the whole theta record, which the residual tail, the residual variance and
-the Welch PSDs read; and of the frequency error only the rows ``lock.csv``
-writes and the last 10% that decides ``locked``.  Every lock PSD, the
-free-running beat's too, is fed to ``noise.Welch`` a beat chunk at a time
-(``_chunk_psd``), so none forms a whole record beside theta.  The loop's
-block plan depends on the servo and the record length only, so the bands
-of a scenario, which share one servo, compute it once.
+chunk), and the loop reads them forward only, through one refill buffer.
+It hands each finished stretch of (theta, actuator) to a sink, and its
+FFT blocks reuse one block's scratch.  The lock result (``LockResult``)
+keeps:
+
+- the whole theta record, one float per loop sample, which the detector's
+  view, the residual tail, the residual variance and the Welch PSDs read;
+- of the frequency error, only the rows ``lock.csv`` writes and the last
+  10% of the record, which decides ``locked``;
+- the verdicts: ``locked`` and the cycle-slip count.
+
+Every lock PSD, the free-running beat's too, is fed to ``noise.Welch`` a
+beat chunk at a time (``_chunk_psd``), so none forms a whole record beside
+theta, and the residual variance works in one clipped copy of the tail.
+So two bands lock at once in about four theta records (see README.md).
+The loop's block plan depends on the servo and the record length only, so
+the bands of a scenario, which share one servo, compute it once.
 
 Controller units: kp in Hz of actuation per radian, ki in Hz per (radian
 second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
@@ -297,26 +305,36 @@ def _servo_plan(kp: float, ki: float, actuator_bw_hz: float, sim_rate_hz: float,
 
 
 class _Ahead:
-    """Forward-only reader of a record that arrives as chunks."""
+    """Forward-only reader of a record that arrives as chunks.  The unread
+    samples live in one buffer: each refill shifts them to its front and
+    copies the next chunks in behind them, so the buffer grows only when a
+    read asks for more than it holds."""
 
     def __init__(self, chunks):
         self._chunks = iter(chunks)
         self._buf = np.empty(0)
         self._start = 0   # record index of _buf[0]
+        self._len = 0     # samples held in _buf
 
     def ahead(self, k: int, m: int) -> np.ndarray:
         """The record from sample k on: at least m samples, fewer only at
-        its end.  The samples before k are dropped, so k must not decrease."""
-        end = self._start + len(self._buf)
-        if end - k < m:
-            parts = [self._buf[k - self._start:]]
+        its end.  The samples before k are dropped, so k must not decrease.
+        The view is valid until the next call."""
+        buf, have = self._buf, self._start + self._len - k
+        if have < m:
+            # numpy assigns overlapping slices as if from a copy
+            buf[:have] = buf[k - self._start:self._len]
+            self._start, self._len = k, have
             for chunk in self._chunks:
-                parts.append(chunk)
-                end += len(chunk)
-                if end - k >= m:
+                if self._len + len(chunk) > len(buf):
+                    grown = np.empty(m + len(chunk))   # self._len < m here
+                    grown[:self._len] = buf[:self._len]
+                    self._buf = buf = grown
+                buf[self._len:self._len + len(chunk)] = chunk
+                self._len += len(chunk)
+                if self._len >= m:
                     break
-            self._buf, self._start = np.concatenate(parts), k
-        return self._buf[k - self._start:]
+        return buf[k - self._start:self._len]
 
 
 def _lock_loop(cfg: LoopConfig, n: int, increments, sink) -> None:
@@ -343,6 +361,9 @@ def _lock_loop(cfg: LoopConfig, n: int, increments, sink) -> None:
     two_pi_dt = TWO_PI * dt
     block, nfft, kernel, free = _block_plan(cfg, n)
     incr = _Ahead(increments)
+    # one block's scratch, reused by every block: rows of nfft + 2 floats,
+    # so that a row also holds the nfft//2 + 1 bins of a spectrum
+    work, spec = np.empty((2, nfft + 2)), np.empty(nfft // 2 + 1, dtype=complex)
 
     theta_run, act_run = np.empty(SCALAR_RUN), np.empty(SCALAR_RUN)
     # memoryviews index as Python floats, several times faster per sample
@@ -375,18 +396,25 @@ def _lock_loop(cfg: LoopConfig, n: int, increments, sink) -> None:
 
         while k < n:
             m = min(block, n - k)
-            out = np.fft.irfft(np.fft.rfft(incr.ahead(k, m)[:m] + two_pi_dt * df0, nfft)
-                               * kernel, nfft)[:, :m]
+            x = np.add(incr.ahead(k, m)[:m], two_pi_dt * df0, out=work[0, :m])
+            np.fft.rfft(x, nfft, out=spec)
+            # one impulse response at a time: the actuator's, through its
+            # product in row 0, into row 1; then the theta response, through
+            # the product in spec's own buffer, into row 0
+            np.fft.irfft(np.multiply(spec, kernel[1], out=work[0].view(complex)), nfft,
+                         out=work[1, :nfft])
+            spec *= kernel[0]
+            np.fft.irfft(spec, nfft, out=work[0, :nfft])
+            out = work[:, :m]
             j = min(m, free.shape[2])
             for col, s0 in enumerate((theta, integ, act)):
                 out[:, :j] += s0 * free[:, col, :j]
             th = out[0]
-            cut = np.flatnonzero(np.abs(th) > TWO_PI)
+            cut = np.flatnonzero((th > TWO_PI) | (th < -TWO_PI))
             end = int(cut[0]) + 1 if len(cut) else m
             sink(k, th[:end], out[1, :end])
             integ += dt * (theta + float(np.sum(th[:end - 1])))
             theta, act = float(th[end - 1]), float(out[1, end - 1])
-            del out, th   # freed before the next block's transforms
             k += end
             if len(cut):
                 break
@@ -476,9 +504,13 @@ def free_running_psd(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed:
 
 
 def residual_phase_variance(result: LockResult) -> float:
-    """Variance of the locked phase error over the last RESIDUAL_TAIL of the record."""
-    tail = result.theta[int((1.0 - RESIDUAL_TAIL) * len(result.theta)):]
-    return float(np.var(_detector(tail)))
+    """Variance of the locked phase error over the last RESIDUAL_TAIL of the
+    record.  Computed as ``np.var`` does it, the same sums in the same
+    order, but in the one clipped copy of the tail."""
+    tail = _detector(result.theta[int((1.0 - RESIDUAL_TAIL) * len(result.theta)):])
+    tail -= np.mean(tail)
+    np.square(tail, out=tail)
+    return float(np.sum(tail) / len(tail))
 
 
 def write_lock_csv(path, result: LockResult) -> None:

@@ -7,8 +7,10 @@ slave laser, synthesize and clip the frame, ride it on the locked beat's
 residual phase, shape it with the band mask, (high band) downconvert through
 the multiplied-LO window, add noise at the in-band SNR set point, then
 sync/demodulate/equalize, measure EVM, load bits, and price the capacity.
-``run_scenario`` runs each band's chain, from lock to frame, on its own
-thread; ``lock_sim`` locks the bands one after the other.
+Every writing entry point but ``bitload_only`` runs its bands through
+``_each_band``, one thread per band: ``run_scenario`` each band's chain
+from lock to frame, ``lock_sim`` each band's lock (or free-running beat),
+``tx_only`` each band's frame synthesis.
 
 Every artifact is deterministic for a given scenario, so reruns are
 byte-identical and the summary can be rebuilt from stored files alone: the
@@ -231,66 +233,77 @@ def build_summary(scn: Scenario, out_dir) -> dict:
     return summary
 
 
-def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
-    """Full chain over all bands.  Returns (summary dict, any_failure).
+@contextmanager
+def _each_band(scn: Scenario, out_dir, band_fn):
+    """Under ``_fresh_out(out_dir)``, run ``band_fn(band, band_dir)`` for
+    every band of ``scn``, one thread per band, and give the body the fresh
+    tree and the bands' results by band name, in band order.
 
-    The bands run concurrently, one thread per band, each from its lock
-    stage to the end of its frame path (``run_band``).  The bands share no
-    mutable state (the servo's block plan is computed once and read only)
-    and write separate directories, so the artifacts are the same as from
-    running the bands in turn.  The pool has a thread for every band, so
-    all bands are running by the time one can fail; none is cancelled.  An
-    exception from a band, or an interrupt, is raised once every running
-    band has finished, the first band's exception first, and leaves no
-    tree."""
+    The bands share no mutable state (the servo's block plan is computed
+    once and read only) and write separate directories, so the artifacts
+    are the same as from running the bands in turn.  The pool has a thread
+    for every band, so all bands are running by the time one can fail; none
+    is cancelled.  An exception from a band, or an interrupt, is raised
+    once every running band has finished, the first band's exception
+    first, and leaves no tree."""
     # imported here: it costs several ms of every ``import wdlink.cli``
     from concurrent.futures import ThreadPoolExecutor
 
-    rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
     with _fresh_out(out_dir) as out:
         dirs = [_band_dir(out, band) for band in scn.bands]
         with ThreadPoolExecutor(max_workers=len(scn.bands)) as pool:
-            futures = [pool.submit(run_band, scn, band, bdir, rbw)
-                       for band, bdir in zip(scn.bands, dirs)]
-            records = [f.result() for f in futures]
+            futures = [pool.submit(band_fn, band, bdir) for band, bdir in zip(scn.bands, dirs)]
+            results = [f.result() for f in futures]
+        yield out, {band.name: r for band, r in zip(scn.bands, results)}
+
+
+def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
+    """Full chain over all bands.  Returns (summary dict, any_failure).
+
+    Each band runs from its lock stage to the end of its frame path
+    (``run_band``) on its own thread (``_each_band``)."""
+    rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
+    with _each_band(scn, out_dir, lambda band, bdir: run_band(scn, band, bdir, rbw)) \
+            as (out, records):
         write_threshold_csv(out / "thresholds.csv", scn.fec)
         summary = build_summary(scn, out)
-    return summary, any(r["failure"] for r in records)
+    return summary, any(r["failure"] for r in records.values())
 
 
 def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) -> dict:
     """Servo-only run: lock (or free-run) each band's laser pair and emit
-    phase/beat spectra.  The bands run one after the other."""
+    phase/beat spectra, each band on its own thread (``_each_band``)."""
     rbw = rbw_hz if rbw_hz is not None else LOCK_PSD_RBW_HZ
-    info = {}
-    with _fresh_out(out_dir) as out:
-        for band in scn.bands:
-            bdir = _band_dir(out, band)
-            if free_running:
-                write_psd_csv(bdir / "psd_beat.csv", *free_running_psd(
-                    band.master, band.slave, band.loop, band.lock_seed, rbw))
-                info[band.name] = {"mode": "free-running"}
-                continue
-            lock, lock_info = _lock_stage(band, bdir, rbw)
-            write_psd_csv(bdir / "psd_beat.csv", *lock.beat_psd(rbw))
-            info[band.name] = {"mode": "locked", **lock_info}
+
+    def lock_band(band, bdir):
+        if free_running:
+            write_psd_csv(bdir / "psd_beat.csv", *free_running_psd(
+                band.master, band.slave, band.loop, band.lock_seed, rbw))
+            return {"mode": "free-running"}
+        lock, lock_info = _lock_stage(band, bdir, rbw)
+        beat_psd = lock.beat_psd(rbw)
+        del lock   # the record is freed while the other band may still lock
+        write_psd_csv(bdir / "psd_beat.csv", *beat_psd)
+        return {"mode": "locked", **lock_info}
+
+    with _each_band(scn, out_dir, lock_band) as (out, info):
         write_json(out / "lock.json", {"bands": info})
     return info
 
 
 def tx_only(scn: Scenario, out_dir, rbw_hz=None) -> dict:
-    """Waveform synthesis only: frames, clipping, PAPR, spectra."""
+    """Waveform synthesis only: frames, clipping, PAPR, spectra, each band
+    on its own thread (``_each_band``)."""
     rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
-    info = {}
-    with _fresh_out(out_dir) as out:
-        for band in scn.bands:
-            clipped, _, papr = _tx_stage(band, _band_dir(out, band), rbw)
-            info[band.name] = {
-                **papr,
+
+    def tx_band(band, bdir):
+        clipped, _, papr = _tx_stage(band, bdir, rbw)
+        return {**papr,
                 "clip_ratio_db": float(band.tx.clip_ratio_db),
                 "n_samples": len(clipped),
-                "sample_rate_hz": clipped.sample_rate_hz,
-            }
+                "sample_rate_hz": clipped.sample_rate_hz}
+
+    with _each_band(scn, out_dir, tx_band) as (out, info):
         write_json(out / "tx.json", info)
     return info
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandplan import BandPlan, make_default_plans
+from .bandplan import BandPlan, detected_indices, make_default_plans
 from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec, psd_segment_length, snr_ratio
@@ -302,9 +302,6 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             snr = math.inf  # noiseless
         elif not _finite_number(snr):
             raise ScenarioError(f"{path}.channel.target_snr_db", "expected a finite number or null")
-        else:
-            with _at(f"{path}.channel.target_snr_db"):
-                snr_ratio(snr)
         dc = _parse_downconvert(_get(bd, "downconvert", path, required=False),
                                 f"{path}.downconvert")
         if dc is not None:
@@ -317,6 +314,11 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
                 resampled_cp_length(cp_length(plan.n_subcarriers, tx.oversample,
                                               tx.cp_fraction), tx.oversample,
                                     tx.oversample // dc["decimate"])
+        if snr != math.inf:
+            # add_awgn's record: the frame, decimated on a downconverted band
+            rx_rate_hz = frame_rate_hz(plan, tx) / (1 if dc is None else dc["decimate"])
+            with _at(f"{path}.channel.target_snr_db"):
+                snr_ratio(snr, rx_rate_hz / (len(detected_indices(plan)) * plan.spacing_hz))
         bands.append(BandScenario(
             name=name, plan=plan, master=master, slave=slave,
             loop=replace(servo, target_offset_hz=slave.offset_hz - master.offset_hz),

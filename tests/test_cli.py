@@ -393,6 +393,10 @@ W_BAND_1KHZ = {**DEFAULT_DOC["bands"][0],
      "no finite, nonzero power ratio"),
     (("bands", 0, "channel", "target_snr_db"), -1e308, "$.bands[0].channel.target_snr_db",
      "no finite, nonzero power ratio"),
+    # an SNR whose noise overflows rx.iq's float32 samples
+    (("bands", 0, "channel", "target_snr_db"), -3080, "$.bands[0].channel.target_snr_db",
+     "an SNR of -3080 dB is below the -710.6 dB floor past which its noise overflows "
+     "float32 I/Q samples"),
     # a clip limit past the largest float
     (("bands", 1, "tx", "clip_ratio_db"), 1e308, "$.bands[1].tx",
      "with a finite limit 10^(ratio/20)"),
@@ -406,6 +410,18 @@ def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, ke
     assert f"scenario error: {json_path}: " in err
     assert message in err
     assert not out.exists()
+
+
+def test_an_snr_far_below_the_noise_still_loads_and_fails_sync(tmp_path, scenario_file,
+                                                              capsys):
+    """-300 dB is above the float32 floor: the run writes its tree and exits
+    3 with band W's sync failure."""
+    out = tmp_path / "o"
+    scn = scenario_file(_setting(("bands", 0, "channel", "target_snr_db"), -300))
+    assert main(["run", "--scenario", str(scn), "--out", str(out)]) == 3
+    capsys.readouterr()
+    chain = json.loads((out / "band_W" / "chain.json").read_text())
+    assert chain["failure"] == "sync"
 
 
 def test_negative_seed_override_is_a_usage_error(tmp_path, capsys):
@@ -460,6 +476,25 @@ def test_tx_with_an_edge_float_leaf_exits_0_or_2_at_a_path(tmp_path, scenario_fi
         err = capsys.readouterr().err
         assert "$." in err or "argument " in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bitload", "--band", "X", "--snr-csv", "m.csv"], "--band"),
+    (["tx", "--clip-db", "1e308"], "--clip-db"),
+    (["lock-sim", "--rbw-hz", "1"], "--rbw-hz"),
+    (["run", "--out", "taken"], "--out"),
+], ids=["band", "clip-db", "rbw-hz", "out"])
+def test_usage_errors_after_the_load_print_the_subcommand_usage(tmp_path, capsys,
+                                                               monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("keep me\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "o"] if flag != "--out" else argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: sim {argv[0]} ")
+    assert f"sim {argv[0]}: error: argument {flag}: " in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, record", [("run", "tx"), ("tx", "tx"),
@@ -559,6 +594,74 @@ def test_interrupt_in_one_band_lock_stage_leaves_no_tree(tmp_path, monkeypatch):
     assert finished == ["D"]
     assert not out.exists()
     assert _partials(tmp_path) == []
+
+
+@pytest.mark.parametrize("d_fails", [False, True], ids=["d-runs-on", "d-fails-first"])
+@pytest.mark.parametrize("argv, last_psd", [
+    (["lock-sim"], "psd_beat.csv"),
+    (["lock-sim", "--free-running"], "psd_beat.csv"),
+    (["tx"], "psd_tx.csv"),
+], ids=["lock-sim", "free-running", "tx"])
+def test_band_error_is_raised_once_every_band_has_finished(tmp_path, capsys, monkeypatch,
+                                                           argv, last_psd, d_fails):
+    """``lock-sim`` and ``tx`` run a thread per band too: band W's failed PSD
+    write, made while band D runs on (or once D has failed itself), exits 4
+    with W's error, the first band's, only after D has finished, and leaves
+    no tree."""
+    import threading
+
+    from wdlink import runner
+    write_psd_csv = runner.write_psd_csv
+    d_started, w_failed, finished = threading.Event(), threading.Event(), []
+
+    def gated(path, freqs, psd):
+        if path.parent.name == "band_W":
+            assert d_started.wait(60)
+            w_failed.set()
+            raise OSError(28, "No space left on device", str(path))
+        d_started.set()
+        if d_fails:
+            raise OSError(5, "Input/output error", str(path))
+        assert w_failed.wait(60)
+        write_psd_csv(path, freqs, psd)
+        if path.name == last_psd:
+            finished.append("D")
+
+    monkeypatch.setattr(runner, "write_psd_csv", gated)
+    out = tmp_path / "o"
+    partial = tmp_path / f"o.partial-{os.getpid()}"
+    assert main([*argv, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"I/O error: [Errno 28] No space left on device: '{partial / 'band_W'}")
+    assert finished == ([] if d_fails else ["D"])
+    assert not out.exists()
+    assert not partial.exists()
+
+
+def test_thread_switching_does_not_change_a_byte(scenario, tmp_path):
+    """Every writing subcommand that runs a thread per band writes the same
+    tree when the interpreter switches threads as often as it can."""
+    from wdlink import runner
+
+    entries = {"run": runner.run_scenario, "lock-sim": runner.lock_sim,
+               "free-running": functools.partial(runner.lock_sim, free_running=True),
+               "tx": runner.tx_only}
+
+    def trees(tag):
+        for name, entry in entries.items():
+            entry(scenario, tmp_path / tag / name)
+        return _tree_bytes(tmp_path / tag)
+
+    plain = trees("default")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        switching = trees("switching")
+    finally:
+        sys.setswitchinterval(interval)
+    assert switching == plain
 
 
 # ------------------------------------------------------- output directory

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import types
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -484,9 +485,9 @@ def test_lock_stage_peak_memory_is_at_most_three_theta_records(scenario):
 
 
 def test_free_running_psd_peak_memory_is_under_one_and_a_half_beat_records(scenario):
-    """Band D's free-running beat PSD peaks under tracemalloc at about one
-    real beat record (8.3 MB against 8 MB), held by the Welch transforms
-    and one chunk's beat note.  The joined beat alone would add a whole
+    """Band D's free-running beat PSD peaks under tracemalloc under one
+    real beat record (5.0 MB against 8 MB; 8.3 MB with 2^16-sample beat
+    chunks), held by the Welch transforms and one chunk's beat note.  The joined beat alone would add a whole
     record, so the bound is one and a half.  Joining the beat and forming
     its complex note whole peaked at 40.0 MB."""
     band = scenario.band("D")
@@ -537,3 +538,43 @@ def test_block_plan_is_computed_once_for_concurrent_callers(w_band, monkeypatch)
     assert len(calls) == 1
     assert all(plan is plans[0] for plan in plans)
     assert not any(a.flags.writeable for a in plans[0][2:])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000),
+       scale=st.sampled_from([1e-3, 1.0, 10.0]))
+def test_residual_phase_variance_is_np_var_of_the_clipped_tail(n, seed, scale):
+    """The in-place variance gives np.var's float exactly, clipping included,
+    on records that do and do not leave the detector's range."""
+    theta = np.random.default_rng(seed).standard_normal(n) * scale
+    res = types.SimpleNamespace(theta=theta)
+    tail = theta[int(0.5 * n):]
+    assert residual_phase_variance(res) == float(np.var(np.clip(tail, -TWO_PI, TWO_PI)))
+    assert np.array_equal(res.theta, theta)   # the record itself is not clipped
+
+
+def test_two_band_lock_sim_peak_memory_is_under_four_and_a_half_theta_records(
+        scenario, tmp_path):
+    """``lock_sim`` of both bands at once, from the 8 MHz start error of the
+    benchmark's lock workload, block plan computed afresh, peaks under
+    tracemalloc at about four theta records (31.1-31.9 MB against 8 MB
+    records): the two kept records, and each band's loop scratch, Welch
+    estimate or CSV table.  The margin is half a record.  One thread per
+    band without the leaner loop (a two-row spectrum product, a chunk
+    concatenate per refill, 2^16-sample beat chunks, np.var's temporaries,
+    each band's record kept while its beat PSD is written) peaked at
+    36.0-37.0 MB, the bands one after the other at 28.8 MB."""
+    from wdlink import runner
+
+    scn = replace(scenario, bands=tuple(
+        replace(b, loop=replace(b.loop, initial_freq_error_hz=8e6)) for b in scenario.bands))
+    record_bytes = 8 * loop_samples(scn.bands[0].loop)
+    _servo_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        info = runner.lock_sim(scn, tmp_path / "o")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(band["locked"] for band in info.values())
+    assert peak <= 4.5 * record_bytes == 36_000_000
