@@ -86,10 +86,6 @@ def _thresholds(fec: FecProfile) -> tuple:
     return tuple((b, min_snr_db_for(b, fec)) for b in SUPPORTED_ORDERS)
 
 
-def threshold_table(fec: FecProfile) -> dict:
-    return dict(_thresholds(fec))
-
-
 @dataclass(frozen=True)
 class BitLoadMap:
     """bits[i] in {0} + supported orders, full plan length.  The values are

@@ -4,11 +4,13 @@ Everything happens at complex baseband anchored to a band center; absolute
 frequency is carried as waveform metadata.  The pieces, in the order a frame
 meets them: residual carrier phase from the lock, a band-shaped magnitude
 mask, the D-band x6-LO downconversion window, and additive noise (in noise.py).
-``apply_carrier`` writes its product into a new array; the mask and the
-downconversion then transform the samples they are given in place, so a
-frame crosses the channel in one frame-sized buffer.  Magnitude masks are
-piecewise linear in dB over absolute frequency and can be swapped for
-measured responses via CSV.
+``apply_carrier`` writes its product into a new array.  A band without a
+converter then goes through ``apply_mask``; a band with one goes through
+``dband_downconvert``, which applies its mask and IF window in one
+transform pair, the inverse one already decimated.  Both transform the
+samples they are given in place, so a frame crosses the channel in one
+frame-sized buffer.  Magnitude masks are piecewise linear in dB over
+absolute frequency and can be swapped for measured responses via CSV.
 """
 
 from __future__ import annotations
@@ -95,21 +97,33 @@ def load_mask_csv(path) -> tuple:
     return pts
 
 
+def _mask_amplitude(mask):
+    """The linear amplitude of ``mask`` as a function of absolute
+    frequency.  The mask is checked here, before any sample is touched."""
+    _mask_arrays(mask)
+    return lambda freqs: 10.0 ** (mask_gain_db(mask, freqs) / 20.0)
+
+
 def apply_mask(w: ComplexWaveform, mask) -> ComplexWaveform:
     """Whole-frame frequency-domain multiply by the interpolated amplitude.
 
     Works in place: the result's samples are ``w.samples``, overwritten."""
-    _filter(w.samples, w.sample_rate_hz, w.anchor_hz,
-            lambda freqs: 10.0 ** (mask_gain_db(mask, freqs) / 20.0))
+    _filter(w.samples, w.sample_rate_hz, w.anchor_hz, _mask_amplitude(mask))
     return w
 
 
-def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain) -> None:
+def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain,
+            decimate: int = 1) -> np.ndarray:
     """Filter the samples ``z`` of a waveform sampled at ``sample_rate_hz``
-    around ``anchor_hz`` in place: transform them, multiply each bin by
+    around ``anchor_hz``: transform them in place, multiply each bin by
     ``gain`` of its absolute frequency, and transform back.  The bin
     frequencies are ``np.fft.fftfreq``'s, taken CHUNK bins at a time so
-    that no full-length frequency or gain array exists."""
+    that no full-length frequency or gain array exists.
+
+    Returns ``z`` at ``decimate`` 1.  Otherwise it returns a new array:
+    the inverse transform of the spectrum folded to ``len(z) // decimate``
+    bins (the sum of its ``decimate`` slices, over ``decimate``), which is
+    every ``decimate``-th sample of the full-length inverse transform."""
     np.fft.fft(z, out=z)
     n = len(z)
     step = 1.0 / (n * (1.0 / sample_rate_hz))   # fftfreq's bin spacing, rounded as it rounds
@@ -117,7 +131,11 @@ def _filter(z: np.ndarray, sample_rate_hz: float, anchor_hz: float, gain) -> Non
         k = np.arange(lo, min(lo + CHUNK, n))
         k[k >= (n + 1) // 2] -= n
         z[lo:lo + len(k)] *= gain(k * step + anchor_hz)
+    if decimate > 1:
+        z = z.reshape(decimate, n // decimate).sum(axis=0)
+        z /= decimate
     np.fft.ifft(z, out=z)
+    return z
 
 
 def apply_carrier(w: ComplexWaveform, residual: PhaseTrace) -> ComplexWaveform:
@@ -166,32 +184,38 @@ def check_if_window(anchor_hz: float, sample_rate_hz: float, seed_lo_hz: float,
 
 def dband_downconvert(
     w: ComplexWaveform,
+    mask,
     seed_lo_hz: float,
     mult: int,
     if_window_hz: tuple,
     decimate: int = 1,
 ) -> ComplexWaveform:
-    """Mix down by a multiplied LO and keep one IF window.
+    """Shape by the band's ``mask``, mix down by a multiplied LO and keep
+    one IF window, in one transform pair.
 
-    The electrical LO is seed_lo_hz x mult.  Content whose IF (absolute
-    frequency minus LO) falls outside if_window_hz is removed by a brick-wall
-    filter; the result is re-anchored to the IF and optionally decimated
-    (alias-free because of the filter; ``check_if_window`` holds the window
-    rules).  The arguments are checked before ``w`` is touched; then the
-    filter works in place on ``w.samples``, and a decimated result is a
-    contiguous copy of every ``decimate``-th sample of them.
+    The electrical LO is seed_lo_hz x mult.  Each bin is multiplied by the
+    mask's amplitude and by a brick wall that removes content whose IF
+    (absolute frequency minus LO) falls outside if_window_hz; the result is
+    re-anchored to the IF and optionally decimated (alias-free because of
+    the brick wall; ``check_if_window`` holds the window rules).  The mask
+    and the other arguments are checked before ``w`` is touched; then the
+    forward transform works in place on ``w.samples``.  Undecimated, the
+    result's samples are ``w.samples``, overwritten; decimated, they are a
+    new array of every ``decimate``-th sample, from an inverse transform of
+    that length (``_filter``), so they pin no full-rate buffer.
     """
+    amplitude = _mask_amplitude(mask)
     if decimate < 1 or len(w.samples) % decimate:
         raise ValueError("decimate must divide the sample count")
     check_if_window(w.anchor_hz, w.sample_rate_hz, seed_lo_hz, mult, if_window_hz,
                     decimate)
     lo = seed_lo_hz * mult
     if_lo, if_hi = if_window_hz
-    _filter(w.samples, w.sample_rate_hz, w.anchor_hz,
-            lambda freqs: (freqs - lo >= if_lo) & (freqs - lo <= if_hi))
-    # decimated, a copy, so the kept samples do not pin the full-rate buffer
-    return ComplexWaveform(samples=np.ascontiguousarray(w.samples[::decimate]),
-                           sample_rate_hz=w.sample_rate_hz / decimate,
+    samples = _filter(
+        w.samples, w.sample_rate_hz, w.anchor_hz,
+        lambda freqs: amplitude(freqs) * ((freqs - lo >= if_lo) & (freqs - lo <= if_hi)),
+        decimate)
+    return ComplexWaveform(samples=samples, sample_rate_hz=w.sample_rate_hz / decimate,
                            anchor_hz=w.anchor_hz - lo)
 
 

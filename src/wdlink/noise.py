@@ -209,6 +209,8 @@ def write_psd_csv(path, freqs: np.ndarray, psd: np.ndarray) -> None:
 
 
 def read_psd_csv(path):
+    """Read a PSD artifact (``psd_*.csv``, as ``write_psd_csv`` writes it)
+    back as its two columns, (freq_hz, psd_db_hz)."""
     return tuple(read_table(path, 2).T)
 
 

@@ -19,13 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandplan import BandPlan, detected_indices, subcarrier_centers
-from .ofdm_tx import FrameRef, analyze_time, demap_qam, synth_time
+from .ofdm_tx import (CONSTELLATIONS, FrameRef, analyze_time, demap_qam, map_qam,
+                      synth_time)
 from .waveform import ComplexWaveform, read_table, write_table
 
 DEAD_TAP = 1e-6
 SYNC_THRESHOLD = 0.5  # normalized correlation a frame start must reach (1.0 = perfect)
 MIN_METRIC_SYMBOLS = 32  # payload symbols evm_snr needs for stable per-subcarrier metrics
 SYNC_BLOCK = 1 << 15     # transform length of synchronize's overlap-save correlation
+SAFE_MARGIN = 1e-9       # relative margin of safe_radius under half the minimum distance
 
 
 class SyncError(RuntimeError):
@@ -65,14 +67,15 @@ def _correlate_blocks(x: np.ndarray, tpl: np.ndarray):
 
 def synchronize(w: ComplexWaveform, ref: FrameRef) -> int:
     """Start-of-frame offset via normalized cross-correlation against the
-    training burst.  Raises SyncError when the best peak stays below
-    SYNC_THRESHOLD."""
+    training burst, searched over the offsets at which a whole frame fits
+    in the record.  Raises SyncError when no frame fits, or when the best
+    peak stays below SYNC_THRESHOLD."""
     os_eff = _effective_oversample(w, ref.plan)
     tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
-    x = w.samples
-    if len(x) < len(tpl):
-        raise SyncError("waveform shorter than the training burst")
-    n_lags = len(x) - len(tpl) + 1
+    n_lags = len(w.samples) - ref.n_samples_at(os_eff) + 1
+    if n_lags < 1:
+        raise SyncError("waveform shorter than one frame")
+    x = w.samples[:n_lags + len(tpl) - 1]   # what the template meets at those lags
     corr = np.empty(n_lags)
     for start, block in _correlate_blocks(x, tpl):
         np.abs(block, out=corr[start:start + len(block)])
@@ -107,8 +110,7 @@ def demodulate(w: ComplexWaveform, ref: FrameRef, offset: int) -> np.ndarray:
     n_sc = ref.plan.n_subcarriers
     os_eff = _effective_oversample(w, ref.plan)
     cp = ref.cp_len_at(os_eff)
-    # a cyclic prefix that resamples whole makes the whole frame do so
-    end = offset + ref.n_samples * os_eff // ref.oversample
+    end = offset + ref.n_samples_at(os_eff)
     if offset < 0 or end > len(w.samples):
         raise ValueError("frame truncated: waveform too short past the sync offset")
     return analyze_time(w.samples[offset:end], n_sc, os_eff, cp)
@@ -227,18 +229,34 @@ def band_average_snr_db(metrics: SubcarrierMetrics, plan: BandPlan) -> float:
     return 10.0 * math.log10(float(np.mean(10.0 ** (snr / 10.0))))
 
 
+def safe_radius(order_bits: int) -> float:
+    """Half the minimum distance of the order's constellation, less a
+    relative SAFE_MARGIN: a symbol nearer than this to a constellation
+    point decides to that point, with a margin far above rounding."""
+    table = CONSTELLATIONS[order_bits]
+    d = np.abs(table[:, None] - table[None, :])
+    np.fill_diagonal(d, np.inf)
+    return float(np.min(d)) / 2.0 * (1.0 - SAFE_MARGIN)
+
+
 def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     """Hard-decision bit errors over the payload, (errors, total).
 
     Only the plan's detected data subcarriers count: bits sent outside the
-    detect window are not the receiver's to judge.
+    detect window are not the receiver's to judge.  A symbol within
+    ``safe_radius`` of the point its bits map to decides to those bits, so
+    only the others are demapped; the count is that of demapping them all.
     """
+    order = ref.bits_per_subcarrier
+    radius = safe_radius(order)
     judged = np.intersect1d(ref.data_idx, detected_indices(ref.plan))
     errors = total = 0
     for i in judged[~eqf.dead[judged]]:
-        hat = demap_qam(eqf.symbols[:, i], ref.bits_per_subcarrier)
         sent = ref.payload_bits[int(i)]
-        errors += int(np.count_nonzero(hat != sent))
+        y = eqf.symbols[:, i]
+        doubtful = ~(np.abs(y - map_qam(sent, order)) < radius)   # NaN included
+        hat = demap_qam(y[doubtful], order)
+        errors += int(np.count_nonzero(hat != sent.reshape(-1, order)[doubtful].ravel()))
         total += len(sent)
     return errors, total
 

@@ -236,6 +236,12 @@ class FrameRef:
         """Cyclic-prefix length once resampled to ``oversample`` (``resampled_cp_length``)."""
         return resampled_cp_length(self.cp_len, self.oversample, oversample)
 
+    def n_samples_at(self, oversample: int) -> int:
+        """The frame's length in samples once resampled to ``oversample``;
+        raises, as ``cp_len_at`` does, when that is not a whole number."""
+        symbol = self.plan.n_subcarriers * oversample + self.cp_len_at(oversample)
+        return (self.n_training + self.n_payload) * symbol
+
 
 def cp_length(n_subcarriers: int, oversample: int, cp_fraction: float) -> int:
     """Cyclic-prefix length in samples of a frame synthesized at

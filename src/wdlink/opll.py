@@ -212,13 +212,17 @@ def unity_gain_hz(cfg: LoopConfig) -> float:
 
 def loop_samples(cfg: LoopConfig) -> int:
     """Length of the record ``simulate_lock`` runs for ``cfg``, in samples.
-    Raises ValueError when that record is too short or has no finite
-    length, or the rate under-resolves the loop."""
+    Raises ValueError when that record is too short, has no finite length
+    or is longer than numpy can index, or the rate under-resolves the loop."""
     span = cfg.duration_s * cfg.sim_rate_hz
     if not math.isfinite(span):
         raise ValueError(f"duration_s {cfg.duration_s:g} at sim_rate_hz "
                          f"{cfg.sim_rate_hz:g} gives no finite record length")
     n = int(round(span))
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"duration_s {cfg.duration_s:g} at sim_rate_hz "
+                         f"{cfg.sim_rate_hz:g} gives {span:.3g} samples, more than "
+                         f"numpy can index ({np.iinfo(np.intp).max})")
     if n < 10:
         raise ValueError("duration too short for the simulation rate")
     fu = unity_gain_hz(cfg)

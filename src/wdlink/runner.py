@@ -4,9 +4,10 @@ The runner only runs stages in order: every input a stage takes (laser pair,
 servo, seeds, converter, frame and channel settings) arrives resolved and
 checked in the loaded ``Scenario``.  Per band the chain is: offset-lock the
 slave laser, synthesize and clip the frame, ride it on the locked beat's
-residual phase, shape it with the band mask, (high band) downconvert through
-the multiplied-LO window, add noise at the in-band SNR set point, then
-sync/demodulate/equalize, measure EVM, load bits, and price the capacity.
+residual phase, shape it with the band mask (on the high band, in the same
+transform pair as the downconversion through the multiplied-LO window), add
+noise at the in-band SNR set point, then sync/demodulate/equalize, measure
+EVM, load bits, and price the capacity.
 Every writing entry point but ``bitload_only`` runs its bands through
 ``_each_band``, one thread per band: ``run_scenario`` each band's chain
 from lock to frame, ``lock_sim`` each band's lock (or free-running beat),
@@ -134,9 +135,10 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
 
     w = apply_carrier(tx_clipped, residual)
     del tx_clipped   # freed before the channel's full-length transforms
-    w = apply_mask(w, band.mask)
-    if band.downconvert is not None:
-        w = dband_downconvert(w, **band.downconvert)
+    if band.downconvert is None:
+        w = apply_mask(w, band.mask)
+    else:
+        w = dband_downconvert(w, band.mask, **band.downconvert)
     det = detected_indices(band.plan)
     occupied = len(det) * band.plan.spacing_hz
     w = add_awgn(w, band.target_snr_db, band.noise_seed, occupied_bw_hz=occupied)

@@ -120,7 +120,7 @@ class BandScenario:
     tx: TxConfig
     mask: tuple
     target_snr_db: float
-    downconvert: dict | None   # keyword arguments of channel.dband_downconvert
+    downconvert: dict | None   # channel.dband_downconvert's keyword arguments after the mask
 
     def check_psd_rbw(self, rbw_hz: float, records) -> None:
         """Raise ValueError, naming the band and record, when a PSD at

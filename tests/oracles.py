@@ -182,19 +182,22 @@ def load_bits_loop(indices, snr_db, thresholds, window, n_subcarriers):
 
 
 def channel_ref(x, fs, anchor_hz, mask, downconvert=None):
-    """The channel after the carrier, out of place and full length: the
-    mask's amplitude (linear in dB between its points, constant beyond),
-    then, when ``downconvert`` (``dband_downconvert``'s keyword arguments)
-    is given, a brick-wall IF window and every ``decimate``-th sample.
-    Returns (samples, sample rate, anchor)."""
+    """The channel after the carrier, in two passes, out of place and full
+    length: the mask's amplitude (linear in dB between its points, constant
+    beyond; no pass when ``mask`` is None), then, when ``downconvert``
+    (``dband_downconvert``'s keyword arguments after the mask) is given, a
+    brick-wall IF window and every ``decimate``-th sample.  Returns
+    (samples, sample rate, anchor)."""
 
     def filtered(y, gain):
         freqs = np.fft.fftfreq(len(y), 1.0 / fs) + anchor_hz
         return np.fft.ifft(np.fft.fft(y) * gain(freqs))
 
-    f = np.array([p.freq_hz for p in mask])
-    g = np.array([p.gain_db for p in mask])
-    y = filtered(x, lambda freqs: 10.0 ** (np.interp(freqs, f, g) / 20.0))
+    y = x
+    if mask is not None:
+        f = np.array([p.freq_hz for p in mask])
+        g = np.array([p.gain_db for p in mask])
+        y = filtered(x, lambda freqs: 10.0 ** (np.interp(freqs, f, g) / 20.0))
     if downconvert is None:
         return y, fs, anchor_hz
     lo = downconvert["seed_lo_hz"] * downconvert["mult"]

@@ -12,7 +12,7 @@ import numpy as np
 from conftest import joined_beat
 from wdlink.bandplan import (detected_indices, inter_band_gap_hz,
                              make_default_plans, subcarrier_centers)
-from wdlink.bitload import BitLoadMap, ber_mqam, capacity, threshold_table
+from wdlink.bitload import BitLoadMap, ber_mqam, capacity, min_snr_db_for
 from wdlink.channel import apply_mask, default_masks, fspl_db
 from wdlink.noise import LaserSpec, add_awgn, estimate_psd
 from wdlink.ofdm_rx import (band_average_snr_db, count_bit_errors, demodulate,
@@ -124,7 +124,7 @@ def test_criterion_6_lock_quality(w_band, d_band):
 def test_criterion_7_ber_model_and_fm_suppression(w_band, fec):
     t0 = time.time()
     rng = np.random.default_rng(1234)
-    thresholds = threshold_table(fec)
+    thresholds = {b: min_snr_db_for(b, fec) for b in SUPPORTED_ORDERS}
     worst_rel = 0.0
     for b in SUPPORTED_ORDERS:
         snr_db = thresholds[b]  # formula BER = 2.2e-2 there, inside [2e-3, 5e-2]

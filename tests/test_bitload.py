@@ -1,5 +1,6 @@
 """Threshold bit loading, BER estimates, and capacity bookkeeping."""
 
+import functools
 import json
 from dataclasses import replace
 
@@ -12,9 +13,8 @@ from oracles import ber_mqam_ref, load_bits_loop
 from wdlink import bitload
 from wdlink.bandplan import detected_indices
 from wdlink.bitload import (BitLoadMap, CapacityReport, ber_mqam, capacity, load_bits,
-                            min_snr_db_for, read_bitload_csv, threshold_table,
-                            write_bitload_csv, write_capacity_json,
-                            write_threshold_csv)
+                            min_snr_db_for, read_bitload_csv, write_bitload_csv,
+                            write_capacity_json, write_threshold_csv)
 from wdlink.ofdm_rx import SubcarrierMetrics
 from wdlink.ofdm_tx import SUPPORTED_ORDERS
 
@@ -65,8 +65,15 @@ def test_ber_rejects_unknown_order():
         ber_mqam(10.0, 7)
 
 
-def test_threshold_table_values(fec):
-    table = threshold_table(fec)
+@functools.lru_cache(maxsize=None)
+def _thresholds(fec):
+    """Each order's smallest SNR that meets the profile's BER limit, kept
+    per profile: the fuzz below asks for it on every example."""
+    return {b: min_snr_db_for(b, fec) for b in SUPPORTED_ORDERS}
+
+
+def test_threshold_values(fec):
+    table = _thresholds(fec)
     expected = {1: 3.0713, 2: 6.0816, 3: 10.5118, 4: 12.5221, 5: 15.4054, 6: 18.2201}
     assert set(table) == set(expected)
     for b, snr in expected.items():
@@ -75,7 +82,7 @@ def test_threshold_table_values(fec):
         assert ber_mqam(table[b], b) == pytest.approx(2.2e-2, rel=1e-6)
 
 
-def test_threshold_table_bisects_once_per_profile(monkeypatch, fec):
+def test_thresholds_bisect_once_per_profile(monkeypatch, tmp_path, fec):
     calls = []
     real = bitload.min_snr_db_for
 
@@ -85,12 +92,10 @@ def test_threshold_table_bisects_once_per_profile(monkeypatch, fec):
 
     monkeypatch.setattr(bitload, "min_snr_db_for", counting)
     fec = replace(fec, ber_threshold=1.234e-2)  # a profile no other test bisects
-    first = threshold_table(fec)
-    first[1] = None                           # the caller's copy, not the cache
-    second = threshold_table(fec)
-    assert len(calls) == 6
-    assert sorted(second) == list(SUPPORTED_ORDERS)
-    assert second[1] == real(1, fec)
+    write_threshold_csv(tmp_path / "a.csv", fec)
+    write_threshold_csv(tmp_path / "b.csv", fec)
+    assert sorted(calls) == list(SUPPORTED_ORDERS)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_min_snr_monotone_in_order(fec):
@@ -137,7 +142,7 @@ def test_load_bits_matches_the_loop(plans, fec, data):
     rows out, keep rows outside the detect window, and hold NaN, +-inf and
     SNRs exactly on a threshold."""
     plan = plans[data.draw(st.sampled_from(["W", "D"]))]
-    thresholds = sorted(threshold_table(fec).items())
+    thresholds = sorted(_thresholds(fec).items())
     snr = st.one_of(st.floats(-30.0, 40.0),
                     st.sampled_from([np.nan, np.inf, -np.inf,
                                      *(t for _, t in thresholds)]))

@@ -19,6 +19,10 @@ from wdlink.opll import simulate_lock
 from wdlink.waveform import ComplexWaveform
 
 
+# a 0 dB mask: dband_downconvert's brick wall alone
+FLAT = (MaskPoint(100e9, 0.0), MaskPoint(160e9, 0.0))
+
+
 def _rand_wave(n=4096, fs=70e9, anchor=92.5e9, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -208,7 +212,7 @@ def test_downconvert_passes_in_window_tone(lo):
     lo_hz = lo["seed_lo_hz"] * lo["mult"]
     assert 0.5e9 < 140e9 - lo_hz < 17.0e9   # the tone's IF is inside the window
     before = w.samples.copy()   # at decimate=1 the output is w.samples, overwritten
-    out = dband_downconvert(w, **lo, if_window_hz=(0.5e9, 17.0e9))
+    out = dband_downconvert(w, FLAT, **lo, if_window_hz=(0.5e9, 17.0e9))
     assert out.anchor_hz == pytest.approx(130e9 - lo_hz)
     assert out.sample_rate_hz == fs
     # tone is bin-aligned and inside the IF window: samples pass untouched
@@ -223,14 +227,14 @@ def test_downconvert_rejects_out_of_window_tone(lo):
     t = np.arange(n) / fs
     w = ComplexWaveform(np.exp(-2j * np.pi * 1e9 * t), fs, 130e9)  # 129 GHz
     assert 129e9 - lo["seed_lo_hz"] * lo["mult"] < 0.5e9   # its IF is below the window
-    out = dband_downconvert(w, **lo, if_window_hz=(0.5e9, 17.0e9))
+    out = dband_downconvert(w, FLAT, **lo, if_window_hz=(0.5e9, 17.0e9))
     assert np.mean(np.abs(out.samples) ** 2) < 1e-12
 
 
 def _surviving_columns(d_plan, d_band, lo, if_window):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, **lo, if_window_hz=if_window, decimate=2)
+    out = dband_downconvert(wav, FLAT, **lo, if_window_hz=if_window, decimate=2)
     assert out.sample_rate_hz == 40e9
     grid = demodulate(out, ref, 0)
     return np.mean(np.abs(grid) ** 2, axis=0)
@@ -263,6 +267,15 @@ def test_downconvert_validation(d_plan, d_band, lo):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=4, prbs_seed_state=5)
     wav, _ = build_frame(d_plan, cfg)
     kept = wav.samples.tobytes()
+    window = {"if_window_hz": (0.5e9, 17.0e9)}
+    for mask, match in [
+        ((MaskPoint(130e9, 0.0),), "at least two points"),
+        ((MaskPoint(140e9, 0.0), MaskPoint(130e9, -3.0)), "strictly increasing"),
+        ((MaskPoint(130e9, 0.0), MaskPoint(140e9, math.nan)), "finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            dband_downconvert(wav, mask, **lo, **window)
+        assert wav.samples.tobytes() == kept, match
     for kwargs, match in [
         ({"if_window_hz": (5e9, 2e9)}, "low < high"),
         ({"if_window_hz": (0.5e9, 45e9)}, "sampled span"),
@@ -278,7 +291,7 @@ def test_downconvert_validation(d_plan, d_band, lo):
         ({"if_window_hz": (-1e9, 17.0e9)}, "0 <= low < high"),
     ]:
         with pytest.raises(ValueError, match=match):
-            dband_downconvert(wav, **{**lo, **kwargs})
+            dband_downconvert(wav, FLAT, **{**lo, **kwargs})
         assert wav.samples.tobytes() == kept, match
 
 
@@ -298,17 +311,36 @@ def _carried_frame(band, n_symbols):
 # 8 payload symbols make a frame (6,240 samples) below the 16,384 at which
 # numpy starts to reuse temporaries in place, 64 one (35,360) above it
 @pytest.mark.parametrize("n_symbols", [8, 64])
-@pytest.mark.parametrize("band_name", ["W", "D"])
-def test_channel_stages_match_the_out_of_place_oracle(scenario, band_name, n_symbols):
-    band = scenario.band(band_name)
-    w = _carried_frame(band, n_symbols)
-    want = channel_ref(w.samples.copy(), w.sample_rate_hz, w.anchor_hz,
-                       band.mask, band.downconvert)
-    w = apply_mask(w, band.mask)
-    if band.downconvert is not None:
-        w = dband_downconvert(w, **band.downconvert)
+def test_mask_matches_the_out_of_place_oracle(w_band, n_symbols):
+    w = _carried_frame(w_band, n_symbols)
+    want = channel_ref(w.samples.copy(), w.sample_rate_hz, w.anchor_hz, w_band.mask)
+    w = apply_mask(w, w_band.mask)
     assert np.array_equal(w.samples, want[0])
     assert (w.sample_rate_hz, w.anchor_hz) == want[1:]
+
+
+@pytest.mark.parametrize("n_symbols", [8, 64])
+@pytest.mark.parametrize("decimate", [1, 2])
+def test_one_pass_downconvert_matches_the_two_pass_oracle(d_band, n_symbols, decimate):
+    """Mask and IF window in one transform pair, decimated by folding the
+    spectrum: the two-pass oracle's samples to within rounding."""
+    dc = {**d_band.downconvert, "decimate": decimate}
+    w = _carried_frame(d_band, n_symbols)
+    want = channel_ref(w.samples.copy(), w.sample_rate_hz, w.anchor_hz, d_band.mask, dc)
+    out = dband_downconvert(w, d_band.mask, **dc)
+    rms = np.sqrt(np.mean(np.abs(want[0]) ** 2))
+    np.testing.assert_allclose(out.samples, want[0], rtol=0, atol=1e-12 * rms)
+    assert (out.sample_rate_hz, out.anchor_hz) == want[1:]
+
+
+def test_flat_mask_downconvert_is_the_brick_wall_alone(d_band):
+    """A 0 dB mask multiplies each bin by exactly 1, so undecimated the
+    output is the brick-wall pass's to the last bit.  (Decimated, the fold
+    rounds differently from a full-length inverse and every other sample.)"""
+    dc = {**d_band.downconvert, "decimate": 1}
+    w = _carried_frame(d_band, 8)
+    want = channel_ref(w.samples.copy(), w.sample_rate_hz, w.anchor_hz, None, dc)[0]
+    assert np.array_equal(dband_downconvert(w, FLAT, **dc).samples, want)
 
 
 def test_apply_mask_works_in_place(w_band):
@@ -318,7 +350,7 @@ def test_apply_mask_works_in_place(w_band):
 
 def test_decimated_downconvert_is_its_own_array(d_band):
     w = _carried_frame(d_band, 8)
-    out = dband_downconvert(w, **d_band.downconvert)
+    out = dband_downconvert(w, d_band.mask, **d_band.downconvert)
     assert len(out) == len(w) // d_band.downconvert["decimate"]
     # D's decimated samples pin no full-rate buffer
     assert out.samples.flags.c_contiguous and out.samples.base is None

@@ -382,6 +382,8 @@ W_BAND_1KHZ = {**DEFAULT_DOC["bands"][0],
     (("lock", "pi_zero_hz"), 1e308, "$.lock", "phase margin"),
     (("lock", "actuator_bw_hz"), 1e-308, "$.lock", "phase margin"),
     (("lock", "duration_s"), 1e308, "$.lock", "no finite record length"),
+    # a finite record longer than numpy can index
+    (("lock", "sim_rate_hz"), 1e308, "$.lock", "more than numpy can index"),
     # band W alone on a 1 kHz grid: its frame outlasts the lock record it rides on
     ((), {"bands": [W_BAND_1KHZ], "psd_rbw_hz": 1e3}, "$.lock.duration_s",
      "band W: the 2.000e-02s lock record cannot cover a 6.906e-02s frame"),

@@ -14,10 +14,11 @@ from wdlink.noise import add_awgn
 from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _correlate_blocks,
                             band_average_snr_db, count_bit_errors,
                             demodulate, equalize, evm_snr,
-                            export_constellation, read_metrics_csv,
+                            export_constellation, read_metrics_csv, safe_radius,
                             synchronize, write_constellation_csv,
                             write_metrics_csv)
-from wdlink.ofdm_tx import SUPPORTED_ORDERS, build_frame, synth_time
+from wdlink.ofdm_tx import (CONSTELLATIONS, SUPPORTED_ORDERS, build_frame, demap_qam,
+                            synth_time)
 from wdlink.opll import simulate_lock
 from wdlink.waveform import read_iq
 
@@ -69,6 +70,46 @@ def test_bit_errors_count_only_the_detect_window(d_plan, d_band):
     assert total == len(judged) * 4 * 32
 
 
+def _demap_every_symbol(eqf, ref):
+    """``count_bit_errors`` by demapping every judged symbol."""
+    judged = np.intersect1d(ref.data_idx, detected_indices(ref.plan))
+    errors = total = 0
+    for i in judged[~eqf.dead[judged]]:
+        sent = ref.payload_bits[int(i)]
+        errors += int(np.count_nonzero(
+            demap_qam(eqf.symbols[:, i], ref.bits_per_subcarrier) != sent))
+        total += len(sent)
+    return errors, total
+
+
+@pytest.mark.parametrize("snr_db", [6.0, 12.0, 20.0])
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_bit_count_matches_demapping_every_symbol(w_plan, w_band, order, snr_db):
+    """Only symbols off their sent point by the safe radius or more are
+    demapped; the count is that of demapping them all, also for symbols
+    exactly on that radius, exactly half the minimum distance off (on a
+    decision boundary), and NaN."""
+    cfg = replace(w_band.tx, bits_per_subcarrier=order, n_symbols=64, prbs_seed_state=21)
+    wav, ref = build_frame(w_plan, cfg)
+    noisy = add_awgn(wav, snr_db, seed=order, occupied_bw_hz=OCC_W)
+    eqf = equalize(demodulate(noisy, ref, 0), ref)
+    rng = np.random.default_rng(order)
+    symbols = eqf.symbols.copy()
+    sent = ref.payload_grid[:8]
+    r = safe_radius(order)
+    symbols[:4] = sent[:4] + r * np.exp(1j * rng.uniform(0, 2 * np.pi, sent[:4].shape))
+    # half the minimum distance along an axis, toward or away from a neighbour
+    table = CONSTELLATIONS[order]
+    d = np.abs(table[:, None] - table[None, :])
+    half = d[d > 0].min() / 2
+    symbols[4:8] = sent[4:] + half * rng.choice([1, 1j, -1, -1j], sent[4:].shape)
+    symbols[8, ref.data_idx[::7]] = np.nan
+    eqf = replace(eqf, symbols=symbols)
+    errors, total = count_bit_errors(eqf, ref)
+    assert (errors, total) == _demap_every_symbol(eqf, ref)
+    assert errors > 0
+
+
 @pytest.mark.parametrize("cp_512ths", [3, 5, 7])
 def test_demod_refuses_a_cp_that_decimation_splits(d_plan, d_band, cp_512ths):
     """An odd cyclic prefix at oversample 2 is a fractional one after the
@@ -77,7 +118,7 @@ def test_demod_refuses_a_cp_that_decimation_splits(d_plan, d_band, cp_512ths):
     cfg = replace(d_band.tx, bits_per_subcarrier=4, n_symbols=16, prbs_seed_state=5,
                   cp_fraction=cp_512ths / 512)
     wav, ref = build_frame(d_plan, cfg)
-    out = dband_downconvert(wav, **d_band.downconvert)   # decimated by 2
+    out = dband_downconvert(wav, d_band.mask, **d_band.downconvert)   # decimated by 2
     with pytest.raises(ValueError, match="cyclic prefix does not survive"):
         demodulate(out, ref, 0)
 
@@ -101,6 +142,19 @@ def test_sync_finds_exact_offset_clean(loopback):
     _, wav, ref = loopback
     padded = wav.with_samples(np.concatenate([np.zeros(100, complex), wav.samples]))
     assert synchronize(padded, ref) == 100
+
+
+@pytest.mark.parametrize("cut", [50, 300])
+def test_sync_refuses_a_frame_cut_short(loopback, cut):
+    """Behind 100 padding samples, a frame missing its last ``cut`` samples
+    has its best peak at 100, where no whole frame fits: sync searches only
+    the offsets where one does (none at all past a cut of 100), and finds
+    no peak there.  (A cut of a sample or two leaves an offset inside the
+    cyclic prefix, from which the frame still demodulates.)"""
+    _, wav, ref = loopback
+    padded = wav.with_samples(np.concatenate([np.zeros(100, complex), wav.samples[:-cut]]))
+    with pytest.raises(SyncError):
+        synchronize(padded, ref)
 
 
 def _block_correlation(x, tpl):
