@@ -22,9 +22,7 @@ import numpy as np
 
 from .bandplan import C_LIGHT
 from .noise import PhaseTrace
-from .waveform import ComplexWaveform, refused_line
-
-CHUNK = 1 << 18   # samples or bins per step of the channel's chunked loops
+from .waveform import CHUNK, ComplexWaveform, refused_line
 
 
 @dataclass(frozen=True)

@@ -250,9 +250,10 @@ def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     order = ref.bits_per_subcarrier
     radius = safe_radius(order)
     judged = np.intersect1d(ref.data_idx, detected_indices(ref.plan))
+    payload_bits = ref.payload_bits
     errors = total = 0
     for i in judged[~eqf.dead[judged]]:
-        sent = ref.payload_bits[int(i)]
+        sent = payload_bits[int(i)]
         y = eqf.symbols[:, i]
         doubtful = ~(np.abs(y - map_qam(sent, order)) < radius)   # NaN included
         hat = demap_qam(y[doubtful], order)

@@ -28,6 +28,14 @@ half-bin ramp (``synth_time`` and its inverse ``analyze_time``) and the
 cyclic-prefix length and its resampling (``cp_length``, ``resampled_cp_length``); the
 ``FrameRef`` also carries ``bandplan``'s active set (``active_idx``).  The
 receiver reads all of it from the ``FrameRef`` and decides none of it itself.
+
+The ``FrameRef`` keeps the sent frame as one uint8 label per grid cell
+(``symbols``) into a per-frame ``alphabet`` of at most 69 points, not as a
+complex grid: the complex grid and the payload bits are derived from the
+labels when the receiver asks for them, after the channel.  The grid
+itself exists in ``build_frame`` only for ``synth_time``.  The transmit
+stage's other frame-sized work (``clip``'s magnitudes, ``write_iq``'s
+float32 conversion) runs ``CHUNK`` samples at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandplan import BandPlan, active_indices
-from .waveform import ComplexWaveform
+from .waveform import CHUNK, ComplexWaveform, sample_power
 
 # ============================================================================
 # PRBS
@@ -139,18 +147,26 @@ CONSTELLATIONS = _build_constellations()
 SUPPORTED_ORDERS = tuple(sorted(CONSTELLATIONS))
 
 
-def map_qam(bits: np.ndarray, order_bits: int) -> np.ndarray:
-    """Gray-map a bit array (length divisible by order_bits) to unit-energy
-    QAM symbols."""
+def qam_labels(bits: np.ndarray, order_bits: int) -> np.ndarray:
+    """Constellation labels (uint8) of a bit array (length divisible by
+    order_bits), each group of order_bits bits read MSB first."""
     if order_bits not in CONSTELLATIONS:
         raise ValueError(f"unsupported order_bits {order_bits}")
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1 or len(bits) % order_bits:
         raise ValueError("bits must be 1-D with length divisible by order_bits")
     groups = bits.reshape(-1, order_bits)
-    labels = np.zeros(len(groups), dtype=np.int64)
+    labels = np.zeros(len(groups), dtype=np.uint8)
     for b in range(order_bits):
-        labels = (labels << 1) | groups[:, b]
+        labels <<= 1
+        labels |= groups[:, b]
+    return labels
+
+
+def map_qam(bits: np.ndarray, order_bits: int) -> np.ndarray:
+    """Gray-map a bit array (length divisible by order_bits) to unit-energy
+    QAM symbols: ``qam_labels`` looked up in the order's constellation."""
+    labels = qam_labels(bits, order_bits)
     return CONSTELLATIONS[order_bits][labels]
 
 
@@ -207,9 +223,22 @@ class TxConfig:
         check_prbs_register(self.prbs_order, self.prbs_seed_state)
 
 
+# label offsets in a frame's alphabet: 0 is the null, then the QPSK points
+# of training and pilots, then the data order's points
+_QPSK_BASE = 1
+_DATA_BASE = _QPSK_BASE + len(CONSTELLATIONS[2])
+
+
 @dataclass(frozen=True)
 class FrameRef:
-    """Everything the receiver needs to judge a frame it already knows."""
+    """Everything the receiver needs to judge a frame it already knows.
+
+    The sent grid is kept as labels: ``symbols`` holds one uint8 per cell
+    of the (n_training + n_payload, n_subcarriers) grid, an index into
+    ``alphabet`` (0 at nulls, 1-4 the QPSK points of training and pilots,
+    then the data order's points from ``_DATA_BASE``).  ``grid``, its two
+    parts and ``payload_bits`` are derived from the labels on each access,
+    so a caller takes each once."""
 
     plan: BandPlan
     oversample: int
@@ -221,16 +250,34 @@ class FrameRef:
     data_idx: np.ndarray
     active_idx: np.ndarray            # every non-null subcarrier: pilots and data
     bits_per_subcarrier: int          # the QAM order of every data subcarrier
-    grid: np.ndarray                  # (n_training + n_payload, n_subcarriers)
-    payload_bits: dict                # data subcarrier index -> its payload bits
+    symbols: np.ndarray               # uint8 labels, (n_training + n_payload, n_subcarriers)
+    alphabet: np.ndarray              # complex point of each label
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The complex symbol grid, zero at nulls."""
+        return self.alphabet[self.symbols]
 
     @property
     def training_grid(self) -> np.ndarray:
-        return self.grid[: self.n_training]
+        return self.alphabet[self.symbols[: self.n_training]]
 
     @property
     def payload_grid(self) -> np.ndarray:
-        return self.grid[self.n_training:]
+        return self.alphabet[self.symbols[self.n_training:]]
+
+    @property
+    def payload_bits(self) -> dict:
+        """Data subcarrier index -> its payload bits (uint8): its
+        bits_per_subcarrier bits of every payload symbol in turn, MSB
+        first."""
+        b = self.bits_per_subcarrier
+        labels = self.symbols[self.n_training:, self.data_idx].T
+        labels -= _DATA_BASE
+        bits = np.empty(labels.shape + (b,), dtype=np.uint8)
+        for k in range(b):
+            np.bitwise_and(labels >> (b - 1 - k), 1, out=bits[..., k])
+        return dict(zip(self.data_idx.tolist(), bits.reshape(len(self.data_idx), -1)))
 
     def cp_len_at(self, oversample: int) -> int:
         """Cyclic-prefix length once resampled to ``oversample`` (``resampled_cp_length``)."""
@@ -348,22 +395,17 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
     stream = gen_prbs(need_train + per_sym * n_pay,
                       order=cfg.prbs_order, seed_state=cfg.prbs_seed_state)
 
-    grid = np.zeros((n_train + n_pay, n), dtype=complex)
-    grid[:n_train, active] = map_qam(stream[:need_train], 2).reshape(n_train, len(active))
+    symbols = np.zeros((n_train + n_pay, n), dtype=np.uint8)
+    symbols[:n_train, active] = (qam_labels(stream[:need_train], 2)
+                                 + _QPSK_BASE).reshape(n_train, len(active))
 
     block = stream[need_train:].reshape(n_pay, per_sym)
-    grid[n_train:, p_idx] = map_qam(block[:, : 2 * len(p_idx)].ravel(), 2).reshape(n_pay, -1)
-    data_block = block[:, 2 * len(p_idx):]
-    grid[n_train:, d_idx] = map_qam(data_block.ravel(), b).reshape(n_pay, len(d_idx))
-    # one row per data subcarrier: its b bits of every payload symbol in turn
-    rows = data_block.reshape(n_pay, len(d_idx), b).transpose(1, 0, 2).reshape(len(d_idx), -1)
-    payload_bits = dict(zip(d_idx.tolist(), rows))
+    symbols[n_train:, p_idx] = (qam_labels(block[:, : 2 * len(p_idx)].ravel(), 2)
+                                + _QPSK_BASE).reshape(n_pay, -1)
+    symbols[n_train:, d_idx] = (qam_labels(block[:, 2 * len(p_idx):].ravel(), b)
+                                + _DATA_BASE).reshape(n_pay, len(d_idx))
 
     cp_len = cp_length(n, cfg.oversample, cfg.cp_fraction)
-    samples = synth_time(grid, cfg.oversample, cp_len)
-    rms = math.sqrt(float(np.mean(np.abs(samples) ** 2)))
-    samples /= rms
-
     ref = FrameRef(
         plan=plan,
         oversample=cfg.oversample,
@@ -375,9 +417,11 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         data_idx=d_idx,
         active_idx=active,
         bits_per_subcarrier=b,
-        grid=grid,
-        payload_bits=payload_bits,
+        symbols=symbols,
+        alphabet=np.concatenate(([0j], CONSTELLATIONS[2], CONSTELLATIONS[b])),
     )
+    samples = synth_time(ref.grid, cfg.oversample, cp_len)
+    samples /= math.sqrt(float(np.mean(sample_power(samples))))
     w = ComplexWaveform(samples=samples, sample_rate_hz=frame_rate_hz(plan, cfg),
                         anchor_hz=plan.center_hz)
     return w, ref
@@ -397,24 +441,29 @@ def clip_gain(ratio_db: float) -> float:
 
 
 def clip(w: ComplexWaveform, ratio_db: float) -> ComplexWaveform:
-    """Magnitude-limit the envelope at rms * ``clip_gain(ratio_db)``, phase kept."""
+    """Magnitude-limit the envelope at rms * ``clip_gain(ratio_db)``, phase
+    kept.  Returns ``w`` itself when no sample is over the limit, else a
+    waveform with new samples; the magnitudes are taken CHUNK samples at a
+    time, so no other frame-sized array exists."""
     gain = clip_gain(ratio_db)
     rms = math.sqrt(w.power)
     if rms == 0.0:
         return w
     limit = rms * gain
-    mag = np.abs(w.samples)
-    over = mag > limit
-    if not np.any(over):
-        return w
-    out = w.samples.copy()
-    out[over] *= limit / mag[over]
-    return w.with_samples(out)
+    out = None
+    for lo in range(0, len(w.samples), CHUNK):
+        mag = np.abs(w.samples[lo:lo + CHUNK])
+        over = np.flatnonzero(mag > limit)
+        if len(over):
+            if out is None:
+                out = w.samples.copy()
+            out[lo + over] *= limit / mag[over]
+    return w if out is None else w.with_samples(out)
 
 
 def papr_db(w: ComplexWaveform) -> float:
     """Peak-to-average power ratio of the sampled envelope."""
-    p = np.abs(w.samples) ** 2
+    p = sample_power(w.samples)
     mean = float(np.mean(p))
     if mean == 0.0:
         raise ValueError("all-zero waveform has no PAPR")

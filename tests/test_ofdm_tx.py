@@ -1,7 +1,7 @@
 """PRBS source, constellation tables, frame synthesis, clipping, PAPR."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from wdlink.ofdm_tx import (
     pilot_indices,
     synth_time,
 )
-from wdlink.waveform import ComplexWaveform
+from wdlink.waveform import CHUNK, ComplexWaveform
 
 # first 40 output bits for taps x^17+x^14+1, seed 0x1FFFF, register LSB first;
 # frozen from the scalar oracle before the vectorized generator existed
@@ -352,6 +352,47 @@ def test_frame_reference_layout(w_plan, w_band):
     assert np.allclose(np.abs(ref.payload_grid[:, ref.pilot_idx]), 1.0)
 
 
+def _reference_by_role(plan, cfg, ref):
+    """The frame's grid and payload bits built from its PRBS stream with
+    ``map_qam`` per role and zeros at nulls, as a complex grid."""
+    b = cfg.bits_per_subcarrier
+    n_train, n_pay = cfg.n_training, cfg.n_symbols
+    p_idx, d_idx, active = ref.pilot_idx, ref.data_idx, ref.active_idx
+    need_train = 2 * len(active) * n_train
+    per_sym = 2 * len(p_idx) + b * len(d_idx)
+    stream = gen_prbs(need_train + per_sym * n_pay, cfg.prbs_order, cfg.prbs_seed_state)
+    grid = np.zeros((n_train + n_pay, plan.n_subcarriers), dtype=complex)
+    grid[:n_train, active] = map_qam(stream[:need_train], 2).reshape(n_train, -1)
+    block = stream[need_train:].reshape(n_pay, per_sym)
+    grid[n_train:, p_idx] = map_qam(block[:, : 2 * len(p_idx)].ravel(), 2).reshape(n_pay, -1)
+    data = block[:, 2 * len(p_idx):]
+    grid[n_train:, d_idx] = map_qam(data.ravel(), b).reshape(n_pay, -1)
+    bits = {int(i): data[:, k * b:(k + 1) * b].ravel() for k, i in enumerate(d_idx)}
+    return grid, bits
+
+
+@pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
+def test_frame_labels_give_the_per_role_grid_and_bits(w_plan, w_band, order):
+    cfg = replace(w_band.tx, n_symbols=12, bits_per_subcarrier=order)
+    _, ref = build_frame(w_plan, cfg)
+    grid, bits = _reference_by_role(w_plan, cfg, ref)
+    assert np.array_equal(ref.grid, grid)
+    assert np.array_equal(ref.training_grid, grid[:cfg.n_training])
+    assert np.array_equal(ref.payload_grid, grid[cfg.n_training:])
+    got = ref.payload_bits
+    assert list(got) == list(bits)
+    for i, sent in bits.items():
+        assert got[i].dtype == np.uint8 and np.array_equal(got[i], sent)
+
+
+def test_frame_reference_holds_labels_not_a_complex_grid(w_plan, w_band):
+    _, ref = build_frame(w_plan, replace(w_band.tx, n_symbols=64, bits_per_subcarrier=6))
+    assert ref.symbols.dtype == np.uint8 and len(ref.alphabet) == 1 + 4 + 64
+    arrays = [getattr(ref, f.name) for f in fields(ref)]
+    held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert held <= 2 * ref.symbols.size
+
+
 def test_frame_determinism(w_plan, w_band):
     a, ra = build_frame(w_plan, w_band.tx)
     b, rb = build_frame(w_plan, w_band.tx)
@@ -389,6 +430,28 @@ def test_clip_no_op_below_threshold():
         clip(tone, -1.0)
     with pytest.raises(ValueError, match="finite limit"):   # 10^(1e308/20) overflows
         clip(tone, 1e308)
+
+
+def test_clip_across_chunk_boundaries_is_the_whole_array_formula():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2 * CHUNK + 1) + 1j * rng.standard_normal(2 * CHUNK + 1)
+    x[[CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK]] *= 10.0   # over the limit on both sides
+    w = ComplexWaveform(x, 1e9)
+    limit = math.sqrt(float(np.mean(np.abs(x) ** 2))) * 10.0 ** (6.0 / 20.0)
+    mag = np.abs(x)
+    over = mag > limit
+    assert over[[CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK]].all()
+    want = x.copy()
+    want[over] *= limit / mag[over]
+    got = clip(w, 6.0)
+    assert got.samples.tobytes() == want.tobytes()
+    assert np.array_equal(w.samples, x)   # the input is not written
+
+
+def test_papr_is_the_squared_magnitude_formula(w_plan, w_band):
+    frame, _ = build_frame(w_plan, w_band.tx)
+    p = np.abs(frame.samples) ** 2
+    assert papr_db(frame) == 10.0 * math.log10(float(np.max(p)) / float(np.mean(p)))
 
 
 def test_clip_preserves_phase(w_plan, w_band):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wdlink.waveform import (ComplexWaveform, read_iq, read_table, write_iq,
-                             write_json, write_table)
+from wdlink.waveform import (CHUNK, ComplexWaveform, read_iq, read_table, sample_power,
+                             write_iq, write_json, write_table)
 
 
 @pytest.fixture()
@@ -41,6 +41,30 @@ def test_iq_bytes_of_a_strided_waveform(tmp_path, wave):
     assert (tmp_path / "s.iq").read_bytes() == (tmp_path / "c.iq").read_bytes()
     assert np.array_equal(read_iq(tmp_path / "s.iq").samples,
                           read_iq(tmp_path / "c.iq").samples)
+
+
+def test_complex64_waveform_round_trips(tmp_path, wave):
+    single = wave.samples.astype(np.complex64)
+    w = ComplexWaveform(single, sample_rate_hz=wave.sample_rate_hz)
+    assert w.samples.dtype == np.complex128
+    write_iq(tmp_path / "w.iq", w)
+    assert (tmp_path / "w.iq").stat().st_size == 8 * len(w)
+    np.testing.assert_array_equal(read_iq(tmp_path / "w.iq").samples, single)
+    # complex128 samples are kept as they are, so the channel can work in place
+    assert ComplexWaveform(wave.samples, 1e9).samples is wave.samples
+
+
+def test_iq_bytes_across_chunk_boundaries(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(2 * CHUNK + 1) + 1j * rng.standard_normal(2 * CHUNK + 1)
+    write_iq(tmp_path / "w.iq", ComplexWaveform(x, 1e9))
+    assert (tmp_path / "w.iq").read_bytes() == x.view(np.float64).astype(np.float32).tobytes()
+
+
+def test_sample_power_is_the_squared_magnitude(wave):
+    x = wave.samples
+    assert np.array_equal(sample_power(x), np.abs(x) ** 2)
+    assert wave.power == float(np.mean(np.abs(x) ** 2))
 
 
 def test_read_iq_rejects_short_file(tmp_path, wave):
