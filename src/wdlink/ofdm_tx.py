@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandplan import BandPlan, active_indices
-from .waveform import CHUNK, ComplexWaveform, sample_power
+from .waveform import CHUNK, ComplexWaveform, power_stats
 
 # ============================================================================
 # PRBS
@@ -421,7 +421,7 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         alphabet=np.concatenate(([0j], CONSTELLATIONS[2], CONSTELLATIONS[b])),
     )
     samples = synth_time(ref.grid, cfg.oversample, cp_len)
-    samples /= math.sqrt(float(np.mean(sample_power(samples))))
+    samples /= math.sqrt(power_stats(samples)[0])
     w = ComplexWaveform(samples=samples, sample_rate_hz=frame_rate_hz(plan, cfg),
                         anchor_hz=plan.center_hz)
     return w, ref
@@ -462,9 +462,10 @@ def clip(w: ComplexWaveform, ratio_db: float) -> ComplexWaveform:
 
 
 def papr_db(w: ComplexWaveform) -> float:
-    """Peak-to-average power ratio of the sampled envelope."""
-    p = sample_power(w.samples)
-    mean = float(np.mean(p))
-    if mean == 0.0:
+    """Peak-to-average power ratio of the sampled envelope, from
+    :func:`~wdlink.waveform.power_stats`: the whole-array mean and peak
+    power bit for bit, one CHUNK of samples at a time."""
+    mean, peak = power_stats(w.samples)
+    if mean == 0.0 or not len(w):
         raise ValueError("all-zero waveform has no PAPR")
-    return 10.0 * math.log10(float(np.max(p)) / mean)
+    return 10.0 * math.log10(peak / mean)

@@ -60,10 +60,15 @@ def _fresh_out(out_dir):
     """Give the body a fresh sibling ``<out_dir>.partial-<pid>`` to write
     into, and rename it to ``out_dir`` when the body returns.  Refuses, with
     ``OutDirError``, an ``out_dir`` that exists and is not an empty
-    directory; removes the sibling if the body raises, interrupt included."""
+    directory, and the working directory itself, which the rename would
+    delete from under the caller; removes the sibling if the body raises,
+    interrupt included."""
     out = Path(os.path.abspath(out_dir))
     if out.exists() and not (out.is_dir() and not any(out.iterdir())):
         raise OutDirError(f"{out_dir} exists and is not an empty directory")
+    if out.exists() and os.path.samefile(out, os.curdir):
+        raise OutDirError(f"{out_dir} is the working directory, which the "
+                          "finished tree would replace")
     partial = out.with_name(f"{out.name}.partial-{os.getpid()}")
     partial.mkdir(parents=True)
     try:

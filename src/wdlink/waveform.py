@@ -55,8 +55,9 @@ class ComplexWaveform:
 
     @property
     def power(self) -> float:
-        """Mean-square sample power."""
-        return float(np.mean(sample_power(self.samples)))
+        """Mean-square sample power, ``np.mean(sample_power(samples))`` bit
+        for bit, taken one CHUNK at a time (:func:`power_stats`)."""
+        return power_stats(self.samples)[0]
 
     def with_samples(self, samples: np.ndarray) -> "ComplexWaveform":
         return replace(self, samples=samples)
@@ -67,6 +68,32 @@ def sample_power(x: np.ndarray) -> np.ndarray:
     equal to ``np.abs(x) ** 2`` without its second temporary."""
     p = np.abs(x)
     return np.square(p, out=p)
+
+
+def power_stats(x: np.ndarray) -> tuple:
+    """(mean, peak) of ``sample_power(x)`` as floats, equal bit for bit to
+    ``np.mean`` and ``np.max`` of it, with no array longer than CHUNK.
+    An empty ``x`` gives (nan, nan)."""
+    if not len(x):
+        return np.nan, np.nan
+    total, peak = _power_sum_max(x)
+    return float(total / len(x)), float(peak)
+
+
+def _power_sum_max(x: np.ndarray) -> tuple:
+    """``np.sum`` and ``np.max`` of ``sample_power(x)``.  numpy sums a
+    float64 array pairwise, splitting a length n over 128 at n2 = n // 2
+    less n2 % 8 and adding the two halves' sums; ``x`` is split the same
+    way down to pieces of at most CHUNK samples, so every partial sum
+    rounds as in one sum over the whole."""
+    n = len(x)
+    if n <= CHUNK:
+        p = sample_power(x)
+        return np.sum(p), np.max(p)
+    n2 = n // 2
+    n2 -= n2 % 8
+    (s1, m1), (s2, m2) = _power_sum_max(x[:n2]), _power_sum_max(x[n2:])
+    return s1 + s2, np.maximum(m1, m2)
 
 
 def write_iq(path, w: ComplexWaveform) -> None:

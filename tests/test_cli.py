@@ -693,12 +693,26 @@ def test_existing_empty_out_is_accepted(tmp_path, capsys):
     assert _partials(tmp_path) == []
 
 
-def test_out_dot_names_the_working_directory(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("out", [".", "../here"])
+def test_out_naming_the_working_directory_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, out):
+    """Publishing renames the finished tree over ``--out``; over the empty
+    working directory that would leave the caller in a deleted one."""
+    from wdlink import runner
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(runner, "build_frame", no_stage)
     here = tmp_path / "here"
     here.mkdir()
     monkeypatch.chdir(here)
-    _run_json(capsys, ["tx", "--out", "."])
-    assert (here / "tx.json").is_file()
+    with pytest.raises(SystemExit) as exc:
+        main(["tx", "--out", out])
+    assert exc.value.code == 2
+    assert (f"argument --out: {out} is the working directory"
+            in capsys.readouterr().err)
+    assert list(here.iterdir()) == [] and os.path.samefile(here, os.curdir)
     assert _partials(tmp_path) == []
 
 

@@ -1,6 +1,7 @@
 """PRBS source, constellation tables, frame synthesis, clipping, PAPR."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -448,6 +449,29 @@ def test_clip_across_chunk_boundaries_is_the_whole_array_formula():
     assert np.array_equal(w.samples, x)   # the input is not written
 
 
+@pytest.mark.parametrize("stage, copied", [
+    (papr_db, 0),
+    (lambda w: w.power, 0),
+    (lambda w: clip(w, 3.0), 1),
+])
+def test_power_takes_no_frame_sized_array(stage, copied):
+    """papr_db, the waveform's power and clip (which clips here) trace at
+    most two CHUNKs of complex samples beyond ``copied`` copies of the
+    frame: a frame-sized |x|^2 array would be four CHUNKs on its own."""
+    n = 8 * CHUNK
+    rng = np.random.default_rng(8)
+    w = ComplexWaveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e9)
+    tracemalloc.start()
+    try:
+        out = stage(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if copied:
+        assert out is not w
+    assert peak - copied * 16 * n < 2 * CHUNK * 16
+
+
 def test_papr_is_the_squared_magnitude_formula(w_plan, w_band):
     frame, _ = build_frame(w_plan, w_band.tx)
     p = np.abs(frame.samples) ** 2
@@ -479,8 +503,9 @@ def test_papr_two_tones():
 
 
 def test_papr_zero_waveform_rejected():
-    with pytest.raises(ValueError):
-        papr_db(ComplexWaveform(np.zeros(16, dtype=complex), 1e9))
+    for n in (16, 0):
+        with pytest.raises(ValueError, match="all-zero"):
+            papr_db(ComplexWaveform(np.zeros(n, dtype=complex), 1e9))
 
 
 def test_frame_papr_sane_range(w_plan, w_band):

@@ -1,14 +1,17 @@
 """Waveform container and the artifact file formats: float32 I/Q, CSV
 tables and JSON."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wdlink.waveform import (CHUNK, ComplexWaveform, read_iq, read_table, sample_power,
-                             write_iq, write_json, write_table)
+from wdlink.waveform import (CHUNK, ComplexWaveform, power_stats, read_iq, read_table,
+                             sample_power, write_iq, write_json, write_table)
 
 
 @pytest.fixture()
@@ -65,6 +68,51 @@ def test_sample_power_is_the_squared_magnitude(wave):
     x = wave.samples
     assert np.array_equal(sample_power(x), np.abs(x) ** 2)
     assert wave.power == float(np.mean(np.abs(x) ** 2))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129,
+                               CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
+                               534_560, 1_598_480, 3_196_960])
+def test_power_stats_is_the_whole_array_mean_and_max(n):
+    """Bit for bit, not approximately: the frame's rms, the clip limit and
+    the noise power all come from this mean.  The lengths straddle numpy's
+    8-wide and 128-sample sum blocks, CHUNK, and the frames of 1024 and
+    6144 symbols on D and W; the magnitudes spread over decades, so a sum
+    in another order would round differently."""
+    rng = np.random.default_rng(n)
+    x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * rng.lognormal(0.0, 3.0, n)
+    p = np.abs(x) ** 2
+    mean, peak = power_stats(x)
+    assert (mean, peak) == (float(np.mean(p)), float(np.max(p)))
+    assert ComplexWaveform(x, 1e9).power == mean
+
+
+def test_power_stats_peak_anywhere():
+    """The peak sample at either edge of each piece that is summed alone."""
+    n = 2 * CHUNK + 1   # pieces [0, CHUNK), [CHUNK, 3 CHUNK / 2), [3 CHUNK / 2, n)
+    x = np.exp(1j * np.linspace(0.0, 6.0, n))
+    for at in (0, CHUNK - 1, CHUNK, 3 * CHUNK // 2 - 1, 3 * CHUNK // 2, n - 1):
+        y = x.copy()
+        y[at] = 3.0 - 4.0j
+        assert power_stats(y)[1] == 25.0
+
+
+def test_power_stats_lets_go_of_its_input():
+    """The frame path drops each frame as soon as it is done with it, so the
+    power of a frame must not keep it alive until the cycle collector runs."""
+    x = np.ones(3 * CHUNK, dtype=complex)
+    alive = weakref.ref(x)
+    gc.disable()
+    try:
+        power_stats(x)
+        del x
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_power_stats_of_nothing_is_nan():
+    assert all(np.isnan(power_stats(np.zeros(0, dtype=complex))))
 
 
 def test_read_iq_rejects_short_file(tmp_path, wave):
