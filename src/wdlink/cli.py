@@ -8,8 +8,10 @@ rejects a flag it would ignore.  ``--rbw-hz`` and ``--clip-db`` take only a
 finite positive number; ``--rbw-hz`` must fit each record the subcommand
 estimates a PSD from, and ``--clip-db`` must pass ``TxConfig``'s clip rule.
 The scenario is loaded (and, with ``--seed-override``, re-seeded; with
-``--clip-db``, given that clip ratio on every band) before any output is
-written, so a bad file or flag leaves no output directory.
+``--clip-db``, given that clip ratio on every band; for run and tx, with
+``--rbw-hz``, given that ``psd_rbw_hz``) before any output is written, so a
+bad file or flag leaves no output directory.  lock-sim passes ``--rbw-hz``
+to ``lock_sim`` as the lock PSD resolution, which no scenario field holds.
 
 ``--out`` must be absent or an empty directory, except for report, which
 rewrites ``summary.json`` and ``capacity.json`` of an existing run (each
@@ -139,10 +141,12 @@ def main(argv=None) -> int:
                 band.check_psd_rbw(args.rbw_hz, RBW_RECORDS[args.command])
         except ValueError as e:
             args.parser.error(f"argument --rbw-hz: {e}")
+        if args.command != "lock-sim":
+            scn = replace(scn, psd_rbw_hz=args.rbw_hz)
 
     try:
         if args.command == "run":
-            summary, failed = run_scenario(scn, args.out, rbw_hz=args.rbw_hz)
+            summary, failed = run_scenario(scn, args.out)
             print(json.dumps(summary["totals"], indent=2, sort_keys=True))
             return EXIT_CHAIN if failed else EXIT_OK
         if args.command == "lock-sim":
@@ -152,7 +156,7 @@ def main(argv=None) -> int:
             failed = any(v.get("locked") is False for v in info.values())
             return EXIT_CHAIN if failed else EXIT_OK
         if args.command == "tx":
-            info = tx_only(scn, args.out, rbw_hz=args.rbw_hz)
+            info = tx_only(scn, args.out)
             print(json.dumps(info, indent=2, sort_keys=True))
             return EXIT_OK
         if args.command == "bitload":

@@ -1,6 +1,8 @@
 """Receiver DSP: sync, demodulation, equalization, per-subcarrier metrics.
 
-The chain reads the transmit frame layout (subcarrier comb, cyclic prefix,
+Sync is one direct normalized correlation with the training burst, at the
+offsets where a whole frame fits in the record (``synchronize``).  The
+chain reads the transmit frame layout (subcarrier comb, cyclic prefix,
 active set) from the FrameRef and the subcarriers it judges (the detected
 set) from ``bandplan``; it re-derives neither.  All estimates are data-aided:
 taps start from the training symbols, a pilot-based common-phase rotation is
@@ -21,12 +23,11 @@ import numpy as np
 from .bandplan import BandPlan, detected_indices, subcarrier_centers
 from .ofdm_tx import (CONSTELLATIONS, FrameRef, analyze_time, demap_qam, map_qam,
                       synth_time)
-from .waveform import ComplexWaveform, read_table, write_table
+from .waveform import ComplexWaveform, read_table, sample_power, write_table
 
 DEAD_TAP = 1e-6
 SYNC_THRESHOLD = 0.5  # normalized correlation a frame start must reach (1.0 = perfect)
 MIN_METRIC_SYMBOLS = 32  # payload symbols evm_snr needs for stable per-subcarrier metrics
-SYNC_BLOCK = 1 << 15     # transform length of synchronize's overlap-save correlation
 SAFE_MARGIN = 1e-9       # relative margin of safe_radius under half the minimum distance
 
 
@@ -46,53 +47,37 @@ def _effective_oversample(w: ComplexWaveform, plan: BandPlan) -> int:
     return os_eff
 
 
-def _correlate_blocks(x: np.ndarray, tpl: np.ndarray):
-    """Yield ``(start, c)`` pairs that together cover every full-overlap lag
-    n of c[n] = sum_k x[n + k] conj(tpl[k]), with ``c`` the lags from
-    ``start`` on.  Overlap-save (Oppenheim & Schafer, *Discrete-Time Signal
-    Processing*, 3rd ed., sec. 8.7): each SYNC_BLOCK-point transform of a
-    stretch of ``x`` (a power of two at least twice the template, if that
-    is longer) gives its lags that do not wrap around."""
-    m = len(tpl)
-    nfft = max(SYNC_BLOCK, 1 << (2 * m - 1).bit_length())
-    step = nfft - m + 1
-    n_lags = len(x) - m + 1
-    spec = np.conj(np.fft.fft(tpl, nfft))
-    for start in range(0, n_lags, step):
-        block = np.fft.fft(x[start:start + nfft], nfft)
-        block *= spec
-        np.fft.ifft(block, out=block)
-        yield start, block[:min(step, n_lags - start)]
+def _normalized_correlation(x: np.ndarray, tpl: np.ndarray) -> np.ndarray:
+    """|c[n]| / (||x[n:n + m]|| ||tpl||) at every full-overlap lag n, with
+    c[n] = sum_k x[n + k] conj(tpl[k]) and m = len(tpl) <= len(x); 0 where
+    the record under the template is silent.  Both sums are direct, so the
+    cost grows with the lags times m."""
+    corr = np.abs(np.correlate(x, tpl, "valid"))
+    # divide by the record's energy under the template at each lag and the
+    # template's own
+    denom = np.correlate(sample_power(x), np.ones(len(tpl)), "valid")
+    np.sqrt(denom, out=denom)
+    denom *= math.sqrt(float(np.sum(np.abs(tpl) ** 2)))
+    np.maximum(denom, 1e-30, out=denom)
+    corr /= denom
+    return corr
 
 
 def synchronize(w: ComplexWaveform, ref: FrameRef) -> int:
     """Start-of-frame offset via normalized cross-correlation against the
     training burst, searched over the offsets at which a whole frame fits
-    in the record.  Raises SyncError when no frame fits, or when the best
-    peak stays below SYNC_THRESHOLD."""
+    in the record.  The correlation is a direct sum, so its cost grows
+    with the lags searched times the template length; a run's record is
+    one frame long and searches a single lag.
+    Raises SyncError when no frame fits, or when the best peak stays below
+    SYNC_THRESHOLD."""
     os_eff = _effective_oversample(w, ref.plan)
     tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
     n_lags = len(w.samples) - ref.n_samples_at(os_eff) + 1
     if n_lags < 1:
         raise SyncError("waveform shorter than one frame")
-    x = w.samples[:n_lags + len(tpl) - 1]   # what the template meets at those lags
-    corr = np.empty(n_lags)
-    for start, block in _correlate_blocks(x, tpl):
-        np.abs(block, out=corr[start:start + len(block)])
-    # divide by the record's energy under the template at each lag (from a
-    # running sum) and the template's own
-    energy = np.abs(x)
-    energy **= 2
-    cs = np.empty(len(x) + 1)
-    cs[0] = 0.0
-    np.cumsum(energy, out=cs[1:])
-    denom = np.subtract(cs[len(tpl):], cs[:n_lags], out=energy[:n_lags])
-    del cs
-    np.maximum(denom, 0.0, out=denom)
-    np.sqrt(denom, out=denom)
-    denom *= math.sqrt(float(np.sum(np.abs(tpl) ** 2)))
-    np.maximum(denom, 1e-30, out=denom)
-    corr /= denom
+    # what the template meets at those lags
+    corr = _normalized_correlation(w.samples[:n_lags + len(tpl) - 1], tpl)
     best = int(np.argmax(corr))
     if corr[best] < SYNC_THRESHOLD:
         raise SyncError(f"best correlation {corr[best]:.3f} below threshold {SYNC_THRESHOLD}")
@@ -239,6 +224,21 @@ def safe_radius(order_bits: int) -> float:
     return float(np.min(d)) / 2.0 * (1.0 - SAFE_MARGIN)
 
 
+def judged_indices(plan: BandPlan, pilot_idx: np.ndarray) -> np.ndarray:
+    """The data subcarriers inside the plan's detect window, ascending: the
+    ones whose bits the receiver judges and whose constellation a run
+    shows.  Raises ValueError when the window holds only pilots."""
+    detected = detected_indices(plan)
+    # np.isin, not np.setdiff1d, whose first call imports numpy.ma: the
+    # scenario loader calls this
+    judged = detected[~np.isin(detected, pilot_idx)]
+    if not len(judged):
+        lo, hi = plan.detect_window_hz
+        raise ValueError(f"detect window [{lo:.9g}, {hi:.9g}] Hz holds no data "
+                         "subcarrier, only pilots")
+    return judged
+
+
 def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     """Hard-decision bit errors over the payload, (errors, total).
 
@@ -249,7 +249,7 @@ def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     """
     order = ref.bits_per_subcarrier
     radius = safe_radius(order)
-    judged = np.intersect1d(ref.data_idx, detected_indices(ref.plan))
+    judged = judged_indices(ref.plan, ref.pilot_idx)
     payload_bits = ref.payload_bits
     errors = total = 0
     for i in judged[~eqf.dead[judged]]:

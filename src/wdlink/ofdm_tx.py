@@ -243,7 +243,6 @@ class FrameRef:
     plan: BandPlan
     oversample: int
     cp_len: int
-    n_samples: int                    # the frame's length at ``oversample`` (frame_samples)
     n_training: int
     n_payload: int
     pilot_idx: np.ndarray
@@ -410,7 +409,6 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
         plan=plan,
         oversample=cfg.oversample,
         cp_len=cp_len,
-        n_samples=frame_samples(plan, cfg),
         n_training=n_train,
         n_payload=n_pay,
         pilot_idx=p_idx,

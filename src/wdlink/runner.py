@@ -6,12 +6,15 @@ checked in the loaded ``Scenario``.  Per band the chain is: offset-lock the
 slave laser, synthesize and clip the frame, ride it on the locked beat's
 residual phase, shape it with the band mask (on the high band, in the same
 transform pair as the downconversion through the multiplied-LO window), add
-noise at the in-band SNR set point, then sync/demodulate/equalize, measure
-EVM, load bits, and price the capacity.
+noise at the in-band SNR set point, then sync (one direct correlation with
+the training burst), demodulate, equalize, measure EVM, load bits, and
+price the capacity.
 Every writing entry point but ``bitload_only`` runs its bands through
 ``_each_band``, one thread per band: ``run_scenario`` each band's chain
 from lock to frame, ``lock_sim`` each band's lock (or free-running beat),
-``tx_only`` each band's frame synthesis.
+``tx_only`` each band's frame synthesis.  The frame PSDs of ``run_scenario``
+and ``tx_only`` are at the scenario's ``psd_rbw_hz``; ``lock_sim`` takes its
+own ``rbw_hz``, a lock PSD resolution that is no scenario field.
 
 Every artifact is deterministic for a given scenario, so reruns are
 byte-identical and the summary can be rebuilt from stored files alone: the
@@ -33,8 +36,6 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .bandplan import detected_indices
 from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
@@ -42,8 +43,8 @@ from .channel import apply_carrier, apply_mask, dband_downconvert
 from .noise import add_awgn, estimate_psd, write_psd_csv
 from .ofdm_rx import (SyncError, band_average_snr_db, check_centers,
                       count_bit_errors, demodulate, equalize, evm_snr,
-                      export_constellation, read_metrics_csv, synchronize,
-                      write_constellation_csv, write_metrics_csv)
+                      export_constellation, judged_indices, read_metrics_csv,
+                      synchronize, write_constellation_csv, write_metrics_csv)
 from .ofdm_tx import build_frame, clip, frame_rate_hz, frame_samples, papr_db
 from .opll import (LOCK_PSD_RBW_HZ, free_running_psd, residual_phase_variance,
                    simulate_lock, write_lock_csv)
@@ -123,7 +124,7 @@ def _tx_stage(band: BandScenario, band_dir: Path, rbw_hz: float) -> tuple:
                           "papr_clipped_db": float(papr_db(clipped))}
 
 
-def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -> dict:
+def run_band(scn: Scenario, band: BandScenario, band_dir: Path) -> dict:
     """Run one band from lock to frame: its lock stage
     (``_frame_lock_stage``), then, when locked, its frame path, writing its
     artifacts; returns the chain record (also stored as chain.json) with a
@@ -135,7 +136,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
         write_json(band_dir / "chain.json", record)
         return record
 
-    tx_clipped, ref, papr = _tx_stage(band, band_dir, rbw_hz)
+    tx_clipped, ref, papr = _tx_stage(band, band_dir, scn.psd_rbw_hz)
     record.update(papr)
 
     w = apply_carrier(tx_clipped, residual)
@@ -144,11 +145,10 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
         w = apply_mask(w, band.mask)
     else:
         w = dband_downconvert(w, band.mask, **band.downconvert)
-    det = detected_indices(band.plan)
-    occupied = len(det) * band.plan.spacing_hz
+    occupied = len(detected_indices(band.plan)) * band.plan.spacing_hz
     w = add_awgn(w, band.target_snr_db, band.noise_seed, occupied_bw_hz=occupied)
     write_iq(band_dir / "rx.iq", w)
-    write_psd_csv(band_dir / "psd_rx.csv", *estimate_psd(w, rbw_hz))
+    write_psd_csv(band_dir / "psd_rx.csv", *estimate_psd(w, scn.psd_rbw_hz))
 
     try:
         offset = synchronize(w, ref)
@@ -172,7 +172,7 @@ def run_band(scn: Scenario, band: BandScenario, band_dir: Path, rbw_hz: float) -
     load_map = load_bits(metrics, scn.fec, band.plan)
     write_bitload_csv(band_dir / "bitload.csv", load_map, band.plan)
 
-    cands = np.intersect1d(det, ref.data_idx)
+    cands = judged_indices(band.plan, ref.pilot_idx)
     show = int(cands[len(cands) // 2])
     record["constellation_subcarrier"] = show
     write_constellation_csv(band_dir / f"constellation_sc{show}.csv",
@@ -264,13 +264,12 @@ def _each_band(scn: Scenario, out_dir, band_fn):
         yield out, {band.name: r for band, r in zip(scn.bands, results)}
 
 
-def run_scenario(scn: Scenario, out_dir, rbw_hz=None):
+def run_scenario(scn: Scenario, out_dir):
     """Full chain over all bands.  Returns (summary dict, any_failure).
 
     Each band runs from its lock stage to the end of its frame path
     (``run_band``) on its own thread (``_each_band``)."""
-    rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
-    with _each_band(scn, out_dir, lambda band, bdir: run_band(scn, band, bdir, rbw)) \
+    with _each_band(scn, out_dir, lambda band, bdir: run_band(scn, band, bdir)) \
             as (out, records):
         write_threshold_csv(out / "thresholds.csv", scn.fec)
         summary = build_summary(scn, out)
@@ -298,13 +297,11 @@ def lock_sim(scn: Scenario, out_dir, rbw_hz=None, free_running: bool = False) ->
     return info
 
 
-def tx_only(scn: Scenario, out_dir, rbw_hz=None) -> dict:
+def tx_only(scn: Scenario, out_dir) -> dict:
     """Waveform synthesis only: frames, clipping, PAPR, spectra, each band
     on its own thread (``_each_band``)."""
-    rbw = rbw_hz if rbw_hz is not None else scn.psd_rbw_hz
-
     def tx_band(band, bdir):
-        clipped, _, papr = _tx_stage(band, bdir, rbw)
+        clipped, _, papr = _tx_stage(band, bdir, scn.psd_rbw_hz)
         return {**papr,
                 "clip_ratio_db": float(band.tx.clip_ratio_db),
                 "n_samples": len(clipped),

@@ -36,7 +36,7 @@ from .bandplan import BandPlan, detected_indices, make_default_plans
 from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec, psd_segment_length, snr_ratio
-from .ofdm_rx import check_metric_symbols
+from .ofdm_rx import check_metric_symbols, judged_indices
 from .ofdm_tx import (TxConfig, cp_length, frame_rate_hz, frame_samples,
                       pilot_indices, resampled_cp_length)
 from .opll import (LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for,
@@ -288,7 +288,7 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
         plan = _parse_plan(_get(bd, "plan", path), f"{path}.plan")
         tx = _parse_tx(_get(bd, "tx", path, dict), f"{path}.tx")
         with _at(f"{path}.tx.n_pilots"):
-            pilot_indices(plan, tx.n_pilots)
+            judged_indices(plan, pilot_indices(plan, tx.n_pilots))
         with _at(f"{path}.tx.n_symbols"):
             check_metric_symbols(tx.n_symbols)
             duration_s = frame_samples(plan, tx) / frame_rate_hz(plan, tx)

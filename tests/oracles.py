@@ -131,9 +131,12 @@ def welch_psd_per_segment(x, fs, nperseg, onesided):
     return np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs)), np.fft.fftshift(psd)
 
 
-def correlate_valid(x, tpl):
-    """Direct-sum cross-correlation over the full-overlap lags."""
-    return scipy.signal.correlate(x, tpl, mode="valid", method="direct")
+def normalized_correlation_direct(x, tpl):
+    """|c[n]| / (||x[n:n + m]|| ||tpl||) at every full-overlap lag n, from
+    scipy's direct-sum correlation and each lag's own window of |x|^2."""
+    num = np.abs(scipy.signal.correlate(x, tpl, mode="valid", method="direct"))
+    energy = np.lib.stride_tricks.sliding_window_view(np.abs(x) ** 2, len(tpl)).sum(axis=1)
+    return num / np.sqrt(energy * np.sum(np.abs(tpl) ** 2))
 
 
 def sync_offset(x, tpl):

@@ -340,6 +340,9 @@ DEFAULT_DOC = json.loads(default_scenario_path().read_text())
 W_BAND_1KHZ = {**DEFAULT_DOC["bands"][0],
                "plan": {**W_PLAN_EMPTY_WINDOW, "spacing_hz": 1e3,
                         "detect_window_hz": [75e9, 110e9]}}
+# subcarrier k of the W plan is centered at 75 GHz + (k + 1/2) spacings
+W_PLAN_PILOT_16 = {**W_PLAN_EMPTY_WINDOW,
+                   "detect_window_hz": [75e9 + 16.2 * 35e9 / 256, 75e9 + 16.8 * 35e9 / 256]}
 
 
 @pytest.mark.parametrize("keys, value, json_path, message", [
@@ -402,6 +405,13 @@ W_BAND_1KHZ = {**DEFAULT_DOC["bands"][0],
     # a clip limit past the largest float
     (("bands", 1, "tx", "clip_ratio_db"), 1e308, "$.bands[1].tx",
      "with a finite limit 10^(ratio/20)"),
+    # band W's window holds only pilot subcarrier 16: no bit to judge and no
+    # constellation to show, with or without noise
+    *(((), {"bands": [{**DEFAULT_DOC["bands"][0], "plan": W_PLAN_PILOT_16,
+                       "channel": {"mask": "builtin:W", "target_snr_db": snr}},
+                      DEFAULT_DOC["bands"][1]]},
+       "$.bands[0].tx.n_pilots", "detect window [7.72148438e+10, 7.7296875e+10] Hz holds "
+       "no data subcarrier, only pilots") for snr in (None, 40.0)),
 ])
 def test_unrunnable_band_inputs_fail_at_load(tmp_path, scenario_file, capsys, keys, value,
                                              json_path, message):
@@ -499,6 +509,21 @@ def test_usage_errors_after_the_load_print_the_subcommand_usage(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "tx"])
+def test_rbw_flag_is_the_scenarios_psd_rbw(tmp_path, scenario_file, capsys, command):
+    """On run and tx, ``--rbw-hz`` writes the tree and stdout of a scenario
+    whose ``psd_rbw_hz`` holds that value."""
+    flag, field = tmp_path / "flag", tmp_path / "field"
+    assert main([command, "--out", str(flag), "--rbw-hz", "2e8"]) == 0
+    flag_out = capsys.readouterr().out
+    scn = scenario_file(_setting(("psd_rbw_hz",), 2e8))
+    assert main([command, "--scenario", str(scn), "--out", str(field)]) == 0
+    assert capsys.readouterr().out == flag_out
+    assert _tree_bytes(flag) == _tree_bytes(field)
+    # band W's frame is sampled at 70 GHz: a header and 350 bins 200 MHz apart
+    assert (flag / "band_W" / "psd_tx.csv").read_text().count("\n") == 351
+
+
 @pytest.mark.parametrize("command, record", [("run", "tx"), ("tx", "tx"),
                                              ("lock-sim", "lock")])
 def test_rbw_flag_finer_than_a_record_is_a_usage_error(tmp_path, capsys, command, record):
@@ -558,8 +583,8 @@ def _fail_w_lock_csv_while_d_locks(monkeypatch, error):
             raise error
         write_lock_csv(path, result)
 
-    def band(scn, b, band_dir, rbw_hz):
-        record = run_band(scn, b, band_dir, rbw_hz)
+    def band(scn, b, band_dir):
+        record = run_band(scn, b, band_dir)
         finished.append(b.name)
         return record
 
@@ -875,12 +900,16 @@ def test_package_binds_only_its_version():
     assert isinstance(wdlink.__version__, str)
 
 
-# A fresh interpreter is the point of the next two tests: one checks what a
-# bare import loads, the other the installed console script.
-def test_cli_import_leaves_scipy_and_thread_pool_unloaded():
+# A fresh interpreter is the point of the next two tests: one checks what an
+# import and a scenario load bring in, the other the installed console script.
+# numpy.ma comes with the first np.unique (or np.setdiff1d, ...), 10-17 ms
+# and about 1 MB that a load, and a lock-sim that never needs it, would pay.
+def test_cli_import_and_load_leave_scipy_thread_pool_and_numpy_ma_unloaded():
     code = ("import sys, wdlink.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))")
+            "from wdlink.scenario import default_scenario_path, load_scenario; "
+            "load_scenario(default_scenario_path()); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('concurrent') or m.split('.')[:2] == ['numpy', 'ma']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr

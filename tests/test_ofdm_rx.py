@@ -6,14 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import correlate_valid, sync_offset
+from oracles import normalized_correlation_direct, sync_offset
 from wdlink.bandplan import active_indices, detected_indices, subcarrier_centers
 from wdlink.channel import apply_carrier, dband_downconvert
-from wdlink import ofdm_rx
 from wdlink.noise import add_awgn
-from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _correlate_blocks,
-                            band_average_snr_db, count_bit_errors,
-                            demodulate, equalize, evm_snr,
+from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _normalized_correlation,
+                            band_average_snr_db, count_bit_errors, demodulate, equalize, evm_snr,
                             export_constellation, read_metrics_csv, safe_radius,
                             synchronize, write_constellation_csv,
                             write_metrics_csv)
@@ -157,61 +155,70 @@ def test_sync_refuses_a_frame_cut_short(loopback, cut):
         synchronize(padded, ref)
 
 
-def _block_correlation(x, tpl):
-    """``_correlate_blocks``'s blocks joined, checking they tile the lags."""
-    got, expect_start = [], 0
-    for start, block in _correlate_blocks(x, tpl):
-        assert start == expect_start
-        got.append(block)
-        expect_start += len(block)
-    return np.concatenate(got)
+def _noise(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("n_x, n_tpl", [(3001, 257), (640, 640), (1, 1)])
+@pytest.mark.parametrize("n_x, n_tpl", [(3001, 257), (640, 640), (1, 1), (20257, 257)])
 def test_sync_correlation_matches_direct_sum(n_x, n_tpl):
     rng = np.random.default_rng(n_x)
-    x = rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x)
-    tpl = rng.standard_normal(n_tpl) + 1j * rng.standard_normal(n_tpl)
-    got = _block_correlation(x, tpl)
-    ref = correlate_valid(x, tpl)
+    x, tpl = _noise(rng, n_x), _noise(rng, n_tpl)
+    got = _normalized_correlation(x, tpl)
+    ref = normalized_correlation_direct(x, tpl)
     assert got.shape == ref.shape == (n_x - n_tpl + 1,)
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
-# (block, template, lags): one block holds block - template + 1 lags, and a
-# template longer than half a block doubles the block until it fits twice
-BLOCK_EDGES = [(64, 20, n) for n in (44, 45, 46, 90, 91)] + [
-    (64, 40, n) for n in (88, 89, 90)] + [
-    (1 << 15, 257, n) for n in (32511, 32512, 32513, 65025)]
-
-
-@pytest.mark.parametrize("block, n_tpl, n_lags", BLOCK_EDGES)
-def test_block_correlation_straddles_block_edges(monkeypatch, block, n_tpl, n_lags):
-    monkeypatch.setattr(ofdm_rx, "SYNC_BLOCK", block)
-    rng = np.random.default_rng(n_lags)
-    n_x = n_lags + n_tpl - 1
-    x = rng.standard_normal(n_x) + 1j * rng.standard_normal(n_x)
-    tpl = rng.standard_normal(n_tpl) + 1j * rng.standard_normal(n_tpl)
-    ref = correlate_valid(x, tpl)
-    got = _block_correlation(x, tpl)
-    assert got.shape == ref.shape == (n_lags,)
-    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+@pytest.mark.parametrize("burst_db", [0, 80, 160])
+def test_sync_correlation_is_exact_after_a_loud_burst(burst_db):
+    """A burst far louder than the rest of the record leaves the lags after
+    it exact, because each lag's energy is a sum over its own window, not a
+    difference of running sums that the burst dominates.  The template sits
+    at 0 dB SNR behind the burst."""
+    rng = np.random.default_rng(burst_db)
+    n_tpl, at = 257, 2500
+    x, tpl = _noise(rng, 4000), _noise(rng, n_tpl)
+    x[at:at + n_tpl] += tpl
+    x[:1000] *= 10 ** (burst_db / 20)
+    got = _normalized_correlation(x, tpl)
+    np.testing.assert_allclose(got, normalized_correlation_direct(x, tpl), rtol=1e-12, atol=0)
+    assert int(np.argmax(got)) == at
 
 
 @pytest.mark.parametrize("band_name", ["W", "D"])
-def test_sync_matches_full_length_correlation(default_run, scenario, band_name):
-    """On a run's received record, delayed behind noise at the record's own
-    power, the block correlator finds the offset that one full-length FFT
-    correlation finds."""
+def test_sync_through_leading_silence(default_run, scenario, band_name):
+    """A record that starts with exact zeros, longer than the training
+    burst, correlates to exactly 0 (not nan) at the lags that meet only
+    silence, and sync finds the frame behind them."""
+    band = scenario.band(band_name)
+    _, ref = build_frame(band.plan, band.tx)
+    rx = read_iq(default_run[0] / f"band_{band_name}" / "rx.iq")
+    os_eff = round(rx.sample_rate_hz / (band.plan.spacing_hz * band.plan.n_subcarriers))
+    tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
+    n_pad = len(tpl) + 777
+    rx = rx.with_samples(np.concatenate([np.zeros(n_pad, rx.samples.dtype), rx.samples]))
+    silent = _normalized_correlation(rx.samples[:n_pad + len(tpl) - 1], tpl)[:778]
+    assert np.array_equal(silent, np.zeros(778))
+    assert synchronize(rx, ref) == n_pad
+
+
+@pytest.mark.parametrize("n_pad", [0, 777])
+@pytest.mark.parametrize("band_name", ["W", "D"])
+def test_sync_matches_full_length_correlation(default_run, scenario, band_name, n_pad):
+    """On a run's received record, delayed behind ``n_pad`` samples of noise
+    at the record's own power, sync finds the offset that one full-length
+    FFT correlation finds.  With no padding the record is one frame long
+    and sync searches the single lag that every run searches."""
     band = scenario.band(band_name)
     _, ref = build_frame(band.plan, band.tx)
     rx = read_iq(default_run[0] / f"band_{band_name}" / "rx.iq")
     rng = np.random.default_rng(4)
-    pad = math.sqrt(rx.power / 2) * (rng.standard_normal(777) + 1j * rng.standard_normal(777))
+    pad = math.sqrt(rx.power / 2) * (rng.standard_normal(n_pad)
+                                     + 1j * rng.standard_normal(n_pad))
     rx = rx.with_samples(np.concatenate([pad, rx.samples]))
     os_eff = round(rx.sample_rate_hz / (band.plan.spacing_hz * band.plan.n_subcarriers))
     tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
-    assert synchronize(rx, ref) == sync_offset(rx.samples, tpl) == 777
+    assert synchronize(rx, ref) == sync_offset(rx.samples, tpl) == n_pad
 
 
 def test_sync_within_one_sample_under_noise(w_plan, w_band):

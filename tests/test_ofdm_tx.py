@@ -287,7 +287,7 @@ def test_frame_samples_and_rate_describe_the_built_frame(w_plan, d_plan, w_band,
         cfg = replace(w_band.tx, n_symbols=n_symbols, oversample=oversample,
                       cp_fraction=cp_fraction)
         wav, ref = build_frame(plan, cfg)
-        assert frame_samples(plan, cfg) == len(wav) == ref.n_samples
+        assert frame_samples(plan, cfg) == len(wav) == ref.n_samples_at(ref.oversample)
         assert frame_rate_hz(plan, cfg) == wav.sample_rate_hz
         # what the lock stage cuts its residual tail to, before the frame exists
         assert frame_samples(plan, cfg) / frame_rate_hz(plan, cfg) == wav.duration_s
