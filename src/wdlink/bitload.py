@@ -94,7 +94,10 @@ class BitLoadMap:
     bits: np.ndarray
 
     def __post_init__(self):
-        bad = set(np.unique(self.bits)) - set(SUPPORTED_ORDERS) - {0}
+        bits = np.asarray(self.bits)
+        valid = np.any(bits[..., None] == np.array((0, *SUPPORTED_ORDERS)), axis=-1)
+        # each NaN as the one math.nan, which a set holds once
+        bad = {b if b == b else math.nan for b in bits[~valid].tolist()}
         if bad:
             raise ValueError("invalid orders in map: "
                              + ", ".join(f"{b:g}" for b in sorted(bad)))

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandplan import BandPlan, detected_indices, subcarrier_centers
-from .ofdm_tx import (CONSTELLATIONS, FrameRef, analyze_time, demap_qam, map_qam,
-                      synth_time)
+from .bandplan import BandPlan, active_indices, detected_indices, subcarrier_centers
+from .ofdm_tx import (CONSTELLATIONS, FrameRef, analyze_time, cp_length, demap_qam,
+                      frame_samples, map_qam, synth_time)
 from .waveform import ComplexWaveform, read_table, sample_power, write_table
 
 DEAD_TAP = 1e-6
@@ -72,8 +72,8 @@ def synchronize(w: ComplexWaveform, ref: FrameRef) -> int:
     Raises SyncError when no frame fits, or when the best peak stays below
     SYNC_THRESHOLD."""
     os_eff = _effective_oversample(w, ref.plan)
-    tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
-    n_lags = len(w.samples) - ref.n_samples_at(os_eff) + 1
+    tpl = synth_time(ref.training_grid, os_eff, cp_length(ref.plan, ref.tx, os_eff))
+    n_lags = len(w.samples) - frame_samples(ref.plan, ref.tx, os_eff) + 1
     if n_lags < 1:
         raise SyncError("waveform shorter than one frame")
     # what the template meets at those lags
@@ -94,8 +94,8 @@ def demodulate(w: ComplexWaveform, ref: FrameRef, offset: int) -> np.ndarray:
     """
     n_sc = ref.plan.n_subcarriers
     os_eff = _effective_oversample(w, ref.plan)
-    cp = ref.cp_len_at(os_eff)
-    end = offset + ref.n_samples_at(os_eff)
+    cp = cp_length(ref.plan, ref.tx, os_eff)
+    end = offset + frame_samples(ref.plan, ref.tx, os_eff)
     if offset < 0 or end > len(w.samples):
         raise ValueError("frame truncated: waveform too short past the sync offset")
     return analyze_time(w.samples[offset:end], n_sc, os_eff, cp)
@@ -119,19 +119,20 @@ def equalize(raw: np.ndarray, ref: FrameRef, cpe: bool = True) -> EqualizedFrame
     ``cpe`` exists so tests can ablate the phase tracking.
     """
     n_sc = ref.plan.n_subcarriers
-    if raw.shape != (ref.n_training + ref.n_payload, n_sc):
+    n_train = ref.tx.n_training
+    if raw.shape != (n_train + ref.tx.n_symbols, n_sc):
         raise ValueError("raw grid shape does not match the frame layout")
     active = ref.active_idx
 
-    ratios = raw[: ref.n_training, active] / ref.training_grid[:, active]
+    ratios = raw[:n_train, active] / ref.training_grid[:, active]
     taps = np.zeros(n_sc, dtype=complex)
     taps[active] = ratios.mean(axis=0)
     dead = np.ones(n_sc, dtype=bool)
     dead[active] = np.abs(taps[active]) < DEAD_TAP
 
-    payload = raw[ref.n_training:]
+    payload = raw[n_train:]
     known = ref.payload_grid
-    cpe_rad = np.zeros(ref.n_payload)
+    cpe_rad = np.zeros(len(payload))
     divisor = np.where(dead, 1.0, taps)[None, :]
 
     # the first rotation or division makes ``eq``; every later one works on
@@ -187,7 +188,7 @@ def check_metric_symbols(n_payload: int) -> None:
 
 def evm_snr(eqf: EqualizedFrame, ref: FrameRef) -> SubcarrierMetrics:
     """Data-aided EVM against the known payload grid; snr = -20 log10(evm)."""
-    check_metric_symbols(ref.n_payload)
+    check_metric_symbols(ref.tx.n_symbols)
     active = ref.active_idx
     known = ref.payload_grid[:, active]
     err = np.mean(np.abs(eqf.symbols[:, active] - known) ** 2, axis=0)
@@ -247,7 +248,7 @@ def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
     ``safe_radius`` of the point its bits map to decides to those bits, so
     only the others are demapped; the count is that of demapping them all.
     """
-    order = ref.bits_per_subcarrier
+    order = ref.tx.bits_per_subcarrier
     radius = safe_radius(order)
     judged = judged_indices(ref.plan, ref.pilot_idx)
     payload_bits = ref.payload_bits
@@ -287,7 +288,7 @@ def read_metrics_csv(path, plan: BandPlan) -> SubcarrierMetrics:
     or one of two rows silently dropped."""
     rows = read_table(path, 4)
     col = rows[:, 0]
-    outside = col[~np.isin(col, np.arange(plan.n_subcarriers))]
+    outside = col[~((col >= 0) & (col < plan.n_subcarriers) & (col == np.floor(col)))]
     if len(outside):
         raise ValueError(f"{path}: index {outside[0]:g} not in "
                          f"0..{plan.n_subcarriers - 1}")
@@ -311,6 +312,22 @@ def check_centers(path, metrics: SubcarrierMetrics, plan: BandPlan) -> None:
         if f"{got:.6f}" != f"{want:.6f}":
             raise ValueError(f"{path}: index {index} at freq_hz {got:.6f}, "
                              f"not its center {want:.6f}")
+
+
+def check_coverage(path, metrics: SubcarrierMetrics, plan: BandPlan) -> None:
+    """Refuse a run's metrics read back from ``path`` (by
+    ``read_metrics_csv``) whose indices are not exactly ``plan``'s active
+    subcarriers, the rows ``evm_snr`` writes: a table cut short would be
+    averaged and priced on the rows left."""
+    want = np.zeros(plan.n_subcarriers, dtype=bool)
+    want[active_indices(plan)] = True
+    have = np.zeros_like(want)
+    have[metrics.indices] = True
+    wrong = np.flatnonzero(want != have)
+    if len(wrong):
+        i = wrong[0]
+        raise ValueError(f"{path}: no row for active subcarrier {i}" if want[i]
+                         else f"{path}: index {i} is a null subcarrier")
 
 
 def write_constellation_csv(path, points: np.ndarray) -> None:

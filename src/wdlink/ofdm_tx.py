@@ -25,9 +25,10 @@ ramp accompanies the IDFT and the grid tiles the band exactly edge to edge.
 
 This module owns the frame layout: the subcarrier-to-bin comb and its
 half-bin ramp (``synth_time`` and its inverse ``analyze_time``) and the
-cyclic-prefix length and its resampling (``cp_length``, ``resampled_cp_length``); the
-``FrameRef`` also carries ``bandplan``'s active set (``active_idx``).  The
-receiver reads all of it from the ``FrameRef`` and decides none of it itself.
+frame's cyclic prefix and length at any sample rate (``cp_length``,
+``frame_samples``); the ``FrameRef`` carries its ``TxConfig`` (``tx``) and
+``bandplan``'s active set (``active_idx``).  The receiver reads all of it
+from the ``FrameRef`` and decides none of it itself.
 
 The ``FrameRef`` keeps the sent frame as one uint8 label per grid cell
 (``symbols``) into a per-frame ``alphabet`` of at most 69 points, not as a
@@ -233,23 +234,21 @@ _DATA_BASE = _QPSK_BASE + len(CONSTELLATIONS[2])
 class FrameRef:
     """Everything the receiver needs to judge a frame it already knows.
 
+    ``plan`` and ``tx`` are what ``build_frame`` was given: the frame's
+    shape at a sample rate is ``cp_length`` and ``frame_samples`` of them.
     The sent grid is kept as labels: ``symbols`` holds one uint8 per cell
-    of the (n_training + n_payload, n_subcarriers) grid, an index into
+    of the (tx.n_training + tx.n_symbols, n_subcarriers) grid, an index into
     ``alphabet`` (0 at nulls, 1-4 the QPSK points of training and pilots,
     then the data order's points from ``_DATA_BASE``).  ``grid``, its two
     parts and ``payload_bits`` are derived from the labels on each access,
     so a caller takes each once."""
 
     plan: BandPlan
-    oversample: int
-    cp_len: int
-    n_training: int
-    n_payload: int
+    tx: TxConfig
     pilot_idx: np.ndarray
     data_idx: np.ndarray
     active_idx: np.ndarray            # every non-null subcarrier: pilots and data
-    bits_per_subcarrier: int          # the QAM order of every data subcarrier
-    symbols: np.ndarray               # uint8 labels, (n_training + n_payload, n_subcarriers)
+    symbols: np.ndarray               # uint8 labels, one row per training and payload symbol
     alphabet: np.ndarray              # complex point of each label
 
     @property
@@ -259,50 +258,36 @@ class FrameRef:
 
     @property
     def training_grid(self) -> np.ndarray:
-        return self.alphabet[self.symbols[: self.n_training]]
+        return self.alphabet[self.symbols[: self.tx.n_training]]
 
     @property
     def payload_grid(self) -> np.ndarray:
-        return self.alphabet[self.symbols[self.n_training:]]
+        return self.alphabet[self.symbols[self.tx.n_training:]]
 
     @property
     def payload_bits(self) -> dict:
         """Data subcarrier index -> its payload bits (uint8): its
         bits_per_subcarrier bits of every payload symbol in turn, MSB
         first."""
-        b = self.bits_per_subcarrier
-        labels = self.symbols[self.n_training:, self.data_idx].T
+        b = self.tx.bits_per_subcarrier
+        labels = self.symbols[self.tx.n_training:, self.data_idx].T
         labels -= _DATA_BASE
         bits = np.empty(labels.shape + (b,), dtype=np.uint8)
         for k in range(b):
             np.bitwise_and(labels >> (b - 1 - k), 1, out=bits[..., k])
         return dict(zip(self.data_idx.tolist(), bits.reshape(len(self.data_idx), -1)))
 
-    def cp_len_at(self, oversample: int) -> int:
-        """Cyclic-prefix length once resampled to ``oversample`` (``resampled_cp_length``)."""
-        return resampled_cp_length(self.cp_len, self.oversample, oversample)
 
-    def n_samples_at(self, oversample: int) -> int:
-        """The frame's length in samples once resampled to ``oversample``;
-        raises, as ``cp_len_at`` does, when that is not a whole number."""
-        symbol = self.plan.n_subcarriers * oversample + self.cp_len_at(oversample)
-        return (self.n_training + self.n_payload) * symbol
-
-
-def cp_length(n_subcarriers: int, oversample: int, cp_fraction: float) -> int:
-    """Cyclic-prefix length in samples of a frame synthesized at
-    ``oversample`` samples per subcarrier."""
-    return int(round(cp_fraction * (n_subcarriers * oversample)))
-
-
-def resampled_cp_length(cp_len: int, oversample: int, new_oversample: int) -> int:
-    """Length of a ``cp_len``-sample cyclic prefix synthesized at
-    ``oversample`` once the frame is resampled to ``new_oversample``;
-    raises when that is not a whole number of samples."""
-    scaled = cp_len * new_oversample
-    if scaled % oversample:
+def cp_length(plan: BandPlan, cfg: TxConfig, oversample: int) -> int:
+    """Cyclic-prefix length in samples of the frame ``build_frame``
+    synthesizes from ``cfg``, at ``oversample`` samples per subcarrier: the
+    prefix is synthesized at ``cfg.oversample`` and resampled exactly.
+    Raises ValueError when that is not a whole number of samples."""
+    synthesized = int(round(cfg.cp_fraction * (plan.n_subcarriers * cfg.oversample)))
+    scaled = synthesized * oversample
+    if scaled % cfg.oversample:
         raise ValueError("cyclic prefix does not survive this resampling factor")
-    return scaled // oversample
+    return scaled // cfg.oversample
 
 
 def pilot_indices(plan: BandPlan, n_pilots: int) -> np.ndarray:
@@ -359,12 +344,13 @@ def analyze_time(samples: np.ndarray, n_sc: int, oversample: int,
     return blocks[:, bins]
 
 
-def frame_samples(plan: BandPlan, cfg: TxConfig) -> int:
-    """Sample count of the frame ``build_frame`` synthesizes from ``cfg``:
+def frame_samples(plan: BandPlan, cfg: TxConfig, oversample: int) -> int:
+    """Sample count of the frame ``build_frame`` synthesizes from ``cfg``,
+    at ``oversample`` samples per subcarrier (``cfg.oversample`` as built):
     every training and payload symbol is n_subcarriers * oversample samples
-    plus its cyclic prefix."""
-    n, os_ = plan.n_subcarriers, cfg.oversample
-    return (cfg.n_training + cfg.n_symbols) * (n * os_ + cp_length(n, os_, cfg.cp_fraction))
+    plus its ``cp_length``, which raises when it is not whole there."""
+    symbol = plan.n_subcarriers * oversample + cp_length(plan, cfg, oversample)
+    return (cfg.n_training + cfg.n_symbols) * symbol
 
 
 def frame_rate_hz(plan: BandPlan, cfg: TxConfig) -> float:
@@ -386,7 +372,9 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
     b = cfg.bits_per_subcarrier
     active = active_indices(plan)
     p_idx = pilot_indices(plan, cfg.n_pilots)
-    d_idx = np.setdiff1d(active, p_idx)
+    is_pilot = np.zeros(n, dtype=bool)
+    is_pilot[p_idx] = True
+    d_idx = active[~is_pilot[active]]
 
     n_train, n_pay = cfg.n_training, cfg.n_symbols
     need_train = 2 * len(active) * n_train
@@ -404,21 +392,16 @@ def build_frame(plan: BandPlan, cfg: TxConfig) -> tuple:
     symbols[n_train:, d_idx] = (qam_labels(block[:, 2 * len(p_idx):].ravel(), b)
                                 + _DATA_BASE).reshape(n_pay, len(d_idx))
 
-    cp_len = cp_length(n, cfg.oversample, cfg.cp_fraction)
     ref = FrameRef(
         plan=plan,
-        oversample=cfg.oversample,
-        cp_len=cp_len,
-        n_training=n_train,
-        n_payload=n_pay,
+        tx=cfg,
         pilot_idx=p_idx,
         data_idx=d_idx,
         active_idx=active,
-        bits_per_subcarrier=b,
         symbols=symbols,
         alphabet=np.concatenate(([0j], CONSTELLATIONS[2], CONSTELLATIONS[b])),
     )
-    samples = synth_time(ref.grid, cfg.oversample, cp_len)
+    samples = synth_time(ref.grid, cfg.oversample, cp_length(plan, cfg, cfg.oversample))
     samples /= math.sqrt(power_stats(samples)[0])
     w = ComplexWaveform(samples=samples, sample_rate_hz=frame_rate_hz(plan, cfg),
                         anchor_hz=plan.center_hz)

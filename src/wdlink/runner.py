@@ -41,7 +41,7 @@ from .bitload import (capacity, load_bits, read_bitload_csv, total_capacity,
                       write_bitload_csv, write_capacity_json, write_threshold_csv)
 from .channel import apply_carrier, apply_mask, dband_downconvert
 from .noise import add_awgn, estimate_psd, write_psd_csv
-from .ofdm_rx import (SyncError, band_average_snr_db, check_centers,
+from .ofdm_rx import (SyncError, band_average_snr_db, check_centers, check_coverage,
                       count_bit_errors, demodulate, equalize, evm_snr,
                       export_constellation, judged_indices, read_metrics_csv,
                       synchronize, write_constellation_csv, write_metrics_csv)
@@ -106,7 +106,8 @@ def _frame_lock_stage(band: BandScenario, band_dir: Path) -> tuple:
     lock_info["target_offset_hz"] = lock.config.target_offset_hz
     if not lock.locked:
         return lock_info, None
-    duration_s = frame_samples(band.plan, band.tx) / frame_rate_hz(band.plan, band.tx)
+    tx = band.tx
+    duration_s = frame_samples(band.plan, tx, tx.oversample) / frame_rate_hz(band.plan, tx)
     return lock_info, lock.residual_tail(duration_s)
 
 
@@ -187,8 +188,8 @@ def build_summary(scn: Scenario, out_dir) -> dict:
     Also rewrites capacity.json (it is derived from bitload CSVs) before the
     manifest is hashed, so rerunning this on an existing output directory
     reproduces both files byte for byte.  A ``metrics.csv`` whose rows are
-    not the plan's subcarriers at their centers is refused before either
-    file is written.
+    not the plan's active subcarriers, each at its center, is refused
+    before either file is written.
     """
     out = Path(out_dir)
     bands_summary = {}
@@ -216,6 +217,7 @@ def build_summary(scn: Scenario, out_dir) -> dict:
         if chain["failure"] is None:
             metrics = read_metrics_csv(bdir / "metrics.csv", band.plan)
             check_centers(bdir / "metrics.csv", metrics, band.plan)
+            check_coverage(bdir / "metrics.csv", metrics, band.plan)
             entry["avg_snr_db"] = band_average_snr_db(metrics, band.plan)
             load_map = read_bitload_csv(bdir / "bitload.csv")
             rep = capacity(load_map, band.plan, scn.fec, band.tx.cp_fraction)

@@ -37,8 +37,7 @@ from .bitload import FecProfile
 from .channel import check_if_window, default_masks, load_mask_csv
 from .noise import LaserSpec, psd_segment_length, snr_ratio
 from .ofdm_rx import check_metric_symbols, judged_indices
-from .ofdm_tx import (TxConfig, cp_length, frame_rate_hz, frame_samples,
-                      pilot_indices, resampled_cp_length)
+from .ofdm_tx import TxConfig, cp_length, frame_rate_hz, frame_samples, pilot_indices
 from .opll import (LOCK_PSD_RBW_HZ, LoopConfig, loop_samples, pi_gains_for,
                    residual_samples)
 
@@ -128,9 +127,10 @@ class BandScenario:
         "tx" is the transmitted frame, "rx" the received one (decimated to a
         sample per subcarrier on a downconverted band), "lock" the lock
         loop's record."""
-        rate, n = frame_rate_hz(self.plan, self.tx), frame_samples(self.plan, self.tx)
+        rate, os_ = frame_rate_hz(self.plan, self.tx), self.tx.oversample
         decimate = 1 if self.downconvert is None else self.downconvert["decimate"]
-        sizes = {"tx": (rate, n), "rx": (rate / decimate, n // decimate)}
+        sizes = {"tx": (rate, frame_samples(self.plan, self.tx, os_)),
+                 "rx": (rate / decimate, frame_samples(self.plan, self.tx, os_ // decimate))}
         if "lock" in records:   # loop_samples solves for the unity gain: only on demand
             sizes["lock"] = (self.loop.sim_rate_hz, loop_samples(self.loop))
         for record in records:
@@ -291,7 +291,7 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             judged_indices(plan, pilot_indices(plan, tx.n_pilots))
         with _at(f"{path}.tx.n_symbols"):
             check_metric_symbols(tx.n_symbols)
-            duration_s = frame_samples(plan, tx) / frame_rate_hz(plan, tx)
+            duration_s = frame_samples(plan, tx, tx.oversample) / frame_rate_hz(plan, tx)
         with _at("$.lock.duration_s", f"band {name}: "):   # the frame rides on the lock's tail
             residual_samples(servo, n_lock, duration_s)
         ch = _get(bd, "channel", path, dict)
@@ -311,9 +311,7 @@ def scenario_from_dict(doc: dict, base_dir: Path) -> Scenario:
             with _at(f"{path}.downconvert"):
                 check_if_window(plan.center_hz, frame_rate_hz(plan, tx), **dc)
             with _at(f"{path}.tx.cp_fraction"):
-                resampled_cp_length(cp_length(plan.n_subcarriers, tx.oversample,
-                                              tx.cp_fraction), tx.oversample,
-                                    tx.oversample // dc["decimate"])
+                cp_length(plan, tx, tx.oversample // dc["decimate"])
         if snr != math.inf:
             # add_awgn's record: the frame, decimated on a downconverted band
             rx_rate_hz = frame_rate_hz(plan, tx) / (1 if dc is None else dc["decimate"])

@@ -199,17 +199,12 @@ def _cells(col: np.ndarray, spec: str) -> np.ndarray:
     that the array holds), as UTF-8 bytes in the rows of an (n, width)
     uint8 matrix, zero padded.
 
-    ``d`` on integers and ``.Ne``/``.Nf`` on floats are built from integer
-    digits.  A float's digits come from one correctly rounded scaling by an
-    exact power of ten, rounded half to even; a value whose scaled result
-    is a half-integer (:func:`_settled`), is out of range or is not finite
-    goes to ``format`` itself, as does every value under any other spec.
+    ``.Ne``/``.Nf`` on floats are built from integer digits: one correctly
+    rounded scaling by an exact power of ten, rounded half to even.  A value
+    whose scaled result is a half-integer (:func:`_settled`), is out of
+    range or is not finite goes to ``format`` itself, as does every value
+    under any other spec.
     """
-    if spec == "d" and col.dtype.kind in "iu":
-        # |int64 min| wraps to itself, which reads as 2**63 unsigned
-        mag = np.abs(col.astype(np.int64)).view(np.uint64) if col.dtype.kind == "i" \
-            else col.astype(np.uint64)
-        return _fixed(mag, col < 0, 0)
     n = len(col)
     done = np.zeros(n, dtype=bool)
     fast = np.zeros((n, 0), dtype=np.uint8)

@@ -166,10 +166,16 @@ def test_load_bits_handles_partial_metrics(d_plan, fec):
     assert lm.bits.sum() == 5
 
 
-def test_bitload_map_rejects_bad_orders():
-    bits = np.zeros(256, int)
-    bits[10] = 7
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("bad, why", [
+    ([7], "7"),
+    ([7, 4.5, 7], "4.5, 7"),
+    ([np.nan, np.nan], "nan"),
+], ids=["7", "repeated", "nans"])
+def test_bitload_map_rejects_bad_orders(bad, why):
+    """Each value that is not an order is named once, ascending."""
+    bits = np.zeros(256)
+    bits[10:10 + len(bad)] = bad
+    with pytest.raises(ValueError, match=f"^invalid orders in map: {why}$"):
         BitLoadMap(bits=bits)
 
 

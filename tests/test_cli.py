@@ -16,6 +16,7 @@ import pytest
 import wdlink
 from conftest import json_leaves
 from golden.regen import capture
+from wdlink.bandplan import subcarrier_centers
 from wdlink.cli import main
 from wdlink.scenario import default_scenario_path
 
@@ -814,10 +815,36 @@ def test_report_refuses_moved_metrics_indices(default_run, tmp_path, capsys, mov
     assert _tree_bytes(out) == before
 
 
+def _w_null_row(rows, plan):
+    """A row for null subcarrier 0, at its center, before ``rows``."""
+    return [f"0,{subcarrier_centers(plan)[0]:.6f},12.000000,2.500000000e-01\r\n", *rows]
+
+
+@pytest.mark.parametrize("damage, why", [
+    (lambda rows, plan: rows[:128], "no row for active subcarrier 129"),
+    (_w_null_row, "index 0 is a null subcarrier"),
+], ids=["truncated", "null-row"])
+def test_report_refuses_metrics_rows_not_the_active_set(default_run, scenario, tmp_path,
+                                                         capsys, damage, why):
+    """Every row left is at its center, but the run's metrics must be those
+    of every active subcarrier: W's table cut to its first 128 of 254 rows
+    would move W's average SNR from 12.11 to 12.91 dB in the summary."""
+    out = tmp_path / "run"
+    shutil.copytree(default_run[0], out)
+    metrics = out / "band_W" / "metrics.csv"
+    head, *rows = metrics.read_bytes().decode().splitlines(keepends=True)
+    metrics.write_bytes((head + "".join(damage(rows, scenario.band("W").plan))).encode())
+    before = _tree_bytes(out)
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {metrics}: {why}\n"
+    assert _tree_bytes(out) == before
+
+
 @pytest.mark.parametrize("move, why", [
     (lambda i: i + 64, "index 256 not in 0..255"),
+    (lambda i: i + 0.5, "index 1.5 not in 0..255"),
     (lambda i: min(i, 200), "index 200 repeated"),
-], ids=["shifted", "repeated"])
+], ids=["shifted", "fractional", "repeated"])
 def test_bitload_refuses_indices_off_the_plan(default_run, tmp_path, capsys, move, why):
     profile = tmp_path / "metrics.csv"
     shutil.copyfile(default_run[0] / "band_D" / "metrics.csv", profile)
@@ -914,6 +941,28 @@ def test_cli_import_and_load_leave_scipy_thread_pool_and_numpy_ma_unloaded():
                           text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("call", [
+    "build_frame(band.plan, band.tx)",
+    "BitLoadMap(bits=np.zeros(band.plan.n_subcarriers))",
+    "read_metrics_csv(sys.argv[1], band.plan)",
+], ids=["build_frame", "BitLoadMap", "read_metrics_csv"])
+def test_frame_bit_map_and_metrics_reader_leave_numpy_ma_unloaded(default_run, call):
+    """Each of these is the first set operation of a cold run, tx or report."""
+    code = ("import sys; import numpy as np; "
+            "from wdlink.bitload import BitLoadMap; "
+            "from wdlink.ofdm_rx import read_metrics_csv; "
+            "from wdlink.ofdm_tx import build_frame; "
+            "from wdlink.scenario import default_scenario_path, load_scenario; "
+            "band = load_scenario(default_scenario_path()).band('W'); "
+            f"{call}; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(default_run[0] / "band_W" / "metrics.csv")],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_installed_entry_point(tmp_path):

@@ -15,8 +15,8 @@ from wdlink.ofdm_rx import (SubcarrierMetrics, SyncError, _normalized_correlatio
                             export_constellation, read_metrics_csv, safe_radius,
                             synchronize, write_constellation_csv,
                             write_metrics_csv)
-from wdlink.ofdm_tx import (CONSTELLATIONS, SUPPORTED_ORDERS, build_frame, demap_qam,
-                            synth_time)
+from wdlink.ofdm_tx import (CONSTELLATIONS, SUPPORTED_ORDERS, build_frame, cp_length,
+                            demap_qam, synth_time)
 from wdlink.opll import simulate_lock
 from wdlink.waveform import read_iq
 
@@ -75,7 +75,7 @@ def _demap_every_symbol(eqf, ref):
     for i in judged[~eqf.dead[judged]]:
         sent = ref.payload_bits[int(i)]
         errors += int(np.count_nonzero(
-            demap_qam(eqf.symbols[:, i], ref.bits_per_subcarrier) != sent))
+            demap_qam(eqf.symbols[:, i], ref.tx.bits_per_subcarrier) != sent))
         total += len(sent)
     return errors, total
 
@@ -194,7 +194,7 @@ def test_sync_through_leading_silence(default_run, scenario, band_name):
     _, ref = build_frame(band.plan, band.tx)
     rx = read_iq(default_run[0] / f"band_{band_name}" / "rx.iq")
     os_eff = round(rx.sample_rate_hz / (band.plan.spacing_hz * band.plan.n_subcarriers))
-    tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
+    tpl = synth_time(ref.training_grid, os_eff, cp_length(ref.plan, ref.tx, os_eff))
     n_pad = len(tpl) + 777
     rx = rx.with_samples(np.concatenate([np.zeros(n_pad, rx.samples.dtype), rx.samples]))
     silent = _normalized_correlation(rx.samples[:n_pad + len(tpl) - 1], tpl)[:778]
@@ -217,7 +217,7 @@ def test_sync_matches_full_length_correlation(default_run, scenario, band_name, 
                                      + 1j * rng.standard_normal(n_pad))
     rx = rx.with_samples(np.concatenate([pad, rx.samples]))
     os_eff = round(rx.sample_rate_hz / (band.plan.spacing_hz * band.plan.n_subcarriers))
-    tpl = synth_time(ref.training_grid, os_eff, ref.cp_len_at(os_eff))
+    tpl = synth_time(ref.training_grid, os_eff, cp_length(ref.plan, ref.tx, os_eff))
     assert synchronize(rx, ref) == sync_offset(rx.samples, tpl) == n_pad
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import lfsr_bits
 from wdlink.bandplan import BandPlan
+from wdlink.channel import dband_downconvert
 from wdlink.ofdm_tx import (
     CONSTELLATIONS,
     PRBS_TAPS,
@@ -16,6 +17,7 @@ from wdlink.ofdm_tx import (
     analyze_time,
     build_frame,
     clip,
+    cp_length,
     demap_qam,
     frame_rate_hz,
     frame_samples,
@@ -281,25 +283,31 @@ def test_synth_and_analyze_in_place_match_the_out_of_place_form(oversample, cp_l
 
 @pytest.mark.parametrize("n_symbols, oversample, cp_fraction",
                          [(64, 2, 1 / 64), (6144, 2, 1 / 64), (33, 3, 5 / 256), (40, 1, 0.0)])
-def test_frame_samples_and_rate_describe_the_built_frame(w_plan, d_plan, w_band, n_symbols,
-                                                         oversample, cp_fraction):
+def test_frame_samples_and_rate_describe_the_built_frame(w_plan, d_plan, w_band, d_band,
+                                                         n_symbols, oversample, cp_fraction):
     for plan in (w_plan, d_plan):
         cfg = replace(w_band.tx, n_symbols=n_symbols, oversample=oversample,
                       cp_fraction=cp_fraction)
         wav, ref = build_frame(plan, cfg)
-        assert frame_samples(plan, cfg) == len(wav) == ref.n_samples_at(ref.oversample)
+        assert ref.tx == cfg
+        assert frame_samples(plan, cfg, oversample) == len(wav)
         assert frame_rate_hz(plan, cfg) == wav.sample_rate_hz
         # what the lock stage cuts its residual tail to, before the frame exists
-        assert frame_samples(plan, cfg) / frame_rate_hz(plan, cfg) == wav.duration_s
+        assert frame_samples(plan, cfg, oversample) / frame_rate_hz(plan, cfg) == wav.duration_s
+    # band D's received record, decimated to one sample per subcarrier
+    rx = dband_downconvert(wav, d_band.mask, **dict(d_band.downconvert, decimate=oversample))
+    assert frame_samples(d_plan, cfg, 1) == len(rx)
 
 
-def test_cp_len_at_scales_or_refuses(w_plan, w_band):
-    _, ref = build_frame(w_plan, replace(w_band.tx, n_symbols=8))
-    assert (ref.cp_len_at(1), ref.cp_len_at(2), ref.cp_len_at(4)) == (4, 8, 16)
-    _, odd = build_frame(w_plan, replace(w_band.tx, n_symbols=8, cp_fraction=5 / 512))
-    assert odd.cp_len == 5
-    with pytest.raises(ValueError, match="cyclic prefix does not survive"):
-        odd.cp_len_at(1)
+def test_cp_length_scales_or_refuses(w_plan, w_band):
+    cfg = replace(w_band.tx, n_symbols=8)
+    assert [cp_length(w_plan, cfg, oversample) for oversample in (1, 2, 4)] == [4, 8, 16]
+    odd = replace(cfg, cp_fraction=5 / 512)
+    wav, _ = build_frame(w_plan, odd)
+    assert cp_length(w_plan, odd, 2) == 5 and len(wav) == 12 * (512 + 5)
+    for geometry in (cp_length, frame_samples):
+        with pytest.raises(ValueError, match="cyclic prefix does not survive"):
+            geometry(w_plan, odd, 1)
 
 
 def test_frame_shape_and_normalization(w_plan, w_band):
@@ -309,7 +317,7 @@ def test_frame_shape_and_normalization(w_plan, w_band):
     assert frame.samples.size == (4 + 64) * (512 + 8)
     rms = math.sqrt(np.mean(np.abs(frame.samples) ** 2))
     assert rms == pytest.approx(1.0, abs=1e-9)
-    assert ref.cp_len == 8
+    assert ref.tx == w_band.tx and cp_length(w_plan, ref.tx, 2) == 8
     assert ref.grid.shape == (68, 256)
     assert ref.training_grid.shape == (4, 256)
     assert ref.payload_grid.shape == (64, 256)
@@ -341,7 +349,7 @@ def test_frame_reference_layout(w_plan, w_band):
     assert not set(ref.data_idx.tolist()) & set(ref.pilot_idx.tolist())
     assert not set(ref.data_idx.tolist()) & w_plan.null_indices
     assert ref.data_idx.size == 246
-    assert ref.bits_per_subcarrier == 4
+    assert ref.tx.bits_per_subcarrier == 4
     non_null = np.setdiff1d(np.arange(256), sorted(w_plan.null_indices))
     assert np.array_equal(ref.active_idx, non_null)
     assert np.array_equal(ref.active_idx, np.union1d(ref.data_idx, ref.pilot_idx))
