@@ -18,7 +18,7 @@ import numpy as np
 from .bandplan import BandPlan, detected_indices, subcarrier_centers
 from .ofdm_rx import SubcarrierMetrics
 from .ofdm_tx import SUPPORTED_ORDERS
-from .waveform import read_table, write_json, write_table
+from .waveform import BITLOAD_CSV, THRESHOLDS_CSV, read_table, write_json, write_table
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,13 @@ def write_bitload_csv(path, load_map: BitLoadMap, plan: BandPlan) -> None:
     bits = load_map.bits
     if len(bits) != plan.n_subcarriers:
         raise ValueError("bit map length does not match the plan")
-    write_table(path, "index,freq_hz,bits\r\n", "{:d},{:.6f},{:d}\r\n",
-                np.arange(len(bits)), subcarrier_centers(plan), bits)
+    write_table(path, BITLOAD_CSV, np.arange(len(bits)), subcarrier_centers(plan), bits)
 
 
 def read_bitload_csv(path) -> BitLoadMap:
     """The map in a table written by :func:`write_bitload_csv`; a ``bits``
     value that is not 0 or a supported order is refused naming the file."""
-    bits = read_table(path, 3)[:, 2]
+    bits = read_table(path, BITLOAD_CSV)[:, 2]
     try:
         return BitLoadMap(bits=bits)
     except ValueError as e:
@@ -170,7 +169,7 @@ def read_bitload_csv(path) -> BitLoadMap:
 
 def write_threshold_csv(path, fec: FecProfile) -> None:
     orders, snrs = zip(*_thresholds(fec))
-    write_table(path, "order_bits,min_snr_db\r\n", "{:d},{:.6f}\r\n", orders, snrs)
+    write_table(path, THRESHOLDS_CSV, orders, snrs)
 
 
 def write_capacity_json(path, reports: dict, fec: FecProfile) -> None:

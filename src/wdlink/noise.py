@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ComplexWaveform, read_table, write_table
+from .waveform import CHUNK, PSD_CSV, ComplexWaveform, read_table, write_table
 
 PSD_BLOCK_BYTES = 1 << 20   # bytes of spectra per Welch transform batch
 BEAT_CHUNK = 1 << 14        # samples per drawn chunk of a Wiener trace
@@ -205,13 +205,13 @@ def write_psd_csv(path, freqs: np.ndarray, psd: np.ndarray) -> None:
     Zero-density bins are floored at -400 dB to keep the file finite.
     """
     db = 10.0 * np.log10(np.maximum(np.asarray(psd, dtype=np.float64), 1e-40))
-    write_table(path, "freq_hz,psd_db_hz\n", "{:.9e},{:.6f}\n", freqs, db)
+    write_table(path, PSD_CSV, freqs, db)
 
 
 def read_psd_csv(path):
     """Read a PSD artifact (``psd_*.csv``, as ``write_psd_csv`` writes it)
     back as its two columns, (freq_hz, psd_db_hz)."""
-    return tuple(read_table(path, 2).T)
+    return tuple(read_table(path, PSD_CSV).T)
 
 
 def snr_ratio(snr_db: float, bandwidth_ratio: float) -> float:
@@ -266,10 +266,12 @@ def add_awgn(w: ComplexWaveform, snr_db: float, seed: int, occupied_bw_hz=None) 
     rng = np.random.default_rng(seed)
     scale = math.sqrt(p_noise / 2.0)
     # scale * (real + 1j * imag) + signal, built in the noise's own buffer;
-    # the real part is drawn first
+    # every real part is drawn before the imaginary parts, CHUNK at a time,
+    # which gives the numbers of one whole-record draw each
     noise = np.empty(len(w), dtype=complex)
-    noise.real = rng.standard_normal(len(w))
-    noise.imag = rng.standard_normal(len(w))
+    for part in (noise.real, noise.imag):
+        for lo in range(0, len(w), CHUNK):
+            part[lo:lo + CHUNK] = rng.standard_normal(min(CHUNK, len(w) - lo))
     noise *= scale
     noise += w.samples
     return w.with_samples(noise)

@@ -23,7 +23,8 @@ import numpy as np
 from .bandplan import BandPlan, active_indices, detected_indices, subcarrier_centers
 from .ofdm_tx import (CONSTELLATIONS, FrameRef, analyze_time, cp_length, demap_qam,
                       frame_samples, map_qam, synth_time)
-from .waveform import ComplexWaveform, read_table, sample_power, write_table
+from .waveform import (CONSTELLATION_CSV, METRICS_CSV, ComplexWaveform, read_table,
+                       sample_power, write_table)
 
 DEAD_TAP = 1e-6
 SYNC_THRESHOLD = 0.5  # normalized correlation a frame start must reach (1.0 = perfect)
@@ -276,9 +277,8 @@ def export_constellation(eqf: EqualizedFrame, ref: FrameRef, index: int) -> np.n
 # CSV interchange
 
 def write_metrics_csv(path, metrics: SubcarrierMetrics) -> None:
-    write_table(path, "index,freq_hz,snr_db,evm_rms\r\n",
-                "{:d},{:.6f},{:.6f},{:.9e}\r\n", metrics.indices,
-                metrics.freq_hz, metrics.snr_db, metrics.evm_rms)
+    write_table(path, METRICS_CSV, metrics.indices, metrics.freq_hz, metrics.snr_db,
+                metrics.evm_rms)
 
 
 def read_metrics_csv(path, plan: BandPlan) -> SubcarrierMetrics:
@@ -286,7 +286,7 @@ def read_metrics_csv(path, plan: BandPlan) -> SubcarrierMetrics:
     Refuses, naming the file, an index that is not one of them or that
     repeats: the profile would otherwise be priced on the wrong subcarriers,
     or one of two rows silently dropped."""
-    rows = read_table(path, 4)
+    rows = read_table(path, METRICS_CSV)
     col = rows[:, 0]
     outside = col[~((col >= 0) & (col < plan.n_subcarriers) & (col == np.floor(col)))]
     if len(outside):
@@ -331,4 +331,4 @@ def check_coverage(path, metrics: SubcarrierMetrics, plan: BandPlan) -> None:
 
 
 def write_constellation_csv(path, points: np.ndarray) -> None:
-    write_table(path, "re,im\r\n", "{:.9e},{:.9e}\r\n", points.real, points.imag)
+    write_table(path, CONSTELLATION_CSV, points.real, points.imag)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import BEAT_CHUNK, LaserSpec, PhaseTrace, Welch, beat_chunks
-from .waveform import write_table
+from .waveform import LOCK_CSV, write_table
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
@@ -523,6 +523,5 @@ def write_lock_csv(path, result: LockResult) -> None:
     n-sample record."""
     stride = _csv_stride(len(result.theta))
     dt = 1.0 / result.config.sim_rate_hz
-    write_table(path, "time_s,phase_error_rad,freq_error_hz\n",
-                "{:.9e},{:.9e},{:.9e}\n", np.arange(0, len(result.theta), stride) * dt,
+    write_table(path, LOCK_CSV, np.arange(0, len(result.theta), stride) * dt,
                 _detector(result.theta[::stride]), result.freq_error_rows)

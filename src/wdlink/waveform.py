@@ -7,8 +7,8 @@ have been through.
 
 Every artifact is in one of three formats, all defined here: binary I/Q
 (float32 pairs plus a ``key=value`` sidecar; :func:`write_iq`/:func:`read_iq`),
-CSV tables (a header line, then rows from a ``str.format`` template that
-carries its own ``\n`` or ``\r\n``; :func:`write_table`/:func:`read_table`),
+CSV tables (a header line, then comma-separated rows, both as the artifact's
+:class:`Table` below gives them; :func:`write_table`/:func:`read_table`),
 and JSON (indent 2, sorted keys, trailing newline, replaced whole;
 :func:`write_json`).
 """
@@ -26,6 +26,29 @@ import numpy as np
 _HEADER_FIELDS = ("sample_rate_hz", "anchor_hz", "n_samples", "dtype")
 
 CHUNK = 1 << 18   # samples or bins per step of the frame path's chunked loops
+
+
+@dataclass(frozen=True)
+class Table:
+    """A CSV artifact's format: its column names, each column's ``format``
+    spec, and the line end.  The header is the names joined by commas, and a
+    row the cells joined the same way, each line ended by ``end``."""
+
+    names: tuple
+    specs: tuple
+    end: str
+
+    @property
+    def header(self) -> str:
+        return ",".join(self.names) + self.end
+
+
+LOCK_CSV = Table(("time_s", "phase_error_rad", "freq_error_hz"), (".9e", ".9e", ".9e"), "\n")
+PSD_CSV = Table(("freq_hz", "psd_db_hz"), (".9e", ".6f"), "\n")
+METRICS_CSV = Table(("index", "freq_hz", "snr_db", "evm_rms"), ("d", ".6f", ".6f", ".9e"), "\r\n")
+CONSTELLATION_CSV = Table(("re", "im"), (".9e", ".9e"), "\r\n")
+BITLOAD_CSV = Table(("index", "freq_hz", "bits"), ("d", ".6f", "d"), "\r\n")
+THRESHOLDS_CSV = Table(("order_bits", "min_snr_db"), ("d", ".6f"), "\r\n")
 
 
 @dataclass(frozen=True)
@@ -139,46 +162,36 @@ def read_iq(path) -> ComplexWaveform:
     )
 
 
-def write_table(path, header: str, row_format: str, *columns) -> None:
-    """Write ``header``, then ``row_format.format(*row)`` for each row of the
-    equal-length 1-D ``columns``, byte for byte.  Both strings carry their
-    own line end.
+def write_table(path, table: Table, *columns) -> None:
+    """Write ``table``'s header, then row i of the equal-length 1-D
+    ``columns``, one for each of the table's names, for each i: the cells
+    ``format(v, spec)`` under the table's specs, joined by commas and ended
+    by the table's line end, byte for byte.
 
     The rows are built a column at a time (:func:`_cells`) in one byte
     matrix, each cell zero padded to its column's width, and the padding is
-    dropped in one pass, so the template may hold only plain ``{}``/``{0}``
-    fields and no NUL.
+    dropped in one pass.
     """
+    if len(columns) != len(table.names):
+        raise ValueError(f"{path}: expected {len(table.names)} columns, got {len(columns)}")
     columns = [np.asarray(c) for c in columns]
     if any(c.ndim != 1 for c in columns):
         raise ValueError("columns must be 1-D")
     lengths = [len(c) for c in columns]
     if len(set(lengths)) != 1:
         raise ValueError(f"columns must have one length, got lengths {lengths}")
-    if "\0" in row_format:
-        raise ValueError("row_format must not contain NUL")
     with open(path, "w", newline="") as fh:
-        fh.write(header + (_rows(row_format, columns) if lengths[0] else ""))
+        fh.write(table.header + (_rows(table, columns) if lengths[0] else ""))
 
 
-def _rows(row_format: str, columns: list) -> str:
+def _rows(table: Table, columns: list) -> str:
     """The body of a table of at least one row."""
-    from string import Formatter
-
     n = len(columns[0])
-    pieces = []
-    auto = iter(range(len(columns)))
-    for literal, field, spec, conversion in Formatter().parse(row_format):
-        if literal:
-            text = np.frombuffer(literal.encode(), np.uint8)
-            pieces.append(np.broadcast_to(text, (n, len(text))))
-        if field is None:
-            continue
-        if conversion or not (field == "" or field.isdigit()):
-            raise ValueError(f"unsupported field {{{field}!{conversion}:{spec}}}")
-        pieces.append(_cells(columns[next(auto) if field == "" else int(field)], spec))
-    table = np.hstack(pieces) if pieces else np.zeros(0, np.uint8)
-    return table[table != 0].tobytes().decode()
+    comma = np.full((n, 1), ord(","), np.uint8)
+    end = np.frombuffer(table.end.encode(), np.uint8)
+    pieces = [p for col, spec in zip(columns, table.specs) for p in (comma, _cells(col, spec))]
+    rows = np.hstack(pieces[1:] + [np.broadcast_to(end, (n, len(end)))])
+    return rows[rows != 0].tobytes().decode()
 
 
 _FLOAT_SPEC = re.compile(r"\.(\d+)([ef])")
@@ -318,11 +331,18 @@ def _scientific(x: np.ndarray, decimals: int):
     return done, cells
 
 
-def read_table(path, n_columns: int) -> np.ndarray:
-    """Rows of a table written by :func:`write_table`, as floats of shape
-    (n_rows, n_columns); the header line is skipped.  A blank or non-numeric
-    cell, or a row of another length, is refused naming the file and the
-    line; ``nan`` and ``inf`` read back as ``format`` writes them."""
+def read_table(path, table: Table) -> np.ndarray:
+    """Rows of a CSV artifact written under ``table`` by :func:`write_table`,
+    as floats of shape (n_rows, the table's column count).  Line 1 must be
+    the table's column names (with LF or CRLF), or the file is refused naming
+    it and line 1.  A blank or non-numeric cell, or a row of another length,
+    is refused naming the file and the line; ``nan`` and ``inf`` read back
+    as ``format`` writes them."""
+    n_columns, names = len(table.names), ",".join(table.names)
+    with open(path, errors="replace") as fh:
+        first = fh.readline().rstrip("\r\n")
+    if first != names:
+        raise ValueError(f"{path}: line 1: expected the header {names!r}, found {first!r}")
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as e:

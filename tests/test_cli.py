@@ -1,5 +1,6 @@
 """End-to-end checks of the ``sim`` command line and its artifacts."""
 
+import fnmatch
 import functools
 import json
 import math
@@ -19,6 +20,8 @@ from golden.regen import capture
 from wdlink.bandplan import subcarrier_centers
 from wdlink.cli import main
 from wdlink.scenario import default_scenario_path
+from wdlink.waveform import (BITLOAD_CSV, CONSTELLATION_CSV, LOCK_CSV, METRICS_CSV, PSD_CSV,
+                             THRESHOLDS_CSV, read_table, write_table)
 
 
 def _tree_bytes(root):
@@ -899,6 +902,82 @@ def test_report_refuses_a_bits_value_that_is_not_an_order(default_run, tmp_path,
     assert main(["report", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {table}: ")
     assert _tree_bytes(out) == before
+
+
+def _swap_columns(text, a, b):
+    """``text``, a CSV table, with columns ``a`` and ``b`` swapped on every
+    line, header included: each row keeps its values under their names."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        body = line.rstrip("\r\n")
+        cells = body.split(",")
+        cells[a], cells[b] = cells[b], cells[a]
+        lines.append(",".join(cells) + line[len(body):])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("damage, found", [
+    (lambda text: _swap_columns(text, 1, 2), "'index,snr_db,freq_hz,evm_rms'"),
+    (lambda text: text.split("\r\n", 1)[1], "'1,110234375000.000000,"),
+], ids=["swapped-header", "headerless"])
+def test_bitload_refuses_a_profile_without_the_metrics_header(default_run, tmp_path, capsys,
+                                                              damage, found):
+    """A profile whose columns are not the metrics table's would be priced
+    from the wrong column, and one with no header would lose its first row
+    as the header."""
+    profile = tmp_path / "metrics.csv"
+    profile.write_bytes(damage((default_run[0] / "band_D" / "metrics.csv")
+                               .read_bytes().decode()).encode())
+    out = tmp_path / "o"
+    assert main(["bitload", "--band", "D", "--snr-csv", str(profile),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {profile}: line 1: expected the header "
+        f"'index,freq_hz,snr_db,evm_rms', found {found}")
+    assert not out.exists()
+    assert _partials(tmp_path) == []
+
+
+@pytest.mark.parametrize("header", ["index,bits,freq_hz", "index,freq_hz,snr_db,evm_rms"],
+                         ids=["swapped", "metrics"])
+def test_report_refuses_a_bitload_table_under_another_header(default_run, tmp_path, capsys,
+                                                             header):
+    out = tmp_path / "run"
+    shutil.copytree(default_run[0], out)
+    table = out / "band_W" / "bitload.csv"
+    table.write_bytes(header.encode() + b"\r\n" + table.read_bytes().split(b"\r\n", 1)[1])
+    before = _tree_bytes(out)
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {table}: line 1: expected the header 'index,freq_hz,bits', "
+        f"found {header!r}\n")
+    assert _tree_bytes(out) == before
+
+
+# every CSV artifact a run tree may hold, by file name pattern, and its table
+CSV_TABLES = {"lock.csv": LOCK_CSV, "psd_*.csv": PSD_CSV, "metrics.csv": METRICS_CSV,
+              "constellation_sc*.csv": CONSTELLATION_CSV, "bitload.csv": BITLOAD_CSV,
+              "thresholds.csv": THRESHOLDS_CSV}
+
+
+def test_every_csv_artifact_reads_back_through_its_table(default_run, default_lock_sim,
+                                                          tmp_path):
+    """Each CSV of a default ``run`` and ``lock-sim`` tree reads back under
+    its table, and the values read, written again under it, give the file's
+    bytes: the table is the whole of the file's format."""
+    used = set()
+    for root in (default_run[0], default_lock_sim[0]):
+        for path in sorted(root.rglob("*.csv")):
+            pattern = [p for p in CSV_TABLES if fnmatch.fnmatchcase(path.name, p)]
+            assert pattern, f"{path.relative_to(root)} has no table"
+            table = CSV_TABLES[pattern[0]]
+            used.add(pattern[0])
+            rows = read_table(path, table)
+            columns = [c.astype(np.int64) if spec == "d" else c
+                       for c, spec in zip(rows.T, table.specs)]
+            write_table(tmp_path / "again.csv", table, *columns)
+            assert (tmp_path / "again.csv").read_bytes() == path.read_bytes(), path.name
+    assert used == set(CSV_TABLES)
 
 
 @pytest.mark.parametrize("damage, why", [

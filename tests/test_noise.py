@@ -19,7 +19,7 @@ from wdlink.noise import (
     read_psd_csv,
     write_psd_csv,
 )
-from wdlink.waveform import ComplexWaveform
+from wdlink.waveform import CHUNK, ComplexWaveform
 
 
 def beat_field(lw_a, lw_b, n, fs, seed):
@@ -227,11 +227,12 @@ def test_add_awgn_occupied_band_scaling():
     assert noise_power == pytest.approx(2.0 * 10 ** (-1.2), rel=0.02)
 
 
-@pytest.mark.parametrize("n", [1000, 1 << 16])
+@pytest.mark.parametrize("n", [1000, 1 << 16, 2 * CHUNK + 5])
 def test_add_awgn_in_place_matches_the_plain_expression(n):
-    """Noise built in its own buffer, real part drawn first, equals the
-    expression it replaces, below and above the size at which numpy reuses
-    temporaries."""
+    """Noise built in its own buffer, real parts drawn first, CHUNK at a
+    time, equals the expression of two whole-record draws: below and above
+    the size at which numpy reuses temporaries, and over three chunks, the
+    last one short."""
     rng = np.random.default_rng(n)
     w = ComplexWaveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), 1e9)
     out = add_awgn(w, 12.0, seed=6, occupied_bw_hz=5e8)

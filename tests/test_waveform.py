@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wdlink.waveform import (CHUNK, ComplexWaveform, power_stats, read_iq, read_table,
-                             sample_power, write_iq, write_json, write_table)
+from wdlink.waveform import (CHUNK, ComplexWaveform, Table, power_stats, read_iq,
+                             read_table, sample_power, write_iq, write_json, write_table)
 
 
 @pytest.fixture()
@@ -135,36 +135,68 @@ def test_read_iq_rejects_incomplete_header(tmp_path, wave):
 
 def test_table_round_trip_of_a_single_row(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, "a,b,c\r\n", "{:d},{:.1f},{:.1e}\r\n", [7], [0.5], [-2.0])
+    table = Table(("a", "b", "c"), ("d", ".1f", ".1e"), "\r\n")
+    write_table(path, table, [7], [0.5], [-2.0])
     assert path.read_bytes() == b"a,b,c\r\n7,0.5,-2.0e+00\r\n"
-    np.testing.assert_array_equal(read_table(path, 3), [[7.0, 0.5, -2.0]])
+    np.testing.assert_array_equal(read_table(path, table), [[7.0, 0.5, -2.0]])
 
 
 def test_read_table_rejects_wrong_column_count(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, "a,b,c\n", "{},{},{}\n", [1, 2], [3, 4], [5, 6])
+    one, two = Table(("a",), ("",), "\n"), Table(("a", "b"), ("", ""), "\n")
+    path.write_text("a,b\n1,3,5\n2,4,6\n")
     with pytest.raises(ValueError, match="expected 2 columns, found 3"):
-        read_table(path, 2)
+        read_table(path, two)
     # a two-row, one-column table is two rows, not one row of two columns
-    write_table(path, "a\n", "{}\n", [1, 2])
-    assert read_table(path, 1).shape == (2, 1)
+    write_table(path, one, [1, 2])
+    assert read_table(path, one).shape == (2, 1)
+    path.write_text("a,b\n1\n2\n")
     with pytest.raises(ValueError, match="expected 2 columns, found 1"):
-        read_table(path, 2)
+        read_table(path, two)
+
+
+def test_read_table_takes_its_header_with_either_line_end(tmp_path):
+    path = tmp_path / "t.csv"
+    table = Table(("a", "b"), ("d", "d"), "\n")
+    for text in ("a,b\n1,2\n", "a,b\r\n1,2\r\n"):
+        path.write_text(text, newline="")
+        np.testing.assert_array_equal(read_table(path, table), [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("text", ["b,a\n1,2\n", "1,2\n3,4\n", "a,b,c\n1,2\n", "", "\n1,2\n"],
+                         ids=["swapped", "headerless", "another-table", "empty", "blank"])
+def test_read_table_refuses_a_line_one_that_is_not_its_header(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"t\.csv: line 1: expected the header 'a,b'"):
+        read_table(path, Table(("a", "b"), ("d", "d"), "\n"))
 
 
 def test_write_table_refuses_columns_of_unequal_length(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match=r"\[3, 2\]"):
-        write_table(path, "a,b\n", "{:d},{:d}\n", [1, 2, 3], [4, 5])
+        write_table(path, Table(("a", "b"), ("d", "d"), "\n"), [1, 2, 3], [4, 5])
     assert not path.exists()
 
 
-def _by_format(path, row_format, *columns):
-    """What ``write_table`` must write: ``str.format`` row by row, on the
-    Python scalars the columns hold."""
-    write_table(path, "h\n", row_format, *columns)
+@pytest.mark.parametrize("n", [1, 3])
+def test_write_table_refuses_a_column_count_other_than_its_tables(tmp_path, n):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"expected 2 columns, got {n}"):
+        write_table(path, Table(("a", "b"), ("d", "d"), "\n"), *[[1]] * n)
+    assert not path.exists()
+
+
+def _by_format(path, specs, *columns, end="\n"):
+    """What ``write_table`` must write under a table of ``specs``: the
+    header, then ``str.format`` row by row on the Python scalars the columns
+    hold, with the template the specs make."""
+    names = "hijk"[:len(specs)]
+    write_table(path, Table(tuple(names), tuple(specs), end), *columns)
+    row_format = ",".join("{:%s}" % spec for spec in specs) + end
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return path.read_bytes(), ("h\n" + "".join(row_format.format(*r) for r in rows)).encode()
+    return path.read_bytes(), (",".join(names) + end
+                               + "".join(row_format.format(*r) for r in rows)).encode()
 
 
 FLOAT_SPECS = [".9e", ".6f", ".1f", ".1e"]
@@ -176,9 +208,9 @@ FLOAT_SPECS = [".9e", ".6f", ".1f", ".1e"]
 def test_table_bytes_are_str_format_bytes(tmp_path_factory, x, k):
     path = tmp_path_factory.mktemp("prop") / "t.csv"
     for spec in FLOAT_SPECS:
-        got, want = _by_format(path, "{:%s}\n" % spec, x)
+        got, want = _by_format(path, [spec], x)
         assert got == want, spec
-    got, want = _by_format(path, "{:d}\r\n", k)
+    got, want = _by_format(path, ["d"], k, end="\r\n")
     assert got == want
 
 
@@ -202,21 +234,20 @@ def _adversarial():
 def test_table_bytes_on_adversarial_values(tmp_path):
     values = _adversarial()
     for spec in FLOAT_SPECS:
-        got, want = _by_format(tmp_path / "t.csv", "{:%s},{:%s}\r\n" % (spec, spec),
-                               values, -values)
+        got, want = _by_format(tmp_path / "t.csv", [spec, spec], values, -values, end="\r\n")
         assert got == want, spec
-    assert _by_format(tmp_path / "t.csv", "{:.9e}\n", [9.9999999995])[0] == b"h\n9.999999999e+00\n"
-    assert _by_format(tmp_path / "t.csv", "{:.6f}\n", [-1e-9])[0] == b"h\n-0.000000\n"
+    assert _by_format(tmp_path / "t.csv", [".9e"], [9.9999999995])[0] == b"h\n9.999999999e+00\n"
+    assert _by_format(tmp_path / "t.csv", [".6f"], [-1e-9])[0] == b"h\n-0.000000\n"
     ints = np.array([0, -1, 9, 10, -99, 100, 2 ** 63 - 1, -2 ** 63])
-    got, want = _by_format(tmp_path / "t.csv", "{:d},{}\n", ints, ints)
+    got, want = _by_format(tmp_path / "t.csv", ["d", ""], ints, ints)
     assert got == want
 
 
 def test_table_of_no_rows_and_of_one_row(tmp_path):
     for columns in ([[], []], [[1.5], [-7]]):
-        got, want = _by_format(tmp_path / "t.csv", "{:.9e},{:d}\n", *columns)
+        got, want = _by_format(tmp_path / "t.csv", [".9e", "d"], *columns)
         assert got == want
-    assert got == b"h\n1.500000000e+00,-7\n"
+    assert got == b"h,i\n1.500000000e+00,-7\n"
 
 
 def test_write_json_format(tmp_path):
