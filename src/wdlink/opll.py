@@ -9,18 +9,19 @@ configuration can be checked against the linearized transfer function.
 
 The recursion is solved in two regimes.  While the detector saturates
 (|theta| > 2*pi, the acquisition transient) it is stepped sample by sample.
-Between saturations the loop is a linear 3-state system, advanced in numpy
-a block of samples at a time by FFT convolution with its impulse response
-plus the free response from the block's start state; each block is cut at
-its first saturated sample.  The two regimes give the sample-by-sample
-recursion's result up to rounding (see ``_lock_loop``).
+Between saturations the loop is a linear 3-state system, solved in numpy by
+a blocked scan: a chunk of samples is cut into blocks of SCAN_L, every
+block's forced response comes from one matrix product, the block start
+states from a short recursion, and the chunk is cut at its first saturated
+sample.  The two regimes give the sample-by-sample recursion's result up to
+rounding (see ``_lock_loop``).
 
 The lock stage is a stream, so no n-sample record is built but the one
 kept.  The beat-noise increments are drawn chunk by chunk
 (``noise.beat_chunks``, differenced across chunk edges, FM added per
 chunk), and the loop reads them forward only, through one refill buffer.
-It hands each finished stretch of (theta, actuator) to a sink, and its
-FFT blocks reuse one block's scratch.  The lock result (``LockResult``)
+It hands each finished stretch of (theta, actuator) to a sink, and the
+scan reuses one chunk's scratch.  The lock result (``LockResult``)
 keeps:
 
 - the whole theta record, one float per loop sample, which the detector's
@@ -33,8 +34,6 @@ Every lock PSD, the free-running beat's too, is fed to ``noise.Welch`` a
 beat chunk at a time (``_chunk_psd``), so none forms a whole record beside
 theta, and the residual variance works in one clipped copy of the tail.
 So two bands lock at once in about four theta records (see README.md).
-The loop's block plan depends on the servo and the record length only, so
-the bands of a scenario, which share one servo, compute it once.
 
 Controller units: kp in Hz of actuation per radian, ki in Hz per (radian
 second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
@@ -42,9 +41,7 @@ second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +58,10 @@ LOCK_CSV_MAX_ROWS = 4000  # lock.csv keeps every stride-th sample, stride = n //
 MIN_PHASE_MARGIN_DEG = 1.0  # least phase margin pi_gains_for accepts (see there)
 
 # hybrid solver (see _lock_loop)
-BLOCK = 1 << 16          # linear block length; a settled loop's blocks fill the FFT
 QUIET = 64               # unsaturated samples before leaving the scalar stepper
-DECAY_TOL = 1e-17        # relative size below which a power of A counts as settled
-KICK_GROWTH_MAX = 1e3    # largest A^m[0, 0] a block may rely on
 SCALAR_RUN = 1 << 14     # most samples the scalar stepper hands the sink at once
+SCAN_L = 64              # samples per block of the linear scan
+SCAN_CHUNK = 1 << 16     # most samples the scan solves at once
 
 
 @dataclass(frozen=True)
@@ -246,66 +242,46 @@ def _loop_matrix(kp: float, ki: float, actuator_bw_hz: float, sim_rate_hz: float
                      [g, alpha * ki, 1.0 - alpha]])
 
 
-def _power_rows(a_mat: np.ndarray, cap: int) -> tuple:
-    """Theta and actuator rows of A^0 ... A^K, as an array of shape
-    (K + 1, 2, 3), and whether the loop settled within K samples.
+def _scan_plan(cfg: LoopConfig) -> tuple:
+    """The linear scan's matrices for blocks of L = SCAN_L samples, from the
+    powers A^0 ... A^L of the loop matrix:
 
-    The number of powers doubles each round.  It stops once every entry of
-    both rows has stayed below DECAY_TOL of its peak over the last quarter
-    of the powers (the loop has settled, and the later powers are dropped),
-    once K reaches ``cap``, or just before the theta response to a unit
-    theta kick, A^m[0, 0], exceeds KICK_GROWTH_MAX (an unstable loop, whose
-    powers would swamp the FFT's rounding and then overflow).
-    """
-    p = np.empty((cap + 1, 3, 3))
-    p[0] = np.eye(3)
-    p[1] = a_mat
-    m = 1
-    while m < cap:
-        top = min(2 * m, cap)
-        p[m + 1:top + 1] = p[1:top - m + 1] @ p[m]
-        grown = np.flatnonzero(~(np.abs(p[m + 1:top + 1, 0, 0]) <= KICK_GROWTH_MAX))
-        if len(grown):
-            return p[:m + 1 + grown[0], 0::2], False
-        m = top
-        rows = np.abs(p[:m + 1, 0::2])
-        live = np.flatnonzero(np.any(rows > DECAY_TOL * rows.max(axis=0), axis=(1, 2)))
-        if live[-1] < m - m // 4:
-            return p[:live[-1] + 2, 0::2], True
-    return p[:, 0::2], False
+    - ``forced``, shape (2, L, L): [0][j, i] = A^(i-j)[0, 0] and
+      [1][j, i] = A^(i-j)[2, 0] for i >= j, else 0, so that a block's
+      inputs u times it give the theta and actuator response to u from a
+      zero state;
+    - ``free``, shape (2, 3, L): [0][:, i] and [1][:, i] are rows 0 and 2
+      of A^(i+1), the theta and actuator response to the start state;
+    - ``a_l``, A^L as nested lists of floats.
+
+    The powers are formed elementwise, not by BLAS, whose kernels round
+    small products differently on different CPUs."""
+    a_mat = _loop_matrix(cfg.kp, cfg.ki, cfg.actuator_bw_hz, cfg.sim_rate_hz)
+    powers = np.empty((SCAN_L + 1, 3, 3))
+    powers[0] = np.eye(3)
+    for m in range(SCAN_L):
+        np.sum(a_mat[:, :, None] * powers[m], axis=1, out=powers[m + 1])
+    kick = powers[:, 0::2, 0].T                            # A^m e_theta, rows 0 and 2
+    lag = np.arange(SCAN_L) - np.arange(SCAN_L)[:, None]   # lag[j, i] = i - j
+    forced = np.where(lag >= 0, kick[:, np.maximum(lag, 0)], 0.0)
+    free = powers[1:, 0::2].transpose(1, 2, 0).copy()
+    return forced, free, powers[SCAN_L].tolist()
 
 
-_PLAN_LOCK = threading.Lock()
-
-
-def _block_plan(cfg: LoopConfig, n: int) -> tuple:
-    """Linear-stretch solver for an n-sample record: (block length, FFT
-    length, rfft of the theta and actuator impulse responses A^m e_theta
-    as a (2, nfft//2 + 1) array, and the theta and actuator rows of
-    A^1 ... A^K as a (2, 3, K) array), all read-only.
-
-    The plan depends on the servo and n alone.  The last one is kept, and a
-    thread that asks for the plan another thread is computing waits for it,
-    so the bands of a run, which share one servo, compute it once."""
-    with _PLAN_LOCK:
-        return _servo_plan(cfg.kp, cfg.ki, cfg.actuator_bw_hz, cfg.sim_rate_hz, n)
-
-
-@functools.lru_cache(maxsize=1)
-def _servo_plan(kp: float, ki: float, actuator_bw_hz: float, sim_rate_hz: float,
-                n: int) -> tuple:
-    rows, settled = _power_rows(_loop_matrix(kp, ki, actuator_bw_hz, sim_rate_hz),
-                                min(BLOCK, n))
-    n_pow = len(rows) - 1
-    # A block of m samples needs an FFT of m + n_pow - 1 points.  An
-    # unsettled loop needs every power its blocks use, so its blocks stop at
-    # n_pow; a settled loop's blocks fill the FFT.
-    nfft = 1 << (min(BLOCK, n) + n_pow - 2).bit_length()
-    block = nfft - n_pow + 1 if settled else n_pow
-    kernel = np.fft.rfft(rows[:n_pow, :, 0].T, nfft)
-    free = rows[1:].transpose(1, 2, 0).copy()
-    kernel.flags.writeable = free.flags.writeable = False
-    return block, nfft, kernel, free
+def _scan_states(s, a_l, w):
+    """The scan's block start states S[0] = s, S[b+1] = A^L S[b] + w[b] for
+    A^L = ``a_l`` and the rows w[b] of the three sequences ``w``, as
+    triples of Python floats: faster per block than numpy scalars, and
+    freed as they are consumed.  An unstable loop may overflow them to inf
+    or nan."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a_l
+    s0, s1, s2 = s
+    yield s
+    for w0, w1, w2 in zip(*map(memoryview, w)):
+        s0, s1, s2 = (a00 * s0 + a01 * s1 + a02 * s2 + w0,
+                      a10 * s0 + a11 * s1 + a12 * s2 + w1,
+                      a20 * s0 + a21 * s1 + a22 * s2 + w2)
+        yield s0, s1, s2
 
 
 class _Ahead:
@@ -352,22 +328,37 @@ def _lock_loop(cfg: LoopConfig, n: int, increments, sink) -> None:
 
     While the detector saturates, the recursion is stepped one sample at a
     time.  Once QUIET consecutive samples are unsaturated the loop is
-    linear, and it advances a block at a time: the FFT convolution of the
-    block's input with the impulse response, plus the free response from
-    the block's start state.  A block is cut at its first |theta| > 2*pi,
-    and the scalar stepper takes over again from there.  The result differs
-    from the scalar recursion alone only by rounding.
+    linear, s[k+1] = A s[k] + e_theta u[k] (``_loop_matrix``), and it is
+    solved SCAN_CHUNK samples at a time by a blocked scan (see
+    ``_scan_plan``).  The chunk's inputs, zero-padded, are cut into blocks
+    of SCAN_L as the rows of U.  Each block's response from a zero state is
+    U @ forced; its end state w[b] gives the block start states S[b+1] =
+    A^L S[b] + w[b] (``_scan_states``), and the response to S[b] is added
+    through ``free``.  The chunk is cut at its first |theta| > 2*pi (or
+    non-finite theta, from a scan that overflowed), and the scalar stepper
+    takes over again from there.  The result differs from the scalar
+    recursion alone only by rounding.
+
+    The scan's BLAS products are of 2^18 multiply-adds, 64 blocks by SCAN_L
+    by SCAN_L, the last chunk zero-padded.  OpenBLAS computes a product
+    that small on the calling thread; a larger one wakes its worker
+    threads, which then compete for the cores with the other band's
+    thread.  And its AVX2 and AVX-512 kernels round that shape alike (they
+    do not round every shape alike), so the record's bytes do not depend
+    on which of the two the CPU has.
     """
     dt = 1.0 / cfg.sim_rate_hz
     alpha = TWO_PI * cfg.actuator_bw_hz * dt
     kp, ki = cfg.kp, cfg.ki
     df0 = cfg.initial_freq_error_hz
     two_pi_dt = TWO_PI * dt
-    block, nfft, kernel, free = _block_plan(cfg, n)
+    forced, free, a_l = _scan_plan(cfg)
     incr = _Ahead(increments)
-    # one block's scratch, reused by every block: rows of nfft + 2 floats,
-    # so that a row also holds the nfft//2 + 1 bins of a spectrum
-    work, spec = np.empty((2, nfft + 2)), np.empty(nfft // 2 + 1, dtype=complex)
+    batch = (1 << 18) // SCAN_L ** 2   # blocks per BLAS product
+    # one chunk's scratch, reused by every chunk: its inputs, in rows of
+    # SCAN_L and whole batches of rows, and its theta and actuator responses
+    u = np.empty((-(-SCAN_CHUNK // (batch * SCAN_L)) * batch, SCAN_L))
+    flat, out = u.reshape(-1), np.empty((2, *u.shape))
 
     theta_run, act_run = np.empty(SCALAR_RUN), np.empty(SCALAR_RUN)
     # memoryviews index as Python floats, several times faster per sample
@@ -399,26 +390,27 @@ def _lock_loop(cfg: LoopConfig, n: int, increments, sink) -> None:
             k += j
 
         while k < n:
-            m = min(block, n - k)
-            x = np.add(incr.ahead(k, m)[:m], two_pi_dt * df0, out=work[0, :m])
-            np.fft.rfft(x, nfft, out=spec)
-            # one impulse response at a time: the actuator's, through its
-            # product in row 0, into row 1; then the theta response, through
-            # the product in spec's own buffer, into row 0
-            np.fft.irfft(np.multiply(spec, kernel[1], out=work[0].view(complex)), nfft,
-                         out=work[1, :nfft])
-            spec *= kernel[0]
-            np.fft.irfft(spec, nfft, out=work[0, :nfft])
-            out = work[:, :m]
-            j = min(m, free.shape[2])
-            for col, s0 in enumerate((theta, integ, act)):
-                out[:, :j] += s0 * free[:, col, :j]
-            th = out[0]
-            cut = np.flatnonzero((th > TWO_PI) | (th < -TWO_PI))
+            m = min(SCAN_CHUNK, n - k)
+            np.add(incr.ahead(k, m)[:m], two_pi_dt * df0, out=flat[:m])
+            flat[m:] = 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(u.reshape(-1, batch, SCAN_L), forced[:, None],
+                          out=out.reshape(2, -1, batch, SCAN_L))
+                # a block's end state from a zero start: the forced integrator
+                # sums the block's theta but its last
+                w = out[0, :-1, -1], dt * np.sum(out[0, :-1, :-1], axis=1), out[1, :-1, -1]
+                starts = np.fromiter(_scan_states((theta, integ, act), a_l, w),
+                                     dtype=(float, 3), count=len(u))
+                for col in range(3):
+                    out += starts[:, col, None] * free[:, col, None]
+            th, ac = out[0].reshape(-1)[:m], out[1].reshape(-1)[:m]
+            cut = np.flatnonzero(~(np.abs(th) <= TWO_PI))
             end = int(cut[0]) + 1 if len(cut) else m
-            sink(k, th[:end], out[1, :end])
-            integ += dt * (theta + float(np.sum(th[:end - 1])))
-            theta, act = float(th[end - 1]), float(out[1, end - 1])
+            sink(k, th[:end], ac[:end])
+            b = (end - 1) // SCAN_L
+            s0, s1 = starts[b, :2].tolist()
+            integ = s1 + dt * (s0 + float(np.sum(th[b * SCAN_L:end - 1])))
+            theta, act = float(th[end - 1]), float(ac[end - 1])
             k += end
             if len(cut):
                 break
@@ -461,8 +453,8 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
     to probe the realized suppression against the linear model.
 
     The saturated stretches are stepped sample by sample and the linear
-    ones in FFT blocks (see ``_lock_loop``); the result equals the plain
-    sample-by-sample recursion up to rounding.
+    ones solved by a blocked scan (see ``_lock_loop``); the result equals
+    the plain sample-by-sample recursion up to rounding.
     """
     n = loop_samples(cfg)
     df0 = cfg.initial_freq_error_hz

@@ -248,11 +248,10 @@ def _each_band(scn: Scenario, out_dir, band_fn):
     every band of ``scn``, one thread per band, and give the body the fresh
     tree and the bands' results by band name, in band order.
 
-    The bands share no mutable state (the servo's block plan is computed
-    once and read only) and write separate directories, so the artifacts
-    are the same as from running the bands in turn.  The pool has a thread
-    for every band, so all bands are running by the time one can fail; none
-    is cancelled.  An exception from a band, or an interrupt, is raised
+    The bands share no mutable state and write separate directories, so
+    the artifacts are the same as from running the bands in turn.  The
+    pool has a thread for every band, so all bands are running by the time
+    one can fail; none is cancelled.  An exception from a band, or an interrupt, is raised
     once every running band has finished, the first band's exception
     first, and leaves no tree."""
     # imported here: it costs several ms of every ``import wdlink.cli``

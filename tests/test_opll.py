@@ -1,19 +1,23 @@
 """Frequency-lock servo: acquisition, suppression, and the linear model."""
 
+import hashlib
 import math
+import os
+import platform
+import subprocess
 import sys
 import types
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import joined_beat
 from oracles import closed_loop_phase_step, lock_loop_scalar
+import wdlink
 from wdlink import noise, opll
 from wdlink.noise import LaserSpec, estimate_psd
 from wdlink.opll import (
@@ -23,12 +27,12 @@ from wdlink.opll import (
     LOCK_PSD_RBW_HZ,
     MIN_PHASE_MARGIN_DEG,
     QUIET,
+    SCAN_CHUNK,
+    SCAN_L,
     TWO_PI,
-    _block_plan,
     _csv_stride,
     _increments,
     _lock_loop,
-    _servo_plan,
     closed_loop_suppression,
     free_running_psd,
     loop_samples,
@@ -361,22 +365,17 @@ def test_solver_matches_scalar_proportional_only(w_band):
 
 @pytest.mark.parametrize("kp,df0", [(10.0, 1e6), (0.0, 0.0)])
 def test_solver_matches_scalar_unsettled_loop(w_band, kp, df0):
-    """Loops that never settle use powers up to the record length."""
+    """Loops that never settle: their responses to a kick do not decay over
+    a block or a chunk."""
     cfg = replace(w_band.loop, kp=kp, ki=0.0, duration_s=5e-3, initial_freq_error_hz=df0)
-    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
-    block, _, _, free = _block_plan(cfg, n)
-    assert block == free.shape[2] == min(n, 1 << 16)
     assert_matches_scalar(w_band.master, w_band.slave, cfg, 1)
 
 
 def test_solver_matches_scalar_diverging_gains(w_band):
-    """An unstable linear loop: its blocks stop before the kick response
-    grows large.  Rounding differences grow with the loop once it diverges,
-    so theta is compared to the absolute tolerance only until then."""
+    """An unstable linear loop, whose kick response grows from block to
+    block.  Rounding differences grow with the loop once it diverges, so
+    theta is compared to the absolute tolerance only until then."""
     cfg = replace(w_band.loop, kp=1e3, ki=1e12, duration_s=4e-4, initial_freq_error_hz=0.0)
-    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
-    block, _, _, _ = _block_plan(cfg, n)
-    assert block < 1000
     incr = beat_increments(w_band.master, w_band.slave, cfg, 1)
     res = simulate_lock(w_band.master, w_band.slave, cfg, seed=1)
     theta, freq = scalar_reference(cfg, incr)
@@ -390,19 +389,18 @@ def test_solver_matches_scalar_diverging_gains(w_band):
 
 def test_solver_matches_scalar_record_shorter_than_block(w_band):
     cfg = replace(w_band.loop, duration_s=2e-4, initial_freq_error_hz=1e6)
-    n = int(round(cfg.duration_s * cfg.sim_rate_hz))
-    assert _block_plan(cfg, n)[0] == n
+    assert loop_samples(cfg) < SCAN_CHUNK
     assert_matches_scalar(w_band.master, w_band.slave, cfg, 3)
 
 
-@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("where", ["first", "last", "chunk"])
 def test_solver_excursion_at_block_edge(w_band, where):
-    """A phase kick that saturates the detector exactly on the first or the
-    last sample of the first linear block."""
+    """A phase kick that saturates the detector exactly on the scan's first
+    sample, on the last sample of its first block or on the last sample of
+    its first chunk."""
     cfg = replace(w_band.loop, initial_freq_error_hz=0.0)
     n = 200_000
-    block = _block_plan(cfg, n)[0]
-    kick = QUIET if where == "first" else QUIET + block - 1
+    kick = QUIET + {"first": 0, "last": SCAN_L - 1, "chunk": SCAN_CHUNK - 1}[where]
     incr = beat_increments(w_band.master, w_band.slave, cfg, 9)[:n].copy()
     incr[kick] += 8.0
     theta_ref, freq_ref = scalar_reference(cfg, incr)
@@ -422,6 +420,68 @@ def test_solver_matches_scalar_property(w_band, fu, zero_ratio, act_ratio, df0, 
     cfg = replace(w_band.loop, kp=kp, ki=ki, actuator_bw_hz=fa,
                   duration_s=n / 50e6, initial_freq_error_hz=df0)
     assert_matches_scalar(w_band.master, w_band.slave, cfg, seed)
+
+
+# a phase kick (its sample, its size, the start error): anywhere, from any
+# start error; or, from a zero start error, whose scan starts after QUIET
+# samples, on the first or the last sample of one of the scan's first blocks
+KICKS = st.one_of(
+    st.tuples(st.integers(0, 3999), st.floats(-12.0, 12.0), st.sampled_from([0.0, 1e6, 8e6])),
+    st.tuples(st.builds(lambda r, d: QUIET + r * SCAN_L + d, st.integers(0, 6),
+                        st.sampled_from([-1, 0])),
+              st.sampled_from([-8.0, 8.0]), st.just(0.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.integers(1, 3), n=st.integers(10, 4000), kick=KICKS,
+       seed=st.integers(0, 2**32 - 1))
+# the last sample of a chunk, the first of the next, the last of a block
+# inside a chunk
+@example(blocks=2, n=1000, kick=(QUIET + 2 * SCAN_L - 1, 8.0, 0.0), seed=1)
+@example(blocks=1, n=1000, kick=(QUIET + SCAN_L, -8.0, 0.0), seed=2)
+@example(blocks=3, n=1000, kick=(QUIET + SCAN_L - 1, 8.0, 0.0), seed=3)
+def test_solver_matches_scalar_across_chunk_and_block_edges(w_band, blocks, n, kick, seed):
+    """With the scan's chunks one to three blocks long, chunk edges, block
+    edges and cuts inside a block all fall within a short record."""
+    at, size, df0 = kick
+    n = max(n, at + 1)
+    cfg = replace(w_band.loop, duration_s=n / 50e6, initial_freq_error_hz=df0)
+    incr = beat_increments(w_band.master, w_band.slave, cfg, seed)
+    incr[at] += size
+    theta_ref, freq_ref = scalar_reference(cfg, incr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opll, "SCAN_CHUNK", blocks * SCAN_L)
+        theta, act = run_loop(cfg, n, [incr])
+    assert np.max(np.abs(theta - theta_ref)) <= THETA_TOL_RAD
+    assert np.max(np.abs(df0 - act - freq_ref)) <= FREQ_TOL_HZ
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS's x86 kernels")
+def test_lock_bytes_do_not_depend_on_the_blas_kernel(scenario):
+    """Band W's lock record, its last chunk zero-padded, has the same bytes
+    under OpenBLAS's AVX2 (Haswell) kernels as under the kernels OpenBLAS
+    picks for this CPU (AVX-512 ones where it has AVX-512).  A BLAS other
+    than OpenBLAS ignores the variable."""
+    band = scenario.band("W")
+    cfg = replace(band.loop, duration_s=4.1e-3)
+    code = ("import hashlib\n"
+            "from dataclasses import replace\n"
+            "from wdlink.opll import simulate_lock\n"
+            "from wdlink.scenario import default_scenario_path, load_scenario\n"
+            "b = load_scenario(default_scenario_path()).band('W')\n"
+            "res = simulate_lock(b.master, b.slave, replace(b.loop, duration_s=4.1e-3),\n"
+            "                    b.lock_seed)\n"
+            "print(hashlib.sha256(res.theta.tobytes()).hexdigest())\n")
+    src = str(os.path.dirname(os.path.dirname(os.path.abspath(wdlink.__file__))))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    res = simulate_lock(band.master, band.slave, cfg, band.lock_seed)
+    assert loop_samples(cfg) % SCAN_CHUNK != 0
+    assert proc.stdout.strip() == hashlib.sha256(res.theta.tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +517,7 @@ def test_chunked_increments_equal_the_whole_record_difference(w_band, n, chunk, 
 @given(n=st.integers(10, 20_000), chunk=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
        df0=st.sampled_from([0.0, 1e6, 8e6]))
 def test_loop_reads_chunked_increments_as_one_record(w_band, n, chunk, seed, df0):
-    """Through the scalar stepper and the FFT blocks alike, the loop gives
+    """Through the scalar stepper and the scan alike, the loop gives
     the same record whether its increments arrive whole or in chunks."""
     cfg = replace(w_band.loop, initial_freq_error_hz=df0)
     whole = np.concatenate(list(_increments(w_band.master, w_band.slave, cfg, n, seed)))
@@ -467,13 +527,12 @@ def test_loop_reads_chunked_increments_as_one_record(w_band, n, chunk, seed, df0
 
 
 def test_lock_stage_peak_memory_is_at_most_three_theta_records(scenario):
-    """Band D's lock as a run calls it (error PSD included, block plan
-    computed afresh) peaks under tracemalloc at no more than three theta
-    records: no n-sample increment, actuator, beat or clipped record is
-    built beside the kept theta.  Whole-record increments, actuator and
+    """Band D's lock as a run calls it (error PSD included) peaks under
+    tracemalloc at no more than three theta records (13.0 MB against an
+    8 MB record): no n-sample increment, actuator, beat or clipped record
+    is built beside the kept theta.  Whole-record increments, actuator and
     clipped copies peaked at 41.6 MB."""
     band = scenario.band("D")
-    _servo_plan.cache_clear()
     tracemalloc.start()
     try:
         res = simulate_lock(band.master, band.slave, band.loop, band.lock_seed)
@@ -514,32 +573,6 @@ def test_block_fed_psds_equal_the_whole_record_estimates(w_band):
             assert np.array_equal(g, w)
 
 
-def test_block_plan_is_computed_once_for_concurrent_callers(w_band, monkeypatch):
-    """Threads (more than there are cores, switching as often as possible)
-    asking for one servo's plan at once share one computation and one
-    read-only result."""
-    calls = []
-    power_rows = opll._power_rows
-
-    def counted(*args):
-        calls.append(args)
-        return power_rows(*args)
-
-    monkeypatch.setattr(opll, "_power_rows", counted)
-    _servo_plan.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            plans = list(pool.map(lambda _: _block_plan(w_band.loop, 200_000), range(8),
-                                  timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(calls) == 1
-    assert all(plan is plans[0] for plan in plans)
-    assert not any(a.flags.writeable for a in plans[0][2:])
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000),
        scale=st.sampled_from([1e-3, 1.0, 10.0]))
@@ -556,20 +589,19 @@ def test_residual_phase_variance_is_np_var_of_the_clipped_tail(n, seed, scale):
 def test_two_band_lock_sim_peak_memory_is_under_four_and_a_half_theta_records(
         scenario, tmp_path):
     """``lock_sim`` of both bands at once, from the 8 MHz start error of the
-    benchmark's lock workload, block plan computed afresh, peaks under
-    tracemalloc at about four theta records (31.1-31.9 MB against 8 MB
-    records): the two kept records, and each band's loop scratch, Welch
-    estimate or CSV table.  The margin is half a record.  One thread per
-    band without the leaner loop (a two-row spectrum product, a chunk
-    concatenate per refill, 2^16-sample beat chunks, np.var's temporaries,
-    each band's record kept while its beat PSD is written) peaked at
-    36.0-37.0 MB, the bands one after the other at 28.8 MB."""
+    benchmark's lock workload, peaks under tracemalloc at three and a half
+    theta records (27.5-27.7 MB against 8 MB records): the two kept
+    records, and each band's loop scratch, Welch estimate or CSV table.
+    The bound is four and a half records.  One thread per band without the
+    leaner loop (a two-row spectrum product, a chunk concatenate per
+    refill, 2^16-sample beat chunks, np.var's temporaries, each band's
+    record kept while its beat PSD is written) peaked at 36.0-37.0 MB, the
+    bands one after the other at 28.8 MB."""
     from wdlink import runner
 
     scn = replace(scenario, bands=tuple(
         replace(b, loop=replace(b.loop, initial_freq_error_hz=8e6)) for b in scenario.bands))
     record_bytes = 8 * loop_samples(scn.bands[0].loop)
-    _servo_plan.cache_clear()
     tracemalloc.start()
     try:
         info = runner.lock_sim(scn, tmp_path / "o")
