@@ -154,14 +154,19 @@ class Welch:
         n_new = min(max(0, (len(data) - nperseg) // hop + 1), self.n_seg - self.done)
         if n_new:
             segs = np.lib.stride_tricks.sliding_window_view(data, nperseg)[::hop][:n_new]
-            fft = np.fft.rfft if self.anchor is None else np.fft.fft
             # transform PSD_BLOCK_BYTES of spectra per call, but add the
             # periodograms one by one in segment order so the sum rounds as a
             # per-segment loop would
             per_block = max(1, PSD_BLOCK_BYTES // (16 * nperseg))
             for first in range(0, n_new, per_block):
-                spec = fft(segs[first:first + per_block] * self.win, axis=1)
-                for row in spec.real ** 2 + spec.imag ** 2:
+                spec = segs[first:first + per_block] * self.win
+                # a complex batch is transformed in its own buffer; a real
+                # one is dropped once transformed
+                spec = (np.fft.rfft(spec, axis=1) if self.anchor is None
+                        else np.fft.fft(spec, axis=1, out=spec))
+                p = spec.real ** 2
+                p += spec.imag ** 2
+                for row in p:
                     self.acc += row
             self.done += n_new
         self._rest = data[n_new * hop:].copy()

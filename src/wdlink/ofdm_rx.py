@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandplan import BandPlan, active_indices, detected_indices, subcarrier_centers
-from .ofdm_tx import (CONSTELLATIONS, FrameRef, analyze_time, cp_length, demap_qam,
-                      frame_samples, map_qam, synth_time)
+from .ofdm_tx import (_DATA_BASE, CONSTELLATIONS, DECIDE_CHUNK, FrameRef, analyze_time,
+                      cp_length, frame_samples, qam_decisions, synth_time)
 from .waveform import (CONSTELLATION_CSV, METRICS_CSV, ComplexWaveform, read_table,
                        sample_power, write_table)
 
@@ -246,22 +246,27 @@ def count_bit_errors(eqf: EqualizedFrame, ref: FrameRef) -> tuple:
 
     Only the plan's detected data subcarriers count: bits sent outside the
     detect window are not the receiver's to judge.  A symbol within
-    ``safe_radius`` of the point its bits map to decides to those bits, so
-    only the others are demapped; the count is that of demapping them all.
+    ``safe_radius`` of the point it was sent as decides to that point, so
+    only the others are decided (``qam_decisions``); each error is a bit
+    in which a decided label differs from the sent one, so the count is
+    that of demapping every symbol.
     """
     order = ref.tx.bits_per_subcarrier
-    radius = safe_radius(order)
+    table, radius = CONSTELLATIONS[order], safe_radius(order)
     judged = judged_indices(ref.plan, ref.pilot_idx)
-    payload_bits = ref.payload_bits
-    errors = total = 0
-    for i in judged[~eqf.dead[judged]]:
-        sent = payload_bits[int(i)]
-        y = eqf.symbols[:, i]
-        doubtful = ~(np.abs(y - map_qam(sent, order)) < radius)   # NaN included
-        hat = demap_qam(y[doubtful], order)
-        errors += int(np.count_nonzero(hat != sent.reshape(-1, order)[doubtful].ravel()))
-        total += len(sent)
-    return errors, total
+    live = judged[~eqf.dead[judged]]
+    sent_grid = ref.symbols[ref.tx.n_training:]
+    # a step's payload columns hold at most DECIDE_CHUNK symbols
+    step = max(1, DECIDE_CHUNK // len(sent_grid))
+    errors = 0
+    for lo in range(0, len(live), step):
+        cols = live[lo:lo + step]
+        y = eqf.symbols[:, cols]
+        sent = sent_grid[:, cols] - _DATA_BASE
+        doubtful = ~(np.abs(y - table[sent]) < radius)   # NaN included
+        wrong = qam_decisions(y[doubtful], order) ^ sent[doubtful]
+        errors += int(np.sum(np.bitwise_count(wrong)))
+    return errors, len(sent_grid) * len(live) * order
 
 
 def export_constellation(eqf: EqualizedFrame, ref: FrameRef, index: int) -> np.ndarray:

@@ -146,6 +146,7 @@ def _build_constellations() -> dict:
 
 CONSTELLATIONS = _build_constellations()
 SUPPORTED_ORDERS = tuple(sorted(CONSTELLATIONS))
+DECIDE_CHUNK = 1 << 16   # most symbols qam_decisions measures against the table at once
 
 
 def qam_labels(bits: np.ndarray, order_bits: int) -> np.ndarray:
@@ -171,19 +172,26 @@ def map_qam(bits: np.ndarray, order_bits: int) -> np.ndarray:
     return CONSTELLATIONS[order_bits][labels]
 
 
-def demap_qam(symbols: np.ndarray, order_bits: int) -> np.ndarray:
-    """Minimum-distance hard decisions back to bits (MSB first)."""
+def qam_decisions(symbols: np.ndarray, order_bits: int) -> np.ndarray:
+    """Minimum-distance hard decisions: the label (int64) of each symbol's
+    nearest point of the order's constellation; a NaN symbol decides to
+    label 0."""
     if order_bits not in CONSTELLATIONS:
         raise ValueError(f"unsupported order_bits {order_bits}")
     table = CONSTELLATIONS[order_bits]
     symbols = np.asarray(symbols, dtype=complex).ravel()
     labels = np.empty(len(symbols), dtype=np.int64)
-    chunk = 1 << 16
-    for start in range(0, len(symbols), chunk):
-        seg = symbols[start:start + chunk]
+    for start in range(0, len(symbols), DECIDE_CHUNK):
+        seg = symbols[start:start + DECIDE_CHUNK]
         d2 = np.abs(seg[:, None] - table[None, :]) ** 2
         labels[start:start + len(seg)] = np.argmin(d2, axis=1)
-    bits = np.empty((len(symbols), order_bits), dtype=np.uint8)
+    return labels
+
+
+def demap_qam(symbols: np.ndarray, order_bits: int) -> np.ndarray:
+    """Minimum-distance hard decisions back to bits (MSB first)."""
+    labels = qam_decisions(symbols, order_bits)
+    bits = np.empty((len(labels), order_bits), dtype=np.uint8)
     for b in range(order_bits):
         bits[:, order_bits - 1 - b] = (labels >> b) & 1
     return bits.ravel()

@@ -32,8 +32,9 @@ keeps:
 
 Every lock PSD, the free-running beat's too, is fed to ``noise.Welch`` a
 beat chunk at a time (``_chunk_psd``), so none forms a whole record beside
-theta, and the residual variance works in one clipped copy of the tail.
-So two bands lock at once in about four theta records (see README.md).
+theta, and the residual variance is summed on theta in place, a clipped
+piece of at most ``waveform.CHUNK`` samples at a time.  So two bands lock
+at once in about four theta records (see README.md).
 
 Controller units: kp in Hz of actuation per radian, ki in Hz per (radian
 second); the plant integrates d(theta)/dt = 2*pi*(frequency error).
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import BEAT_CHUNK, LaserSpec, PhaseTrace, Welch, beat_chunks
-from .waveform import LOCK_CSV, write_table
+from .waveform import LOCK_CSV, pairwise_sum_max, write_table
 
 TWO_PI = 2.0 * math.pi
 DIVERGENCE_RAD = 1.0e4
@@ -103,10 +104,15 @@ def _chunk_psd(cfg: LoopConfig, n: int, rbw_hz: float, beat: bool, chunks) -> tu
     """Welch PSD of the n-sample phase record at the loop's rate that
     ``chunks`` yields in order: of the detector's view of it, or, with
     ``beat``, of the beat note exp(j*phase) at the target offset.  Each
-    chunk is viewed and fed on its own."""
+    chunk is viewed and fed on its own, the beat note exponentiated in its
+    own buffer."""
     psd = Welch(n, cfg.sim_rate_hz, rbw_hz, anchor_hz=cfg.target_offset_hz if beat else None)
     for chunk in chunks:
-        psd.feed(np.exp(1j * chunk) if beat else _detector(chunk))
+        if beat:
+            note = 1j * chunk
+            psd.feed(np.exp(note, out=note))
+        else:
+            psd.feed(_detector(chunk))
     return psd.result()
 
 
@@ -475,8 +481,10 @@ def simulate_lock(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed: in
 
     _lock_loop(cfg, n, _increments(master, slave, cfg, n, seed, fm_inject), keep)
 
-    finite = bool(np.all(np.isfinite(theta)))
-    peak = max(float(theta.max()), -float(theta.min())) if finite else math.inf
+    # theta's extremes are finite exactly when all of theta is
+    hi, lo = float(theta.max()), float(theta.min())
+    finite = math.isfinite(hi) and math.isfinite(lo)
+    peak = max(hi, -lo) if finite else math.inf
     locked = finite and peak <= DIVERGENCE_RAD and abs(float(np.mean(tail))) < LOCK_FREQ_TOL_HZ
     cycle_slips = int(peak // TWO_PI) if finite else -1
 
@@ -501,12 +509,20 @@ def free_running_psd(master: LaserSpec, slave: LaserSpec, cfg: LoopConfig, seed:
 
 def residual_phase_variance(result: LockResult) -> float:
     """Variance of the locked phase error over the last RESIDUAL_TAIL of the
-    record.  Computed as ``np.var`` does it, the same sums in the same
-    order, but in the one clipped copy of the tail."""
-    tail = _detector(result.theta[int((1.0 - RESIDUAL_TAIL) * len(result.theta)):])
-    tail -= np.mean(tail)
-    np.square(tail, out=tail)
-    return float(np.sum(tail) / len(tail))
+    record, ``np.var`` of the clipped tail bit for bit.  Its two sums, of
+    the clipped tail and of its squared deviations from their mean, are
+    taken on the record in place, clipped piece by piece and split as
+    numpy's pairwise sum splits (``pairwise_sum_max``), so no tail-sized
+    copy is made."""
+    tail = result.theta[int((1.0 - RESIDUAL_TAIL) * len(result.theta)):]
+    mean = pairwise_sum_max(tail, _detector)[0] / len(tail)
+
+    def squared_deviation(piece):
+        d = _detector(piece)
+        d -= mean
+        return np.square(d, out=d)
+
+    return float(pairwise_sum_max(tail, squared_deviation)[0] / len(tail))
 
 
 def write_lock_csv(path, result: LockResult) -> None:

@@ -49,7 +49,7 @@ from .ofdm_tx import build_frame, clip, frame_rate_hz, frame_samples, papr_db
 from .opll import (LOCK_PSD_RBW_HZ, free_running_psd, residual_phase_variance,
                    simulate_lock, write_lock_csv)
 from .scenario import BandScenario, Scenario
-from .waveform import write_iq, write_json
+from .waveform import check_iq, write_iq, write_json
 
 
 class OutDirError(Exception):
@@ -187,11 +187,14 @@ def build_summary(scn: Scenario, out_dir) -> dict:
 
     Also rewrites capacity.json (it is derived from bitload CSVs) before the
     manifest is hashed, so rerunning this on an existing output directory
-    reproduces both files byte for byte.  A ``metrics.csv`` whose rows are
-    not the plan's active subcarriers, each at its center, is refused
-    before either file is written.
+    reproduces both files byte for byte.  An ``.iq`` file whose size is
+    not its header's sample count (``check_iq``), or a ``metrics.csv``
+    whose rows are not the plan's active subcarriers, each at its center,
+    is refused before either file is written.
     """
     out = Path(out_dir)
+    for iq in sorted(out.rglob("*.iq")):
+        check_iq(iq)
     bands_summary = {}
     reports = {}
     for band in scn.bands:

@@ -216,8 +216,10 @@ def _window(d: dict, key: str, path: str) -> tuple:
 
 def _seed(seeds_d: dict, key: str) -> int:
     seed = _get(seeds_d, key, "$.seeds", int)
-    with _at(f"$.seeds.{key}"):   # numpy's rule: the stages seed their generators with it
-        np.random.SeedSequence(seed)
+    # numpy's rule, for the stages seed their generators with it; checked
+    # here so that loading does not import numpy.random
+    if seed < 0:
+        raise ScenarioError(f"$.seeds.{key}", "expected non-negative integer")
     return seed
 
 

@@ -99,23 +99,25 @@ def power_stats(x: np.ndarray) -> tuple:
     An empty ``x`` gives (nan, nan)."""
     if not len(x):
         return np.nan, np.nan
-    total, peak = _power_sum_max(x)
+    total, peak = pairwise_sum_max(x, sample_power)
     return float(total / len(x)), float(peak)
 
 
-def _power_sum_max(x: np.ndarray) -> tuple:
-    """``np.sum`` and ``np.max`` of ``sample_power(x)``.  numpy sums a
-    float64 array pairwise, splitting a length n over 128 at n2 = n // 2
-    less n2 % 8 and adding the two halves' sums; ``x`` is split the same
-    way down to pieces of at most CHUNK samples, so every partial sum
-    rounds as in one sum over the whole."""
+def pairwise_sum_max(x: np.ndarray, values) -> tuple:
+    """``np.sum`` and ``np.max`` of ``values(x)`` for an elementwise
+    ``values`` (one new float64 array of its argument's length), with no
+    array longer than CHUNK.  numpy sums a float64 array pairwise,
+    splitting a length n over 128 at n2 = n // 2 less n2 % 8 and adding
+    the two halves' sums; ``x`` is split the same way down to pieces of at
+    most CHUNK samples, and ``values`` applied to each, so every partial
+    sum rounds as in one sum over the whole."""
     n = len(x)
     if n <= CHUNK:
-        p = sample_power(x)
-        return np.sum(p), np.max(p)
+        v = values(x)
+        return np.sum(v), np.max(v)
     n2 = n // 2
     n2 -= n2 % 8
-    (s1, m1), (s2, m2) = _power_sum_max(x[:n2]), _power_sum_max(x[n2:])
+    (s1, m1), (s2, m2) = pairwise_sum_max(x[:n2], values), pairwise_sum_max(x[n2:], values)
     return s1 + s2, np.maximum(m1, m2)
 
 
@@ -143,23 +145,39 @@ def write_iq(path, w: ComplexWaveform) -> None:
 def read_iq(path) -> ComplexWaveform:
     """Read a waveform written by :func:`write_iq`."""
     path = str(path)
-    with open(path + ".hdr") as fh:
-        header = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
-    missing = [k for k in _HEADER_FIELDS if k not in header]
-    if missing:
-        raise ValueError(f"sidecar header missing fields: {missing}")
-    if header["dtype"] != "float32_interleaved_iq":
-        raise ValueError(f"unsupported dtype {header['dtype']!r}")
+    header = check_iq(path)
     inter = np.fromfile(path, dtype=np.float32)
-    n = int(header["n_samples"])
-    if len(inter) != 2 * n:
-        raise ValueError(f"expected {2 * n} float32 values, found {len(inter)}")
     samples = inter[0::2].astype(np.float64) + 1j * inter[1::2].astype(np.float64)
     return ComplexWaveform(
         samples=samples,
         sample_rate_hz=float(header["sample_rate_hz"]),
         anchor_hz=float(header["anchor_hz"]),
     )
+
+
+def check_iq(path) -> dict:
+    """The sidecar header of the I/Q file at ``path``, as a dict of
+    strings, once it names every field and the file's size is that of its
+    ``n_samples`` float32 pairs; the samples are not read.  Raises
+    ValueError naming the file otherwise."""
+    path = str(path)
+    with open(path + ".hdr") as fh:
+        header = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
+    missing = [k for k in _HEADER_FIELDS if k not in header]
+    if missing:
+        raise ValueError(f"{path}.hdr: sidecar header missing fields: {missing}")
+    if header["dtype"] != "float32_interleaved_iq":
+        raise ValueError(f"{path}.hdr: unsupported dtype {header['dtype']!r}")
+    try:
+        n = int(header["n_samples"])
+    except ValueError:
+        raise ValueError(f"{path}.hdr: n_samples {header['n_samples']!r} "
+                         "is not an integer") from None
+    size = os.path.getsize(path)
+    if size != 8 * n:
+        raise ValueError(f"{path}: expected {2 * n} float32 values ({8 * n} bytes), "
+                         f"found {size} bytes")
+    return header
 
 
 def write_table(path, table: Table, *columns) -> None:

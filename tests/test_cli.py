@@ -843,6 +843,29 @@ def test_report_refuses_metrics_rows_not_the_active_set(default_run, scenario, t
     assert _tree_bytes(out) == before
 
 
+@pytest.mark.parametrize("name, damage, why", [
+    ("band_W/rx.iq", lambda data: data[:100],
+     "band_W/rx.iq: expected 70720 float32 values (282880 bytes), found 100 bytes"),
+    ("band_D/tx.iq", lambda data: data + bytes(8),
+     "band_D/tx.iq: expected 70720 float32 values (282880 bytes), found 282888 bytes"),
+    ("band_D/rx.iq.hdr", lambda data: data.replace(b"n_samples=", b"n_samples=x"),
+     "band_D/rx.iq.hdr: n_samples 'x17680' is not an integer"),
+], ids=["cut", "extended", "count"])
+def test_report_refuses_an_iq_file_its_header_does_not_describe(default_run, tmp_path,
+                                                                capsys, name, damage, why):
+    """An ``.iq`` file whose size is not 8 bytes per sample of its header's
+    ``n_samples``, or whose header gives no count, is refused, naming the
+    file, without its samples being read; the manifest would otherwise
+    bless the damage."""
+    out = tmp_path / "run"
+    shutil.copytree(default_run[0], out)
+    (out / name).write_bytes(damage((out / name).read_bytes()))
+    before = _tree_bytes(out)
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {out}/{why}\n"
+    assert _tree_bytes(out) == before
+
+
 @pytest.mark.parametrize("move, why", [
     (lambda i: i + 64, "index 256 not in 0..255"),
     (lambda i: i + 0.5, "index 1.5 not in 0..255"),
@@ -1020,6 +1043,19 @@ def test_cli_import_and_load_leave_scipy_thread_pool_and_numpy_ma_unloaded():
                           text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_scenario_load_leaves_numpy_random_unloaded():
+    """The loader checks a seed's sign itself: numpy.random, 8-11 ms of a
+    fresh interpreter, comes with the first stage that draws."""
+    code = ("import sys; "
+            "from wdlink.scenario import default_scenario_path, load_scenario; "
+            "load_scenario(default_scenario_path()); "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("call", [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import normalized_correlation_direct, sync_offset
+from wdlink import ofdm_rx
 from wdlink.bandplan import active_indices, detected_indices, subcarrier_centers
 from wdlink.channel import apply_carrier, dband_downconvert
 from wdlink.noise import add_awgn
@@ -104,6 +105,22 @@ def test_bit_count_matches_demapping_every_symbol(w_plan, w_band, order, snr_db)
     symbols[4:8] = sent[4:] + half * rng.choice([1, 1j, -1, -1j], sent[4:].shape)
     symbols[8, ref.data_idx[::7]] = np.nan
     eqf = replace(eqf, symbols=symbols)
+    errors, total = count_bit_errors(eqf, ref)
+    assert (errors, total) == _demap_every_symbol(eqf, ref)
+    assert errors > 0
+
+
+@pytest.mark.parametrize("columns", [1, 7, 245])
+def test_bit_count_in_steps_of_columns_matches_demapping_every_symbol(
+        w_plan, w_band, monkeypatch, columns):
+    """A frame whose payload columns take several steps of at most
+    DECIDE_CHUNK symbols (one, seven and 245 of W's 246 judged columns a
+    step, so the last step is short) is counted as if demapped whole."""
+    cfg = replace(w_band.tx, bits_per_subcarrier=4, n_symbols=64, prbs_seed_state=21)
+    wav, ref = build_frame(w_plan, cfg)
+    noisy = add_awgn(wav, 6.0, seed=3, occupied_bw_hz=OCC_W)
+    eqf = equalize(demodulate(noisy, ref, 0), ref)
+    monkeypatch.setattr(ofdm_rx, "DECIDE_CHUNK", columns * cfg.n_symbols)
     errors, total = count_bit_errors(eqf, ref)
     assert (errors, total) == _demap_every_symbol(eqf, ref)
     assert errors > 0

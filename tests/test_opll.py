@@ -43,7 +43,7 @@ from wdlink.opll import (
     unity_gain_hz,
     write_lock_csv,
 )
-from wdlink.waveform import ComplexWaveform
+from wdlink.waveform import CHUNK, ComplexWaveform
 
 def band_mean(freqs, psd, lo, hi):
     sel = (freqs >= lo) & (freqs <= hi)
@@ -584,6 +584,46 @@ def test_residual_phase_variance_is_np_var_of_the_clipped_tail(n, seed, scale):
     tail = theta[int(0.5 * n):]
     assert residual_phase_variance(res) == float(np.var(np.clip(tail, -TWO_PI, TWO_PI)))
     assert np.array_equal(res.theta, theta)   # the record itself is not clipped
+
+
+def _traced_variance(res):
+    """``residual_phase_variance(res)`` and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        var = residual_phase_variance(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return var, peak
+
+
+@pytest.mark.parametrize("n, seed, scale", [
+    (4 * CHUNK + 5, 1, 10.0),      # a 2*CHUNK + 3 tail: three pieces
+    (6 * CHUNK + 7, 3, 3.0),       # four pieces
+    (8 * CHUNK + 11, 2, 10.0),     # five
+])
+def test_residual_phase_variance_is_np_var_of_a_tail_of_several_pieces(n, seed, scale):
+    """On a tail longer than 2*CHUNK the variance still gives np.var's
+    float exactly, summed in pieces of at most CHUNK samples: it allocates
+    no more than one clipped piece (2 MB), where a clipped copy of the tail
+    took 4.2-8.4 MB.  The lengths are odd and the seeds chosen so that a
+    split not rounded down to a multiple of 8, as numpy's is, changes each
+    variance's last bits."""
+    theta = np.random.default_rng(seed).standard_normal(n) * scale + 0.25
+    var, peak = _traced_variance(types.SimpleNamespace(theta=theta))
+    assert var == float(np.var(np.clip(theta[int(0.5 * n):], -TWO_PI, TWO_PI)))
+    assert peak <= 8 * CHUNK + 64 * 1024
+
+
+def test_residual_phase_variance_of_a_band_allocates_under_one_piece(d_band):
+    """On a default band's 1 M-sample record the settled half is two
+    pieces of 250,000 samples, so the variance's peak stays under one
+    CHUNK's 2 MB; a clipped copy of the half would take 4 MB."""
+    res = simulate_lock(d_band.master, d_band.slave, d_band.loop, d_band.lock_seed)
+    var, peak = _traced_variance(res)
+    tail = res.theta[len(res.theta) // 2:]
+    assert var == float(np.var(np.clip(tail, -TWO_PI, TWO_PI)))
+    assert peak < 8 * CHUNK
 
 
 def test_two_band_lock_sim_peak_memory_is_under_four_and_a_half_theta_records(
